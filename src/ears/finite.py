@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import BilinearForm, Matrix, Vector
+from .linalg import BilinearForm, Matrix, Vector, line_key
 
 SIMPLY_LACED = ("A", "D", "E")
 
@@ -332,16 +332,9 @@ def invariant_generating_subsets(system: FiniteRootSystem) -> list[tuple[str, fr
         subset = frozenset().union(*(classes[i] for i in range(len(classes)) if mask >> i & 1))
         lines = {}
         for r in subset:
-            key = _line_key(r)
-            lines.setdefault(key, r)
+            lines.setdefault(line_key(r), r)
         gens = [system.reflection_matrix(r) for r in lines.values()]
         if _matrix_closure(gens, system.rank) == full:
             found.append((_classify_subset(system, subset), subset))
     found.sort(key=lambda pair: (-len(pair[1]), pair[0]))
     return found
-
-
-def _line_key(r: Vector) -> tuple:
-    """Canonical key for the line through r (reflections depend only on it)."""
-    nz = next(c for c in r.coords if c != 0)
-    return tuple(c / abs(nz) for c in r.coords)

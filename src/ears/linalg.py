@@ -1,11 +1,13 @@
 """Exact rational vectors, matrices, bilinear forms and reflections.
 
-Everything here is immutable and hashable; arithmetic is exact (Fraction),
-there is no floating point anywhere in this package's numeric core.
+Everything here is immutable and hashable; arithmetic is exact (Fraction,
+or Python ints in the reflection kernel at the end), there is no floating
+point anywhere in this package's numeric core.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -321,6 +323,61 @@ def reflection_matrix(space: AmbientSpace, alpha: Vector) -> Matrix:
         e = Vector([Fraction(i == j) for i in range(d)])
         cols.append(reflect(space, alpha, e).coords)
     return Matrix(list(zip(*cols)))
+
+
+def line_key(r: Vector) -> tuple:
+    """Key of the line through r: r scaled to first nonzero coordinate 1,
+    so r and -r (which give the same reflection) share it."""
+    nz = next((c for c in r.coords if c), 1)
+    return tuple(c / nz for c in r.coords)
+
+
+# -- integer kernel for products of reflections -------------------------------
+#
+# A reflector (a, p, st) holds integer vectors a, p and an integer st > 0 with
+# r_alpha = I - a p^T / st.  A scaled matrix (rows, den) holds integer rows
+# and den > 0 with no common factor, so equality and hashing stay exact.
+
+
+def scaled_ints(vectors):
+    """Common denominator and the integer-scaled copies of the vectors."""
+    d = math.lcm(1, *(x.denominator for v in vectors for x in v))
+    return d, [[int(x * d) for x in v] for v in vectors]
+
+
+def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
+    """Kernel data of the reflection in alpha; pairing row 2 G alpha / (alpha, alpha)."""
+    n = space.pair(alpha, alpha)
+    if n == 0:
+        raise IsotropicRoot(f"reflection in isotropic vector {alpha!r}")
+    pairing = [2 * sum(g * a for g, a in zip(row, alpha)) / n for row in space.form.gram.rows]
+    da, (a,) = scaled_ints([alpha.coords])
+    dp, (p,) = scaled_ints([pairing])
+    return tuple(a), tuple(p), da * dp
+
+
+def scaled_identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
+
+
+def times_reflector(m: tuple, refl: tuple) -> tuple:
+    """m @ r_alpha as the rank-one update m - (m a) p^T / st, in O(d^2)."""
+    rows, den = m
+    a, p, st = refl
+    out = []
+    for row in rows:
+        c = sum(x * y for x, y in zip(row, a))
+        out.append(tuple(st * x - c * y for x, y in zip(row, p)) if c or st > 1 else row)
+    den *= st
+    g = math.gcd(den, *(x for row in out for x in row)) if den > 1 else 1
+    if g > 1:
+        return tuple(tuple(x // g for x in row) for row in out), den // g
+    return tuple(out), den
+
+
+def from_scaled(m: tuple) -> Matrix:
+    rows, den = m
+    return Matrix([[Fraction(x, den) for x in row] for row in rows])
 
 
 def preserves_form(space: AmbientSpace, m: Matrix) -> bool:

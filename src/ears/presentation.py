@@ -19,6 +19,7 @@ from .linalg import (
     IsotropicRoot,
     Matrix,
     Vector,
+    line_key,
     reflect,
     reflection_matrix,
 )
@@ -28,7 +29,6 @@ from .weyl import (
     NotMinimal,
     OrbitDescriptor,
     Unknown,
-    _line_key,
     orbit_closed_form,
     minimality,
     word_element,
@@ -347,7 +347,7 @@ def conjugation_obstruction(R: EarsDescriptor, depth: int = 8,
 
 
 def _preferred_lines(preferred_subset) -> set:
-    return {_line_key(v if isinstance(v, Vector) else Vector(v))
+    return {line_key(v if isinstance(v, Vector) else Vector(v))
             for v in preferred_subset}
 
 
@@ -377,7 +377,7 @@ def conjugation_rewrite(word, R: EarsDescriptor, preferred_subset):
         changed = False
         i = 0
         while i + 1 < len(letters):
-            if _line_key(letters[i]) == _line_key(letters[i + 1]):
+            if line_key(letters[i]) == line_key(letters[i + 1]):
                 steps.append(("cancel", i, letters[i], letters[i + 1]))
                 del letters[i:i + 2]
                 changed = True
@@ -385,7 +385,7 @@ def conjugation_rewrite(word, R: EarsDescriptor, preferred_subset):
             else:
                 i += 1
         for i, v in enumerate(letters):
-            if _line_key(v) in preferred or i + 1 >= len(letters):
+            if line_key(v) in preferred or i + 1 >= len(letters):
                 continue
             nxt = letters[i + 1]
             moved = reflect(space, nxt, v)
@@ -409,7 +409,7 @@ def square_relation(alpha: Vector) -> GeneratorWord:
 
 def line_relation(alpha: Vector, beta: Vector) -> GeneratorWord:
     """r_a r_b = 1 for linearly dependent roots a, b."""
-    if _line_key(alpha) != _line_key(beta):
+    if line_key(alpha) != line_key(beta):
         raise ValueError(f"{alpha} and {beta} span different lines")
     return GeneratorWord((alpha, beta))
 

@@ -17,6 +17,11 @@ higher ranks the verdict is three-valued: sound negatives come from the
 finite quotient, from the remaining set failing to be a root system, or
 from a strict orbit shrink; sound positives come from a bounded
 certificate search; otherwise Inconclusive is reported honestly.
+
+Words and the certificate search multiply by reflections as rank-one
+updates on the integer kernel of linalg; certificates are re-checked
+against reflection_matrix, which does not use it.  Powers of rank-one
+normal forms are taken in closed form.
 """
 
 from __future__ import annotations
@@ -33,8 +38,13 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
-    reflect,
+    from_scaled,
+    line_key,
     reflection_matrix,
+    reflector,
+    scaled_identity,
+    scaled_ints,
+    times_reflector,
 )
 from .semilattice import Lattice, Semilattice
 
@@ -64,11 +74,12 @@ class GroupElement:
 
 def word_element(space: AmbientSpace, letters) -> GroupElement:
     """Ordered product of the reflections in the given anisotropic roots."""
-    m = Matrix.identity(space.dim)
     letters = tuple(letters)
+    kernel = {r: reflector(space, r) for r in dict.fromkeys(letters)}
+    m = scaled_identity(space.dim)
     for root in letters:
-        m = m @ reflection_matrix(space, root)
-    return GroupElement(m, letters)
+        m = times_reflector(m, kernel[root])
+    return GroupElement(from_scaled(m), letters)
 
 
 class OrbitDescriptor:
@@ -221,7 +232,7 @@ def _reflector_data(space, roots):
     gens = []
     seen_lines = set()
     for r in roots:
-        line = _line_key(r)
+        line = line_key(r)
         if line in seen_lines:
             continue
         seen_lines.add(line)
@@ -233,14 +244,6 @@ def _reflector_data(space, roots):
         )
         gens.append((pairing, r.coords))
     return gens
-
-
-def _line_key(r: Vector):
-    for x in r.coords:
-        if x:
-            scaled = r * (1 / x)
-            return scaled.coords
-    return r.coords
 
 
 # -- exact membership for rank-one systems ----------------------------------
@@ -260,11 +263,6 @@ class _AffineElement:
         self.b = b
         self.B = B
         self.word = word
-
-    @classmethod
-    def identity(cls, nu: int) -> "_AffineElement":
-        zero = (Fraction(0),) * nu
-        return cls(1, zero, tuple((Fraction(0),) * nu for _ in range(nu)), ())
 
     @classmethod
     def reflection(cls, space: AmbientSpace, root: Vector) -> "_AffineElement":
@@ -295,11 +293,18 @@ class _AffineElement:
         return _AffineElement(self.eps, b, B, tuple(reversed(self.word)))
 
     def power(self, n: int) -> "_AffineElement":
+        """(1, b, B)^n = (1, n b, n B - n(n-1)/2 b b^T); eps = -1 squares first."""
         base = self if n >= 0 else self.inverse()
-        out = _AffineElement.identity(len(self.b))
-        for _ in range(abs(n)):
-            out = out @ base
-        return out
+        n = abs(n)
+        if base.eps == -1:
+            half = (base @ base).power(n // 2)
+            return half @ base if n % 2 else half
+        c = n * (n - 1) // 2
+        B = tuple(
+            tuple(n * x - c * bi * bj for x, bj in zip(row, base.b))
+            for row, bi in zip(base.B, base.b)
+        )
+        return _AffineElement(1, tuple(n * x for x in base.b), B, base.word * n)
 
     def key(self):
         return (self.eps, self.b, self.B)
@@ -400,15 +405,6 @@ class _CarrierReducer:
         return element
 
 
-def _scaled_ints(vectors):
-    """Common denominator and the integer-scaled copies of the vectors."""
-    d = 1
-    for v in vectors:
-        for x in v:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-    return d, [[int(x * d) for x in v] for v in vectors]
-
-
 class _Rank1Decider:
     """Exact subgroup membership for reflections of a rank-one system.
 
@@ -439,7 +435,7 @@ class _Rank1Decider:
             _AffineElement.reflection(space, r) @ base
             for r in roots[1:]
         ]
-        denom, scaled = _scaled_ints([g.b for g in gens])
+        denom, scaled = scaled_ints([g.b for g in gens])
         self._b_denom = denom
         self._rows = _CarrierReducer(self.nu)
         for v, g in zip(scaled, gens):
@@ -451,7 +447,7 @@ class _Rank1Decider:
             if not com.is_identity():
                 kappa_gens.append(com)
         wdim = self.nu * (self.nu - 1) // 2
-        kd, kscaled = _scaled_ints([g.wedge() for g in kappa_gens])
+        kd, kscaled = scaled_ints([g.wedge() for g in kappa_gens])
         self._k_denom = kd
         self._kappa = _CarrierReducer(wdim)
         for v, g in zip(kscaled, kappa_gens):
@@ -699,17 +695,17 @@ def _certificate_search(R, fams, target_root, depth, budget):
         for d in sorted(R.dot_classes[tag], key=lambda v: v.coords):
             for s in sl.window(bound):
                 root = space.assemble(s, d)
-                gens.append((root, reflection_matrix(space, root)))
+                gens.append((root, reflector(space, root)))
     gens.sort(key=lambda p: p[0].coords)
-    target = reflection_matrix(space, target_root)
-    ident = Matrix.identity(space.dim)
+    ident = scaled_identity(space.dim)
+    target = times_reflector(ident, reflector(space, target_root))
     seen = {ident}
     frontier = [(ident, ())]
     for _ in range(depth):
         nxt = []
         for m, w in frontier:
             for root, g in gens:
-                p = m @ g
+                p = times_reflector(m, g)
                 if p in seen:
                     continue
                 word = w + (root,)
@@ -824,13 +820,6 @@ def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
     if unresolved:
         return Unknown(tuple(unresolved))
     return Minimal(len(orbits))
-
-
-_ALLOWED_TYPE_CHANGES = {
-    ("BC", "A"): (1,),
-    ("BC", "B"): None,  # any rank >= 2
-    ("BC", "C"): None,  # rank >= 3 handled by construction arity
-}
 
 
 def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:

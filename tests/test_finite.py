@@ -1,5 +1,6 @@
 import pytest
 
+from ears import finite
 from ears.finite import (
     InvalidRank,
     build_finite,
@@ -7,7 +8,7 @@ from ears.finite import (
     invariant_generating_subsets,
     length_classes,
 )
-from ears.linalg import vec
+from ears.linalg import line_key, vec
 
 
 # orders of the reflection groups, frozen from the classification
@@ -89,6 +90,26 @@ def test_invariant_generating_subsets(sym, rank):
         assert roots <= whole
         for a in roots:
             assert {system.reflect(a, b) for b in roots} == set(roots)
+
+
+@pytest.mark.parametrize("sym,rank", sorted(INVARIANT_SUBSETS))
+def test_invariant_generating_subsets_one_generator_per_line(sym, rank, monkeypatch):
+    # r and -r give the same reflection, so each line enters the closure once
+    calls = []
+    closure = finite._matrix_closure
+
+    def spy(gens, dim, *args):
+        calls.append(gens)
+        return closure(gens, dim, *args)
+
+    monkeypatch.setattr(finite, "_matrix_closure", spy)
+    system = build_finite(sym, rank)
+    subs = invariant_generating_subsets(system)
+    assert [t for t, _ in subs] == INVARIANT_SUBSETS[(sym, rank)]
+    lines = {line_key(r) for r in system.roots}
+    assert max(len(gens) for gens in calls) == len(lines)
+    for gens in calls:
+        assert len(set(gens)) == len(gens)
 
 
 def test_bc1_subset_members():

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,16 @@ from ears.linalg import (
     Matrix,
     Vector,
     coroot,
+    from_scaled,
     preserves_form,
     reflect,
     reflection_matrix,
+    reflector,
+    scaled_identity,
+    times_reflector,
     vec,
 )
+from ears.presentation import evaluate
 
 
 def test_vector_arithmetic_is_exact():
@@ -110,3 +117,41 @@ def test_reflection_translation_part(space):
     for _ in range(20):
         p = p @ m
         assert not p.is_identity()
+
+
+def test_reflector_kernel_matches_fraction_products(suite):
+    """Rank-one integer updates agree with Fraction reflection matrices on
+    random words, and every scaled product stays in lowest terms."""
+    rng = random.Random(20061)
+    for name, R in sorted(suite.items()):
+        space = R.space
+        roots = sorted(R.anisotropic_window(1), key=lambda v: v.coords)
+        for _ in range(4):
+            m, slow = scaled_identity(space.dim), Matrix.identity(space.dim)
+            for r in (rng.choice(roots) for _ in range(rng.randint(1, 10))):
+                m = times_reflector(m, reflector(space, r))
+                slow = slow @ reflection_matrix(space, r)
+                rows, den = m
+                assert math.gcd(den, *(x for row in rows for x in row)) == 1, name
+                assert from_scaled(m) == slow, name
+
+
+def test_reflector_kernel_reduces_g2_denominators(suite):
+    # G2 nu1 is the suite system whose pairing rows have a denominator
+    space = suite["G2 nu1"].space
+    roots = sorted(suite["G2 nu1"].anisotropic_window(1), key=lambda v: v.coords)
+    thirds = [r for r in roots if reflector(space, r)[2] == 3]
+    assert thirds
+    r = reflector(space, thirds[0])
+    once = times_reflector(scaled_identity(space.dim), r)
+    assert once[1] > 1
+    assert times_reflector(once, r) == scaled_identity(space.dim)
+    assert from_scaled(once) == reflection_matrix(space, thirds[0])
+
+
+def test_evaluate_rejects_isotropic_and_foreign_letters(space):
+    alpha = space.assemble([0, 0], [1])
+    with pytest.raises(IsotropicRoot):
+        evaluate([alpha, space.assemble([1, 0], [0])], space)
+    with pytest.raises(DimensionMismatch):
+        evaluate([alpha, vec(1, 0)], space)

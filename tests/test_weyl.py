@@ -19,6 +19,7 @@ from ears.weyl import (
     orbit_bfs,
     orbit_closed_form,
     word_element,
+    _AffineElement,
 )
 
 from ears.examples import product_even_semilattice, removable_root
@@ -194,3 +195,31 @@ def test_word_element_composes(nullity2):
     assert word_element(nullity2.space, [a, a]).matrix == word_element(
         nullity2.space, []
     ).matrix
+
+
+def _repeated_power(el, n):
+    base = el if n >= 0 else el.inverse()
+    nu = len(el.b)
+    out = _AffineElement(1, (0,) * nu, ((0,) * nu,) * nu, ())
+    for _ in range(abs(n)):
+        out = out @ base
+    return out
+
+
+def test_affine_power_closed_form_matches_repeated_products(nullity3):
+    space = nullity3.space
+    r1, r2, r3 = (
+        _AffineElement.reflection(space, space.assemble(s, [1]))
+        for s in ([0, 0, 0], [2, 0, 0], [1, 1, 1])
+    )
+    # r1 and r1 r2 r3 have eps = -1; r1 r2 is a shear and r1 r2 r1 r3 has
+    # a nonzero antisymmetric block
+    elements = [r1, r1 @ r2 @ r3, r1 @ r2, r1 @ r2 @ r1 @ r3]
+    assert [el.eps for el in elements] == [-1, -1, 1, 1]
+    assert any(elements[3].wedge())
+    for el in elements:
+        for n in range(-6, 7):
+            want = _repeated_power(el, n)
+            got = el.power(n)
+            assert got.key() == want.key(), n
+            assert got.word == want.word, n
