@@ -19,6 +19,7 @@ from .core import (
     ConstraintViolation,
     EarsDescriptor,
     NotBCType,
+    _vec_to_json,
     descriptor_from_config,
     descriptor_to_config,
     irc,
@@ -54,10 +55,6 @@ class ParseError(ValueError):
     """Bad input: malformed JSON, wrong schema, or an unusable root."""
 
 
-class GoldenMismatch(AssertionError):
-    """A bundled example no longer reproduces its recorded outcome."""
-
-
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONSTRAINT = 2
@@ -76,16 +73,8 @@ class RunConfig:
     threads: int = 1
 
 
-def _num(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _vec(v: Vector) -> list:
-    return [_num(c) for c in v.coords]
-
-
 def _vecs(vs) -> list:
-    return [_vec(v) for v in vs]
+    return [_vec_to_json(v) for v in vs]
 
 
 def _threads_cap() -> int:
@@ -184,9 +173,9 @@ def cmd_orbits(cfg: RunConfig) -> int:
     except (NotOverFinitePart, DimensionMismatch) as exc:
         raise ParseError(str(exc))
     _emit(cfg, {
-        "root": _vec(cfg.root),
-        "base": _vec(orbit.base),
-        "base_offset": _vec(orbit.base_offset),
+        "root": _vec_to_json(cfg.root),
+        "base": _vec_to_json(orbit.base),
+        "base_offset": _vec_to_json(orbit.base_offset),
         "finite_orbit": sorted(_vecs(orbit.finite_orbit)),
         "translation_lattice": _vecs(orbit.translation_lattice.rows),
         "window_members": _vecs(orbit.window(cfg.window_bound)),
@@ -204,7 +193,7 @@ def cmd_minimality(cfg: RunConfig) -> int:
     elif isinstance(verdict, NotMinimal):
         body = {
             "verdict": "NotMinimal",
-            "orbit_base": _vec(verdict.orbit.base),
+            "orbit_base": _vec_to_json(verdict.orbit.base),
             "orbit_translation_lattice": _vecs(
                 verdict.orbit.translation_lattice.rows),
             "certificate": _vecs(verdict.certificate),
@@ -234,7 +223,7 @@ def cmd_presentation(cfg: RunConfig) -> int:
         conj_body = {
             "status": "obstruction",
             "word": _vecs(conj.word.letters),
-            "odd_orbits": [_vec(ob.base_offset) for ob in conj.parity.support()],
+            "odd_orbits": _vecs(ob.base_offset for ob in conj.parity.support()),
             "evaluates_to_identity": conj.matrix.is_identity(),
         }
     elif isinstance(conj, NoneFound):
@@ -377,9 +366,6 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except GoldenMismatch as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -15,8 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import islice
 
 from .finite import (
     FiniteRootSystem,
@@ -24,10 +23,17 @@ from .finite import (
     build_finite,
     length_classes,
 )
-from .linalg import AmbientSpace, DimensionMismatch, Matrix, Vector, _frac
+from .linalg import (
+    AmbientSpace,
+    DimensionMismatch,
+    Matrix,
+    Vector,
+    _frac,
+    scaled_ints,
+    span_rank,
+)
 from .semilattice import (
     RankMismatch,
-    ResidueTable,
     Semilattice,
     residue_table,
     sum_condition,
@@ -61,13 +67,11 @@ def _as_finite(x) -> FiniteRootSystem:
     return build_finite(m.group(1), int(m.group(2)))
 
 
-@dataclass(frozen=True)
-class RootQuery:
-    vector: Vector
-
-
 class EarsDescriptor:
-    """Finite presentation of an extended affine root system."""
+    """Finite presentation of an extended affine root system.
+
+    The isotropic root set defaults to short + short; irc passes its closure.
+    """
 
     __slots__ = (
         "finite_part",
@@ -80,7 +84,9 @@ class EarsDescriptor:
         "_tables",
     )
 
-    def __init__(self, finite_part, nullity, translations, removal_chain=()):
+    def __init__(
+        self, finite_part, nullity, translations, removal_chain=(), isotropic=None
+    ):
         sh, lg, ex = length_classes(finite_part)
         classes = {"short": sh, "long": lg, "extra": ex}
         object.__setattr__(self, "finite_part", finite_part)
@@ -92,9 +98,9 @@ class EarsDescriptor:
         object.__setattr__(
             self, "dot_classes", {t: classes[t] for t in _CLASS_TAGS if classes[t]}
         )
-        object.__setattr__(
-            self, "isotropic", translations["short"].sum_set(translations["short"])
-        )
+        if isotropic is None:
+            isotropic = translations["short"].sum_set(translations["short"])
+        object.__setattr__(self, "isotropic", isotropic)
         object.__setattr__(self, "removal_chain", tuple(removal_chain))
         tables = {t: residue_table(s) for t, s in self.translations.items()}
         tables["isotropic"] = residue_table(self.isotropic)
@@ -207,22 +213,9 @@ class EarsDescriptor:
             reflection_matrix(self.space, v) for v in self.anisotropic_window(bound)
         )
 
-    def _with(self, **replacements) -> "EarsDescriptor":
-        args = {
-            "finite_part": self.finite_part,
-            "nullity": self.nullity,
-            "translations": self.translations,
-            "removal_chain": self.removal_chain,
-        }
-        args.update(replacements)
-        clone = EarsDescriptor(**args)
-        return clone
-
 
 def is_root(r: EarsDescriptor, v) -> str:
     """Classify a vector against the root set: anisotropic/isotropic/not_root."""
-    if isinstance(v, RootQuery):
-        v = v.vector
     return r.classify(v)
 
 
@@ -324,46 +317,6 @@ def construct_ears(x, short, long=None, extra=None, removal_chain=()) -> EarsDes
 
 
 # ---------------------------------------------------------------------------
-# fast windowed membership over integer coordinates
-
-
-class _Bitmap:
-    """Vectorized membership for a union of cosets with integer scale 1."""
-
-    def __init__(self, table: ResidueTable):
-        self.period = table.period
-        self.dim = table.dim
-        flat = np.zeros(table.period**table.dim, dtype=bool)
-        radix = table.period ** np.arange(table.dim)
-        for r in table.residues:
-            flat[int(np.dot(np.array(r, dtype=np.int64), radix))] = True
-        self.flat = flat
-        self.radix = radix
-
-    def member(self, pts: np.ndarray) -> np.ndarray:
-        idx = (np.mod(pts, self.period) * self.radix).sum(axis=-1)
-        return self.flat[idx]
-
-
-def _bitmaps(desc: EarsDescriptor) -> dict | None:
-    maps = {}
-    for tag, table in desc._tables.items():
-        if table is None or table.scale != 1:
-            return None
-        if table.period ** table.dim > 1 << 22:
-            return None
-        maps[tag] = _Bitmap(table)
-    return maps
-
-
-def _int_array(vectors: list[Vector]) -> np.ndarray | None:
-    try:
-        return np.array([[int(c) for c in v.coords] for v in vectors], dtype=np.int64)
-    except (TypeError, ValueError):
-        return None
-
-
-# ---------------------------------------------------------------------------
 # axiom verification
 
 
@@ -436,7 +389,7 @@ def _verify_descriptor(desc: EarsDescriptor, bound: int) -> AxiomReport:
         )
     )
 
-    rank = _rational_rank(full)
+    rank = span_rank(full)
     want = space.nu + space.split[1]
     checks.append(
         AxiomCheck(
@@ -467,29 +420,13 @@ def _verify_descriptor(desc: EarsDescriptor, bound: int) -> AxiomReport:
 
     checks.append(_check_strings_descriptor(desc, bound))
 
-    present = {dot for _, dot, trans in desc.families(bound) if trans.window(bound)}
+    present = {Vector(space.dot_part(v)) for v in aniso}
     detail, connected = _dot_connectivity(present, desc.finite_part)
     checks.append(AxiomCheck("R7", connected, detail + f" (window {bound})"))
 
     checks.append(_check_iso_pairing(desc, bound, iso))
 
     return AxiomReport(bound, tuple(checks))
-
-
-def _rational_rank(vectors) -> int:
-    rows = [list(v.coords) for v in vectors]
-    rank = 0
-    pivoted = []
-    for row in rows:
-        for prow, pcol in pivoted:
-            if row[pcol] != 0:
-                f = row[pcol] / prow[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
-        pc = next((j for j, x in enumerate(row) if x != 0), None)
-        if pc is not None:
-            pivoted.append((row, pc))
-            rank += 1
-    return rank
 
 
 def _dot_connectivity(present: set, finite: FiniteRootSystem):
@@ -515,12 +452,14 @@ def _dot_connectivity(present: set, finite: FiniteRootSystem):
 
 
 def _check_iso_pairing(desc: EarsDescriptor, bound, iso_window) -> AxiomCheck:
+    """Some short root pairs with each isotropic root: tau + sigma lies in the
+    short set for some tau in it, and membership depends only on the coset
+    of tau, so the coset representatives decide it exactly."""
     short = desc.translations["short"]
-    search = short.window(2 * _frac(bound) + 2)
     bad = []
     for v in iso_window:
         sigma = Vector(desc.space.iso_part(v))
-        if not any(short.contains(tau + sigma) for tau in search):
+        if not any(short.contains(tau + sigma) for tau in short.cosets):
             bad.append(v)
     return AxiomCheck(
         "R8",
@@ -531,7 +470,7 @@ def _check_iso_pairing(desc: EarsDescriptor, bound, iso_window) -> AxiomCheck:
     )
 
 
-def _string_profile_targets(desc, da, db):
+def _string_profile_targets(desc, da, db) -> tuple:
     """Length-class tag of db + n*da for n in [-_SCAN, _SCAN]."""
     targets = []
     for n in range(-_SCAN, _SCAN + 1):
@@ -540,54 +479,122 @@ def _string_profile_targets(desc, da, db):
             targets.append("isotropic")
         else:
             targets.append(desc.class_of_dot(d))
-    return targets
+    return tuple(targets)
+
+
+def _string_ok(member: list, c) -> bool:
+    """Whether the membership profile of b + n*a, n in [-_SCAN, _SCAN], is
+    one interval [-d, u] around n = 0 with d - u = c = 2(a,b)/(a,a)."""
+    if not member[_SCAN]:
+        return False
+    d = 0
+    while d < _SCAN and member[_SCAN - d - 1]:
+        d += 1
+    u = 0
+    while u < _SCAN and member[_SCAN + u + 1]:
+        u += 1
+    return sum(member) == d + u + 1 and d - u == c
 
 
 def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
     """Root strings: membership of b + n*a must form one interval around 0
-    whose endpoints satisfy d - u = 2(a,b)/(a,a)."""
-    space = desc.space
+    whose endpoints satisfy d - u = 2(a,b)/(a,a).
+
+    Every translation set is a finite union of cosets of its modulus, so
+    whether b + n*a is a root depends only on the classes of a and b modulo
+    the intersection K of all moduli.  Points are keyed by their class as
+    integer vectors (one common denominator, reduced by K's echelon rows),
+    the interval test runs once per class pair, and a failing class pair is
+    expanded back to window pairs only to name the first two witnesses of
+    its family pair.
+    """
     finite = desc.finite_part
-    bitmaps = _bitmaps(desc)
+    sets = [*desc.translations.values(), desc.isotropic]
+    k = sets[0].modulus
+    for s in sets[1:]:
+        k = k.intersect(s.modulus)
+    scale, rows = scaled_ints(
+        [*k.rows, *(v for s in sets for v in (*s.modulus.rows, *s.cosets))]
+    )
+    rows = list(zip(rows[: k.rank], k._pivots()))
+
+    def key(x: list) -> tuple:
+        for r, p in rows:
+            q = x[p] // r[p]
+            if q:
+                x = [a - q * b for a, b in zip(x, r)]
+        return tuple(x)
+
+    windows = {}
+
+    def keyed(s: Semilattice):
+        """Window points of s and their class keys, enumerated once per call."""
+        if s not in windows:
+            pts = s.window(bound)
+            windows[s] = pts, [key([int(c * scale) for c in v.coords]) for v in pts]
+        return windows[s]
+
+    member = {}
+
+    def in_set(tag: str, x: list) -> bool:
+        cls = key(x)
+        if (tag, cls) not in member:
+            iso = Vector([Fraction(a, scale) for a in cls])
+            member[tag, cls] = desc._member(tag, iso)
+        return member[tag, cls]
+
+    profiles = {}
+
+    def class_pair_ok(targets: tuple, c, memo: dict, ka: tuple, kb: tuple) -> bool:
+        """Interval test for one class pair; memo holds those of one (targets, c)."""
+        if (ka, kb) not in memo:
+            profile = [
+                tag is not None and in_set(tag, [b + n * a for a, b in zip(ka, kb)])
+                for n, tag in enumerate(targets, -_SCAN)
+            ]
+            memo[ka, kb] = _string_ok(profile, c)
+        return memo[ka, kb]
+
     zero_dot = Vector([0] * finite.rank)
     fams = desc.families(bound)
     b_fams = fams + [("isotropic", zero_dot, desc.isotropic)]
     pair_count = 0
     witnesses = []
 
-    for tag_a, da, ta in fams:
-        a_iso = ta.window(bound)
+    for _, da, ta in fams:
+        a_iso, a_keys = keyed(ta)
         if not a_iso:
             continue
         caa = finite.pair(da, da)
-        for tag_b, db, tb in b_fams:
-            b_iso = tb.window(bound)
+        for _, db, tb in b_fams:
+            b_iso, b_keys = keyed(tb)
             if not b_iso:
                 continue
             c = 2 * finite.pair(db, da) / caa
             targets = _string_profile_targets(desc, da, db)
             pair_count += len(a_iso) * len(b_iso)
-            arr_a = _int_array(a_iso) if bitmaps is not None else None
-            arr_b = _int_array(b_iso) if bitmaps is not None else None
-            if arr_a is not None and arr_b is not None:
-                bad = _strings_numpy(bitmaps, targets, arr_a, arr_b, c)
-                for i, j in bad[:2]:
+            memo = profiles.setdefault((targets, c), {})
+            b_classes = set(b_keys)
+            bad = {
+                (ka, kb)
+                for ka in set(a_keys)
+                for kb in b_classes
+                if not class_pair_ok(targets, c, memo, ka, kb)
+            }
+            if bad:
+                found = (
+                    (i, j)
+                    for i, ka in enumerate(a_keys)
+                    for j, kb in enumerate(b_keys)
+                    if (ka, kb) in bad
+                )
+                for i, j in islice(found, 2):
                     witnesses.append(
                         (
                             desc.assemble_root(da, a_iso[i]),
                             desc.assemble_root(db, b_iso[j]),
                         )
                     )
-            else:
-                for tau in a_iso:
-                    for sigma in b_iso:
-                        if not _string_ok_python(desc, targets, tau, sigma, c):
-                            witnesses.append(
-                                (
-                                    desc.assemble_root(da, tau),
-                                    desc.assemble_root(db, sigma),
-                                )
-                            )
             if len(witnesses) > 4:
                 break
         if len(witnesses) > 4:
@@ -600,54 +607,6 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
         f"scan n in [-{_SCAN}, {_SCAN}] (window {bound})",
         tuple(witnesses[:3]),
     )
-
-
-def _strings_numpy(bitmaps, targets, arr_a, arr_b, c):
-    n1, n2 = len(arr_a), len(arr_b)
-    member = np.zeros((2 * _SCAN + 1, n1, n2), dtype=bool)
-    for k, tag in enumerate(targets):
-        if tag is None:
-            continue
-        n = k - _SCAN
-        pts = arr_b[None, :, :] + n * arr_a[:, None, :]
-        member[k] = bitmaps[tag].member(pts)
-    if not member[_SCAN].all():
-        return list(zip(*np.nonzero(~member[_SCAN])))
-    down = np.ones((n1, n2), dtype=bool)
-    d = np.zeros((n1, n2), dtype=np.int64)
-    for k in range(1, _SCAN + 1):
-        down &= member[_SCAN - k]
-        d += down
-    up = np.ones((n1, n2), dtype=bool)
-    u = np.zeros((n1, n2), dtype=np.int64)
-    for k in range(1, _SCAN + 1):
-        up &= member[_SCAN + k]
-        u += up
-    total = member.sum(axis=0)
-    good = total == d + u + 1
-    if c.denominator == 1:
-        good &= (d - u) == int(c)
-    else:
-        good[:] = False
-    return list(zip(*np.nonzero(~good)))
-
-
-def _string_ok_python(desc, targets, tau, sigma, c):
-    member = []
-    for k, tag in enumerate(targets):
-        n = k - _SCAN
-        member.append(tag is not None and desc._member(tag, sigma + tau * n))
-    if not member[_SCAN]:
-        return False
-    d = 0
-    while d < _SCAN and member[_SCAN - d - 1]:
-        d += 1
-    u = 0
-    while u < _SCAN and member[_SCAN + u + 1]:
-        u += 1
-    if sum(member) != d + u + 1:
-        return False
-    return c.denominator == 1 and d - u == c
 
 
 # -- finite-set mode ---------------------------------------------------------
@@ -669,7 +628,7 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
     checks.append(
         AxiomCheck("R2", not bad, f"negation closure on {len(members)} vectors", tuple(bad[:3]))
     )
-    rank = _rational_rank(members)
+    rank = span_rank(members)
     want = space.nu + space.split[1]
     checks.append(
         AxiomCheck("R3", rank == want, f"set spans rank {rank}, expected {want}")
@@ -688,13 +647,7 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
             pair_count += 1
             c = 2 * space.pair(b, a) / caa
             profile = [b + a * n in members for n in range(-_SCAN, _SCAN + 1)]
-            d = 0
-            while d < _SCAN and profile[_SCAN - d - 1]:
-                d += 1
-            u = 0
-            while u < _SCAN and profile[_SCAN + u + 1]:
-                u += 1
-            if sum(profile) != d + u + 1 or c.denominator != 1 or d - u != c:
+            if not _string_ok(profile, c):
                 witnesses.append((a, b))
         if len(witnesses) > 4:
             break
@@ -755,14 +708,9 @@ def irc(r, space: AmbientSpace | None = None):
         for trans in r.translations.values():
             diff = trans.sum_set(trans.scaled(-1))
             closed = diff if closed is None else closed.union(diff)
-        clone = r._with()
-        object.__setattr__(clone, "isotropic", closed)
-        object.__setattr__(
-            clone,
-            "_tables",
-            {**clone._tables, "isotropic": residue_table(closed)},
+        return EarsDescriptor(
+            r.finite_part, r.nullity, r.translations, r.removal_chain, closed
         )
-        return clone
     if space is None:
         raise ValueError("space is required when closing a plain vector set")
     return irc_window(r, space)
@@ -997,7 +945,7 @@ def _finite_root_system_check(dots: set, space: AmbientSpace):
     def pair(a, b):
         return form.evaluate(a, b)
 
-    rank = _rational_rank(dots)
+    rank = span_rank(dots)
     if rank != ell:
         return False, f"image spans rank {rank}, expected {ell}"
     for a in dots:

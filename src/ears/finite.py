@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import BilinearForm, Matrix, Vector, line_key
+from .linalg import BilinearForm, Matrix, Vector, line_key, span_rank
 
 SIMPLY_LACED = ("A", "D", "E")
 
@@ -269,7 +269,7 @@ def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> str:
     halves = {r for r in roots if r * Fraction(1, 2) in roots}
     rest = roots - halves
     lengths = sorted({system.pair(r, r) for r in rest})
-    rank = _span_rank(roots)
+    rank = span_rank(roots)
     if halves:
         return f"BC{rank}"
     if len(lengths) == 1:
@@ -296,24 +296,6 @@ def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> str:
         if rank == 4 and n_sh == 24 and n_lg == 24:
             return "F4"
     raise NotIrreducible(f"unrecognized two-length system of rank {rank}")
-
-
-def _span_rank(roots) -> int:
-    rows = [list(r.coords) for r in roots]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivoted = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in pivoted:
-            if row[pcol] != 0:
-                f = row[pcol] / prow[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
-        pc = next((j for j in range(cols) if row[j] != 0), None)
-        if pc is not None:
-            pivoted.append((row, pc))
-            rank += 1
-    return rank
 
 
 def invariant_generating_subsets(system: FiniteRootSystem) -> list[tuple[str, frozenset[Vector]]]:

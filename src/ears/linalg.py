@@ -332,6 +332,21 @@ def line_key(r: Vector) -> tuple:
     return tuple(c / nz for c in r.coords)
 
 
+def span_rank(vectors) -> int:
+    """Rank of the rational span, by Gaussian elimination."""
+    pivoted = []
+    for v in vectors:
+        row = list(v.coords)
+        for prow, pcol in pivoted:
+            if row[pcol] != 0:
+                f = row[pcol] / prow[pcol]
+                row = [a - f * b for a, b in zip(row, prow)]
+        pc = next((j for j, x in enumerate(row) if x != 0), None)
+        if pc is not None:
+            pivoted.append((row, pc))
+    return len(pivoted)
+
+
 # -- integer kernel for products of reflections -------------------------------
 #
 # A reflector (a, p, st) holds integer vectors a, p and an integer st > 0 with

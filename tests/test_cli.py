@@ -1,6 +1,9 @@
 """End-to-end CLI checks driving main() with temp config files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +236,13 @@ def test_threads_env_rejected(monkeypatch, nu2_config, value):
 def test_bad_flags(nu2_config):
     assert main(["verify", "--in", nu2_config, "--window", "0"]) == EXIT_PARSE
     assert main(["minimality", "--in", nu2_config, "--budget", "0"]) == EXIT_PARSE
+
+
+def test_cli_imports_without_numpy():
+    # the package has no runtime dependencies; a None entry blocks the import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = 'import sys; sys.modules["numpy"] = None; import ears.cli'
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

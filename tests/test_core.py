@@ -6,6 +6,7 @@ import pytest
 
 from ears.core import (
     ConstraintViolation,
+    EarsDescriptor,
     NotBCType,
     WrongArity,
     characterize,
@@ -18,8 +19,9 @@ from ears.core import (
     trim,
     verify_axioms,
 )
+from ears.finite import build_finite
 from ears.linalg import AmbientSpace, Matrix, vec
-from ears.semilattice import Semilattice, verify_semilattice
+from ears.semilattice import Lattice, Semilattice, verify_semilattice
 
 H = Fraction(1, 2)
 
@@ -107,6 +109,89 @@ def test_set_mode_flags_unreduced():
     assert not rep.check("R4").passed
     for name in ("R1", "R2", "R3", "R5", "R6", "R7", "R8"):
         assert rep.check(name).passed
+
+
+# --- root strings (R6) against a brute-force reference ----------------------
+
+TWOZ2 = Semilattice([[1, 0], [0, 1]], [[0, 0]])
+Z2 = Semilattice([[1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1, 1]])
+HALF_PLUS_Z1 = Semilattice.from_cosets([[H]], Lattice(1, [[1]]), translated=True)
+
+
+def _raw(label, nullity, **translations):
+    """A descriptor built without construct_ears's constraint checks."""
+    return EarsDescriptor(build_finite(label[0], int(label[1])), nullity, translations)
+
+
+def _string_failures(desc, bound):
+    """Window pairs (a, b) whose string b + n*a, n in [-8, 8], is not one
+    interval [-d, u] around 0 with d - u = 2(a,b)/(a,a); classify decides
+    each b + n*a."""
+    sp = desc.space
+    bad = set()
+    for a in desc.anisotropic_window(bound):
+        for b in desc.window(bound):
+            ns = [n for n in range(-8, 9) if desc.classify(b + a * n) != "not_root"]
+            c = 2 * sp.pair(b, a) / sp.pair(a, a)
+            interval = ns == list(range(ns[0], ns[-1] + 1))
+            if not (0 in ns and interval and -ns[0] - ns[-1] == c):
+                bad.add((a, b))
+    return bad
+
+
+# (descriptor, window, R6 witnesses: the first two failing window pairs of
+# each family pair, in window order)
+R6_CASES = [
+    pytest.param(lambda: _raw("B2", 1, short=Z1, long=E_ODD1), 2, (), id="B2-Z-odd"),
+    pytest.param(
+        lambda: _raw("B2", 2, short=TWOZ2, long=Z2),
+        1,
+        (
+            ((0, 0, -1, 0, 0, 0), (-1, -1, -1, -1, 0, 0)),
+            ((0, 0, -1, 0, 0, 0), (-1, 0, -1, -1, 0, 0)),
+            ((0, 0, -1, 0, 0, 0), (-1, -1, -1, 1, 0, 0)),
+        ),
+        id="B2-2Z2-Z2",
+    ),
+    pytest.param(
+        lambda: _raw("A2", 1, short=E_ODD1),
+        2,
+        (
+            ((-1, -1, -1, 0), (-1, -1, 0, 0)),
+            ((-1, -1, -1, 0), (1, -1, 0, 0)),
+            ((-1, -1, -1, 0), (-1, 0, -1, 0)),
+        ),
+        id="A2-odd",
+    ),
+    pytest.param(
+        lambda: _raw("B2", 1, short=HALF_PLUS_Z1, long=Z1), 2, (), id="B2-half-Z"
+    ),
+    pytest.param(
+        lambda: _raw("B2", 1, short=HALF_PLUS_Z1, long=TWOZ1),
+        2,
+        (
+            (("-3/2", -1, 0, 0), ("-3/2", 0, -1, 0)),
+            (("-3/2", -1, 0, 0), ("-1/2", 0, -1, 0)),
+            (("-3/2", -1, 0, 0), ("-3/2", 0, 1, 0)),
+        ),
+        id="B2-half-2Z",
+    ),
+    pytest.param(
+        lambda: construct_ears("A1", Semilattice([[H]], [[0], [H]])), 3, (), id="A1-halfZ"
+    ),
+]
+
+
+@pytest.mark.parametrize("make,bound,expected", R6_CASES)
+def test_root_strings_match_reference(make, bound, expected):
+    desc = make()
+    got = verify_axioms(desc, bound).check("R6")
+    failures = _string_failures(desc, bound)
+    assert got.passed == (not failures)
+    assert all(w in failures for w in got.witnesses)
+    assert [(a.coords, b.coords) for a, b in got.witnesses] == [
+        (tuple(map(Fraction, a)), tuple(map(Fraction, b))) for a, b in expected
+    ]
 
 
 # --- construction error paths -------------------------------------------------
