@@ -775,17 +775,29 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     window box are ignored), the image in the dot space is an irreducible
     finite root system, the generated subgroup is a full lattice, and no
     root has its double in the set.  All verdicts are window-scale.
+
+    Reflections use the form on the (iso, dot) part, for which a vector is
+    isotropic exactly when its dot part is zero, and images have zero dual
+    part.  The window is scaled to integers once: for each pair of dot
+    parts the coefficient c = p/q is exact, and the image of beta in alpha
+    has scaled iso part (q beta - p alpha) / q.
     """
     vs = sorted(set(window), key=lambda v: v.coords)
     checks = []
     box = max((v.max_norm() for v in vs), default=Fraction(0))
-    members = {v.coords: v for v in vs}
+    members = {v.coords for v in vs}
+    nu, ell = space.nu, space.rank
 
-    iso_members = [v for v in vs if space.is_isotropic(v)]
-    groups: dict[tuple, list[Vector]] = {}
-    for v in vs:
-        groups.setdefault(space.dot_part(v), []).append(v)
+    scale, ints = scaled_ints(vs)
+    groups: dict[tuple, list] = {}  # dot part -> (root, scaled iso part)
+    targets: dict[tuple, set] = {}  # dot part -> scaled iso parts, dual zero
+    for v, x in zip(vs, ints):
+        dot = space.dot_part(v)
+        groups.setdefault(dot, []).append((v, x[:nu]))
+        if not any(x[nu + ell :]):
+            targets.setdefault(dot, set()).add(tuple(x[:nu]))
 
+    iso_members = [v for v in vs if not any(space.dot_part(v))]
     dot_form = _dot_form(space)
     bad = list(iso_members[:3])
     checked = 0
@@ -800,16 +812,24 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
                 img_dot = db - da * c
                 if img_dot.max_norm() > box:
                     continue
-                for alpha in alphas:
-                    ta = Vector(space.iso_part(alpha)) * c
-                    for beta in betas:
+                p, q = c.numerator, c.denominator
+                edge = int(box * scale) * q
+                target = targets.get(img_dot.coords, ())
+                q_betas = [(beta, [q * t for t in xb]) for beta, xb in betas]
+                for alpha, xa in alphas:
+                    p_alpha = [p * t for t in xa]
+                    for beta, q_beta in q_betas:
                         checked += 1
-                        img_iso = Vector(space.iso_part(beta)) - ta
-                        if img_iso.max_norm() > box:
+                        y = [u - w for u, w in zip(q_beta, p_alpha)]
+                        if max(map(abs, y), default=0) > edge:
                             continue
-                        img = space.assemble(img_iso.coords, img_dot.coords)
-                        if img.coords not in members:
-                            bad.append((alpha, beta, img))
+                        if q == 1:
+                            key = tuple(y)
+                        else:
+                            key = None if any(t % q for t in y) else tuple(t // q for t in y)
+                        if key not in target:
+                            img_iso = [Fraction(t, q * scale) for t in y]
+                            bad.append((alpha, beta, space.assemble(img_iso, img_dot.coords)))
                             if len(bad) >= 3:
                                 break
                     if len(bad) >= 3:
@@ -831,7 +851,6 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
         AxiomCheck("reflection_invariance", not bad, detail, tuple(bad[:3]))
     )
 
-    ell = space.split[1]
     dot_set = {Vector(space.dot_part(v)) for v in vs}
     dot_set.discard(Vector([0] * ell))
     finite_ok, finite_detail = _finite_root_system_check(dot_set, space)
@@ -846,7 +865,9 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
             "full_lattice",
             span.rank == space.nu + ell and dual_zero,
             f"generated subgroup has rank {span.rank}, expected {space.nu + ell}; "
-            "finitely generated rational, so discrete",
+            "finitely generated rational, so discrete"
+            if dual_zero
+            else "a vector has a non-zero dual part, outside the (iso, dot) span",
         )
     )
 

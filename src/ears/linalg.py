@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -351,24 +352,31 @@ def span_rank(vectors) -> int:
 #
 # A reflector (a, p, st) holds integer vectors a, p and an integer st > 0 with
 # r_alpha = I - a p^T / st.  A scaled matrix (rows, den) holds integer rows
-# and den > 0 with no common factor, so equality and hashing stay exact.
+# and den > 0 with no common factor, and a scaled vector (x, den) integer
+# coordinates and den > 0 with no common factor, so equality and hashing of
+# both stay exact.
 
 
 def scaled_ints(vectors):
     """Common denominator and the integer-scaled copies of the vectors."""
     d = math.lcm(1, *(x.denominator for v in vectors for x in v))
-    return d, [[int(x * d) for x in v] for v in vectors]
+    return d, [[x.numerator * (d // x.denominator) for x in v] for v in vectors]
 
 
 def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
-    """Kernel data of the reflection in alpha; pairing row 2 G alpha / (alpha, alpha)."""
-    n = space.pair(alpha, alpha)
-    if n == 0:
+    """Kernel data of the reflection in alpha, from the integer-scaled Gram
+    matrix G: with a = alpha scaled to integers, p = 2 G a and st = a^T G a
+    (the Gram scale cancels), then divided by their common factor."""
+    if alpha.dim != space.dim:
+        raise DimensionMismatch(f"dim {space.dim} vs {alpha.dim}")
+    _, (a,) = scaled_ints([alpha.coords])
+    _, gram = scaled_ints(space.form.gram.rows)
+    p = [2 * sum(g * x for g, x in zip(row, a) if g) for row in gram]
+    st = sum(x * y for x, y in zip(a, p)) // 2
+    if st == 0:
         raise IsotropicRoot(f"reflection in isotropic vector {alpha!r}")
-    pairing = [2 * sum(g * a for g, a in zip(row, alpha)) / n for row in space.form.gram.rows]
-    da, (a,) = scaled_ints([alpha.coords])
-    dp, (p,) = scaled_ints([pairing])
-    return tuple(a), tuple(p), da * dp
+    g = math.gcd(st, *p) * (1 if st > 0 else -1)
+    return tuple(a), tuple(x // g for x in p), st // g
 
 
 def scaled_identity(n: int) -> tuple:
@@ -388,6 +396,20 @@ def times_reflector(m: tuple, refl: tuple) -> tuple:
     if g > 1:
         return tuple(tuple(x // g for x in row) for row in out), den // g
     return tuple(out), den
+
+
+def reflect_scaled(v: tuple, refl: tuple) -> tuple:
+    """r_alpha(x / den) for the scaled vector v = (x, den), in lowest terms."""
+    x, den = v
+    a, p, st = refl
+    c = sum(map(mul, p, x))
+    if not c:
+        return v
+    if st == 1:  # an integral involution keeps x / den in lowest terms
+        return tuple([u - c * w for u, w in zip(x, a)]), den
+    y = [st * u - c * w for u, w in zip(x, a)]
+    g = math.gcd(den * st, *y)
+    return tuple([u // g for u in y]), den * st // g
 
 
 def from_scaled(m: tuple) -> Matrix:

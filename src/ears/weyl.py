@@ -19,9 +19,10 @@ from a strict orbit shrink; sound positives come from a bounded
 certificate search; otherwise Inconclusive is reported honestly.
 
 Words and the certificate search multiply by reflections as rank-one
-updates on the integer kernel of linalg; certificates are re-checked
-against reflection_matrix, which does not use it.  Powers of rank-one
-normal forms are taken in closed form.
+updates on the integer kernel of linalg, and the windowed orbit search
+reflects scaled integer vectors on the same kernel; certificates are
+re-checked against reflection_matrix, which does not use it.  Powers of
+rank-one normal forms are taken in closed form.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .linalg import (
     from_scaled,
     line_key,
     reflection_matrix,
+    reflect_scaled,
     reflector,
     scaled_identity,
     scaled_ints,
@@ -193,57 +195,30 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     """Windowed orbit oracle: reflection closure of alpha inside the box.
 
     Independent of the closed form; generators are all roots in a padded
-    window and iterates are kept while they stay within the box.
+    window, one per line, and iterates are kept while they stay within the
+    box.  The search runs on scaled integer vectors of the linalg kernel.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     space = R.space
     if alpha.max_norm() > bound:
         return frozenset()
-    gens = _reflector_data(space, R.anisotropic_window(bound + 2))
-    start = alpha.coords
-    integral = all(x.denominator == 1 for x in start) and all(
-        x.denominator == 1 for p, c in gens for x in p + c
-    )
-    if integral:
-        start = tuple(int(x) for x in start)
-        gens = [
-            (tuple(int(x) for x in p), tuple(int(x) for x in c)) for p, c in gens
-        ]
+    lines = {line_key(r): r for r in R.anisotropic_window(bound + 2)}
+    gens = [reflector(space, r) for r in lines.values()]
+    den, (x,) = scaled_ints([alpha.coords])
+    start = (tuple(x), den)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for pairing, coroot in gens:
-                c = sum(a * b for a, b in zip(v, pairing))
-                if not c:
-                    continue
-                w = tuple(a - c * b for a, b in zip(v, coroot))
-                if w not in seen and max(abs(x) for x in w) <= bound:
+            for g in gens:
+                w = reflect_scaled(v, g)
+                if w not in seen and max(map(abs, w[0])) <= bound * w[1]:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return frozenset(Vector(v) for v in seen)
-
-
-def _reflector_data(space, roots):
-    """Per reflection line: gram pairing row and coroot coordinates."""
-    gens = []
-    seen_lines = set()
-    for r in roots:
-        line = line_key(r)
-        if line in seen_lines:
-            continue
-        seen_lines.add(line)
-        norm = space.pair(r, r)
-        gram = space.form.gram
-        n = space.dim
-        pairing = tuple(
-            sum(gram[i, j] * r[j] for j in range(n)) * 2 / norm for i in range(n)
-        )
-        gens.append((pairing, r.coords))
-    return gens
+    return frozenset(Vector(Fraction(x, d) for x in v) for v, d in seen)
 
 
 # -- exact membership for rank-one systems ----------------------------------

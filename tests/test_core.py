@@ -1,5 +1,6 @@
 """Construction, axiom checking, classification, irc, trim, characterize."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from ears.core import (
     verify_axioms,
 )
 from ears.finite import build_finite
-from ears.linalg import AmbientSpace, Matrix, vec
+from ears.linalg import AmbientSpace, Matrix, reflect, vec
 from ears.semilattice import Lattice, Semilattice, verify_semilattice
 
 H = Fraction(1, 2)
@@ -34,6 +35,11 @@ S_EVEN2 = Semilattice([[1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1]])
 @pytest.fixture(scope="module")
 def a1_sec2():
     return construct_ears("A1", S_EVEN2)
+
+
+@pytest.fixture(scope="module")
+def a1_nu1():
+    return construct_ears("A1", Z1)
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +315,129 @@ def test_characterize_flags_missing_root(a1_sec2):
 def test_characterize_flags_isotropic_input(a1_sec2):
     rep = characterize(a1_sec2.window(2), a1_sec2.space)
     assert not rep.check("reflection_invariance").passed
+
+
+def test_characterize_flags_zero_dot_part():
+    # not isotropic for the full form (its dual part pairs with its iso
+    # part), but its dot part is zero, so it has no reflection in the check
+    sp = AmbientSpace(1, Matrix([[2]]))
+    rep = characterize([vec(1, 0, 1)], sp)
+    check = rep.check("reflection_invariance")
+    assert not check.passed
+    assert check.witnesses == (vec(1, 0, 1),)
+
+
+def test_characterize_full_lattice_names_the_dual_part():
+    sp = AmbientSpace(1, Matrix([[2]]))
+    rep = characterize([vec(0, 1, 0), vec(0, -1, 0), vec(1, 1, 1)], sp)
+    check = rep.check("full_lattice")
+    assert not check.passed
+    assert "non-zero dual part" in check.detail
+
+
+def _reference_reflection_check(window, space):
+    """Brute force with linalg.reflect on every ordered pair, in the order
+    and with the box rule and cut-off of characterize: pairs whose image
+    has its dot part outside the box are not counted, and the search stops
+    after three witnesses or at the end of the block of dot parts that
+    gave the first one.  Returns (passed, count of pairs checked when
+    passed, witnesses); valid on windows with zero dual parts."""
+    vs = sorted(set(window), key=lambda v: v.coords)
+    box = max(v.max_norm() for v in vs)
+    members = set(vs)
+    flat = [v for v in vs if not any(space.dot_part(v))]
+    if flat:
+        return False, None, tuple(flat[:3])
+    groups = {}
+    for v in vs:
+        groups.setdefault(space.dot_part(v), []).append(v)
+    bad, checked = [], 0
+    for alphas in groups.values():
+        for betas in groups.values():
+            for alpha in alphas:
+                for beta in betas:
+                    img = reflect(space, alpha, beta)
+                    if max(abs(x) for x in space.dot_part(img)) > box:
+                        continue
+                    checked += 1
+                    if img.max_norm() <= box and img not in members:
+                        bad.append((alpha, beta, img))
+                        if len(bad) == 3:
+                            return False, None, tuple(bad)
+            if bad:
+                return False, None, tuple(bad)
+    return True, checked, ()
+
+
+def _reflection_summary(window, space):
+    check = characterize(window, space).check("reflection_invariance")
+    m = re.match(r"(\d+) reflection images", check.detail)
+    return check.passed, int(m.group(1)) if m else None, check.witnesses
+
+
+CHECKED_AT_WINDOW_TWO = {
+    "A1 nu1 doubled": 36, "A1 nu1 full": 100, "A1 nu2 full": 2500,
+    "A1 nu2 product-even": 1764, "A1 nu3 full": 62500,
+    "A1 nu3 product-even": 54756, "A2 nu0": 36, "A2 nu1": 900,
+    "B2 nu1 doubled": 1024, "B2 nu1 matched": 1600, "B2 nu2 matched": 18496,
+    "B2 nu2 product-even": 14400, "BC1 nu1": 196, "BC1 nu2 shifted": 2500,
+    "BC2 nu1": 2304, "G2 nu1": 1400,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_AT_WINDOW_TWO))
+def test_characterize_matches_reference_on_suite(suite, name):
+    R = suite[name]
+    got = _reflection_summary(R.anisotropic_window(2), R.space)
+    assert got == (True, CHECKED_AT_WINDOW_TWO[name], ())
+    # the brute force costs a Fraction reflection per pair: 62,500 pairs on
+    # A1 nu3 full at window 2, so the two nullity-three systems use window 1
+    window = R.anisotropic_window(1 if R.nullity == 3 else 2)
+    got = _reflection_summary(window, R.space)
+    assert got == _reference_reflection_check(window, R.space)
+
+
+A1_WINDOW = [vec(i, d, 0) for i in (-1, 0, 1) for d in (-1, 1)]
+T = Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "window,expected",
+    [
+        (  # one root removed
+            [v for v in A1_WINDOW if v != vec(1, 1, 0)],
+            (False, None, ((vec(-1, -1, 0), vec(-1, -1, 0), vec(1, 1, 0)),
+                        (vec(0, -1, 0), vec(1, -1, 0), vec(1, 1, 0)))),
+        ),
+        (  # a rescaled root: c = -4/3, divisible images
+            A1_WINDOW + [vec(2 * T, 2 * T, 0)],
+            (False, None, ((vec(-1, -1, 0), vec(2 * T, 2 * T, 0), vec(-2 * T, -2 * T, 0)),
+                        (vec(0, -1, 0), vec(2 * T, 2 * T, 0), vec(2 * T, -2 * T, 0)))),
+        ),
+        (  # a rescaled dot part: c = 4/3, images off the scaled lattice
+            A1_WINDOW + [vec(-1, -3 * H, 0), vec(1, 3 * H, 0)],
+            (False, None, ((vec(-1, -3 * H, 0), vec(-1, -1, 0), vec(T, 1, 0)),
+                        (vec(-1, -3 * H, 0), vec(0, -1, 0), vec(4 * T, 1, 0)))),
+        ),
+        (  # an isotropic member
+            A1_WINDOW + [vec(1, 0, 0)],
+            (False, None, (vec(1, 0, 0),)),
+        ),
+        (  # half-integer coordinates throughout
+            [v * H for v in A1_WINDOW],
+            (True, 36, ()),
+        ),
+        (  # one half-integer translate
+            A1_WINDOW + [vec(H, 1, 0)],
+            (False, None, ((vec(0, -1, 0), vec(H, 1, 0), vec(H, -1, 0)),)),
+        ),
+    ],
+    ids=["removed", "rescaled-root", "rescaled-dot", "isotropic", "halved", "half-shift"],
+)
+def test_characterize_matches_reference_on_broken_windows(a1_nu1, window, expected):
+    got = _reflection_summary(window, a1_nu1.space)
+    assert got == _reference_reflection_check(window, a1_nu1.space)
+    assert got == expected
 
 
 # --- config round trip --------------------------------------------------------------

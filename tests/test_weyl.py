@@ -90,6 +90,22 @@ def test_bfs_matches_closed_form_nullity3(nullity3):
     assert got == want
 
 
+@pytest.mark.parametrize("name", ["G2 nu1", "BC1 nu1", "BC2 nu1"])
+def test_bfs_matches_closed_form_non_simply_laced(suite, name):
+    # systems whose pairing rows or roots are not all integral.  On G2 nu1
+    # the long orbit's window-2 members connect only through roots of norm
+    # 3, so the search runs in the box of norm 3 and is cut back to 2.
+    system = suite[name]
+    remaining = set(system.anisotropic_window(2))
+    while remaining:
+        alpha = min(remaining, key=lambda v: v.coords)
+        want = frozenset(orbit_closed_form(system, alpha).window(2))
+        assert orbit_bfs(system, alpha, 2) <= want, (name, alpha)
+        got = {v for v in orbit_bfs(system, alpha, 3) if v.max_norm() <= 2}
+        assert got == want, (name, alpha)
+        remaining -= want
+
+
 def test_seven_reflection_certificate(nullity3):
     # frozen from a brute-force search over reflection words; this ordering
     # of the seven roots multiplies out to the reflection in gamma
