@@ -9,20 +9,23 @@ orbit of dot(alpha)) + T, where T is the translation lattice built from
 the pairings of dot(alpha) with each length class.
 
 Generation after removing an orbit is decided exactly when the finite
-part has rank one.  Each group element then has a normal form
-(sign, shear vector b, isotropic block B) with B + B^T = -b b^T, the
-even-word subgroup is nilpotent of class two, and membership reduces to
-Hermite-style integer reduction carried out on group elements.  For
-higher ranks the verdict is three-valued: sound negatives come from the
-finite quotient, from the remaining set failing to be a root system, or
-from a strict orbit shrink; sound positives come from a bounded
-certificate search; otherwise Inconclusive is reported honestly.
+part has rank one.  With the finite form normalized to [1], each group
+element then has a normal form (sign, shear vector b, isotropic block B)
+with B + B^T = -b b^T, so it is stored on integers as (sign, b, B - B^T)
+at one scale per decider; the even-word subgroup is nilpotent of class
+two, and membership reduces to Hermite-style integer reduction carried
+out on group elements.  For higher ranks the verdict is three-valued:
+sound negatives come from the finite quotient, from the remaining set
+failing to be a root system, or from a strict orbit shrink; sound
+positives come from a bounded certificate search; otherwise Inconclusive
+is reported honestly.
 
 Words and the certificate search multiply by reflections as rank-one
 updates on the integer kernel of linalg, and the windowed orbit search
 reflects scaled integer vectors on the same kernel; certificates are
 re-checked against reflection_matrix, which does not use it.  Powers of
-rank-one normal forms are taken in closed form.
+rank-one normal forms are taken in closed form.  A realization whose
+rank-one form is not [1] is refused by the decider.
 """
 
 from __future__ import annotations
@@ -197,6 +200,13 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     Independent of the closed form; generators are all roots in a padded
     window, one per line, and iterates are kept while they stay within the
     box.  The search runs on scaled integer vectors of the linalg kernel.
+
+    The result is a subset of orbit_closed_form(R, alpha).window(bound).
+    It is the whole window only where the window's members connect through
+    reflections in the padded window's roots without leaving the box.  On
+    G2 nu1, orbit_bfs(R, (-2, 0, -1, 0), 2) returns 6 of the 10 members:
+    the other four are reached only through members of norm 3, so a search
+    at bound 3 cut back to norm 2 finds all ten.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -223,83 +233,70 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
 
 # -- exact membership for rank-one systems ----------------------------------
 #
-# With a single finite direction e (squared length g) every group element
-# acts as sigma' = sigma + b x + B delta, x' = eps x + c.delta, delta' = delta
-# with c = -eps b and B + B^T = -b b^T.  Reflections in x e + sigma give
-# eps = -1, b = -2 sigma / x, B = -2 sigma sigma^T / (g x^2).  Composition:
-# (e1,b1,B1)(e2,b2,B2) = (e1 e2, b2 + e2 b1, B1 + B2 - e2 b1 b2^T).
+# With a single finite direction e, normalized to (e, e) = 1, every group
+# element acts as sigma' = sigma + b x + B delta, x' = eps x + c.delta,
+# delta' = delta with c = -eps b and B + B^T = -b b^T.  Only the sign, the
+# shear vector b and w = B - B^T (upper-triangle pairs) are stored, as ints
+# at scales D and D^2 for one D per decider; then the product is
+# (e1,b1,w1)(e2,b2,w2) = (e1 e2, b2 + e2 b1, w1 + w2 - e2 b1^b2), with
+# (b1^b2)_ij = b1_i b2_j - b1_j b2_i, and a reflection in x e + sigma is
+# (-1, -2 sigma D / x, 0).
+
+
+def _wedge(b1, b2):
+    return (
+        b1[i] * b2[j] - b1[j] * b2[i] for i, j in combinations(range(len(b1)), 2)
+    )
 
 
 class _AffineElement:
-    __slots__ = ("eps", "b", "B", "word")
+    __slots__ = ("eps", "b", "w", "word")
 
-    def __init__(self, eps, b, B, word):
+    def __init__(self, eps, b, w, word):
         self.eps = eps
         self.b = b
-        self.B = B
+        self.w = w
         self.word = word
 
     @classmethod
-    def reflection(cls, space: AmbientSpace, root: Vector) -> "_AffineElement":
-        sigma = space.iso_part(root)
-        dots = space.dot_part(root)
-        x = dots[0]
-        g = space.form.gram[space.nu, space.nu]
-        b = tuple(Fraction(-2) * s / x for s in sigma)
-        scale = Fraction(-2) / (g * x * x)
-        B = tuple(tuple(scale * si * sj for sj in sigma) for si in sigma)
-        return cls(-1, b, B, (root,))
+    def reflection(cls, space: AmbientSpace, root: Vector, scale: int):
+        """The reflection at shear scale `scale`; None when its shear
+        vector is not integral at that scale."""
+        x = space.dot_part(root)[0]
+        b = [-2 * scale * s / x for s in space.iso_part(root)]
+        if any(v.denominator != 1 for v in b):
+            return None
+        nu = len(b)
+        return cls(-1, tuple(map(int, b)), (0,) * (nu * (nu - 1) // 2), (root,))
 
     def __matmul__(self, other: "_AffineElement") -> "_AffineElement":
         e2 = other.eps
-        b = tuple(b2 + e2 * b1 for b1, b2 in zip(self.b, other.b))
-        B = tuple(
-            tuple(x + y - e2 * b1 * b2 for x, y, b2 in zip(rx, ry, other.b))
-            for rx, ry, b1 in zip(self.B, other.B, self.b)
+        b = tuple(y + e2 * x for x, y in zip(self.b, other.b))
+        w = tuple(
+            x + y - e2 * z
+            for x, y, z in zip(self.w, other.w, _wedge(self.b, other.b))
         )
-        return _AffineElement(self.eps * other.eps, b, B, self.word + other.word)
+        return _AffineElement(self.eps * e2, b, w, self.word + other.word)
 
     def inverse(self) -> "_AffineElement":
         b = tuple(-self.eps * x for x in self.b)
-        B = tuple(
-            tuple(-x - bi * bj for x, bj in zip(row, self.b))
-            for row, bi in zip(self.B, self.b)
-        )
-        return _AffineElement(self.eps, b, B, tuple(reversed(self.word)))
+        w = tuple(-x for x in self.w)
+        return _AffineElement(self.eps, b, w, tuple(reversed(self.word)))
 
     def power(self, n: int) -> "_AffineElement":
-        """(1, b, B)^n = (1, n b, n B - n(n-1)/2 b b^T); eps = -1 squares first."""
+        """(1, b, w)^n = (1, n b, n w); eps = -1 squares first."""
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         if base.eps == -1:
             half = (base @ base).power(n // 2)
             return half @ base if n % 2 else half
-        c = n * (n - 1) // 2
-        B = tuple(
-            tuple(n * x - c * bi * bj for x, bj in zip(row, base.b))
-            for row, bi in zip(base.B, base.b)
+        return _AffineElement(
+            1, tuple(n * x for x in base.b), tuple(n * x for x in base.w),
+            base.word * n,
         )
-        return _AffineElement(1, tuple(n * x for x in base.b), B, base.word * n)
-
-    def key(self):
-        return (self.eps, self.b, self.B)
 
     def is_identity(self) -> bool:
-        return (
-            self.eps == 1
-            and all(x == 0 for x in self.b)
-            and all(x == 0 for row in self.B for x in row)
-        )
-
-    def wedge(self) -> tuple:
-        """Upper-triangle coordinates of the antisymmetric part of B."""
-        n = len(self.b)
-        half = Fraction(1, 2)
-        return tuple(
-            half * (self.B[i][j] - self.B[j][i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return self.eps == 1 and not any(self.b) and not any(self.w)
 
 
 def _xgcd(a: int, b: int):
@@ -388,6 +385,12 @@ class _Rank1Decider:
     """
 
     def __init__(self, space: AmbientSpace, families):
+        g = space.form.gram[space.nu, space.nu]
+        if g != 1:
+            raise ValueError(
+                f"the rank-one normal form needs the finite form [1]; this "
+                f"realization has [{g}]"
+            )
         self.space = space
         self.nu = space.nu
         roots = []
@@ -404,51 +407,42 @@ class _Rank1Decider:
         roots.sort(key=lambda v: v.coords)
         if not roots:
             raise ValueError("no generators")
-        self.base_root = roots[0]
-        base = _AffineElement.reflection(space, self.base_root)
-        gens = [
-            _AffineElement.reflection(space, r) @ base
-            for r in roots[1:]
-        ]
-        denom, scaled = scaled_ints([g.b for g in gens])
-        self._b_denom = denom
+        self.scale = math.lcm(
+            *((2 * s / space.dot_part(r)[0]).denominator
+              for r in roots for s in space.iso_part(r))
+        )
+        self._base = _AffineElement.reflection(space, roots[0], self.scale)
         self._rows = _CarrierReducer(self.nu)
-        for v, g in zip(scaled, gens):
-            self._rows.insert(v, g)
+        for r in roots[1:]:
+            g = _AffineElement.reflection(space, r, self.scale) @ self._base
+            self._rows.insert(g.b, g)
         pivots = [self._rows.rows[p][1] for p in sorted(self._rows.rows)]
         kappa_gens = list(self._rows.residuals)
         for a, b in combinations(pivots, 2):
             com = a @ b @ a.inverse() @ b.inverse()
             if not com.is_identity():
                 kappa_gens.append(com)
-        wdim = self.nu * (self.nu - 1) // 2
-        kd, kscaled = scaled_ints([g.wedge() for g in kappa_gens])
-        self._k_denom = kd
-        self._kappa = _CarrierReducer(wdim)
-        for v, g in zip(kscaled, kappa_gens):
-            self._kappa.insert(v, g)
+        self._kappa = _CarrierReducer(self.nu * (self.nu - 1) // 2)
+        for g in kappa_gens:
+            self._kappa.insert(g.w, g)
 
     def _membership(self, el: _AffineElement):
         """Word multiplying el to the identity, or None when el is outside."""
         if el.eps == -1:
-            el = el @ _AffineElement.reflection(self.space, self.base_root)
-        scaled = [x * self._b_denom for x in el.b]
-        if any(x.denominator != 1 for x in scaled):
-            return None
-        el = self._rows.reduce([int(x) for x in scaled], el)
+            el = el @ self._base
+        el = self._rows.reduce(el.b, el)
         if el is None:
             return None
-        kscaled = [x * self._k_denom for x in el.wedge()]
-        if any(x.denominator != 1 for x in kscaled):
-            return None
-        el = self._kappa.reduce([int(x) for x in kscaled], el)
+        el = self._kappa.reduce(el.w, el)
         if el is None or not el.is_identity():
             return None
         return el.word
 
     def reflection_word(self, root: Vector):
         """Certificate word with product r_root, or None when not a member."""
-        start = _AffineElement.reflection(self.space, root)
+        start = _AffineElement.reflection(self.space, root, self.scale)
+        if start is None:
+            return None
         word = self._membership(start)
         if word is None:
             return None

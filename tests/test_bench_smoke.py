@@ -1,4 +1,4 @@
-"""The benchmark harness runs end to end on the decide and oracle workloads."""
+"""The benchmark harness runs end to end on every workload."""
 
 import json
 import os
@@ -16,6 +16,10 @@ def _smoke(workload):
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, done.stdout[-2000:]
     assert last["failed"] == 0
+
+
+def test_bench_axioms_smoke():
+    _smoke("axioms")
 
 
 def test_bench_decide_smoke():

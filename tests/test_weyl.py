@@ -1,9 +1,13 @@
 """Orbits, generation certificates, minimality, extraction."""
 
+import math
+import random
+from itertools import combinations
+
 import pytest
 
 from ears.core import construct_ears, verify_axioms
-from ears.linalg import Vector, reflection_matrix, vec
+from ears.linalg import AmbientSpace, Matrix, Vector, reflection_matrix, vec
 from ears.semilattice import Lattice, Semilattice
 from ears.weyl import (
     Generates,
@@ -20,6 +24,7 @@ from ears.weyl import (
     orbit_closed_form,
     word_element,
     _AffineElement,
+    _Rank1Decider,
 )
 
 from ears.examples import product_even_semilattice, removable_root
@@ -213,10 +218,13 @@ def test_word_element_composes(nullity2):
     ).matrix
 
 
+def _identity(nu):
+    return _AffineElement(1, (0,) * nu, (0,) * (nu * (nu - 1) // 2), ())
+
+
 def _repeated_power(el, n):
     base = el if n >= 0 else el.inverse()
-    nu = len(el.b)
-    out = _AffineElement(1, (0,) * nu, ((0,) * nu,) * nu, ())
+    out = _identity(len(el.b))
     for _ in range(abs(n)):
         out = out @ base
     return out
@@ -224,18 +232,77 @@ def _repeated_power(el, n):
 
 def test_affine_power_closed_form_matches_repeated_products(nullity3):
     space = nullity3.space
+    # every shear -2 sigma / x below is integral, so the scale is 1
     r1, r2, r3 = (
-        _AffineElement.reflection(space, space.assemble(s, [1]))
+        _AffineElement.reflection(space, space.assemble(s, [1]), 1)
         for s in ([0, 0, 0], [2, 0, 0], [1, 1, 1])
     )
     # r1 and r1 r2 r3 have eps = -1; r1 r2 is a shear and r1 r2 r1 r3 has
     # a nonzero antisymmetric block
     elements = [r1, r1 @ r2 @ r3, r1 @ r2, r1 @ r2 @ r1 @ r3]
     assert [el.eps for el in elements] == [-1, -1, 1, 1]
-    assert any(elements[3].wedge())
+    assert any(elements[3].w)
     for el in elements:
         for n in range(-6, 7):
             want = _repeated_power(el, n)
             got = el.power(n)
-            assert got.key() == want.key(), n
+            assert (got.eps, got.b, got.w) == (want.eps, want.b, want.w), n
             assert got.word == want.word, n
+
+
+RANK_ONE = [
+    "A1 nu1 doubled", "A1 nu1 full", "A1 nu2 full", "A1 nu2 product-even",
+    "A1 nu3 full", "A1 nu3 product-even", "BC1 nu1", "BC1 nu2 shifted",
+]
+
+
+@pytest.mark.parametrize("name", RANK_ONE)
+def test_affine_normal_form_matches_matrices(suite, name):
+    # (eps, b, w) against the blocks of the word's matrix: eps is the
+    # finite diagonal entry, b the finite column of the radical rows and
+    # w = B - B^T from the radical-by-dual block, rescaled by D and D^2
+    space = suite[name].space
+    nu = space.nu
+    roots = suite[name].anisotropic_window(2)
+    scale = math.lcm(*(
+        (2 * s / space.dot_part(r)[0]).denominator
+        for r in roots for s in space.iso_part(r)
+    ))
+    letters = {r: _AffineElement.reflection(space, r, scale) for r in roots}
+    ident = Matrix.identity(space.dim)
+    central = 0
+
+    def check(el):
+        nonlocal central
+        m = word_element(space, el.word).matrix
+        b = tuple(m[i, nu] * scale for i in range(nu))
+        w = tuple(
+            (m[i, nu + 1 + j] - m[j, nu + 1 + i]) * scale ** 2
+            for i, j in combinations(range(nu), 2)
+        )
+        assert (el.eps, el.b, el.w) == (m[nu, nu], b, w), el.word
+        assert el.is_identity() == (m == ident), el.word
+        central += not any(el.b) and any(el.w)
+
+    def product(word):
+        out = _identity(nu)
+        for r in word:
+            out = out @ letters[r]
+        return out
+
+    rng = random.Random(name)
+    for _ in range(30):
+        u = product(rng.choices(roots, k=rng.randint(0, 7)))
+        v = product(rng.choices(roots, k=rng.randint(1, 4)))
+        for el in (u, u.inverse(), u @ u.inverse(), u @ v @ u.inverse() @ v.inverse()):
+            check(el)
+        for n in range(-6, 7):
+            check(u.power(n))
+    # the commutators reach the centre, where only w tells them apart
+    assert central if nu >= 2 else not central
+
+
+def test_rank1_decider_refuses_other_forms(z1):
+    space = AmbientSpace(1, Matrix([[2]]))
+    with pytest.raises(ValueError, match=r"\[2\]"):
+        _Rank1Decider(space, [(1, z1)])
