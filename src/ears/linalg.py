@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -352,9 +351,7 @@ def span_rank(vectors) -> int:
 #
 # A reflector (a, p, st) holds integer vectors a, p and an integer st > 0 with
 # r_alpha = I - a p^T / st.  A scaled matrix (rows, den) holds integer rows
-# and den > 0 with no common factor, and a scaled vector (x, den) integer
-# coordinates and den > 0 with no common factor, so equality and hashing of
-# both stay exact.
+# and den > 0 with no common factor, so equality and hashing stay exact.
 
 
 def scaled_ints(vectors):
@@ -396,20 +393,6 @@ def times_reflector(m: tuple, refl: tuple) -> tuple:
     if g > 1:
         return tuple(tuple(x // g for x in row) for row in out), den // g
     return tuple(out), den
-
-
-def reflect_scaled(v: tuple, refl: tuple) -> tuple:
-    """r_alpha(x / den) for the scaled vector v = (x, den), in lowest terms."""
-    x, den = v
-    a, p, st = refl
-    c = sum(map(mul, p, x))
-    if not c:
-        return v
-    if st == 1:  # an integral involution keeps x / den in lowest terms
-        return tuple([u - c * w for u, w in zip(x, a)]), den
-    y = [st * u - c * w for u, w in zip(x, a)]
-    g = math.gcd(den * st, *y)
-    return tuple([u // g for u in y]), den * st // g
 
 
 def from_scaled(m: tuple) -> Matrix:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, _frac
+from .linalg import Vector, _frac, scaled_ints
 
 
 class RankMismatch(ValueError):
@@ -344,26 +344,33 @@ class Semilattice:
 
     def window(self, bound) -> list[Vector]:
         """All members with every coordinate in [-bound, bound], sorted."""
-        b = _frac(bound)
-        rows = self.modulus.rows
-        pivots = self.modulus._pivots()
-        out = []
+        k = len(self.modulus.rows)
+        scale, ints = scaled_ints(
+            [r.coords for r in self.modulus.rows] + [c.coords for c in self.cosets]
+        )
+        lim = math.floor(_frac(bound) * scale)
+        points = box_points(ints[:k], ints[k:], [-lim] * self.ambient, [lim] * self.ambient)
+        return [Vector(Fraction(x, scale) for x in p) for p in sorted(set(points))]
 
-        def rec(i: int, v: Vector):
-            if i == len(rows):
-                if v.max_norm() <= b:
-                    out.append(v)
-                return
-            r, p = rows[i], pivots[i]
-            d = r.coords[p]
-            lo = math.ceil((-b - v.coords[p]) / d)
-            hi = math.floor((b - v.coords[p]) / d)
-            for a in range(lo, hi + 1):
-                rec(i + 1, v + r * a)
 
-        for c in self.cosets:
-            rec(0, c)
-        return sorted(set(out), key=lambda v: v.coords)
+def box_points(rows, cosets, lo, hi) -> list[tuple[int, ...]]:
+    """The integer points c + sum(a_i rows[i]) with lo <= x <= hi, for c in
+    cosets and a_i in Z.
+
+    rows is an integer echelon basis (strictly increasing pivot columns,
+    positive pivots), so row i is the last to change its pivot coordinate
+    and each a_i runs over one interval; other coordinates are tested last.
+    """
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    free = [j for j in range(len(lo)) if j not in pivots]
+    points = [tuple(c) for c in cosets]
+    for r, p in zip(rows, pivots):
+        points = [
+            tuple([x + a * y for x, y in zip(v, r)]) if a else v
+            for v in points
+            for a in range(-((v[p] - lo[p]) // r[p]), (hi[p] - v[p]) // r[p] + 1)
+        ]
+    return [v for v in points if all(lo[j] <= v[j] <= hi[j] for j in free)] if free else points
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ is reported honestly.
 
 Words and the certificate search multiply by reflections as rank-one
 updates on the integer kernel of linalg, and the windowed orbit search
-reflects scaled integer vectors on the same kernel; certificates are
-re-checked against reflection_matrix, which does not use it.  Powers of
+forms only the reflected members that stay in its box, on integers at one
+scale; certificates are re-checked against reflection_matrix, which does
+not use the kernel.  Powers of
 rank-one normal forms are taken in closed form.  A realization whose
 rank-one form is not [1] is refused by the decider.
 """
@@ -43,15 +44,12 @@ from .linalg import (
     Matrix,
     Vector,
     from_scaled,
-    line_key,
     reflection_matrix,
-    reflect_scaled,
     reflector,
     scaled_identity,
-    scaled_ints,
     times_reflector,
 )
-from .semilattice import Lattice, Semilattice
+from .semilattice import Lattice, Semilattice, box_points
 
 
 class NotOverFinitePart(ValueError):
@@ -197,9 +195,16 @@ def orbit_closed_form(R: EarsDescriptor, alpha: Vector) -> OrbitDescriptor:
 def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     """Windowed orbit oracle: reflection closure of alpha inside the box.
 
-    Independent of the closed form; generators are all roots in a padded
-    window, one per line, and iterates are kept while they stay within the
-    box.  The search runs on scaled integer vectors of the linalg kernel.
+    Independent of the closed form.  The generators are the reflections in
+    all roots of max-norm at most bound + 2, and images are kept while they
+    stay within the box; only those are formed.  Reflecting a member v in
+    the root sigma + d (sigma isotropic, d finite) gives iso(v) - c sigma +
+    dot(v) - c d, where c = <dot(v), d^vee> involves the dot parts alone
+    because the dual part of v is 0 (a non-zero one is refused).  So c = 0
+    fixes v, and otherwise the image stays in the box exactly when dot(v) -
+    c d does and sigma lies in the shifted box |iso(v) - c sigma| <= bound:
+    per member and d, only those sigma of d's translation set are
+    enumerated (semilattice.box_points), on integers at one common scale.
 
     The result is a subset of orbit_closed_form(R, alpha).window(bound).
     It is the whole window only where the window's members connect through
@@ -211,24 +216,67 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     if bound < 1:
         raise ValueError("bound must be at least 1")
     space = R.space
+    if alpha.dim != space.dim:
+        raise DimensionMismatch(f"vector dim {alpha.dim}, space dim {space.dim}")
+    if any(space.dual_part(alpha)):
+        raise NotOverFinitePart("nonzero dual coordinates")
     if alpha.max_norm() > bound:
         return frozenset()
-    lines = {line_key(r): r for r in R.anisotropic_window(bound + 2)}
-    gens = [reflector(space, r) for r in lines.values()]
-    den, (x,) = scaled_ints([alpha.coords])
-    start = (tuple(x), den)
+    pad = bound + 2
+    # the dot parts the box admits, each with its moves (c, image's dot, tag)
+    dots = [Vector(space.dot_part(alpha))]
+    index = {dots[0]: 0}
+    # sigma + d and -sigma - d give one reflection: on a symmetric set keep one sign
+    sym = {t for t, sl in R.translations.items() if all(sl.contains(-c) for c in sl.cosets)}
+    moves = []
+    for u in dots:
+        moves.append([])
+        for tag, roots in R.dot_classes.items():
+            for d in roots:
+                if tag in sym and d.coords < (-d).coords:
+                    continue
+                c = R.finite_part.cartan_int(u, d)
+                w = u - d * c
+                if c and d.max_norm() <= pad and w.max_norm() <= bound:
+                    if w not in index:
+                        index[w] = len(dots)
+                        dots.append(w)
+                    moves[-1].append((c, index[w], tag))
+    data = [alpha, *dots] + [
+        v for sl in R.translations.values() for v in (*sl.modulus.rows, *sl.cosets)
+    ]
+    scale = math.lcm(*(x.denominator for v in data for x in v)) * math.lcm(
+        *(c.denominator for m in moves for c, _, _ in m)
+    )
+
+    def ints(vectors):
+        return [tuple([x.numerator * (scale // x.denominator) for x in v]) for v in vectors]
+
+    box, clip = math.floor(bound * scale), math.floor(pad * scale)
+    sets = {t: (ints(sl.modulus.rows), ints(sl.cosets)) for t, sl in R.translations.items()}
+    moves = [
+        [(abs(c.numerator), c.denominator, 1 if c > 0 else -1, j, *sets[t]) for c, j, t in m]
+        for m in moves
+    ]
+    start = (0, ints([space.iso_part(alpha)])[0])
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for v in frontier:
-            for g in gens:
-                w = reflect_scaled(v, g)
-                if w not in seen and max(map(abs, w[0])) <= bound * w[1]:
-                    seen.add(w)
-                    nxt.append(w)
+        for i, x in frontier:
+            for p, q, e, j, rows, cosets in moves[i]:
+                # sigma with |x - e p sigma / q| <= box, within the padded window
+                lo = [max(-clip, -(q * (box - e * y) // p)) for y in x]
+                hi = [min(clip, q * (box + e * y) // p) for y in x]
+                for sigma in box_points(rows, cosets, lo, hi):
+                    w = (j, tuple([y - e * p * z // q for y, z in zip(x, sigma)]))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
         frontier = nxt
-    return frozenset(Vector(Fraction(x, d) for x in v) for v, d in seen)
+    return frozenset(
+        space.assemble([Fraction(y, scale) for y in x], dots[i].coords) for i, x in seen
+    )
 
 
 # -- exact membership for rank-one systems ----------------------------------

@@ -9,22 +9,17 @@ from ears.linalg import (
     DimensionMismatch,
     IsotropicRoot,
     Matrix,
-    Vector,
     coroot,
     from_scaled,
     preserves_form,
     reflect,
-    reflect_scaled,
     reflection_matrix,
     reflector,
     scaled_identity,
-    scaled_ints,
     times_reflector,
     vec,
 )
 from ears.presentation import evaluate
-
-H = Fraction(1, 2)
 
 
 def test_vector_arithmetic_is_exact():
@@ -151,22 +146,6 @@ def test_reflector_kernel_reduces_g2_denominators(suite):
     assert once[1] > 1
     assert times_reflector(once, r) == scaled_identity(space.dim)
     assert from_scaled(once) == reflection_matrix(space, thirds[0])
-
-
-def test_reflect_scaled_matches_reflect(suite):
-    """The vector kernel agrees with Fraction reflections on random roots,
-    including half-integral ones, and keeps (x, den) in lowest terms."""
-    rng = random.Random(20062)
-    for name, R in sorted(suite.items()):
-        space = R.space
-        roots = sorted(R.anisotropic_window(2), key=lambda v: v.coords)
-        for _ in range(12):
-            alpha, v = rng.choice(roots), rng.choice(roots) * rng.choice((1, H, 3 * H))
-            den, (x,) = scaled_ints([v.coords])
-            got = reflect_scaled((tuple(x), den), reflector(space, alpha))
-            x, den = got
-            assert math.gcd(den, *x) == 1, name
-            assert Vector(Fraction(c, den) for c in x) == reflect(space, alpha, v), name
 
 
 def test_evaluate_rejects_isotropic_and_foreign_letters(space):

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from ears.linalg import vec
@@ -80,11 +84,38 @@ def test_sum_set():
     assert ss == integer_lattice(2)
 
 
-def test_window_is_sorted_and_complete():
+def _grid_window(s, bound):
+    """Every point of the box on the grid of the set's common denominator
+    that the set contains, sorted: a reference that does not enumerate."""
+    den = math.lcm(*(x.denominator for v in (*s.cosets, *s.modulus.rows) for x in v))
+    lim = math.floor(Fraction(bound) * den)
+    grid = product(range(-lim, lim + 1), repeat=s.ambient)
+    return [v for v in (vec(*(Fraction(x, den) for x in p)) for p in grid) if s.contains(v)]
+
+
+def test_window_is_sorted_and_complete(suite):
     s = integer_lattice(2)
     win = s.window(1)
     assert sorted(win, key=lambda v: v.coords) == list(win)
     assert len(win) == 9
+    cases = [
+        (f"{name} {tag}", sl, bound)
+        for name, R in sorted(suite.items())
+        for tag, sl in sorted(dict(R.translations, isotropic=R.isotropic).items())
+        for bound in (1, 2, 3, 4)
+    ]
+    non_canonical = Semilattice.from_cosets([vec(0), vec(1), vec(4)], Lattice(1, [[8]]))
+    assert not non_canonical.canonical
+    translated = product_even_semilattice(2).shifted(vec(Fraction(1, 2), 1))
+    cases += [
+        ("non-canonical", non_canonical, 5),
+        ("rank-deficient", Semilattice.from_cosets([vec(0, 1)], Lattice(2, [[2, 3]])), 5),
+        ("translated", translated, 2),
+        ("fractional bound", product_even_semilattice(2), Fraction(3, 2)),
+        ("fractional bound, translated", translated, Fraction(3, 2)),
+    ]
+    for label, sl, bound in cases:
+        assert sl.window(bound) == _grid_window(sl, bound), label
 
 
 def test_rank_mismatch_rejected():

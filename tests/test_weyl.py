@@ -2,12 +2,25 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
 from ears.core import construct_ears, verify_axioms
-from ears.linalg import AmbientSpace, Matrix, Vector, reflection_matrix, vec
+from ears.linalg import (
+    AmbientSpace,
+    DimensionMismatch,
+    Matrix,
+    Vector,
+    line_key,
+    reflect,
+    reflection_matrix,
+    reflector,
+    scaled_ints,
+    vec,
+)
 from ears.semilattice import Lattice, Semilattice
 from ears.weyl import (
     Generates,
@@ -27,10 +40,61 @@ from ears.weyl import (
     _Rank1Decider,
 )
 
-from ears.examples import product_even_semilattice, removable_root
+from ears.examples import orbit_oracle_cases, product_even_semilattice, removable_root
 
 GAMMA = removable_root()
 PRODUCT_EVEN3 = product_even_semilattice(3)
+H = Fraction(1, 2)
+
+
+def reflect_scaled(v: tuple, refl: tuple) -> tuple:
+    """r_alpha(x / den) for the scaled vector v = (x, den), in lowest terms."""
+    x, den = v
+    a, p, st = refl
+    c = sum(map(mul, p, x))
+    if not c:
+        return v
+    if st == 1:  # an integral involution keeps x / den in lowest terms
+        return tuple([u - c * w for u, w in zip(x, a)]), den
+    y = [st * u - c * w for u, w in zip(x, a)]
+    g = math.gcd(den * st, *y)
+    return tuple([u // g for u in y]), den * st // g
+
+
+def padded_generators(R, bound) -> list:
+    """One reflector per line of the roots of max-norm at most bound + 2."""
+    lines = {line_key(r): r for r in R.anisotropic_window(bound + 2)}
+    return [reflector(R.space, r) for r in lines.values()]
+
+
+def reference_bfs(gens, alpha, bound) -> frozenset:
+    """The padded-window search orbit_bfs must reproduce: every generator
+    applied to every member, keeping the images that stay within the box."""
+    if alpha.max_norm() > bound:
+        return frozenset()
+    den, (x,) = scaled_ints([alpha.coords])
+    start = (tuple(x), den)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = reflect_scaled(v, g)
+                if w not in seen and max(map(abs, w[0])) <= bound * w[1]:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(Vector(Fraction(x, d) for x in v) for v, d in seen)
+
+
+def orbit_reps(system, bound):
+    """One member of each orbit meeting the window, from the closed form."""
+    remaining = set(system.anisotropic_window(bound))
+    while remaining:
+        alpha = min(remaining, key=lambda v: v.coords)
+        remaining -= set(orbit_closed_form(system, alpha).window(bound))
+        yield alpha
 
 
 def test_orbit_closed_form_basic(nullity2):
@@ -72,9 +136,53 @@ def test_orbit_rejects_foreign_vector(nullity2):
         orbit_closed_form(nullity2, vec(0, 0, 2, 0, 0))
 
 
+def test_bfs_rejects_foreign_vector(nullity2):
+    # a vector of another dimension, or with a dual part that would enter
+    # every pairing, is refused instead of searched
+    with pytest.raises(DimensionMismatch):
+        orbit_bfs(nullity2, vec(1, 0, 1), 2)
+    with pytest.raises(DimensionMismatch):
+        orbit_bfs(nullity2, vec(0, 0, 1, 0, 0, 0, 0), 2)
+    with pytest.raises(NotOverFinitePart):
+        orbit_bfs(nullity2, vec(0, 0, 1, 1, 0), 2)
+    assert orbit_bfs(nullity2, vec(3, 0, 1, 0, 0), 2) == frozenset()
+
+
 def test_bfs_rejects_bad_bound(nullity2):
     with pytest.raises(ValueError):
         orbit_bfs(nullity2, vec(0, 0, 1, 0, 0), 0)
+
+
+def test_reflect_scaled_matches_reflect(suite):
+    """The reference's vector kernel agrees with Fraction reflections on
+    random roots, including half-integral ones, in lowest terms."""
+    rng = random.Random(20062)
+    for name, R in sorted(suite.items()):
+        space = R.space
+        roots = sorted(R.anisotropic_window(2), key=lambda v: v.coords)
+        for _ in range(12):
+            alpha, v = rng.choice(roots), rng.choice(roots) * rng.choice((1, H, 3 * H))
+            den, (x,) = scaled_ints([v.coords])
+            got = reflect_scaled((tuple(x), den), reflector(space, alpha))
+            x, den = got
+            assert math.gcd(den, *x) == 1, name
+            assert Vector(Fraction(c, den) for c in x) == reflect(space, alpha, v), name
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("oracle", 2), ("G2 nu1", 3), ("BC1 nu1", 3), ("BC2 nu1", 3), ("BC1 nu2 shifted", 3)],
+)
+def test_bfs_matches_reference(suite, name, bound):
+    # the box-pruned search forms exactly the images the padded-window
+    # search keeps; at bound 3 on G2 and BC, |c| = 1 lets translations
+    # beyond bound + 2 into the shifted box, so the clip to bound + 2 runs
+    systems = orbit_oracle_cases() if name == "oracle" else {name: suite[name]}
+    for label, system in systems.items():
+        gens = padded_generators(system, bound)
+        for alpha in orbit_reps(system, bound):
+            want = reference_bfs(gens, alpha, bound)
+            assert orbit_bfs(system, alpha, bound) == want, (label, alpha)
 
 
 @pytest.mark.parametrize(
@@ -95,20 +203,29 @@ def test_bfs_matches_closed_form_nullity3(nullity3):
     assert got == want
 
 
-@pytest.mark.parametrize("name", ["G2 nu1", "BC1 nu1", "BC2 nu1"])
+def test_bfs_stays_in_the_padded_window():
+    # on A1 with translations 8Z the half root (4, 1/2, 0) pairs to c = +-1
+    # with every root; at bound 5 its images at iso -4 need the roots
+    # +-(8 + e), beyond the padded window's norm 7, so the search omits them
+    system = construct_ears("A1", Semilattice([[4]], [[0]]))
+    alpha = vec(4, H, 0)
+    got = orbit_bfs(system, alpha, 5)
+    assert got == reference_bfs(padded_generators(system, 5), alpha, 5)
+    assert got == {alpha, vec(4, -H, 0)}
+
+
+@pytest.mark.parametrize("name", ["G2 nu1", "BC1 nu1", "BC2 nu1", "BC1 nu2 shifted"])
 def test_bfs_matches_closed_form_non_simply_laced(suite, name):
     # systems whose pairing rows or roots are not all integral.  On G2 nu1
     # the long orbit's window-2 members connect only through roots of norm
-    # 3, so the search runs in the box of norm 3 and is cut back to 2.
+    # 3, so each window's search runs in the box one larger and is cut back.
     system = suite[name]
-    remaining = set(system.anisotropic_window(2))
-    while remaining:
-        alpha = min(remaining, key=lambda v: v.coords)
-        want = frozenset(orbit_closed_form(system, alpha).window(2))
-        assert orbit_bfs(system, alpha, 2) <= want, (name, alpha)
-        got = {v for v in orbit_bfs(system, alpha, 3) if v.max_norm() <= 2}
-        assert got == want, (name, alpha)
-        remaining -= want
+    for window in (2, 3):
+        for alpha in orbit_reps(system, window):
+            want = frozenset(orbit_closed_form(system, alpha).window(window))
+            assert orbit_bfs(system, alpha, window) <= want, (name, alpha)
+            got = {v for v in orbit_bfs(system, alpha, window + 1) if v.max_norm() <= window}
+            assert got == want, (name, window, alpha)
 
 
 def test_seven_reflection_certificate(nullity3):
