@@ -439,7 +439,7 @@ def _dot_connectivity(present: set, finite: FiniteRootSystem):
         nxt = []
         for a in frontier:
             for b in nodes:
-                if b not in seen and finite.pair(a, b) != 0:
+                if b not in seen and finite.cartan_int(a, b) != 0:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
@@ -565,12 +565,11 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
         a_iso, a_keys = keyed(ta)
         if not a_iso:
             continue
-        caa = finite.pair(da, da)
         for _, db, tb in b_fams:
             b_iso, b_keys = keyed(tb)
             if not b_iso:
                 continue
-            c = 2 * finite.pair(db, da) / caa
+            c = finite.cartan_int(db, da)
             targets = _string_profile_targets(desc, da, db)
             pair_count += len(a_iso) * len(b_iso)
             memo = profiles.setdefault((targets, c), {})

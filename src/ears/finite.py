@@ -14,14 +14,23 @@ Realizations (all exact, all spanning their coordinate space):
 
 The scaling of the form is irrelevant downstream: every consumer works with
 length ratios and coroot pairings.
+
+A FiniteRootSystem builds integer tables once, from its roots and form
+scaled to integers: root order and index, Cartan integers, squared lengths
+and each reflection as a permutation of the roots.  cartan_int and reflect
+read them for two roots and use the form otherwise (reflection_matrix
+passes basis vectors).  Root closures, orbits and generation run on
+integers through one BFS helper, closure; finite_weyl keeps Fraction
+matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import matmul, mul
 
-from .linalg import BilinearForm, Matrix, Vector, line_key, span_rank
+from .linalg import BilinearForm, Matrix, Vector, line_key, scaled_ints, span_rank
 
 SIMPLY_LACED = ("A", "D", "E")
 
@@ -41,6 +50,34 @@ class FiniteRootSystem:
     roots: frozenset[Vector]    # nonzero roots
     form: BilinearForm          # positive definite on the coordinate space
     fundamental: tuple[Vector, ...]
+    # tables: ordered[index[a]] == a, cartan[i][j] = 2(a_i,a_j)/(a_j,a_j),
+    # norms[i] = (a_i,a_i) at one positive scale, perms[j][i] = index of r_{a_j}(a_i)
+    ordered: tuple[Vector, ...] = field(init=False, compare=False, repr=False)
+    index: dict = field(init=False, compare=False, repr=False)
+    cartan: tuple = field(init=False, compare=False, repr=False)
+    norms: tuple = field(init=False, compare=False, repr=False)
+    perms: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        ordered = tuple(sorted(self.roots, key=lambda v: v.coords))
+        _, ints, gints = _scaled_with_gram(ordered, self.form)
+        pairs = [[sum(map(mul, a, gb)) for gb in gints] for a in ints]
+        norms = tuple(row[i] for i, row in enumerate(pairs))
+        if any(2 * p % norms[j] for row in pairs for j, p in enumerate(row)):
+            raise ValueError(f"{self.label}: Cartan integers must be integral")
+        cartan = tuple(tuple(2 * p // norms[j] for j, p in enumerate(row)) for row in pairs)
+        at = {tuple(a): i for i, a in enumerate(ints)}
+        images = [
+            [at.get(tuple([x - row[j] * y for x, y in zip(a, b)])) if row[j] else i
+             for i, (a, row) in enumerate(zip(ints, cartan))]
+            for j, b in enumerate(ints)
+        ]
+        if any(None in p for p in images):
+            raise ValueError(f"{self.label}: roots must be closed under their reflections")
+        tables = {"ordered": ordered, "index": {a: i for i, a in enumerate(ordered)},
+                  "cartan": cartan, "norms": norms, "perms": tuple(map(tuple, images))}
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def label(self) -> str:
@@ -49,12 +86,18 @@ class FiniteRootSystem:
     def pair(self, a: Vector, b: Vector) -> Fraction:
         return self.form.evaluate(a, b)
 
-    def cartan_int(self, a: Vector, b: Vector) -> Fraction:
-        """2(a,b)/(b,b)."""
-        return 2 * self.pair(a, b) / self.pair(b, b)
+    def cartan_int(self, a: Vector, b: Vector):
+        """2(a,b)/(b,b): an int from the table for two roots, else a Fraction."""
+        i, j = self.index.get(a), self.index.get(b)
+        if i is None or j is None:
+            return 2 * self.pair(a, b) / self.pair(b, b)
+        return self.cartan[i][j]
 
     def reflect(self, alpha: Vector, v: Vector) -> Vector:
-        return v - alpha * self.cartan_int(v, alpha)
+        i, j = self.index.get(v), self.index.get(alpha)
+        if i is None or j is None:
+            return v - alpha * self.cartan_int(v, alpha)
+        return self.ordered[self.perms[j][i]]
 
     def reflection_matrix(self, alpha: Vector) -> Matrix:
         n = alpha.dim
@@ -72,24 +115,61 @@ def _unit(n: int, i: int, s: int = 1) -> Vector:
     return Vector([s if j == i else 0 for j in range(n)])
 
 
-def _closure_from_simples(simples: list[Vector], form: BilinearForm) -> frozenset[Vector]:
-    """Reflection closure of the simple roots; standard BFS."""
-    def refl(alpha: Vector, v: Vector) -> Vector:
-        c = 2 * form.evaluate(v, alpha) / form.evaluate(alpha, alpha)
-        return v - alpha * c
+def _scaled_with_gram(vectors, form: BilinearForm):
+    """Common denominator, the vectors scaled to ints, and G times each of
+    them for the integer-scaled Gram matrix G."""
+    d, ints = scaled_ints(vectors)
+    _, gram = scaled_ints(form.gram.rows)
+    return d, ints, [[sum(map(mul, row, a)) for row in gram] for a in ints]
 
-    roots = set(simples) | {-s for s in simples}
-    frontier = set(roots)
+
+def closure(starts, generators, act, cap: int = 2_000_000) -> dict:
+    """Breadth-first closure of hashable states under act(state, generator).
+
+    Returns a dict mapping each state reached to (parent, generator) on the
+    first path to it, found in generator order per state and in frontier
+    order (None for the starts); closure_word reads a path back.  More than
+    cap states raise RuntimeError.
+    """
+    tree = dict.fromkeys(starts)
+    frontier = list(tree)
     while frontier:
-        new = set()
-        for v in frontier:
-            for s in simples:
-                w = refl(s, v)
-                if w not in roots:
-                    new.add(w)
-        roots |= new
-        frontier = new
-    return frozenset(roots)
+        nxt = []
+        for state in frontier:
+            for g in generators:
+                image = act(state, g)
+                if image not in tree:
+                    tree[image] = (state, g)
+                    nxt.append(image)
+                    if len(tree) > cap:
+                        raise RuntimeError(f"closure exceeded {cap} states")
+        frontier = nxt
+    return tree
+
+
+def closure_word(tree: dict, state) -> tuple:
+    """The generators along the first path closure found to state."""
+    out = []
+    while tree[state] is not None:
+        state, g = tree[state]
+        out.append(g)
+    return tuple(reversed(out))
+
+
+def _closure_from_simples(simples: list[Vector], form: BilinearForm) -> frozenset[Vector]:
+    """Reflection closure of the simple roots, on integers: the Cartan
+    integers of every realization here are integral, so the floor division
+    is exact."""
+    d, ints, gints = _scaled_with_gram(simples, form)
+    refl = [(s, gs, sum(map(mul, s, gs))) for s, gs in zip(ints, gints)]
+
+    def act(v, r):
+        s, gs, n = r
+        c = 2 * sum(map(mul, v, gs)) // n
+        return tuple(x - c * y for x, y in zip(v, s))
+
+    starts = [tuple(s) for s in ints] + [tuple(-x for x in s) for s in ints]
+    return frozenset(Vector(Fraction(x, d) for x in v) for v in closure(starts, refl, act))
 
 
 def _cartan_gram(rows: list[list[int]]) -> BilinearForm:
@@ -195,20 +275,11 @@ def build_finite(type_symbol: str, rank: int) -> FiniteRootSystem:
 
 
 def _require_irreducible(system: FiniteRootSystem) -> None:
-    roots = list(system.roots)
-    if not roots:
+    cartan = system.cartan
+    if not cartan:
         raise NotIrreducible("empty root set")
-    seen = {roots[0]}
-    frontier = [roots[0]]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in roots:
-                if b not in seen and system.pair(a, b) != 0:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    if len(seen) != len(roots):
+    # moving from i to j is allowed when the roots are not orthogonal
+    if len(closure([0], range(len(cartan)), lambda i, j: j if cartan[i][j] else i)) != len(cartan):
         raise NotIrreducible(f"{system.label}: root set splits into orthogonal parts")
 
 
@@ -219,14 +290,16 @@ def length_classes(system: FiniteRootSystem) -> tuple[frozenset[Vector], frozens
     short is the smaller length, long the other (empty when simply laced).
     """
     _require_irreducible(system)
-    halves = {r for r in system.roots if r * Fraction(1, 2) in system.roots}
-    rest = system.roots - halves
-    lengths = sorted({system.pair(r, r) for r in rest})
+    ordered, norms = system.ordered, system.norms
+    # with integral Cartan integers, <a, b^vee> = 4 exactly when a = 2b
+    halves = {i for i, row in enumerate(system.cartan) if 4 in row}
+    rest = [i for i in range(len(ordered)) if i not in halves]
+    lengths = sorted({norms[i] for i in rest})
     if len(lengths) > 2:
         raise NotIrreducible(f"{system.label}: more than two reduced lengths")
-    sh = frozenset(r for r in rest if system.pair(r, r) == lengths[0])
-    lg = frozenset(r for r in rest if len(lengths) > 1 and system.pair(r, r) == lengths[1])
-    return sh, lg, frozenset(halves)
+    sh = frozenset(ordered[i] for i in rest if norms[i] == lengths[0])
+    lg = frozenset(ordered[i] for i in rest if len(lengths) > 1 and norms[i] == lengths[1])
+    return sh, lg, frozenset(ordered[i] for i in halves)
 
 
 @dataclass(frozen=True)
@@ -241,21 +314,7 @@ class FiniteWeylGroup:
 
 def _matrix_closure(generators: list[Matrix], dim: int, budget: int = 2_000_000) -> frozenset[Matrix]:
     """Closure of a finite matrix set under multiplication (BFS)."""
-    ident = Matrix.identity(dim)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                p = m @ g
-                if p not in elements:
-                    elements.add(p)
-                    nxt.append(p)
-                    if len(elements) > budget:
-                        raise RuntimeError("matrix closure exceeded budget")
-        frontier = nxt
-    return frozenset(elements)
+    return frozenset(closure([Matrix.identity(dim)], generators, matmul, budget))
 
 
 def finite_weyl(system: FiniteRootSystem) -> FiniteWeylGroup:

@@ -333,15 +333,21 @@ def line_key(r: Vector) -> tuple:
 
 
 def span_rank(vectors) -> int:
-    """Rank of the rational span, by Gaussian elimination."""
+    """Rank of the rational span: fraction-free elimination on the vectors
+    scaled to integers once, rows kept gcd-normalized.  It stops as soon as
+    the rank equals the number of coordinates some vector uses."""
+    _, rows = scaled_ints(list(vectors))
+    used = sum(1 for col in zip(*rows) if any(col))
     pivoted = []
-    for v in vectors:
-        row = list(v.coords)
-        for prow, pcol in pivoted:
-            if row[pcol] != 0:
-                f = row[pcol] / prow[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
-        pc = next((j for j, x in enumerate(row) if x != 0), None)
+    for row in rows:
+        if len(pivoted) == used:
+            break
+        for prow, pc in pivoted:
+            if row[pc]:
+                row = [prow[pc] * a - row[pc] * b for a, b in zip(row, prow)]
+                k = math.gcd(*row)
+                row = [a // k for a in row] if k > 1 else row
+        pc = next((j for j, x in enumerate(row) if x), None)
         if pc is not None:
             pivoted.append((row, pc))
     return len(pivoted)

@@ -24,9 +24,9 @@ Words and the certificate search multiply by reflections as rank-one
 updates on the integer kernel of linalg, and the windowed orbit search
 forms only the reflected members that stay in its box, on integers at one
 scale; certificates are re-checked against reflection_matrix, which does
-not use the kernel.  Powers of
-rank-one normal forms are taken in closed form.  A realization whose
-rank-one form is not [1] is refused by the decider.
+not use the kernel.  Finite orbits, finite generation and finite words run
+on root indices and root permutations (finite.closure).  Rank-one powers
+are closed form; a rank-one form other than [1] is refused by the decider.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import ConstraintViolation, EarsDescriptor, characterize, construct_ears
-from .finite import _matrix_closure, finite_weyl
+from .finite import closure, closure_word, finite_weyl
 from .linalg import (
     AmbientSpace,
     DimensionMismatch,
@@ -140,33 +140,22 @@ class OrbitDescriptor:
     def window(self, bound) -> list[Vector]:
         """All orbit members with max-norm at most bound, sorted."""
         space = self.space
-        iso = Semilattice.from_cosets(
+        isos = Semilattice.from_cosets(
             [Vector(space.iso_part(self.base))], self.translation_lattice, translated=True
-        )
-        out = []
-        for d in self.finite_orbit:
-            if d.max_norm() > bound:
-                continue
-            for s in iso.window(bound):
-                out.append(space.assemble(s, d))
+        ).window(bound)
+        out = [
+            space.assemble(s, d) for d in self.finite_orbit if d.max_norm() <= bound for s in isos
+        ]
         return sorted(out, key=lambda v: v.coords)
 
 
 def _finite_orbit(finite, dot: Vector) -> frozenset[Vector]:
+    """W_fin-orbit of a finite root (or of zero), a BFS over root indices."""
     if dot.is_zero():
         return frozenset([dot])
-    seen = {dot}
-    frontier = [dot]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in finite.fundamental:
-                w = finite.reflect(s, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+    gens = [finite.perms[finite.index[s]] for s in finite.fundamental]
+    reached = closure([finite.index[dot]], gens, lambda i, p: p[i])
+    return frozenset(finite.ordered[i] for i in reached)
 
 
 def orbit_closed_form(R: EarsDescriptor, alpha: Vector) -> OrbitDescriptor:
@@ -593,47 +582,33 @@ def _validate_orbit(R: EarsDescriptor, orbit: OrbitDescriptor):
         raise NotAnOrbit("descriptor does not match the orbit of its base")
 
 
+def _finite_closure(R: EarsDescriptor, fams):
+    """The reflections of the remaining directions as root permutations,
+    each mapped to its first direction (class order, then by root), and the
+    closure tree of the group they generate; W_fin acts faithfully on the
+    roots, so this is the group itself."""
+    finite = R.finite_part
+    letters = {}
+    for tag, sl in fams.items():
+        for d in sorted(R.dot_classes[tag], key=lambda v: v.coords) if sl is not None else ():
+            letters.setdefault(finite.perms[finite.index[d]], d)
+    identity = tuple(range(len(finite.ordered)))
+    return letters, closure([identity], letters, lambda t, p: tuple(map(t.__getitem__, p)))
+
+
 def _finite_generation(R: EarsDescriptor, fams) -> bool:
     """Whether the reflections of the remaining directions generate the
     finite Weyl group."""
-    finite = R.finite_part
-    dots = set()
-    for tag, sl in fams.items():
-        if sl is not None:
-            dots |= R.dot_classes[tag]
-    if not dots:
-        return False
-    gens = [finite.reflection_matrix(d) for d in sorted(dots, key=lambda v: v.coords)]
-    return len(_matrix_closure(gens, finite.rank)) == finite_weyl(finite).order
+    letters, tree = _finite_closure(R, fams)
+    return bool(letters) and len(tree) == finite_weyl(R.finite_part).order
 
 
 def _finite_word(R: EarsDescriptor, fams, target_dot: Vector):
     """BFS word over remaining-direction reflections hitting the target
     reflection; the finite group is small so this is exhaustive."""
-    finite = R.finite_part
-    gens = []
-    for tag, sl in fams.items():
-        if sl is None:
-            continue
-        for d in sorted(R.dot_classes[tag], key=lambda v: v.coords):
-            gens.append((d, finite.reflection_matrix(d)))
-    target = finite.reflection_matrix(target_dot)
-    ident = Matrix.identity(finite.rank)
-    seen = {ident: ()}
-    frontier = [(ident, ())]
-    while frontier:
-        nxt = []
-        for m, w in frontier:
-            for d, g in gens:
-                p = m @ g
-                if p not in seen:
-                    word = w + (d,)
-                    if p == target:
-                        return word
-                    seen[p] = word
-                    nxt.append((p, word))
-        frontier = nxt
-    return None
+    letters, tree = _finite_closure(R, fams)
+    target = R.finite_part.perms[R.finite_part.index[target_dot]]
+    return tuple(map(letters.get, closure_word(tree, target))) if target in tree else None
 
 
 def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
@@ -688,7 +663,7 @@ def _rebuild(R: EarsDescriptor, fams):
     if any(sl is None for sl in fams.values()):
         raise ConstraintViolation("a whole length class was removed")
     return construct_ears(
-        R.finite_part.label,
+        R.finite_part,
         fams["short"],
         long=fams.get("long"),
         extra=fams.get("extra"),

@@ -8,9 +8,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _smoke(workload):
+def _smoke(workload, *extra):
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-           "--seconds", "0", "--smoke"]
+           "--seconds", "0", "--smoke", *extra]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
     last = json.loads(done.stdout.strip().splitlines()[-1])
@@ -26,6 +26,33 @@ def test_bench_decide_smoke():
     _smoke("decide")
 
 
+def test_bench_decide_traced_smoke():
+    # a traced run is incorrect when a per-layer metric it requires reads zero
+    _smoke("decide", "--trace", "1")
+
+
 def test_bench_oracle_smoke():
     # the oracle workload runs orbit_bfs and characterize on the kernel
     _smoke("oracle")
+
+
+# every operation of the axioms workload with an orbits call on every
+# window-1 root, as the goldens were recorded, checked by the bench's checker
+_CHECK_ALL_AXIOMS = """
+import json, random, sys
+sys.path[:0] = ["src", "bench"]
+import check, fixtures, workloads
+workload = workloads.build("axioms", random.Random(0), orbit_roots=None)
+checker = check.Checker(workload, fixtures.load_goldens())
+found = {op.key: checker.problems(op, op.call()) for op in workload.ops}
+print(json.dumps({"ops": len(workload.ops), "problems": {k: v for k, v in found.items() if v}}))
+"""
+
+
+def test_bench_axioms_every_orbit_matches_goldens():
+    done = subprocess.run([sys.executable, "-c", _CHECK_ALL_AXIOMS], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["ops"] == 378
+    assert result["problems"] == {}

@@ -1,14 +1,20 @@
+from types import SimpleNamespace
+
 import pytest
 
-from ears import finite
+from ears import finite, weyl
 from ears.finite import (
+    FiniteRootSystem,
     InvalidRank,
+    _closure_from_simples,
     build_finite,
+    closure,
     finite_weyl,
     invariant_generating_subsets,
     length_classes,
 )
-from ears.linalg import line_key, vec
+from ears.linalg import BilinearForm, Matrix, Vector, line_key, vec
+from ears.weyl import _finite_generation, _finite_orbit
 
 
 # orders of the reflection groups, frozen from the classification
@@ -119,3 +125,143 @@ def test_bc1_subset_members():
         subs.setdefault(label, []).append(roots)
     assert set(subs["A1"][0]) in ({vec(1), vec(-1)}, {vec(2), vec(-2)})
     assert len(subs["A1"]) == 2
+
+
+# -- integer tables against the Fraction form ---------------------------------
+#
+# The references below are the Fraction implementations the tables replaced:
+# pairings through the form, the root closure and finite orbits as BFS over
+# Vectors, and generation as a closure of reflection matrices.
+
+TABLE_TYPES = sorted(WEYL_ORDERS) + [("E", 6)]
+
+
+def reference_cartan(system, a, b):
+    return 2 * system.form.evaluate(a, b) / system.form.evaluate(b, b)
+
+
+def reference_reflect(system, alpha, v):
+    return v - alpha * reference_cartan(system, v, alpha)
+
+
+def reference_closure_from_simples(simples, form):
+    def refl(alpha, v):
+        c = 2 * form.evaluate(v, alpha) / form.evaluate(alpha, alpha)
+        return v - alpha * c
+
+    roots = set(simples) | {-s for s in simples}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for v in frontier:
+            for s in simples:
+                w = refl(s, v)
+                if w not in roots:
+                    new.add(w)
+        roots |= new
+        frontier = new
+    return frozenset(roots)
+
+
+def reference_finite_orbit(system, dot):
+    seen = {dot}
+    frontier = [dot]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in system.fundamental:
+                w = reference_reflect(system, s, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def reference_matrix_closure(generators, dim):
+    """BFS closure of Fraction matrices; a generator already in the group
+    closed so far adds nothing and is skipped."""
+    elements = {Matrix.identity(dim)}
+    used = []
+    for g in generators:
+        if g in elements:
+            continue
+        used.append(g)
+        frontier = list(elements)
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for h in used:
+                    p = m @ h
+                    if p not in elements:
+                        elements.add(p)
+                        nxt.append(p)
+            frontier = nxt
+    return frozenset(elements)
+
+
+@pytest.mark.parametrize("sym,rank", TABLE_TYPES)
+def test_tables_match_the_form(sym, rank):
+    system = build_finite(sym, rank)
+    for a in system.roots:
+        for b in system.roots:
+            assert system.cartan_int(a, b) == reference_cartan(system, a, b)
+            assert system.reflect(a, b) == reference_reflect(system, a, b)
+    # vectors outside the root set fall back to the form
+    e = Vector([1] + [0] * (rank - 1))
+    for a in system.roots:
+        assert system.reflect(a, e) == reference_reflect(system, a, e)
+        assert system.cartan_int(e, a) == reference_cartan(system, e, a)
+
+
+@pytest.mark.parametrize("sym,rank", TABLE_TYPES)
+def test_build_finite_matches_fraction_closure(sym, rank):
+    system = build_finite(sym, rank)
+    want = reference_closure_from_simples(list(system.fundamental), system.form)
+    assert _closure_from_simples(list(system.fundamental), system.form) == want
+    if sym != "BC":  # BC adds the doubles of the short roots
+        assert system.roots == want
+
+
+@pytest.mark.parametrize("sym,rank", TABLE_TYPES)
+def test_finite_orbit_matches_fraction_bfs(sym, rank):
+    system = build_finite(sym, rank)
+    orbits = []  # the reference BFS from any member of an orbit gives the orbit
+    for dot in sorted(system.roots, key=lambda v: v.coords):
+        want = next((o for o in orbits if dot in o), None)
+        if want is None:
+            want = reference_finite_orbit(system, dot)
+            orbits.append(want)
+        assert _finite_orbit(system, dot) == want
+
+
+@pytest.mark.parametrize("sym,rank", sorted(WEYL_ORDERS))
+def test_finite_generation_matches_matrix_closure(sym, rank, monkeypatch):
+    system = build_finite(sym, rank)
+    group = finite_weyl(system)  # closed once here instead of once per union
+    monkeypatch.setattr(weyl, "finite_weyl", lambda s: group)
+    sh, lg, ex = length_classes(system)
+    classes = {t: c for t, c in (("short", sh), ("long", lg), ("extra", ex)) if c}
+    R = SimpleNamespace(finite_part=system, dot_classes=classes)
+    tags = sorted(classes)
+    for mask in range(1, 1 << len(tags)):
+        kept = [t for i, t in enumerate(tags) if mask >> i & 1]
+        fams = {t: (object() if t in kept else None) for t in tags}
+        # one matrix per line: r and -r give the same reflection
+        lines = {line_key(d): d for t in kept for d in classes[t]}
+        gens = [system.reflection_matrix(d) for d in lines.values()]
+        want = len(reference_matrix_closure(gens, rank)) == WEYL_ORDERS[(sym, rank)]
+        assert _finite_generation(R, fams) == want, kept
+
+
+def test_constructor_rejects_non_root_systems():
+    form = BilinearForm(Matrix.identity(2))
+    with pytest.raises(ValueError):  # not closed under its reflections
+        FiniteRootSystem("A", 1, frozenset({vec(1, 0), vec(-1, 0), vec(1, 1)}), form, ())
+    with pytest.raises(ValueError):  # 2(a, b)/(b, b) = 2/3
+        FiniteRootSystem("A", 1, frozenset({vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)}), form, ())
+
+
+def test_closure_cap():
+    with pytest.raises(RuntimeError):
+        closure([0], [1], lambda s, g: s + g, cap=10)

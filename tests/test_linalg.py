@@ -16,6 +16,7 @@ from ears.linalg import (
     reflection_matrix,
     reflector,
     scaled_identity,
+    span_rank,
     times_reflector,
     vec,
 )
@@ -154,3 +155,56 @@ def test_evaluate_rejects_isotropic_and_foreign_letters(space):
         evaluate([alpha, space.assemble([1, 0], [0])], space)
     with pytest.raises(DimensionMismatch):
         evaluate([alpha, vec(1, 0)], space)
+
+
+def reference_span_rank(vectors) -> int:
+    """Gaussian elimination on Fractions, every vector processed."""
+    pivoted = []
+    for v in vectors:
+        row = list(v.coords)
+        for prow, pcol in pivoted:
+            if row[pcol] != 0:
+                f = row[pcol] / prow[pcol]
+                row = [a - f * b for a, b in zip(row, prow)]
+        pc = next((j for j, x in enumerate(row) if x != 0), None)
+        if pc is not None:
+            pivoted.append((row, pc))
+    return len(pivoted)
+
+
+H = Fraction(1, 2)
+T = Fraction(1, 3)
+SPAN_CASES = {
+    "empty": [],
+    "zero": [vec(0, 0, 0)],
+    "zeros and duplicates": [vec(0, 0), vec(1, 2), vec(1, 2), vec(0, 0), vec(2, 4)],
+    "rank-deficient": [vec(1, 2, 3), vec(2, 4, 6), vec(1, 0, 1), vec(3, 4, 7)],
+    "fractional": [vec(H, T, 0), vec(1, Fraction(2, 3), 0), vec(0, 0, Fraction(5, 7))],
+    "fractional deficient": [vec(H, T), vec(Fraction(3, 4), H), vec(-H, -T)],
+    # rank 2 on the two coordinates used, reached before the last two vectors
+    "early stop": [vec(1, 0, 0, 0), vec(0, T, 0, 0), vec(1, 1, 0, 0), vec(3, 5, 0, 0)],
+    # three coordinates used but rank 2: no early stop
+    "no early stop": [vec(1, 0, 0), vec(0, 1, 1), vec(1, 1, 1), vec(2, -1, -1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CASES))
+def test_span_rank_matches_fraction_elimination(name):
+    vectors = SPAN_CASES[name]
+    assert span_rank(vectors) == reference_span_rank(vectors)
+    assert span_rank(iter(vectors)) == reference_span_rank(vectors)
+
+
+def test_span_rank_random_against_fraction_elimination():
+    rng = random.Random(11)
+    for _ in range(300):
+        dim, n = rng.randint(1, 6), rng.randint(0, 8)
+        basis = [vec(*(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)))
+                 for _ in range(rng.randint(1, dim))]
+        vectors = []
+        for _ in range(n):  # combinations of a few vectors, so ranks fall short
+            v = vec(*[0] * dim)
+            for b in basis:
+                v = v + b * rng.randint(-2, 2)
+            vectors.append(v)
+        assert span_rank(vectors) == reference_span_rank(vectors), vectors

@@ -38,6 +38,8 @@ from ears.weyl import (
     word_element,
     _AffineElement,
     _Rank1Decider,
+    _finite_word,
+    _remaining_translations,
 )
 
 from ears.examples import orbit_oracle_cases, product_even_semilattice, removable_root
@@ -305,6 +307,24 @@ def test_finite_a1_orbit_does_not_generate():
 def test_finite_a2_minimal():
     a2f = construct_ears("A2", Semilattice([], [[]]))
     assert isinstance(minimality(a2f), Minimal)
+
+
+# words of the matrix BFS that _finite_word ran before it moved onto root
+# permutations, for each root of A2 with every direction kept
+A2_WORDS = {
+    (-1, -1): [(-1, -1)], (-1, 0): [(-1, 0)], (0, -1): [(0, -1)],
+    (0, 1): [(0, -1)], (1, 0): [(-1, 0)], (1, 1): [(-1, -1)],
+}
+
+
+def test_finite_words_on_a2_nu0():
+    a2f = construct_ears("A2", Semilattice([], [[]]))
+    for dot in a2f.finite_part.roots:
+        word = _finite_word(a2f, a2f.translations, dot)
+        assert [v.coords for v in word] == A2_WORDS[dot.coords]
+    for orbit in anisotropic_orbits(a2f):
+        fams = _remaining_translations(a2f, orbit)
+        assert _finite_word(a2f, fams, orbit.dot_part) is None
 
 
 def test_bc1_nothing_removable(bc1_shifted):
