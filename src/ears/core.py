@@ -20,6 +20,7 @@ from itertools import islice
 from .finite import (
     FiniteRootSystem,
     InvalidRank,
+    _connected,
     build_finite,
     length_classes,
 )
@@ -432,20 +433,9 @@ def _verify_descriptor(desc: EarsDescriptor, bound: int) -> AxiomReport:
 def _dot_connectivity(present: set, finite: FiniteRootSystem):
     if not present:
         return "no anisotropic roots in window", False
-    nodes = sorted(present, key=lambda d: d.coords)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in nodes:
-                if b not in seen and finite.cartan_int(a, b) != 0:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    connected = len(seen) == len(nodes)
+    connected = _connected(list(present), finite.cartan_int)
     return (
-        f"non-orthogonality graph on {len(nodes)} root directions is "
+        f"non-orthogonality graph on {len(present)} root directions is "
         + ("connected" if connected else "disconnected"),
         connected,
     )
@@ -662,17 +652,7 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
     connected = True
     detail = "no anisotropic vectors"
     if aniso:
-        seen = {aniso[0]}
-        frontier = [aniso[0]]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in aniso:
-                    if y not in seen and space.pair(x, y) != 0:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        connected = len(seen) == len(aniso)
+        connected = _connected(aniso, space.pair)
         detail = (
             f"non-orthogonality graph on {len(aniso)} vectors is "
             + ("connected" if connected else "disconnected")
@@ -855,15 +835,13 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     finite_ok, finite_detail = _finite_root_system_check(dot_set, space)
     checks.append(AxiomCheck("finite_image", finite_ok, finite_detail))
 
-    from .semilattice import Lattice
-
-    span = Lattice(space.dim, vs)
+    rank = span_rank(vs)
     dual_zero = all(all(c == 0 for c in space.dual_part(v)) for v in vs)
     checks.append(
         AxiomCheck(
             "full_lattice",
-            span.rank == space.nu + ell and dual_zero,
-            f"generated subgroup has rank {span.rank}, expected {space.nu + ell}; "
+            rank == space.nu + ell and dual_zero,
+            f"generated subgroup has rank {rank}, expected {space.nu + ell}; "
             "finitely generated rational, so discrete"
             if dual_zero
             else "a vector has a non-zero dual part, outside the (iso, dot) span",
@@ -975,16 +953,6 @@ def _finite_root_system_check(dots: set, space: AmbientSpace):
                 return False, f"non-integral pairing between {a} and {b}"
             if b - a * n not in dots:
                 return False, f"image not closed under the reflection along {a}"
-    seen = {next(iter(dots))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in dots:
-                if y not in seen and pair(x, y) != 0:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) != len(dots):
+    if not _connected(list(dots), pair):
         return False, "image splits into orthogonal parts"
     return True, f"image is an irreducible finite root system on {len(dots)} roots"

@@ -20,8 +20,8 @@ scaled to integers: root order and index, Cartan integers, squared lengths
 and each reflection as a permutation of the roots.  cartan_int and reflect
 read them for two roots and use the form otherwise (reflection_matrix
 passes basis vectors).  Root closures, orbits and generation run on
-integers through one BFS helper, closure; finite_weyl keeps Fraction
-matrices.
+integers through linalg.closure, the package's one BFS helper (imported
+here as finite.closure too); finite_weyl keeps Fraction matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import matmul, mul
 
-from .linalg import BilinearForm, Matrix, Vector, line_key, scaled_ints, span_rank
+from .linalg import BilinearForm, Matrix, Vector, closure, line_key, scaled_ints, span_rank
 
 SIMPLY_LACED = ("A", "D", "E")
 
@@ -121,39 +121,6 @@ def _scaled_with_gram(vectors, form: BilinearForm):
     d, ints = scaled_ints(vectors)
     _, gram = scaled_ints(form.gram.rows)
     return d, ints, [[sum(map(mul, row, a)) for row in gram] for a in ints]
-
-
-def closure(starts, generators, act, cap: int = 2_000_000) -> dict:
-    """Breadth-first closure of hashable states under act(state, generator).
-
-    Returns a dict mapping each state reached to (parent, generator) on the
-    first path to it, found in generator order per state and in frontier
-    order (None for the starts); closure_word reads a path back.  More than
-    cap states raise RuntimeError.
-    """
-    tree = dict.fromkeys(starts)
-    frontier = list(tree)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for g in generators:
-                image = act(state, g)
-                if image not in tree:
-                    tree[image] = (state, g)
-                    nxt.append(image)
-                    if len(tree) > cap:
-                        raise RuntimeError(f"closure exceeded {cap} states")
-        frontier = nxt
-    return tree
-
-
-def closure_word(tree: dict, state) -> tuple:
-    """The generators along the first path closure found to state."""
-    out = []
-    while tree[state] is not None:
-        state, g = tree[state]
-        out.append(g)
-    return tuple(reversed(out))
 
 
 def _closure_from_simples(simples: list[Vector], form: BilinearForm) -> frozenset[Vector]:
@@ -274,12 +241,19 @@ def build_finite(type_symbol: str, rank: int) -> FiniteRootSystem:
     raise InvalidRank(f"unknown type symbol {type_symbol!r}")
 
 
+def _connected(nodes, adjacent) -> bool:
+    """Whether the graph on the non-empty sequence nodes, with an edge
+    wherever adjacent(a, b) is non-zero, is connected: a closure over node
+    indices, moving from i to j along an edge."""
+    reached = closure([0], range(len(nodes)), lambda i, j: j if adjacent(nodes[i], nodes[j]) else i)
+    return len(reached) == len(nodes)
+
+
 def _require_irreducible(system: FiniteRootSystem) -> None:
     cartan = system.cartan
     if not cartan:
         raise NotIrreducible("empty root set")
-    # moving from i to j is allowed when the roots are not orthogonal
-    if len(closure([0], range(len(cartan)), lambda i, j: j if cartan[i][j] else i)) != len(cartan):
+    if not _connected(range(len(cartan)), lambda i, j: cartan[i][j]):
         raise NotIrreducible(f"{system.label}: root set splits into orthogonal parts")
 
 
@@ -327,7 +301,7 @@ def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> str:
     """Type label of a (sub-)root system given by a subset of system.roots."""
     halves = {r for r in roots if r * Fraction(1, 2) in roots}
     rest = roots - halves
-    lengths = sorted({system.pair(r, r) for r in rest})
+    lengths = sorted({system.norms[system.index[r]] for r in rest})
     rank = span_rank(roots)
     if halves:
         return f"BC{rank}"
@@ -340,8 +314,8 @@ def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> str:
         if (rank, n) in ((6, 72), (7, 126), (8, 240)):
             return f"E{rank}"
         raise NotIrreducible(f"unrecognized single-length system of rank {rank} with {n} roots")
-    ratio = lengths[1] / lengths[0]
-    n_sh = sum(1 for r in rest if system.pair(r, r) == lengths[0])
+    ratio = Fraction(lengths[1], lengths[0])
+    n_sh = sum(1 for r in rest if system.norms[system.index[r]] == lengths[0])
     n_lg = len(rest) - n_sh
     if ratio == 3:
         return "G2"

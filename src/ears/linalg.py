@@ -3,6 +3,11 @@
 Everything here is immutable and hashable; arithmetic is exact (Fraction,
 or Python ints in the reflection kernel at the end), there is no floating
 point anywhere in this package's numeric core.
+
+The package's one elimination routine (echelon: fraction-free Gauss-Jordan
+on integers, under span_rank and kernel) and its one breadth-first search
+(closure, for orbits, cosets and generated groups) live here, so every
+other module can use them.
 """
 
 from __future__ import annotations
@@ -156,27 +161,6 @@ class Matrix:
             for j in range(self.dim)
         )
 
-    def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
-        b = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Matrix(b)
-
     def __repr__(self) -> str:
         body = "; ".join("(" + ", ".join(str(x) for x in row) + ")" for row in self.rows)
         return f"Matrix([{body}])"
@@ -255,12 +239,6 @@ class AmbientSpace:
     def split(self) -> tuple[int, int, int]:
         return (self.nu, self.rank, self.nu)
 
-    def radical_basis(self) -> tuple[Vector, ...]:
-        n = self.dim
-        return tuple(
-            Vector([Fraction(j == i) for j in range(n)]) for i in range(self.nu)
-        )
-
     def pair(self, v: Vector, w: Vector) -> Fraction:
         return self.form.evaluate(v, w)
 
@@ -332,11 +310,22 @@ def line_key(r: Vector) -> tuple:
     return tuple(c / nz for c in r.coords)
 
 
-def span_rank(vectors) -> int:
-    """Rank of the rational span: fraction-free elimination on the vectors
-    scaled to integers once, rows kept gcd-normalized.  It stops as soon as
-    the rank equals the number of coordinates some vector uses."""
-    _, rows = scaled_ints(list(vectors))
+def _eliminate(row, prow, pc):
+    """row with its entry at pc cleared by the pivot row prow, fraction-free
+    and gcd-normalized."""
+    row = [prow[pc] * a - row[pc] * b for a, b in zip(row, prow)]
+    k = math.gcd(*row)
+    return [a // k for a in row] if k > 1 else row
+
+
+def echelon(rows) -> list[tuple[list[int], int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Returns (row, pivot column) pairs: each row is gcd-normalized, starts at
+    its pivot and is zero at every other pivot column, so dividing each row
+    by its pivot entry gives the unique reduced echelon form.  It stops once
+    the pivots cover every column some row uses: later rows reduce to 0.
+    """
     used = sum(1 for col in zip(*rows) if any(col))
     pivoted = []
     for row in rows:
@@ -344,13 +333,67 @@ def span_rank(vectors) -> int:
             break
         for prow, pc in pivoted:
             if row[pc]:
-                row = [prow[pc] * a - row[pc] * b for a, b in zip(row, prow)]
-                k = math.gcd(*row)
-                row = [a // k for a in row] if k > 1 else row
+                row = _eliminate(row, prow, pc)
         pc = next((j for j, x in enumerate(row) if x), None)
         if pc is not None:
+            pivoted = [(_eliminate(prow, row, pc) if prow[pc] else prow, c) for prow, c in pivoted]
             pivoted.append((row, pc))
-    return len(pivoted)
+    return pivoted
+
+
+def span_rank(vectors) -> int:
+    """Rank of the rational span, by echelon on the vectors scaled to
+    integers once."""
+    return len(echelon(scaled_ints(list(vectors))[1]))
+
+
+def kernel(rows, width: int) -> list[list[Fraction]]:
+    """Basis of the rational null space of the matrix with the given rows
+    (each of length width): one vector per free column, 1 there, 0 at the
+    other free columns, read off the reduced echelon form."""
+    pivoted = echelon(scaled_ints(rows)[1])
+    pivots = {pc for _, pc in pivoted}
+    basis = []
+    for fc in range(width):
+        if fc not in pivots:
+            v = [Fraction(fc == j) for j in range(width)]
+            for row, pc in pivoted:
+                v[pc] = Fraction(-row[fc], row[pc])
+            basis.append(v)
+    return basis
+
+
+def closure(starts, generators, act, cap: int = 2_000_000) -> dict:
+    """Breadth-first closure of hashable states under act(state, generator).
+
+    Returns a dict mapping each state reached to (parent, generator) on the
+    first path to it, found in generator order per state and in frontier
+    order (None for the starts); closure_word reads a path back.  More than
+    cap states raise RuntimeError.
+    """
+    tree = dict.fromkeys(starts)
+    frontier = list(tree)
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for g in generators:
+                image = act(state, g)
+                if image not in tree:
+                    tree[image] = (state, g)
+                    nxt.append(image)
+                    if len(tree) > cap:
+                        raise RuntimeError(f"closure exceeded {cap} states")
+        frontier = nxt
+    return tree
+
+
+def closure_word(tree: dict, state) -> tuple:
+    """The generators along the first path closure found to state."""
+    out = []
+    while tree[state] is not None:
+        state, g = tree[state]
+        out.append(g)
+    return tuple(reversed(out))
 
 
 # -- integer kernel for products of reflections -------------------------------

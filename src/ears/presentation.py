@@ -5,9 +5,9 @@ product of their reflections.  This module evaluates words exactly, tracks
 letter counts per orbit modulo two (reflections of linearly dependent roots
 coincide, so the counts live on lines through the origin), computes the
 order of a product of two reflections with a sound infinite-order
-certificate, decides whether the reflection presentation is of Coxeter
-shape, and rewrites identity words to eliminate letters outside a
-preferred set of roots.
+certificate (its null spaces from linalg.kernel), decides whether the
+reflection presentation is of Coxeter shape, and rewrites identity words
+to eliminate letters outside a preferred set of roots.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from .linalg import (
     IsotropicRoot,
     Matrix,
     Vector,
+    kernel,
     line_key,
     reflect,
     reflection_matrix,
@@ -158,39 +159,6 @@ class Undetermined:
     cap: int
 
 
-def _solve_rows(rows: list[list[Fraction]], width: int):
-    """Row-echelon kernel basis of the matrix with the given rows."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
-
-
 def _translation_certificate(m: Matrix):
     """A pair (v, w), w nonzero, with m v = v + w and m w = w, or None.
 
@@ -198,23 +166,19 @@ def _translation_certificate(m: Matrix):
     """
     d = len(m.rows)
     a = [[m[i, j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-    kernel = _solve_rows([row[:] for row in a], d)
-    if not kernel:
+    fixed = kernel(a, d)
+    if not fixed:
         return None
     # w must also be a combination of columns of a: solve a v = w by
     # treating (v, coeffs of kernel basis) as unknowns of a v - K t = 0
-    cols = d + len(kernel)
-    stacked = []
-    for i in range(d):
-        row = [Fraction(x) for x in a[i]]
-        row += [-Fraction(k[i]) for k in kernel]
-        stacked.append(row)
-    for sol in _solve_rows(stacked, cols):
+    cols = d + len(fixed)
+    stacked = [a[i] + [-k[i] for k in fixed] for i in range(d)]
+    for sol in kernel(stacked, cols):
         coeffs = sol[d:]
         if all(c == 0 for c in coeffs):
             continue
         w = [
-            sum(c * k[i] for c, k in zip(coeffs, kernel))
+            sum(c * k[i] for c, k in zip(coeffs, fixed))
             for i in range(d)
         ]
         if any(x != 0 for x in w):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, _frac, scaled_ints
+from .linalg import Vector, _frac, closure, scaled_ints
 
 
 class RankMismatch(ValueError):
@@ -35,7 +35,9 @@ def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
     Returns (echelon, leftover): echelon rows have strictly increasing pivot
     columns with positive pivots and reduced entries above each pivot;
     leftover rows vanish on the first ncols columns (nonempty only if aug>0,
-    where rows carry aug extra bookkeeping columns on the right).
+    where rows carry aug extra bookkeeping columns on the right).  Unlike
+    linalg.echelon this eliminates over Z, by unimodular row operations,
+    which is what a lattice basis needs.
     """
     width = ncols + aug
     pool = [list(r) for r in mat if any(r)]
@@ -74,14 +76,6 @@ def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
     return rows, pool
 
 
-def _common_scale(vectors: Iterable[Vector]) -> int:
-    s = 1
-    for v in vectors:
-        for c in v.coords:
-            s = s * c.denominator // math.gcd(s, c.denominator)
-    return s
-
-
 class Lattice:
     """Discrete subgroup of Q^n, kept as a canonical echelon basis."""
 
@@ -92,8 +86,8 @@ class Lattice:
         for v in vecs:
             if v.dim != ambient:
                 raise RankMismatch(f"row of dim {v.dim} in ambient rank {ambient}")
-        s = _common_scale(vecs)
-        hnf, _ = _hnf_int([[int(c * s) for c in v.coords] for v in vecs], ambient)
+        s, ints = scaled_ints(vecs)
+        hnf, _ = _hnf_int(ints, ambient)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(
             self, "rows", tuple(Vector([Fraction(a, s) for a in r]) for r in hnf)
@@ -149,11 +143,10 @@ class Lattice:
         if not self.rows or not other.rows:
             return Lattice(self.ambient)
         stacked = list(self.rows) + list(other.rows)
-        s = _common_scale(stacked)
         m = len(stacked)
         aug = [
-            [int(c * s) for c in v.coords] + [1 if i == j else 0 for j in range(m)]
-            for i, v in enumerate(stacked)
+            row + [1 if i == j else 0 for j in range(m)]
+            for i, row in enumerate(scaled_ints(stacked)[1])
         ]
         _, kernel = _hnf_int(aug, self.ambient, aug=m)
         gens = []
@@ -172,20 +165,8 @@ class Lattice:
         """Representatives of this lattice modulo a finite-index sublattice."""
         if not sub.is_sublattice_of(self) or sub.rank != self.rank:
             raise ValueError("not a finite-index sublattice")
-        zero = Vector([0] * self.ambient)
-        reps = {sub.reduce(zero)}
-        frontier = list(reps)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in self.rows:
-                    w = sub.reduce(v + g)
-                    if w not in reps:
-                        reps.add(w)
-                        nxt.append(w)
-                        if len(reps) > cap:
-                            raise ValueError("quotient too large")
-            frontier = nxt
+        zero = sub.reduce(Vector([0] * self.ambient))
+        reps = closure([zero], self.rows, lambda v, g: sub.reduce(v + g), cap)
         return sorted(reps, key=lambda v: v.coords)
 
 
@@ -237,19 +218,9 @@ class Semilattice:
             frozenset(m0.reduce(c + g) for c in reduced) == reduced for g in m1.rows
         )
         if invariant:
-            start = {m1.reduce(c) for c in reduced}
-            closure = set(start)
-            frontier = list(start)
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for g in m0.rows:
-                        w = m1.reduce(v + g)
-                        if w not in closure:
-                            closure.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            modulus, final, canonical = m1, frozenset(closure), True
+            start = [m1.reduce(c) for c in reduced]
+            final = frozenset(closure(start, m0.rows, lambda v, g: m1.reduce(v + g)))
+            modulus, canonical = m1, True
         else:
             modulus, final, canonical = m0, reduced, False
         object.__setattr__(self, "ambient", ambient)
@@ -424,11 +395,6 @@ def sum_condition(a: Semilattice, b: Semilattice, k: int) -> bool:
     return all(a.contains(c + t) for c in a.cosets for t in shifts)
 
 
-def window(s: Semilattice, bound) -> list[Vector]:
-    """All members of S with max-norm at most bound, exactly."""
-    return s.window(bound)
-
-
 # ---------------------------------------------------------------------------
 # fast membership
 
@@ -467,25 +433,14 @@ def residue_table(s: Semilattice, cap: int = 4_000_000) -> ResidueTable | None:
     """Build a ResidueTable for S, or None if S is degenerate or too large."""
     if s.modulus.rank != s.ambient:
         return None
-    scale = _common_scale(list(s.modulus.rows) + list(s.cosets))
-    rows = [[int(c * scale) for c in r.coords] for r in s.modulus.rows]
+    k = len(s.modulus.rows)
+    scale, ints = scaled_ints(list(s.modulus.rows) + list(s.cosets))
+    rows = ints[:k]
     period = 1
     for i, r in enumerate(rows):
         period *= r[i]
     if s.coset_count * period ** (s.ambient - 1) > cap:
         return None
-    residues = set()
-    for c in s.cosets:
-        start = tuple(int(x * scale) % period for x in c.coords)
-        frontier = [start]
-        residues.add(start)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for r in rows:
-                    w = tuple((x + y) % period for x, y in zip(t, r))
-                    if w not in residues:
-                        residues.add(w)
-                        nxt.append(w)
-            frontier = nxt
+    starts = [tuple(x % period for x in c) for c in ints[k:]]
+    residues = closure(starts, rows, lambda t, r: tuple((x + y) % period for x, y in zip(t, r)), cap)
     return ResidueTable(s.ambient, scale, period, frozenset(residues))

@@ -25,7 +25,7 @@ updates on the integer kernel of linalg, and the windowed orbit search
 forms only the reflected members that stay in its box, on integers at one
 scale; certificates are re-checked against reflection_matrix, which does
 not use the kernel.  Finite orbits, finite generation and finite words run
-on root indices and root permutations (finite.closure).  Rank-one powers
+on root indices and root permutations (linalg.closure).  Rank-one powers
 are closed form; a rank-one form other than [1] is refused by the decider.
 """
 
@@ -37,12 +37,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import ConstraintViolation, EarsDescriptor, characterize, construct_ears
-from .finite import closure, closure_word, finite_weyl
+from .finite import finite_weyl
 from .linalg import (
     AmbientSpace,
     DimensionMismatch,
     Matrix,
     Vector,
+    closure,
+    closure_word,
     from_scaled,
     reflection_matrix,
     reflector,
@@ -88,7 +90,7 @@ def word_element(space: AmbientSpace, letters) -> GroupElement:
 class OrbitDescriptor:
     """Closed-form orbit of a vector under the extended affine Weyl group."""
 
-    __slots__ = ("space", "base", "dot_part", "finite_orbit", "translation_lattice")
+    __slots__ = ("space", "base", "dot_part", "finite_orbit", "translation_lattice", "_key")
 
     def __init__(self, space, base, dot_part, finite_orbit, translation_lattice):
         object.__setattr__(self, "space", space)
@@ -96,6 +98,14 @@ class OrbitDescriptor:
         object.__setattr__(self, "dot_part", dot_part)
         object.__setattr__(self, "finite_orbit", frozenset(finite_orbit))
         object.__setattr__(self, "translation_lattice", translation_lattice)
+        iso = Vector(space.iso_part(base))
+        if translation_lattice.rows:
+            iso = translation_lattice.reduce(iso)
+        object.__setattr__(self, "_key", (
+            tuple(sorted(d.coords for d in self.finite_orbit)),
+            tuple(r.coords for r in translation_lattice.rows),
+            iso.coords,
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitDescriptor is immutable")
@@ -103,17 +113,10 @@ class OrbitDescriptor:
     @property
     def base_offset(self) -> Vector:
         """Isotropic part shared by every orbit member, reduced mod T."""
-        iso = Vector(self.space.iso_part(self.base))
-        if self.translation_lattice.rows:
-            iso = self.translation_lattice.reduce(iso)
-        return iso
+        return Vector(self._key[2])
 
     def key(self):
-        return (
-            tuple(sorted(d.coords for d in self.finite_orbit)),
-            tuple(r.coords for r in self.translation_lattice.rows),
-            self.base_offset.coords,
-        )
+        return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitDescriptor):
@@ -248,6 +251,7 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
         for m in moves
     ]
     start = (0, ints([space.iso_part(alpha)])[0])
+    # not linalg.closure: each move yields all its images at once, from box_points
     seen = {start}
     frontier = [start]
     while frontier:
@@ -675,7 +679,8 @@ def _certificate_search(R, fams, target_root, depth, budget):
 
     Deterministic: generators sorted by root, frontier in insertion
     order, so the first hit is the lexicographically least among the
-    shortest certificates.
+    shortest certificates.  Not linalg.closure: the search is bounded by
+    depth and stops at the first hit.
     """
     space = R.space
     bound = max(2, int(target_root.max_norm()) + 2)

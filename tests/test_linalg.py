@@ -11,6 +11,7 @@ from ears.linalg import (
     Matrix,
     coroot,
     from_scaled,
+    kernel,
     preserves_form,
     reflect,
     reflection_matrix,
@@ -40,9 +41,9 @@ def test_vector_dimension_mismatch():
         vec(1, 2) + vec(1, 2, 3)
 
 
-def test_matrix_product_and_inverse():
+def test_matrix_product_and_transpose():
     m = Matrix([[1, 2], [0, 1]])
-    assert (m @ m.inverse()).is_identity()
+    assert m @ Matrix([[1, -2], [0, 1]]) == Matrix.identity(2)
     assert m * vec(3, 4) == vec(11, 4)
     assert m.transpose() == Matrix([[1, 0], [2, 1]])
 
@@ -185,6 +186,10 @@ SPAN_CASES = {
     "early stop": [vec(1, 0, 0, 0), vec(0, T, 0, 0), vec(1, 1, 0, 0), vec(3, 5, 0, 0)],
     # three coordinates used but rank 2: no early stop
     "no early stop": [vec(1, 0, 0), vec(0, 1, 1), vec(1, 1, 1), vec(2, -1, -1)],
+    # a later pivot clears entries of earlier pivot rows (back substitution)
+    "back substitution": [vec(1, 2, 3), vec(0, 0, 0), vec(0, 3, 4), vec(2, 7, 10)],
+    # every used column pivoted after two rows; the zero rows come after the stop
+    "early stop, zero rows": [vec(2, 1, 0), vec(1, 1, 0), vec(0, 0, 0), vec(5, 7, 0)],
 }
 
 
@@ -193,6 +198,66 @@ def test_span_rank_matches_fraction_elimination(name):
     vectors = SPAN_CASES[name]
     assert span_rank(vectors) == reference_span_rank(vectors)
     assert span_rank(iter(vectors)) == reference_span_rank(vectors)
+
+
+def reference_solve_rows(rows, width):
+    """Row-echelon kernel basis on Fractions: each vector is 1 at its free
+    column, 0 at the other free columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(width):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * width
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CASES))
+def test_kernel_matches_fraction_elimination(name):
+    rows = [list(v.coords) for v in SPAN_CASES[name]]
+    width = len(rows[0]) if rows else 3
+    got = kernel(rows, width)
+    assert got == reference_solve_rows(rows, width)
+    assert all(isinstance(x, Fraction) for v in got for x in v)
+    assert len(got) == width - span_rank(SPAN_CASES[name])
+
+
+def test_kernel_random_against_fraction_elimination():
+    rng = random.Random(12)
+    for _ in range(300):
+        width, n = rng.randint(1, 7), rng.randint(0, 7)
+        basis = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
+                 for _ in range(rng.randint(1, width))]
+        rows = []
+        for _ in range(n):  # combinations of a few rows, so ranks fall short
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(width)])
+        want = reference_solve_rows(rows, width)
+        assert kernel(rows, width) == want, rows
+        for v in want:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
 def test_span_rank_random_against_fraction_elimination():

@@ -1,5 +1,8 @@
 """Words, parity, Coxeter order, presentation decisions, rewriting."""
 
+import hashlib
+import random
+
 import pytest
 
 from ears.core import construct_ears
@@ -84,6 +87,24 @@ def test_coxeter_order_infinite(nullity2, pair):
         # some power translates v by a fixed nonzero w, so no power is 1
         assert witnessed
         assert not w.is_zero()
+
+
+# SHA-256 of the newline-joined reprs in the test below: orders and Infinite
+# certificates must stay the same, vector for vector
+COXETER_PIN = "ad5620149a88ccbcb383757864da25123e9ef58b523e7f17eaaf1e6ac1d96ad2"
+
+
+def test_coxeter_order_pinned_on_seeded_pairs(suite):
+    rng = random.Random(2006)
+    reprs = []
+    for name in sorted(suite):
+        R = suite[name]
+        roots = R.anisotropic_window(2)
+        for _ in range(6):
+            a, b = rng.choice(roots), rng.choice(roots)
+            reprs.append(repr(coxeter_order(R.space, a, b)))
+    assert sum(r.startswith("Infinite(") for r in reprs) == 57
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == COXETER_PIN
 
 
 def test_parity_zero_on_relations(nullity2):

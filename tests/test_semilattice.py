@@ -5,7 +5,13 @@ from itertools import product
 import pytest
 
 from ears.linalg import vec
-from ears.semilattice import Lattice, RankMismatch, Semilattice, verify_semilattice
+from ears.semilattice import (
+    Lattice,
+    RankMismatch,
+    Semilattice,
+    residue_table,
+    verify_semilattice,
+)
 from ears.examples import integer_lattice, product_even_semilattice
 
 
@@ -30,6 +36,9 @@ def test_lattice_quotient_reps():
     small = Lattice(2, [[2, 0], [0, 2]])
     reps = big.quotient_reps(small)
     assert len(reps) == 4
+    assert len(big.quotient_reps(big.scaled(4), cap=16)) == 16
+    with pytest.raises(RuntimeError):
+        big.quotient_reps(big.scaled(4), cap=8)
 
 
 def test_constructor_doubles_the_basis():
@@ -116,6 +125,84 @@ def test_window_is_sorted_and_complete(suite):
     ]
     for label, sl, bound in cases:
         assert sl.window(bound) == _grid_window(sl, bound), label
+
+
+def reference_quotient_reps(lat, sub):
+    """Representatives of lat modulo sub by a breadth-first loop."""
+    reps = {sub.reduce(vec(*[0] * lat.ambient))}
+    frontier = list(reps)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in lat.rows:
+                w = sub.reduce(v + g)
+                if w not in reps:
+                    reps.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(reps, key=lambda v: v.coords)
+
+
+def reference_cosets(m0, cvecs):
+    """Cosets of cvecs + m0 modulo 2<S> by a breadth-first loop over m0's
+    rows, or modulo m0 as given when 2<S> does not permute them."""
+    m1 = Lattice(m0.ambient, list(m0.rows) + cvecs).scaled(2)
+    reduced = frozenset(m0.reduce(c) for c in cvecs)
+    if not all(frozenset(m0.reduce(c + g) for c in reduced) == reduced for g in m1.rows):
+        return reduced
+    seen = {m1.reduce(c) for c in reduced}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in m0.rows:
+                w = m1.reduce(v + g)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def reference_residues(s):
+    """(scale, period, residues) of a residue table, with the scale taken
+    coordinate by coordinate and a breadth-first loop per coset."""
+    scale = 1
+    for v in (*s.modulus.rows, *s.cosets):
+        for c in v.coords:
+            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    rows = [[int(c * scale) for c in r.coords] for r in s.modulus.rows]
+    period = math.prod(r[i] for i, r in enumerate(rows))
+    residues = set()
+    for c in s.cosets:
+        start = tuple(int(x * scale) % period for x in c.coords)
+        frontier = [start]
+        residues.add(start)
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for r in rows:
+                    w = tuple((x + y) % period for x, y in zip(t, r))
+                    if w not in residues:
+                        residues.add(w)
+                        nxt.append(w)
+            frontier = nxt
+    return scale, period, frozenset(residues)
+
+
+def test_closures_match_breadth_first_loops(suite):
+    for name, R in sorted(suite.items()):
+        for tag, sl in sorted(dict(R.translations, isotropic=R.isotropic).items()):
+            label = f"{name} {tag}"
+            lat = sl.lattice
+            for sub in (sl.modulus, lat.scaled(4)):
+                assert lat.quotient_reps(sub) == reference_quotient_reps(lat, sub), label
+            doubled = [c * 2 for c in sl.cosets]
+            for m0, cvecs in ((sl.modulus, list(sl.cosets)), (lat.scaled(2), doubled)):
+                got = Semilattice.from_cosets(cvecs, m0).cosets
+                assert got == reference_cosets(m0, cvecs), label
+            table = residue_table(sl)
+            assert (table.scale, table.period, table.residues) == reference_residues(sl), label
 
 
 def test_rank_mismatch_rejected():
