@@ -19,9 +19,11 @@ A FiniteRootSystem builds integer tables once, from its roots and form
 scaled to integers: root order and index, Cartan integers, squared lengths
 and each reflection as a permutation of the roots.  cartan_int and reflect
 read them for two roots and use the form otherwise (reflection_matrix
-passes basis vectors).  Root closures, orbits and generation run on
-integers through linalg.closure, the package's one BFS helper (imported
-here as finite.closure too); finite_weyl keeps Fraction matrices.
+passes basis vectors).  Root closures and orbits run on integers through
+linalg.closure (imported here as finite.closure too); reflection_closure,
+on root permutations, is the one generation test, here and in weyl.
+finite_weyl keeps Fraction matrices.  weyl labels what an orbit removal
+leaves with _classify_subset.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import matmul, mul
 
-from .linalg import BilinearForm, Matrix, Vector, closure, line_key, scaled_ints, span_rank
-
-SIMPLY_LACED = ("A", "D", "E")
+from .linalg import BilinearForm, Matrix, Vector, closure, scaled_ints, span_rank
 
 
 class InvalidRank(ValueError):
@@ -107,13 +107,6 @@ class FiniteRootSystem:
             cols.append(self.reflect(alpha, e).coords)
         return Matrix(list(zip(*cols)))
 
-    def is_simply_laced(self) -> bool:
-        return self.type_symbol in SIMPLY_LACED or self.label == "A1"
-
-
-def _unit(n: int, i: int, s: int = 1) -> Vector:
-    return Vector([s if j == i else 0 for j in range(n)])
-
 
 def _scaled_with_gram(vectors, form: BilinearForm):
     """Common denominator, the vectors scaled to ints, and G times each of
@@ -139,106 +132,67 @@ def _closure_from_simples(simples: list[Vector], form: BilinearForm) -> frozense
     return frozenset(Vector(Fraction(x, d) for x in v) for v in closure(starts, refl, act))
 
 
-def _cartan_gram(rows: list[list[int]]) -> BilinearForm:
-    return BilinearForm(Matrix(rows))
+# E6 and E7 take the leading 6x6 and 7x7 blocks
+_E8_CARTAN = [
+    [2, 0, -1, 0, 0, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0, 0, 0],
+    [-1, 0, 2, -1, 0, 0, 0, 0],
+    [0, -1, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, 0],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, 0, 0, -1, 2],
+]
 
 
-_E_CARTAN = {
-    6: [
-        [2, 0, -1, 0, 0, 0],
-        [0, 2, 0, -1, 0, 0],
-        [-1, 0, 2, -1, 0, 0],
-        [0, -1, -1, 2, -1, 0],
-        [0, 0, 0, -1, 2, -1],
-        [0, 0, 0, 0, -1, 2],
-    ],
-    7: [
-        [2, 0, -1, 0, 0, 0, 0],
-        [0, 2, 0, -1, 0, 0, 0],
-        [-1, 0, 2, -1, 0, 0, 0],
-        [0, -1, -1, 2, -1, 0, 0],
-        [0, 0, 0, -1, 2, -1, 0],
-        [0, 0, 0, 0, -1, 2, -1],
-        [0, 0, 0, 0, 0, -1, 2],
-    ],
-    8: [
-        [2, 0, -1, 0, 0, 0, 0, 0],
-        [0, 2, 0, -1, 0, 0, 0, 0],
-        [-1, 0, 2, -1, 0, 0, 0, 0],
-        [0, -1, -1, 2, -1, 0, 0, 0],
-        [0, 0, 0, -1, 2, -1, 0, 0],
-        [0, 0, 0, 0, -1, 2, -1, 0],
-        [0, 0, 0, 0, 0, -1, 2, -1],
-        [0, 0, 0, 0, 0, 0, -1, 2],
-    ],
-}
+def _realization(type_symbol: str, rank: int) -> tuple[BilinearForm, list[Vector]]:
+    """Form and simple roots of the standard realization of a type."""
+    t = type_symbol.upper()
+    dot = BilinearForm(Matrix.identity(rank))
+    units = [Vector(row) for row in dot.gram.rows]
+    chain = [units[i] - units[i + 1] for i in range(rank - 1)]
+    if t == "A":
+        if rank < 1:
+            raise InvalidRank("A_l needs l >= 1")
+        gram = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)] for i in range(rank)]
+        return BilinearForm(Matrix([[1]] if rank == 1 else gram)), units
+    if t in ("B", "BC"):  # BC adds the doubles of the short roots later
+        least = 2 if t == "B" else 1
+        if rank < least:
+            raise InvalidRank(f"{t}_l needs l >= {least}")
+        return dot, chain + [units[-1]]
+    if t == "C":
+        if rank < 3:
+            raise InvalidRank("C_l needs l >= 3")
+        return dot, chain + [units[-1] * 2]
+    if t == "D":
+        if rank < 4:
+            raise InvalidRank("D_l needs l >= 4")
+        return dot, chain + [units[-2] + units[-1]]
+    if t == "E":
+        if rank not in (6, 7, 8):
+            raise InvalidRank("E_l needs l in {6,7,8}")
+        return BilinearForm(Matrix([row[:rank] for row in _E8_CARTAN[:rank]])), units
+    if t == "F":
+        if rank != 4:
+            raise InvalidRank("F4 has rank 4")
+        return BilinearForm(Matrix([[4, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, -1], [0, 0, -1, 2]])), units
+    if t == "G":
+        if rank != 2:
+            raise InvalidRank("G2 has rank 2")
+        return BilinearForm(Matrix([[2, -3], [-3, 6]])), units
+    raise InvalidRank(f"unknown type symbol {type_symbol!r}")
 
 
 def build_finite(type_symbol: str, rank: int) -> FiniteRootSystem:
     """Standard realization of an irreducible finite root system."""
     t = type_symbol.upper()
-    if t == "A":
-        if rank < 1:
-            raise InvalidRank("A_l needs l >= 1")
-        if rank == 1:
-            form = BilinearForm(Matrix([[1]]))
-            roots = frozenset({_unit(1, 0, 1), _unit(1, 0, -1)})
-            return FiniteRootSystem("A", 1, roots, form, (_unit(1, 0),))
-        gram = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)] for i in range(rank)]
-        form = _cartan_gram(gram)
-        simples = [_unit(rank, i) for i in range(rank)]
-        return FiniteRootSystem("A", rank, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "B":
-        if rank < 2:
-            raise InvalidRank("B_l needs l >= 2")
-        form = BilinearForm(Matrix.identity(rank))
-        simples = [_unit(rank, i) - _unit(rank, i + 1) for i in range(rank - 1)] + [_unit(rank, rank - 1)]
-        return FiniteRootSystem("B", rank, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "C":
-        if rank < 3:
-            raise InvalidRank("C_l needs l >= 3")
-        form = BilinearForm(Matrix.identity(rank))
-        simples = [_unit(rank, i) - _unit(rank, i + 1) for i in range(rank - 1)] + [_unit(rank, rank - 1, 2)]
-        return FiniteRootSystem("C", rank, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "D":
-        if rank < 4:
-            raise InvalidRank("D_l needs l >= 4")
-        form = BilinearForm(Matrix.identity(rank))
-        simples = [_unit(rank, i) - _unit(rank, i + 1) for i in range(rank - 1)]
-        simples.append(_unit(rank, rank - 2) + _unit(rank, rank - 1))
-        return FiniteRootSystem("D", rank, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "E":
-        if rank not in (6, 7, 8):
-            raise InvalidRank("E_l needs l in {6,7,8}")
-        form = _cartan_gram(_E_CARTAN[rank])
-        simples = [_unit(rank, i) for i in range(rank)]
-        return FiniteRootSystem("E", rank, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "F":
-        if rank != 4:
-            raise InvalidRank("F4 has rank 4")
-        form = _cartan_gram([[4, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, -1], [0, 0, -1, 2]])
-        simples = [_unit(4, i) for i in range(4)]
-        return FiniteRootSystem("F", 4, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "G":
-        if rank != 2:
-            raise InvalidRank("G2 has rank 2")
-        form = _cartan_gram([[2, -3], [-3, 6]])
-        simples = [_unit(2, 0), _unit(2, 1)]
-        return FiniteRootSystem("G", 2, _closure_from_simples(simples, form), form, tuple(simples))
-    if t == "BC":
-        if rank < 1:
-            raise InvalidRank("BC_l needs l >= 1")
-        form = BilinearForm(Matrix.identity(rank))
-        if rank == 1:
-            base = frozenset({_unit(1, 0, 1), _unit(1, 0, -1)})
-            simples = (_unit(1, 0),)
-        else:
-            b = build_finite("B", rank)
-            base, simples = b.roots, b.fundamental
-        short_len = min(form.evaluate(r, r) for r in base)
-        doubles = {r * 2 for r in base if form.evaluate(r, r) == short_len}
-        return FiniteRootSystem("BC", rank, frozenset(base) | doubles, form, tuple(simples))
-    raise InvalidRank(f"unknown type symbol {type_symbol!r}")
+    form, simples = _realization(type_symbol, rank)
+    roots = _closure_from_simples(simples, form)
+    if t == "BC":  # B_l plus the doubles of its short roots
+        short = min(form.evaluate(r, r) for r in roots)
+        roots |= {r * 2 for r in roots if form.evaluate(r, r) == short}
+    return FiniteRootSystem(t, rank, roots, form, tuple(simples))
 
 
 def _connected(nodes, adjacent) -> bool:
@@ -249,24 +203,19 @@ def _connected(nodes, adjacent) -> bool:
     return len(reached) == len(nodes)
 
 
-def _require_irreducible(system: FiniteRootSystem) -> None:
-    cartan = system.cartan
-    if not cartan:
-        raise NotIrreducible("empty root set")
-    if not _connected(range(len(cartan)), lambda i, j: cartan[i][j]):
-        raise NotIrreducible(f"{system.label}: root set splits into orthogonal parts")
-
-
 def length_classes(system: FiniteRootSystem) -> tuple[frozenset[Vector], frozenset[Vector], frozenset[Vector]]:
     """Partition the nonzero roots as (short, long, extra-long).
 
     Extra-long roots are the ones whose half is again a root; among the rest,
     short is the smaller length, long the other (empty when simply laced).
     """
-    _require_irreducible(system)
-    ordered, norms = system.ordered, system.norms
+    ordered, norms, cartan = system.ordered, system.norms, system.cartan
+    if not cartan:
+        raise NotIrreducible("empty root set")
+    if not _connected(range(len(cartan)), lambda i, j: cartan[i][j]):
+        raise NotIrreducible(f"{system.label}: root set splits into orthogonal parts")
     # with integral Cartan integers, <a, b^vee> = 4 exactly when a = 2b
-    halves = {i for i, row in enumerate(system.cartan) if 4 in row}
+    halves = {i for i, row in enumerate(cartan) if 4 in row}
     rest = [i for i in range(len(ordered)) if i not in halves]
     lengths = sorted({norms[i] for i in rest})
     if len(lengths) > 2:
@@ -286,19 +235,28 @@ class FiniteWeylGroup:
         return len(self.elements)
 
 
-def _matrix_closure(generators: list[Matrix], dim: int, budget: int = 2_000_000) -> frozenset[Matrix]:
-    """Closure of a finite matrix set under multiplication (BFS)."""
-    return frozenset(closure([Matrix.identity(dim)], generators, matmul, budget))
-
-
 def finite_weyl(system: FiniteRootSystem) -> FiniteWeylGroup:
     """The full finite Weyl group as an explicit matrix set."""
     gens = tuple(system.reflection_matrix(s) for s in system.fundamental)
-    return FiniteWeylGroup(_matrix_closure(list(gens), system.rank), gens)
+    return FiniteWeylGroup(frozenset(closure([Matrix.identity(system.rank)], gens, matmul)), gens)
+
+
+def reflection_closure(system: FiniteRootSystem, roots) -> tuple[dict, dict]:
+    """The reflections in the given roots as permutations of system.ordered,
+    each mapped to the first of the roots that gives it (r and -r give one),
+    and the closure tree of the group they generate; W acts faithfully on
+    its roots, so the tree's states are the group's elements."""
+    letters = {}
+    for d in roots:
+        letters.setdefault(system.perms[system.index[d]], d)
+    identity = tuple(range(len(system.ordered)))
+    return letters, closure([identity], letters, lambda t, p: tuple(map(t.__getitem__, p)))
 
 
 def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> str:
     """Type label of a (sub-)root system given by a subset of system.roots."""
+    if not roots:
+        raise NotIrreducible("empty root set")
     halves = {r for r in roots if r * Fraction(1, 2) in roots}
     rest = roots - halves
     lengths = sorted({system.norms[system.index[r]] for r in rest})
@@ -338,18 +296,12 @@ def invariant_generating_subsets(system: FiniteRootSystem) -> list[tuple[str, fr
     the group on the roots); each generating one is returned with its type
     label, the full set first, then by decreasing size.
     """
-    _require_irreducible(system)
-    sh, lg, ex = length_classes(system)
-    classes = [c for c in (sh, lg, ex) if c]
-    full = finite_weyl(system).elements
+    classes = [c for c in length_classes(system) if c]
+    order = finite_weyl(system).order
     found: list[tuple[str, frozenset[Vector]]] = []
     for mask in range(1, 1 << len(classes)):
         subset = frozenset().union(*(classes[i] for i in range(len(classes)) if mask >> i & 1))
-        lines = {}
-        for r in subset:
-            lines.setdefault(line_key(r), r)
-        gens = [system.reflection_matrix(r) for r in lines.values()]
-        if _matrix_closure(gens, system.rank) == full:
+        if len(reflection_closure(system, subset)[1]) == order:
             found.append((_classify_subset(system, subset), subset))
     found.sort(key=lambda pair: (-len(pair[1]), pair[0]))
     return found

@@ -24,9 +24,12 @@ Words and the certificate search multiply by reflections as rank-one
 updates on the integer kernel of linalg, and the windowed orbit search
 forms only the reflected members that stay in its box, on integers at one
 scale; certificates are re-checked against reflection_matrix, which does
-not use the kernel.  Finite orbits, finite generation and finite words run
-on root indices and root permutations (linalg.closure).  Rank-one powers
-are closed form; a rank-one form other than [1] is refused by the decider.
+not use the kernel.  Finite orbits run on root indices (linalg.closure);
+finite generation and finite words on root permutations
+(finite.reflection_closure).  Rank-one powers are closed form; a rank-one
+form other than [1] is refused by the decider.  Extraction reads the label
+of what a removal leaves off the remaining roots (finite._classify_subset)
+and accepts it only when the label's standard realization matches them.
 """
 
 from __future__ import annotations
@@ -36,8 +39,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import ConstraintViolation, EarsDescriptor, characterize, construct_ears
-from .finite import finite_weyl
+from .core import (
+    _CLASS_TAGS,
+    ConstraintViolation,
+    EarsDescriptor,
+    _as_finite,
+    characterize,
+    construct_ears,
+)
+from .finite import (
+    InvalidRank,
+    NotIrreducible,
+    _classify_subset,
+    finite_weyl,
+    length_classes,
+    reflection_closure,
+)
 from .linalg import (
     AmbientSpace,
     DimensionMismatch,
@@ -64,9 +81,6 @@ class NotAnOrbit(ValueError):
 
 class Stuck(RuntimeError):
     """Extraction hit an orbit whose removability could not be decided."""
-
-
-_TAGS = ("short", "long", "extra")
 
 
 @dataclass(frozen=True)
@@ -418,6 +432,12 @@ class _CarrierReducer:
         return element
 
 
+def _offsets(nu: int, rows):
+    """0, the rows, then the sums of pairs of rows: the translations whose
+    reflections stand for all of a rank-one family."""
+    return [Vector([0] * nu), *rows, *(a + b for a, b in combinations(rows, 2))]
+
+
 class _Rank1Decider:
     """Exact subgroup membership for reflections of a rank-one system.
 
@@ -438,12 +458,9 @@ class _Rank1Decider:
         for x, sl in families:
             if sl is None:
                 continue
-            offsets = [Vector([0] * self.nu)]
-            offsets += list(sl.modulus.rows)
-            offsets += [a + b for a, b in combinations(sl.modulus.rows, 2)]
             dot = Vector([x])
             for c in sorted(sl.cosets, key=lambda v: v.coords):
-                for off in offsets:
+                for off in _offsets(self.nu, sl.modulus.rows):
                     roots.append(space.assemble(c + off, dot))
         roots.sort(key=lambda v: v.coords)
         if not roots:
@@ -490,9 +507,6 @@ class _Rank1Decider:
         assert word[0] == root
         return tuple(reversed(word[1:]))
 
-    def has_reflection(self, root: Vector) -> bool:
-        return self.reflection_word(root) is not None
-
 
 # -- generation verdicts -----------------------------------------------------
 
@@ -531,7 +545,7 @@ class Unknown:
 def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
     """All reflection-group orbits on the anisotropic roots, deterministic."""
     out = []
-    for tag in _TAGS:
+    for tag in _CLASS_TAGS:
         sl = R.translations.get(tag)
         if sl is None:
             continue
@@ -587,17 +601,11 @@ def _validate_orbit(R: EarsDescriptor, orbit: OrbitDescriptor):
 
 
 def _finite_closure(R: EarsDescriptor, fams):
-    """The reflections of the remaining directions as root permutations,
-    each mapped to its first direction (class order, then by root), and the
-    closure tree of the group they generate; W_fin acts faithfully on the
-    roots, so this is the group itself."""
-    finite = R.finite_part
-    letters = {}
-    for tag, sl in fams.items():
-        for d in sorted(R.dot_classes[tag], key=lambda v: v.coords) if sl is not None else ():
-            letters.setdefault(finite.perms[finite.index[d]], d)
-    identity = tuple(range(len(finite.ordered)))
-    return letters, closure([identity], letters, lambda t, p: tuple(map(t.__getitem__, p)))
+    """finite.reflection_closure of the remaining directions, in class
+    order, then by root."""
+    dots = [d for tag, sl in fams.items() if sl is not None
+            for d in sorted(R.dot_classes[tag], key=lambda v: v.coords)]
+    return reflection_closure(R.finite_part, dots)
 
 
 def _finite_generation(R: EarsDescriptor, fams) -> bool:
@@ -636,12 +644,8 @@ def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
         families.append((coeff, sl))
     families.sort(key=lambda p: p[0])
     decider = _Rank1Decider(space, families)
-    t_rows = orbit.translation_lattice.rows
-    offsets = [Vector([0] * space.nu)]
-    offsets += list(t_rows)
-    offsets += [a + b for a, b in combinations(t_rows, 2)]
     certificate = None
-    for off in offsets:
+    for off in _offsets(space.nu, orbit.translation_lattice.rows):
         root = space.assemble(sigma0 + off, dot)
         word = decider.reflection_word(root)
         if word is None:
@@ -661,19 +665,6 @@ def _check_certificate(space, base, word):
         raise AssertionError("certificate failed re-verification")
 
 
-def _rebuild(R: EarsDescriptor, fams):
-    """Reconstruct the remaining roots as a descriptor with the same class
-    pattern, or raise ConstraintViolation when they are not a root system."""
-    if any(sl is None for sl in fams.values()):
-        raise ConstraintViolation("a whole length class was removed")
-    return construct_ears(
-        R.finite_part,
-        fams["short"],
-        long=fams.get("long"),
-        extra=fams.get("extra"),
-    )
-
-
 def _certificate_search(R, fams, target_root, depth, budget):
     """Breadth-first word search over remaining-root reflections.
 
@@ -685,7 +676,7 @@ def _certificate_search(R, fams, target_root, depth, budget):
     space = R.space
     bound = max(2, int(target_root.max_norm()) + 2)
     gens = []
-    for tag in _TAGS:
+    for tag in _CLASS_TAGS:
         sl = fams.get(tag)
         if sl is None or tag not in R.dot_classes:
             continue
@@ -738,8 +729,8 @@ def generation_check(
         return _rank1_decision(R, removed_orbit, fams)
     if any(sl is None for sl in fams.values()):
         return Inconclusive(depth)
-    try:
-        sub = _rebuild(R, fams)
+    try:  # every class is left, so the remaining roots keep R's class pattern
+        sub = construct_ears(finite, fams["short"], long=fams.get("long"), extra=fams.get("extra"))
     except ConstraintViolation as exc:
         return NotGenerates(
             f"the remaining roots are not a root system ({exc}), so the "
@@ -790,16 +781,12 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
     """
     order = {"extra": 0, "long": 1, "short": 2}
 
-    def tag_of(ob):
-        for tag, dots in R.dot_classes.items():
-            if ob.dot_part in dots:
-                return tag
-        raise NotAnOrbit(f"{ob.dot_part} is not a root direction")
-
     def key(ob):
+        tag = R.class_of_dot(ob.dot_part)
+        if tag is None:
+            raise NotAnOrbit(f"{ob.dot_part} is not a root direction")
         off = ob.base_offset.coords
-        return (order[tag_of(ob)], -sum(c * c for c in off),
-                tuple(-c for c in off))
+        return (order[tag], -sum(c * c for c in off), tuple(-c for c in off))
 
     return sorted(anisotropic_orbits(R), key=key)
 
@@ -820,28 +807,31 @@ def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
 
 
 def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:
-    """Label and class mapping for the descriptor left after a removal."""
-    base = R.finite_part.label
-    letter = "BC" if base.startswith("BC") else base[0]
-    rank = R.finite_part.rank
-    left = [tag for tag in _TAGS if fams.get(tag) is not None]
-    present = [tag for tag in _TAGS if tag in R.translations]
-    if left == present:
-        return base, {
-            "short": fams.get("short"), "long": fams.get("long"),
-            "extra": fams.get("extra"),
-        }
-    if letter == "BC" and left == ["short"] and rank == 1:
-        return "A1", {"short": fams["short"], "long": None, "extra": None}
-    if letter == "BC" and left == ["short", "long"]:
-        return f"B{rank}", {"short": fams["short"], "long": fams["long"], "extra": None}
-    if letter == "BC" and left == ["long", "extra"] and rank >= 3:
-        # the long/extra directions are exactly a C-type system
-        return f"C{rank}", {"short": fams["long"], "long": fams["extra"], "extra": None}
-    raise Stuck(
-        f"removal leaves classes {left} of a {base} system, which has no "
-        "descriptor normal form"
-    )
+    """Label and class mapping for the descriptor left after a removal.
+
+    The label is read off the remaining roots (finite._classify_subset).
+    It is accepted when its standard realization has the form of R's finite
+    part and its non-empty length classes are exactly the remaining dot
+    classes; each new class takes the translation set of the class it
+    equals.  Anything else raises Stuck.
+    """
+    finite = R.finite_part
+    left = {R.dot_classes[tag]: tag for tag in _CLASS_TAGS if fams.get(tag) is not None}
+    try:
+        label = _classify_subset(finite, frozenset().union(*left))
+        new = _as_finite(label)
+    except (InvalidRank, NotIrreducible) as exc:
+        raise Stuck(
+            f"removal leaves classes {list(left.values())} of a {finite.label} "
+            f"system, which are not an irreducible root system: {exc}"
+        ) from exc
+    classes = length_classes(new)
+    if new.form != finite.form or {c for c in classes if c} != set(left):
+        raise Stuck(
+            f"removal leaves classes {list(left.values())} of a {finite.label} "
+            f"system, which the standard {label} realization does not match"
+        )
+    return label, {tag: fams[left[c]] if c else None for tag, c in zip(_CLASS_TAGS, classes)}
 
 
 def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) -> EarsDescriptor:
@@ -886,7 +876,6 @@ def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) 
             )
         except ConstraintViolation as exc:
             raise Stuck(f"remaining roots have no descriptor form: {exc}")
-        _check_type_change(current.finite_part.label, sub.finite_part.label)
         report = characterize(sub.anisotropic_window(3), sub.space)
         if not report.ok:
             raise Stuck(f"removal produced an invalid system: {report.checks}")
@@ -913,23 +902,3 @@ def _recenter(R: EarsDescriptor, fams):
         translated = not any(sl.modulus.contains(c) for c in moved)
         out[tag] = Semilattice.from_cosets(moved, sl.modulus, translated)
     return out
-
-
-def _check_type_change(old: str, new: str):
-    if old == new:
-        return
-    old_letter = "BC" if old.startswith("BC") else old[0]
-    new_letter = "BC" if new.startswith("BC") else new[0]
-    old_rank = int(old[len(old_letter):])
-    new_rank = int(new[len(new_letter):])
-    allowed = (
-        old_letter == "BC"
-        and old_rank == new_rank
-        and (
-            (new_letter == "A" and old_rank == 1)
-            or (new_letter == "B" and old_rank >= 2)
-            or (new_letter == "C" and old_rank >= 3)
-        )
-    )
-    if not allowed:
-        raise Stuck(f"type change {old} -> {new} is not in the allowed list")

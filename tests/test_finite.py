@@ -102,20 +102,21 @@ def test_invariant_generating_subsets(sym, rank):
 def test_invariant_generating_subsets_one_generator_per_line(sym, rank, monkeypatch):
     # r and -r give the same reflection, so each line enters the closure once
     calls = []
-    closure = finite._matrix_closure
+    reflection_closure = finite.reflection_closure
 
-    def spy(gens, dim, *args):
-        calls.append(gens)
-        return closure(gens, dim, *args)
+    def spy(system, roots):
+        letters, tree = reflection_closure(system, roots)
+        calls.append(list(letters.values()))
+        return letters, tree
 
-    monkeypatch.setattr(finite, "_matrix_closure", spy)
+    monkeypatch.setattr(finite, "reflection_closure", spy)
     system = build_finite(sym, rank)
     subs = invariant_generating_subsets(system)
     assert [t for t, _ in subs] == INVARIANT_SUBSETS[(sym, rank)]
     lines = {line_key(r) for r in system.roots}
     assert max(len(gens) for gens in calls) == len(lines)
     for gens in calls:
-        assert len(set(gens)) == len(gens)
+        assert len({line_key(r) for r in gens}) == len(gens)
 
 
 def test_bc1_subset_members():

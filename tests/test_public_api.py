@@ -1,0 +1,39 @@
+"""The names ears/__init__.py imports are the package's public surface."""
+
+import ast
+from pathlib import Path
+
+import ears
+
+PUBLIC = [
+    "AmbientSpace", "AxiomReport", "CharacterizeReport", "ConstraintViolation",
+    "DimensionMismatch", "EarsDescriptor", "FiniteRootSystem", "FiniteWeylGroup",
+    "Generates", "GeneratorWord", "GroupElement", "Inconclusive", "Infinite",
+    "InvalidRank", "IsotropicRoot", "Lattice", "Matrix", "Minimal", "No",
+    "NoneFound", "NotARelation", "NotAnOrbit", "NotBCType", "NotGenerates",
+    "NotMinimal", "NotOverFinitePart", "Obstruction", "OrbitDescriptor",
+    "ParityVector", "RankMismatch", "Semilattice", "Stuck", "Undetermined",
+    "Unknown", "UnknownRoot", "Vector", "WrongArity", "Yes",
+    "anisotropic_orbits", "build_finite", "characterize",
+    "conjugation_obstruction", "conjugation_relation", "conjugation_rewrite",
+    "construct_ears", "coroot", "coxeter_order", "coxeter_presentation_decision",
+    "descriptor_from_config", "descriptor_to_config", "evaluate",
+    "extract_minimal", "finite_weyl", "generation_check",
+    "invariant_generating_subsets", "irc", "irc_window", "is_root",
+    "length_classes", "line_relation", "minimality", "orbit_bfs",
+    "orbit_closed_form", "orbit_id", "parity", "preserves_form", "reflect",
+    "reflection_matrix", "square_relation", "trim", "vec", "verify_axioms",
+    "verify_semilattice", "witness_word", "word_element",
+]
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse(Path(ears.__file__).read_text())
+    names = sorted(
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    assert names == PUBLIC
+    for name in names:
+        assert hasattr(ears, name), name

@@ -29,6 +29,7 @@ from ears.weyl import (
     NotGenerates,
     NotMinimal,
     NotOverFinitePart,
+    Stuck,
     anisotropic_orbits,
     extract_minimal,
     generation_check,
@@ -40,9 +41,18 @@ from ears.weyl import (
     _Rank1Decider,
     _finite_word,
     _remaining_translations,
+    _removal_label,
 )
 
-from ears.examples import orbit_oracle_cases, product_even_semilattice, removable_root
+from ears.examples import (
+    acceptance_suite,
+    even_system,
+    integer_lattice,
+    odd_translated,
+    orbit_oracle_cases,
+    product_even_semilattice,
+    removable_root,
+)
 
 GAMMA = removable_root()
 PRODUCT_EVEN3 = product_even_semilattice(3)
@@ -332,6 +342,76 @@ def test_bc1_nothing_removable(bc1_shifted):
     for ob in anisotropic_orbits(bc1_shifted):
         assert isinstance(generation_check(bc1_shifted, ob), NotGenerates)
     assert extract_minimal(bc1_shifted) == bc1_shifted
+
+
+def bc1_nu3():
+    """BC1 over the product-even semilattice of Z^3, extra (2,2,2) + 4Z^3."""
+    extra = Semilattice.from_cosets(
+        [[2, 2, 2]], Lattice(3, [[4, 0, 0], [0, 4, 0], [0, 0, 4]]), translated=True
+    )
+    return construct_ears("BC1", PRODUCT_EVEN3, extra=extra)
+
+
+def removal_label_systems() -> dict:
+    """The suite, one nullity-one system per type below, and BC1 nu3."""
+    z1 = integer_lattice(1)
+    systems = dict(acceptance_suite())
+    for label in ("BC1", "BC2", "BC3", "B3", "C3", "F4", "G2", "D4", "A3"):
+        if label.startswith("BC"):
+            R = construct_ears(label, z1, None if label == "BC1" else z1, odd_translated(1))
+        elif label[0] in "AD":
+            R = construct_ears(label, z1)
+        else:
+            R = construct_ears(label, z1, z1)
+        systems[f"{label} nu1"] = R
+    systems["BC1 nu3"] = bc1_nu3()
+    return systems
+
+
+# class subsets whose remaining roots take a new label, with the old class
+# each new class comes from; a system keeping every class keeps its label
+# and classes, and every other subset (the empty one too) is Stuck
+RELABELS = {
+    ("BC1 nu1", ("short",)): ("A1", {"short": "short"}),
+    ("BC1 nu2 shifted", ("short",)): ("A1", {"short": "short"}),
+    ("BC1 nu3", ("short",)): ("A1", {"short": "short"}),
+    ("BC2 nu1", ("short", "long")): ("B2", {"short": "short", "long": "long"}),
+    ("BC3 nu1", ("short", "long")): ("B3", {"short": "short", "long": "long"}),
+    ("BC3 nu1", ("long", "extra")): ("C3", {"short": "long", "long": "extra"}),
+}
+
+
+def test_removal_label_table():
+    seen = set()
+    for name, R in removal_label_systems().items():
+        tags = list(R.translations)
+        for mask in range(1 << len(tags)):
+            kept = tuple(t for i, t in enumerate(tags) if mask >> i & 1)
+            fams = {t: (t if t in kept else None) for t in tags}
+            if kept == tuple(tags):
+                want = (R.finite_part.label, {t: t for t in tags})
+            else:
+                want = RELABELS.get((name, kept))
+            if want is None:
+                with pytest.raises(Stuck):
+                    _removal_label(R, fams)
+                continue
+            seen.add((name, kept))
+            label, mapped = _removal_label(R, fams)
+            assert (label, {t: c for t, c in mapped.items() if c}) == want, (name, kept)
+            assert set(mapped) == {"short", "long", "extra"}
+    assert set(RELABELS) <= seen
+
+
+def test_extract_minimal_relabels_bc1_as_a1():
+    R = bc1_nu3()
+    ext = extract_minimal(R)
+    assert ext == even_system()
+    ((base, certificate),) = ext.removal_chain
+    assert base == (2, 2, 2, 2, 0, 0, 0)
+    assert len(certificate) == 317
+    word = tuple(Vector(c) for c in certificate)
+    assert word_element(R.space, word).matrix == reflection_matrix(R.space, Vector(base))
 
 
 def test_bc1_lattice_case_minimal():
