@@ -119,8 +119,8 @@ def _load_descriptor(cfg: RunConfig) -> EarsDescriptor:
         return descriptor_from_config(data)
     except ConstraintViolation:
         raise
-    except (KeyError, TypeError, ValueError, InvalidRank, RankMismatch,
-            DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidRank,
+            RankMismatch, DimensionMismatch) as exc:
         raise ParseError(f"bad descriptor config: {exc}")
 
 

@@ -12,6 +12,7 @@ Vectors live in the space isotropic + dot + dual; roots have zero dual part.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,10 +235,7 @@ def _check_semilattice(s: Semilattice, name: str, need_zero: bool, need_lattice:
     _require(rep.spans, f"{name} translation set does not span the isotropic space")
     _require(rep.closed, f"{name} translation set is not closed under x + 2y")
     if need_zero:
-        _require(
-            s.contains(Vector([0] * s.ambient)),
-            f"0 is missing from the {name} translation set",
-        )
+        _require(rep.contains_zero, f"0 is missing from the {name} translation set")
     if need_lattice:
         _require(
             s.is_lattice(),
@@ -493,7 +491,7 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
     Every translation set is a finite union of cosets of its modulus, so
     whether b + n*a is a root depends only on the classes of a and b modulo
     the intersection K of all moduli.  Points are keyed by their class as
-    integer vectors (one common denominator, reduced by K's echelon rows),
+    integer vectors (at the sets' common denominator, reduced by K),
     the interval test runs once per class pair, and a failing class pair is
     expanded back to window pairs only to name the first two witnesses of
     its family pair.
@@ -503,17 +501,7 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
     k = sets[0].modulus
     for s in sets[1:]:
         k = k.intersect(s.modulus)
-    scale, rows = scaled_ints(
-        [*k.rows, *(v for s in sets for v in (*s.modulus.rows, *s.cosets))]
-    )
-    rows = list(zip(rows[: k.rank], k._pivots()))
-
-    def key(x: list) -> tuple:
-        for r, p in rows:
-            q = x[p] // r[p]
-            if q:
-                x = [a - q * b for a, b in zip(x, r)]
-        return tuple(x)
+    scale = math.lcm(*(s.den for s in sets))
 
     windows = {}
 
@@ -521,16 +509,16 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
         """Window points of s and their class keys, enumerated once per call."""
         if s not in windows:
             pts = s.window(bound)
-            windows[s] = pts, [key([int(c * scale) for c in v.coords]) for v in pts]
+            windows[s] = pts, [
+                k.reduce_at([c.numerator * (scale // c.denominator) for c in v], scale) for v in pts]
         return windows[s]
 
     member = {}
 
     def in_set(tag: str, x: list) -> bool:
-        cls = key(x)
+        cls = k.reduce_at(x, scale)
         if (tag, cls) not in member:
-            iso = Vector([Fraction(a, scale) for a in cls])
-            member[tag, cls] = desc._member(tag, iso)
+            member[tag, cls] = desc._member(tag, Vector([Fraction(a, scale) for a in cls]))
         return member[tag, cls]
 
     profiles = {}
@@ -879,15 +867,11 @@ def semilattice_to_config(s: Semilattice) -> dict:
 
 
 def semilattice_from_config(data: dict, nullity: int) -> Semilattice:
+    """The set a config block describes; Lattice and Semilattice check the rows' nullity."""
     from .semilattice import Lattice
 
-    basis = [Vector([_frac(x) for x in row]) for row in data["basis"]]
-    cosets = [Vector([_frac(x) for x in row]) for row in data["cosets"]]
-    if any(v.dim != nullity for v in basis + cosets):
-        raise RankMismatch("semilattice data does not match the nullity")
-    return Semilattice.from_cosets(
-        cosets, Lattice(nullity, basis), bool(data.get("translated", False))
-    )
+    translated = bool(data.get("translated", False))
+    return Semilattice.from_cosets(data["cosets"], Lattice(nullity, data["basis"]), translated)
 
 
 _CONFIG_KEYS = {"short": "S", "long": "L", "extra": "E"}

@@ -13,23 +13,23 @@ from .linalg import Vector, vec
 from .semilattice import Lattice, Semilattice
 
 
-def integer_lattice(nu: int) -> Semilattice:
-    """Z^nu as a semilattice: every residue class mod 2."""
+def _mod2(nu: int, keep, translated: bool = False) -> Semilattice:
+    """The 0/1 vectors of length nu that keep accepts, plus 2 Z^nu."""
     if nu < 1:
         raise ValueError("nu must be positive")
-    basis = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
-    cosets = []
-    for mask in range(2 ** nu):
-        cosets.append([(mask >> i) & 1 for i in range(nu)])
-    return Semilattice(basis, cosets)
+    basis = [[int(i == j) for j in range(nu)] for i in range(nu)]
+    bits = ([(mask >> i) & 1 for i in range(nu)] for mask in range(2 ** nu))
+    return Semilattice(basis, [b for b in bits if keep(b)], translated)
+
+
+def integer_lattice(nu: int) -> Semilattice:
+    """Z^nu as a semilattice: every residue class mod 2."""
+    return _mod2(nu, lambda bits: True)
 
 
 def doubled_lattice(nu: int) -> Semilattice:
     """2 Z^nu."""
-    if nu < 1:
-        raise ValueError("nu must be positive")
-    basis = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
-    return Semilattice(basis, [[0] * nu])
+    return _mod2(nu, lambda bits: not any(bits))
 
 
 def product_even_semilattice(nu: int) -> Semilattice:
@@ -38,24 +38,12 @@ def product_even_semilattice(nu: int) -> Semilattice:
     Equivalently: all residue classes mod 2 except all-ones.  The smallest
     proper semilattices in each rank; not a lattice for nu >= 2.
     """
-    if nu < 1:
-        raise ValueError("nu must be positive")
-    basis = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
-    cosets = []
-    for mask in range(2 ** nu):
-        bits = [(mask >> i) & 1 for i in range(nu)]
-        if all(bits):
-            continue
-        cosets.append(bits)
-    return Semilattice(basis, cosets)
+    return _mod2(nu, lambda bits: not all(bits))
 
 
 def odd_translated(nu: int = 1) -> Semilattice:
     """The translated semilattice 1 + 2Z (all-odd class for higher nu)."""
-    if nu < 1:
-        raise ValueError("nu must be positive")
-    basis = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
-    return Semilattice(basis, [[1] * nu], translated=True)
+    return _mod2(nu, all, translated=True)
 
 
 def trivial_semilattice() -> Semilattice:

@@ -7,8 +7,11 @@ For valid data the stored modulus is the canonical one, M = 2<S> with
 verify_semilattice) is kept in the presentation it arrived in, so every
 instance reproduces its point set faithfully.
 
-All lattice arithmetic is integer Hermite normal form under the hood;
-rational coordinates are handled by clearing denominators.
+Each set is kept as integers over its least denominator den: a lattice
+as the Hermite normal form of den * L, a semilattice as its cosets reduced
+modulo the modulus, so reduction is integer floor division at the pivots.
+Vector is the boundary type: an incoming Vector is scaled once, and the
+Vectors handed out (rows, cosets, windows) are built from the integers.
 """
 
 from __future__ import annotations
@@ -25,6 +28,44 @@ class RankMismatch(ValueError):
     pass
 
 
+def _vector(x, den: int) -> Vector:
+    return Vector([Fraction(a, den) for a in x])
+
+
+def _add(x, y) -> list[int]:
+    return [a + b for a, b in zip(x, y)]
+
+
+def _at(v: Vector, den: int) -> list[int] | None:
+    """The coordinates of den * v as ints, or None when one is not integral."""
+    out = []
+    for x in v.coords:
+        q, r = divmod(den, x.denominator)
+        if r:
+            return None
+        out.append(x.numerator * q)
+    return out
+
+
+def _joint(a, b) -> int:
+    """The common scale of two sets in one ambient space."""
+    if a.ambient != b.ambient:
+        raise RankMismatch("ambient ranks differ")
+    return math.lcm(a.den, b.den)
+
+
+def _entry(cosets, ambient: int | None = None) -> tuple[int, list[list[int]]]:
+    """Incoming cosets of dimension ambient (or the first one's), scaled to ints."""
+    cvecs = [c if isinstance(c, Vector) else Vector(c) for c in cosets]
+    if not cvecs:
+        raise ValueError("at least one coset representative is required")
+    ambient = cvecs[0].dim if ambient is None else ambient
+    for c in cvecs:
+        if c.dim != ambient:
+            raise RankMismatch(f"coset dim {c.dim}, ambient rank {ambient}")
+    return scaled_ints(cvecs)
+
+
 # ---------------------------------------------------------------------------
 # integer Hermite normal form
 
@@ -39,7 +80,6 @@ def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
     linalg.echelon this eliminates over Z, by unimodular row operations,
     which is what a lattice basis needs.
     """
-    width = ncols + aug
     pool = [list(r) for r in mat if any(r)]
     echelon = []
     for col in range(ncols):
@@ -70,104 +110,121 @@ def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
             q = rj[col] // p
             if q:
                 echelon[j] = (cj, [a - q * b for a, b in zip(rj, ri)])
-    rows = [r for _, r in echelon]
-    if aug == 0:
-        return rows, []
-    return rows, pool
+    return [r for _, r in echelon], pool if aug else []
 
 
 class Lattice:
-    """Discrete subgroup of Q^n, kept as a canonical echelon basis."""
+    """Discrete subgroup L of Q^n: the canonical integer echelon basis hnf of
+    den * L, den the least scale making L integral, and each row's pivot."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "den", "hnf", "pivots", "_rows")
 
     def __init__(self, ambient: int, rows: Iterable = ()):
         vecs = [r if isinstance(r, Vector) else Vector(r) for r in rows]
         for v in vecs:
             if v.dim != ambient:
                 raise RankMismatch(f"row of dim {v.dim} in ambient rank {ambient}")
-        s, ints = scaled_ints(vecs)
+        self._set(ambient, *scaled_ints(vecs))
+
+    @classmethod
+    def _of(cls, ambient: int, scale: int, ints) -> "Lattice":
+        """The lattice generated by the integer rows ints read at scale."""
+        return object.__new__(cls)._set(ambient, scale, ints)
+
+    def _set(self, ambient: int, scale: int, ints) -> "Lattice":
         hnf, _ = _hnf_int(ints, ambient)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(
-            self, "rows", tuple(Vector([Fraction(a, s) for a in r]) for r in hnf)
-        )
+        g = math.gcd(scale, *(x for r in hnf for x in r))
+        hnf = tuple(tuple(x // g for x in r) for r in hnf)
+        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in hnf)
+        for name, value in zip(self.__slots__, (ambient, scale // g, hnf, pivots, None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
 
     @property
+    def rows(self) -> tuple[Vector, ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(_vector(r, self.den) for r in self.hnf))
+        return self._rows
+
+    @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.hnf)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.ambient == other.ambient
-            and self.rows == other.rows
-        )
+        return isinstance(other, Lattice) and (self.ambient, self.den, self.hnf) == (
+            other.ambient, other.den, other.hnf)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.den, self.hnf))
 
     def __repr__(self) -> str:
         return f"Lattice({self.ambient}, {[list(r.coords) for r in self.rows]!r})"
 
-    def _pivots(self) -> list[int]:
-        return [next(j for j, c in enumerate(r.coords) if c != 0) for r in self.rows]
+    def rows_at(self, scale: int) -> list[tuple[int, ...]]:
+        """The echelon rows as ints at scale, a multiple of den."""
+        f = scale // self.den
+        return [tuple(f * x for x in r) for r in self.hnf] if f != 1 else list(self.hnf)
+
+    def reduce_at(self, x, scale: int) -> tuple[int, ...]:
+        """Canonical representative of x / scale modulo the lattice, as ints
+        at scale (a multiple of den)."""
+        f = scale // self.den
+        for r, p in zip(self.hnf, self.pivots):
+            q = x[p] // (f * r[p])
+            if q:
+                q *= f
+                x = [a - q * b for a, b in zip(x, r)]
+        return tuple(x)
 
     def reduce(self, v: Vector) -> Vector:
         """Canonical representative of v modulo this lattice."""
         if v.dim != self.ambient:
             raise RankMismatch(f"vector dim {v.dim}, ambient {self.ambient}")
-        for r, p in zip(self.rows, self._pivots()):
-            q = v.coords[p] // r.coords[p]
-            if q:
-                v = v - r * q
-        return v
+        scale = math.lcm(self.den, *(x.denominator for x in v.coords))
+        return _vector(self.reduce_at(_at(v, scale), scale), scale)
 
     def contains(self, v: Vector) -> bool:
-        return self.reduce(v).is_zero()
+        if v.dim != self.ambient:
+            raise RankMismatch(f"vector dim {v.dim}, ambient {self.ambient}")
+        x = _at(v, self.den)
+        return x is not None and not any(self.reduce_at(x, self.den))
 
     def sum(self, other: "Lattice") -> "Lattice":
-        return Lattice(self.ambient, self.rows + other.rows)
+        scale = _joint(self, other)
+        return Lattice._of(self.ambient, scale, self.rows_at(scale) + other.rows_at(scale))
 
     def scaled(self, factor) -> "Lattice":
         f = _frac(factor)
-        return Lattice(self.ambient, tuple(r * f for r in self.rows))
+        ints = [[f.numerator * x for x in r] for r in self.hnf]
+        return Lattice._of(self.ambient, self.den * f.denominator, ints)
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        """Intersection, via the integer kernel of the stacked bases."""
-        if self.ambient != other.ambient:
-            raise RankMismatch("ambient ranks differ")
-        if not self.rows or not other.rows:
-            return Lattice(self.ambient)
-        stacked = list(self.rows) + list(other.rows)
-        m = len(stacked)
-        aug = [
-            row + [1 if i == j else 0 for j in range(m)]
-            for i, row in enumerate(scaled_ints(stacked)[1])
-        ]
-        _, kernel = _hnf_int(aug, self.ambient, aug=m)
-        gens = []
-        for krow in kernel:
-            x = krow[self.ambient : self.ambient + self.rank]
-            acc = Vector([0] * self.ambient)
-            for coeff, row in zip(x, self.rows):
-                acc = acc + row * coeff
-            gens.append(acc)
-        return Lattice(self.ambient, gens)
+        """Intersection: the rows (a, a) for a in self and (b, 0) for b in
+        other combine to (0, x) exactly when x = a = -b lies in both."""
+        n, scale = self.ambient, _joint(self, other)
+        stacked = [[*a, *a] for a in self.rows_at(scale)]
+        _, kernel = _hnf_int(stacked + [[*b, *[0] * n] for b in other.rows_at(scale)], n, aug=n)
+        return Lattice._of(n, scale, [r[n:] for r in kernel])
 
     def is_sublattice_of(self, other: "Lattice") -> bool:
-        return all(other.contains(r) for r in self.rows)
+        # a sublattice of other lies in (1/d) Z^n, so den | d, i.e. lcm(den, d) == d
+        d = other.den
+        return _joint(self, other) == d and not any(
+            any(other.reduce_at(r, d)) for r in self.rows_at(d))
+
+    def _quotient(self, sub: "Lattice", cap: int = 1 << 20) -> list[tuple[int, ...]]:
+        """Sorted representatives modulo a finite-index sublattice, as ints at den."""
+        if not sub.is_sublattice_of(self) or sub.rank != self.rank:
+            raise ValueError("not a finite-index sublattice")
+        zero, den = (0,) * self.ambient, self.den
+        return sorted(closure([zero], self.hnf, lambda v, g: sub.reduce_at(_add(v, g), den), cap))
 
     def quotient_reps(self, sub: "Lattice", cap: int = 1 << 20) -> list[Vector]:
         """Representatives of this lattice modulo a finite-index sublattice."""
-        if not sub.is_sublattice_of(self) or sub.rank != self.rank:
-            raise ValueError("not a finite-index sublattice")
-        zero = sub.reduce(Vector([0] * self.ambient))
-        reps = closure([zero], self.rows, lambda v, g: sub.reduce(v + g), cap)
-        return sorted(reps, key=lambda v: v.coords)
+        return [_vector(x, self.den) for x in self._quotient(sub, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,146 +239,144 @@ class Semilattice:
     a union of cosets of 2<S>, stores that canonical form (`canonical` is
     True); otherwise the original presentation is kept so the point set is
     still exact.  Equality compares point sets for canonical instances.
+    `ints` holds the cosets reduced modulo `modulus`, as integer tuples at
+    scale `den`, the least denominator of `lattice`.
     """
 
-    __slots__ = ("ambient", "cosets", "modulus", "lattice", "translated", "canonical")
+    __slots__ = ("ambient", "den", "ints", "modulus", "lattice", "translated", "canonical", "_cosets")
 
     def __init__(self, basis: Iterable, cosets: Iterable, translated: bool = False):
-        basis = [b if isinstance(b, Vector) else Vector(b) for b in basis]
-        cvecs = [c if isinstance(c, Vector) else Vector(c) for c in cosets]
-        if not cvecs:
-            raise ValueError("at least one coset representative is required")
-        ambient = cvecs[0].dim
-        m0 = Lattice(ambient, [b * 2 for b in basis])
-        self._build(ambient, m0, cvecs, translated)
+        scale, cints = _entry(cosets)
+        self._build(Lattice(len(cints[0]), basis).scaled(2), scale, cints, translated)
 
     @classmethod
-    def from_cosets(
-        cls, cosets: Iterable, modulus: Lattice, translated: bool = False
-    ) -> "Semilattice":
+    def from_cosets(cls, cosets: Iterable, modulus: Lattice, translated: bool = False):
         """Build directly from S = cosets + modulus (modulus as given)."""
-        self = object.__new__(cls)
-        cvecs = [c if isinstance(c, Vector) else Vector(c) for c in cosets]
-        if not cvecs:
-            raise ValueError("at least one coset representative is required")
-        self._build(modulus.ambient, modulus, cvecs, translated)
-        return self
+        return cls._of(modulus, *_entry(cosets, modulus.ambient), translated)
 
-    def _build(self, ambient: int, m0: Lattice, cvecs: list[Vector], translated: bool):
-        for c in cvecs:
-            if c.dim != ambient:
-                raise RankMismatch(f"coset dim {c.dim}, ambient rank {ambient}")
-        lattice = Lattice(ambient, list(m0.rows) + cvecs)
-        m1 = lattice.scaled(2)
-        reduced = frozenset(m0.reduce(c) for c in cvecs)
-        invariant = all(
-            frozenset(m0.reduce(c + g) for c in reduced) == reduced for g in m1.rows
-        )
-        if invariant:
-            start = [m1.reduce(c) for c in reduced]
-            final = frozenset(closure(start, m0.rows, lambda v, g: m1.reduce(v + g)))
+    @classmethod
+    def _of(cls, modulus: Lattice, scale: int, cints, translated: bool) -> "Semilattice":
+        """S = cints / scale + modulus, from integer coset representatives."""
+        return object.__new__(cls)._build(modulus, scale, cints, translated)
+
+    def _build(self, m0: Lattice, scale: int, cints, translated: bool) -> "Semilattice":
+        n, top = m0.ambient, math.lcm(m0.den, scale)
+        lattice = Lattice._of(n, top, m0.rows_at(top) + [[a * (top // scale) for a in c] for c in cints])
+        den, m1 = lattice.den, lattice.scaled(2)
+        # every coset lies in the lattice, so den * c is integral
+        reduced = frozenset(m0.reduce_at([a * den // scale for a in c], den) for c in cints)
+        if all(frozenset(m0.reduce_at(_add(c, g), den) for c in reduced) == reduced
+               for g in m1.rows_at(den)):
+            start = [m1.reduce_at(c, den) for c in reduced]
+            final = frozenset(closure(start, m0.rows_at(den), lambda v, g: m1.reduce_at(_add(v, g), den)))
             modulus, canonical = m1, True
         else:
             modulus, final, canonical = m0, reduced, False
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "cosets", final)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "translated", translated)
-        object.__setattr__(self, "canonical", canonical)
+        values = (n, den, final, modulus, lattice, translated, canonical, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Semilattice is immutable")
 
+    @property
+    def cosets(self) -> frozenset[Vector]:
+        if self._cosets is None:
+            object.__setattr__(self, "_cosets", frozenset(_vector(c, self.den) for c in self.ints))
+        return self._cosets
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Semilattice)
-            and self.modulus == other.modulus
-            and self.cosets == other.cosets
-        )
+        return isinstance(other, Semilattice) and (self.modulus, self.den, self.ints) == (
+            other.modulus, other.den, other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.cosets))
+        return hash((self.modulus, self.ints))
 
     def __repr__(self) -> str:
         kind = "translated semilattice" if self.translated else "semilattice"
-        return (
-            f"<{kind} rank {self.ambient}: {len(self.cosets)} cosets "
-            f"mod lattice of rank {self.modulus.rank}>"
-        )
+        return (f"<{kind} rank {self.ambient}: {len(self.ints)} cosets "
+                f"mod lattice of rank {self.modulus.rank}>")
 
     @property
     def coset_count(self) -> int:
-        return len(self.cosets)
+        return len(self.ints)
+
+    def _has(self, x, scale: int) -> bool:
+        """Whether x / scale (ints) is a member; every member lies in (1/den) Z^n."""
+        den = self.den
+        if scale != den:
+            if any(a * den % scale for a in x):
+                return False
+            x = [a * den // scale for a in x]
+        return self.modulus.reduce_at(x, den) in self.ints
 
     def contains(self, v: Vector) -> bool:
-        if v.dim != self.ambient:
-            return False
-        return self.modulus.reduce(v) in self.cosets
+        x = _at(v, self.den) if v.dim == self.ambient else None
+        return x is not None and self.modulus.reduce_at(x, self.den) in self.ints
 
     def is_lattice(self) -> bool:
         return self.canonical and self.coset_count == 2 ** self.lattice.rank
 
     def scaled(self, factor) -> "Semilattice":
         f = _frac(factor)
-        return Semilattice.from_cosets(
-            [c * f for c in self.cosets], self.modulus.scaled(f), self.translated
-        )
+        cints = [[f.numerator * a for a in c] for c in self.ints]
+        return Semilattice._of(self.modulus.scaled(f), self.den * f.denominator, cints, self.translated)
 
     def shifted(self, v: Vector) -> "Semilattice":
-        return Semilattice.from_cosets(
-            [c + v for c in self.cosets], self.modulus, translated=True
-        )
+        vs, (x,) = _entry([v], self.ambient)
+        scale = math.lcm(self.den, vs)
+        f, g = scale // self.den, scale // vs
+        cints = [[f * a + g * b for a, b in zip(c, x)] for c in self.ints]
+        return Semilattice._of(self.modulus, scale, cints, translated=True)
 
     def union(self, other: "Semilattice") -> "Semilattice":
         """Set union, re-canonicalized."""
-        if self.ambient != other.ambient:
-            raise RankMismatch("ambient ranks differ")
+        scale = _joint(self, other)
         k = self.modulus.intersect(other.modulus)
-        cosets = set(self._cosets_mod(k)) | set(other._cosets_mod(k))
-        return Semilattice.from_cosets(
-            cosets, k, self.translated and other.translated
-        )
+        cints = {*self._residues(k, scale), *other._residues(k, scale)}
+        return Semilattice._of(k, scale, cints, self.translated and other.translated)
 
     def sum_set(self, other: "Semilattice") -> "Semilattice":
         """Pointwise sum S + T."""
-        if self.ambient != other.ambient:
-            raise RankMismatch("ambient ranks differ")
-        m = self.modulus.sum(other.modulus)
-        cosets = {a + b for a in self.cosets for b in other.cosets}
-        return Semilattice.from_cosets(cosets, m, True)
+        scale = _joint(self, other)
+        f, g = scale // self.den, scale // other.den
+        cints = {tuple([f * x + g * y for x, y in zip(a, b)]) for a in self.ints for b in other.ints}
+        return Semilattice._of(self.modulus.sum(other.modulus), scale, cints, True)
+
+    def _residues(self, finer: Lattice, scale: int) -> list[tuple[int, ...]]:
+        """Coset representatives modulo a finite-index sublattice of modulus,
+        reduced by it, as ints at scale (a multiple of den)."""
+        f, g = scale // self.den, scale // self.modulus.den
+        reps = self.modulus._quotient(finer)
+        return [finer.reduce_at([f * a + g * b for a, b in zip(c, r)], scale)
+                for c in self.ints for r in reps]
 
     def _cosets_mod(self, finer: Lattice) -> list[Vector]:
         """Coset representatives modulo a finite-index sublattice of modulus."""
-        reps = self.modulus.quotient_reps(finer) if self.modulus.rows else [Vector([0] * self.ambient)]
-        return [finer.reduce(c + r) for c in self.cosets for r in reps]
+        return [_vector(x, self.den) for x in self._residues(finer, self.den)]
 
     def subset_of(self, other: "Semilattice") -> bool:
-        if self.ambient != other.ambient:
-            raise RankMismatch("ambient ranks differ")
         k = self.modulus.intersect(other.modulus)
         if k.rank < self.modulus.rank:
             return False
-        return all(other.contains(c) for c in self._cosets_mod(k))
+        return all(other._has(x, self.den) for x in self._residues(k, self.den))
 
     def intersects(self, other: "Semilattice") -> bool:
         """Whether the two point sets share an element."""
-        if self.ambient != other.ambient:
-            raise RankMismatch("ambient ranks differ")
+        scale = _joint(self, other)
         joint = self.modulus.sum(other.modulus)
-        return any(
-            joint.contains(a - b) for a in self.cosets for b in other.cosets
-        )
+        f, g = scale // self.den, scale // other.den
+        return any(not any(joint.reduce_at([f * x - g * y for x, y in zip(a, b)], scale))
+                   for a in self.ints for b in other.ints)
 
     def window(self, bound) -> list[Vector]:
         """All members with every coordinate in [-bound, bound], sorted."""
-        k = len(self.modulus.rows)
-        scale, ints = scaled_ints(
-            [r.coords for r in self.modulus.rows] + [c.coords for c in self.cosets]
-        )
-        lim = math.floor(_frac(bound) * scale)
-        points = box_points(ints[:k], ints[k:], [-lim] * self.ambient, [lim] * self.ambient)
-        return [Vector(Fraction(x, scale) for x in p) for p in sorted(set(points))]
+        b = _frac(bound)
+        lim = b.numerator * self.den // b.denominator
+        lo, hi = [-lim] * self.ambient, [lim] * self.ambient
+        points = box_points(self.modulus.rows_at(self.den), self.ints, lo, hi)
+        return [_vector(p, self.den) for p in sorted(set(points))]
 
 
 def box_points(rows, cosets, lo, hi) -> list[tuple[int, ...]]:
@@ -361,24 +416,15 @@ def verify_semilattice(s: Semilattice) -> SemilatticeReport:
     problems = []
     spans = s.lattice.rank == s.ambient
     if not spans:
-        problems.append(
-            f"members span a subspace of dimension {s.lattice.rank} < {s.ambient}"
-        )
-    zero = Vector([0] * s.ambient)
-    contains_zero = s.contains(zero)
+        problems.append(f"members span a subspace of dimension {s.lattice.rank} < {s.ambient}")
+    contains_zero = s.contains(Vector([0] * s.ambient))
     if not s.translated and not contains_zero:
         problems.append("0 is not a member and the set is not marked translated")
     closed = sum_condition(s, s, 2)
     if not closed:
-        witness = next(
-            (a, b)
-            for a in sorted(s.cosets, key=lambda v: v.coords)
-            for b in sorted(s.cosets, key=lambda v: v.coords)
-            if not s.contains(a + b * 2)
-        )
-        problems.append(
-            f"not closed under x + 2y: {witness[0]} + 2*{witness[1]} escapes"
-        )
+        cosets = sorted(s.cosets, key=lambda v: v.coords)
+        a, b = next((a, b) for a in cosets for b in cosets if not s.contains(a + b * 2))
+        problems.append(f"not closed under x + 2y: {a} + 2*{b} escapes")
     return SemilatticeReport(spans, contains_zero, closed, tuple(problems))
 
 
@@ -387,18 +433,25 @@ def sum_condition(a: Semilattice, b: Semilattice, k: int) -> bool:
 
     A is a finite union of cosets of its modulus, so translation by any
     single vector either permutes those cosets or escapes; it suffices to
-    test the generators of kB.
+    test the generators of kB.  A lies in (1/a.den) Z^n, so a generator
+    outside it escapes at once.
     """
     if a.ambient != b.ambient:
         raise RankMismatch(f"ambient ranks differ: {a.ambient} vs {b.ambient}")
-    shifts = [c * k for c in b.cosets] + [g * k for g in b.modulus.rows]
-    return all(a.contains(c + t) for c in a.cosets for t in shifts)
+    shifts = []
+    for t in (*b.ints, *b.modulus.rows_at(b.den)):
+        y = [k * a.den * x for x in t]
+        if any(z % b.den for z in y):
+            return False
+        shifts.append([z // b.den for z in y])
+    return all(a._has(_add(c, t), a.den) for c in a.ints for t in shifts)
 
 
 # ---------------------------------------------------------------------------
 # fast membership
 
 
+@dataclass(frozen=True)
 class ResidueTable:
     """O(1) membership for a union of lattice cosets.
 
@@ -406,41 +459,24 @@ class ResidueTable:
     scaled modulus, so membership only depends on the residue mod det(M).
     """
 
-    __slots__ = ("dim", "scale", "period", "residues")
-
-    def __init__(self, dim: int, scale: int, period: int, residues: frozenset):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "residues", residues)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueTable is immutable")
+    dim: int
+    scale: int
+    period: int
+    residues: frozenset
 
     def contains(self, v: Vector) -> bool:
-        if v.dim != self.dim:
-            return False
-        key = []
-        for c in v.coords:
-            x = c * self.scale
-            if x.denominator != 1:
-                return False
-            key.append(int(x) % self.period)
-        return tuple(key) in self.residues
+        x = _at(v, self.scale) if v.dim == self.dim else None
+        return x is not None and tuple(a % self.period for a in x) in self.residues
 
 
 def residue_table(s: Semilattice, cap: int = 4_000_000) -> ResidueTable | None:
     """Build a ResidueTable for S, or None if S is degenerate or too large."""
     if s.modulus.rank != s.ambient:
         return None
-    k = len(s.modulus.rows)
-    scale, ints = scaled_ints(list(s.modulus.rows) + list(s.cosets))
-    rows = ints[:k]
-    period = 1
-    for i, r in enumerate(rows):
-        period *= r[i]
+    rows = s.modulus.rows_at(s.den)
+    period = math.prod(r[i] for i, r in enumerate(rows))
     if s.coset_count * period ** (s.ambient - 1) > cap:
         return None
-    starts = [tuple(x % period for x in c) for c in ints[k:]]
+    starts = [tuple(x % period for x in c) for c in s.ints]
     residues = closure(starts, rows, lambda t, r: tuple((x + y) % period for x, y in zip(t, r)), cap)
-    return ResidueTable(s.ambient, scale, period, frozenset(residues))
+    return ResidueTable(s.ambient, s.den, period, frozenset(residues))

@@ -112,9 +112,7 @@ class OrbitDescriptor:
         object.__setattr__(self, "dot_part", dot_part)
         object.__setattr__(self, "finite_orbit", frozenset(finite_orbit))
         object.__setattr__(self, "translation_lattice", translation_lattice)
-        iso = Vector(space.iso_part(base))
-        if translation_lattice.rows:
-            iso = translation_lattice.reduce(iso)
+        iso = translation_lattice.reduce(Vector(space.iso_part(base)))
         object.__setattr__(self, "_key", (
             tuple(sorted(d.coords for d in self.finite_orbit)),
             tuple(r.coords for r in translation_lattice.rows),
@@ -248,23 +246,21 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
                         index[w] = len(dots)
                         dots.append(w)
                     moves[-1].append((c, index[w], tag))
-    data = [alpha, *dots] + [
-        v for sl in R.translations.values() for v in (*sl.modulus.rows, *sl.cosets)
-    ]
-    scale = math.lcm(*(x.denominator for v in data for x in v)) * math.lcm(
-        *(c.denominator for m in moves for c, _, _ in m)
-    )
-
-    def ints(vectors):
-        return [tuple([x.numerator * (scale // x.denominator) for x in v]) for v in vectors]
+    scale = math.lcm(
+        *(x.denominator for v in (alpha, *dots) for x in v),
+        *(sl.den for sl in R.translations.values()),
+    ) * math.lcm(*(c.denominator for m in moves for c, _, _ in m))
 
     box, clip = math.floor(bound * scale), math.floor(pad * scale)
-    sets = {t: (ints(sl.modulus.rows), ints(sl.cosets)) for t, sl in R.translations.items()}
+    sets = {
+        t: (sl.modulus.rows_at(scale), [tuple(scale // sl.den * a for a in c) for c in sl.ints])
+        for t, sl in R.translations.items()
+    }
     moves = [
         [(abs(c.numerator), c.denominator, 1 if c > 0 else -1, j, *sets[t]) for c, j, t in m]
         for m in moves
     ]
-    start = (0, ints([space.iso_part(alpha)])[0])
+    start = (0, tuple([x.numerator * (scale // x.denominator) for x in space.iso_part(alpha)]))
     # not linalg.closure: each move yields all its images at once, from box_points
     seen = {start}
     frontier = [start]
@@ -554,10 +550,7 @@ def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
         sample = orbit_closed_form(R, R.space.assemble(_pick_member(sl), dot))
         t = sample.translation_lattice
         fine = sl.modulus.intersect(t)
-        reps = sorted(
-            {t.reduce(c).coords for c in sl._cosets_mod(fine)}
-        )
-        for rep in reps:
+        for rep in sorted({t.reduce(c).coords for c in sl._cosets_mod(fine)}):
             out.append(orbit_closed_form(R, R.space.assemble(Vector(rep), dot)))
     return out
 
@@ -890,8 +883,7 @@ def _recenter(R: EarsDescriptor, fams):
     the shifted set is isomorphic to the one actually left behind.
     """
     short = fams["short"]
-    s0 = min((short.modulus.reduce(c) for c in short.cosets),
-             key=lambda v: v.coords)
+    s0 = min(short.cosets, key=lambda v: v.coords)  # already reduced mod the modulus
     out = {}
     for tag, sl in fams.items():
         if sl is None:

@@ -22,6 +22,11 @@ def test_bench_axioms_smoke():
     _smoke("axioms")
 
 
+def test_bench_axioms_traced_smoke():
+    # axioms requires non-zero semilattice.contains, residue_table and window counters
+    _smoke("axioms", "--trace", "1")
+
+
 def test_bench_decide_smoke():
     _smoke("decide")
 

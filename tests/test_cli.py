@@ -111,6 +111,15 @@ def test_wrong_schema(capsys, tmp_path):
     assert main(["construct", "--in", path]) == EXIT_PARSE
 
 
+def test_zero_denominator_in_config_is_a_parse_error(capsys, tmp_path):
+    # "1/0" is not a rational: exit 3 (parse), not 1 (an honest check failure)
+    for where in ("cosets", "basis"):
+        cfg = descriptor_to_config(nullity2_system())
+        cfg["S"][where] = [[1, "1/0"]] + cfg["S"][where][1:]
+        path = write_config(tmp_path / f"zero_{where}.json", cfg)
+        assert main(["verify", "--in", path]) == EXIT_PARSE
+
+
 def test_constraint_violation_exit(capsys, tmp_path):
     # long lattice 4Z fails long + 2*short inside long
     cfg = {

@@ -26,6 +26,7 @@ from ears.presentation import (
     square_relation,
 )
 from ears.weyl import orbit_bfs, orbit_closed_form
+from test_semilattice import assert_matches, assert_pair_matches, both
 
 R2 = nullity2_system()
 SP2 = R2.space
@@ -123,3 +124,31 @@ def test_rewrite_preserves_parity_and_evaluation(data):
     assert evaluate(word, SP2).matrix.is_identity()
     assert parity(word, R2) == before
     assert before.is_zero()
+
+
+# -- integer translation sets against the Fraction reference ------------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def _described_sets(draw):
+    """A basis (possibly rank-deficient) and cosets with denominators 1-6."""
+    n = draw(st.integers(1, 2))
+    vector = st.lists(_RATIONALS, min_size=n, max_size=n)
+    basis = draw(st.lists(vector, min_size=0, max_size=n + 1))
+    cosets = draw(st.lists(vector, min_size=1, max_size=3))
+    return basis, cosets, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_described_sets(), _described_sets())
+def test_integer_sets_match_the_fraction_reference_on_random_input(x, y):
+    built = []
+    for basis, cosets, translated, given_modulus in (x, y):
+        s, ref = both(basis, cosets, translated, modulus=basis if given_modulus else None)
+        assert_matches(s, ref, (basis, cosets))
+        built.append((s, ref))
+    (a, ra), (b, rb) = built
+    if a.ambient == b.ambient:
+        assert_pair_matches(a, ra, b, rb, (x, y))
