@@ -352,10 +352,6 @@ class Semilattice:
         return [finer.reduce_at([f * a + g * b for a, b in zip(c, r)], scale)
                 for c in self.ints for r in reps]
 
-    def _cosets_mod(self, finer: Lattice) -> list[Vector]:
-        """Coset representatives modulo a finite-index sublattice of modulus."""
-        return [_vector(x, self.den) for x in self._residues(finer, self.den)]
-
     def subset_of(self, other: "Semilattice") -> bool:
         k = self.modulus.intersect(other.modulus)
         if k.rank < self.modulus.rank:

@@ -4,9 +4,11 @@ Root orbits (closed form plus a windowed BFS oracle), generation
 certificates for orbit removal, minimality of the anisotropic root set,
 and extraction of a minimal subsystem.
 
-Orbit structure: the orbit of alpha is alpha - dot(alpha) + (finite Weyl
-orbit of dot(alpha)) + T, where T is the translation lattice built from
-the pairings of dot(alpha) with each length class.
+Orbit structure: the orbit of alpha is alpha - dot(alpha) + (the length
+class of dot(alpha), on which W_fin is transitive: Humphreys, 10.4, Lemma
+C) + T, where T sums g_b <S_b> over the classes b, g_b the gcd of the
+Cartan integers <dot(alpha), b^vee> over b.  That gcd is W-invariant in
+dot(alpha), so each class has one lattice T (_class_lattice).
 
 Generation after removing an orbit is decided exactly when the finite
 part has rank one.  With the finite form normalized to [1], each group
@@ -16,20 +18,21 @@ at one scale per decider; the even-word subgroup is nilpotent of class
 two, and membership reduces to Hermite-style integer reduction carried
 out on group elements.  For higher ranks the verdict is three-valued:
 sound negatives come from the finite quotient, from the remaining set
-failing to be a root system, or from a strict orbit shrink; sound
-positives come from a bounded certificate search; otherwise Inconclusive
-is reported honestly.
+failing to be a root system, or from a class lattice that shrinks under
+the remaining roots; sound positives come from a bounded certificate
+search; otherwise Inconclusive is reported honestly.  At nullity zero the
+removed reflection's word is read off the closure of the remaining ones.
 
 Words and the certificate search multiply by reflections as rank-one
 updates on the integer kernel of linalg, and the windowed orbit search
 forms only the reflected members that stay in its box, on integers at one
 scale; certificates are re-checked against reflection_matrix, which does
-not use the kernel.  Finite orbits run on root indices (linalg.closure);
-finite generation and finite words on root permutations
-(finite.reflection_closure).  Rank-one powers are closed form; a rank-one
-form other than [1] is refused by the decider.  Extraction reads the label
-of what a removal leaves off the remaining roots (finite._classify_subset)
-and accepts it only when the label's standard realization matches them.
+not use the kernel.  Finite generation and finite words run on root
+permutations (finite.reflection_closure).  Rank-one powers are closed
+form; a rank-one form other than [1] is refused by the decider.
+Extraction reads the label of what a removal leaves off the remaining
+roots (finite._classify_subset) and accepts it only when the label's
+standard realization matches them.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
-    closure,
     closure_word,
     from_scaled,
     reflection_matrix,
@@ -164,36 +166,37 @@ class OrbitDescriptor:
         return sorted(out, key=lambda v: v.coords)
 
 
-def _finite_orbit(finite, dot: Vector) -> frozenset[Vector]:
-    """W_fin-orbit of a finite root (or of zero), a BFS over root indices."""
-    if dot.is_zero():
-        return frozenset([dot])
-    gens = [finite.perms[finite.index[s]] for s in finite.fundamental]
-    reached = closure([finite.index[dot]], gens, lambda i, p: p[i])
-    return frozenset(finite.ordered[i] for i in reached)
+def _class_lattice(R: EarsDescriptor, tag: str) -> Lattice:
+    """T of every root whose dot part lies in the class tag: the sum of
+    g_b <S_b> over the classes b, one HNF at the lattices' common scale.
+    The gcds g_b come from one Cartan-table row; any member of the class
+    gives the same ones."""
+    finite = R.finite_part
+    row = finite.cartan[finite.index[next(iter(R.dot_classes[tag]))]]
+    scale = math.lcm(*(sl.lattice.den for sl in R.translations.values()))
+    ints = []
+    for b, sl in R.translations.items():
+        g = math.gcd(*(row[finite.index[d]] for d in R.dot_classes[b]))
+        ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
+    return Lattice._of(R.space.nu, scale, ints)
 
 
 def orbit_closed_form(R: EarsDescriptor, alpha: Vector) -> OrbitDescriptor:
-    """Orbit of alpha as base + finite orbit + translation lattice."""
+    """Orbit of alpha as base + finite orbit + translation lattice: the
+    length class of dot(alpha) and its class lattice, or {0} and the zero
+    lattice for an isotropic alpha, which every reflection fixes."""
     space = R.space
     if alpha.dim != space.dim:
         raise DimensionMismatch(f"vector dim {alpha.dim}, space dim {space.dim}")
     if any(x != 0 for x in space.dual_part(alpha)):
         raise NotOverFinitePart("nonzero dual coordinates")
     dot = Vector(space.dot_part(alpha))
-    finite = R.finite_part
-    if not dot.is_zero() and dot not in finite.roots:
+    if dot.is_zero():
+        return OrbitDescriptor(space, alpha, dot, [dot], Lattice(space.nu))
+    tag = R.class_of_dot(dot)
+    if tag is None:
         raise NotOverFinitePart(f"{dot} is not a finite root")
-    rows = []
-    if not dot.is_zero():
-        for tag, sl in R.translations.items():
-            pairings = [finite.cartan_int(dot, b) for b in R.dot_classes[tag]]
-            g = math.gcd(*(abs(int(p)) for p in pairings))
-            if g:
-                rows.extend(row * g for row in sl.lattice.rows)
-    return OrbitDescriptor(
-        space, alpha, dot, _finite_orbit(finite, dot), Lattice(space.nu, rows)
-    )
+    return OrbitDescriptor(space, alpha, dot, R.dot_classes[tag], _class_lattice(R, tag))
 
 
 def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
@@ -539,7 +542,9 @@ class Unknown:
 
 
 def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
-    """All reflection-group orbits on the anisotropic roots, deterministic."""
+    """All reflection-group orbits on the anisotropic roots, deterministic:
+    per class, one per coset of its lattice T that the translation set
+    meets, based at that coset's reduced representative."""
     out = []
     for tag in _CLASS_TAGS:
         sl = R.translations.get(tag)
@@ -547,40 +552,33 @@ def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
             continue
         # the positive member of its line, so certificate words stay short
         dot = max(R.dot_classes[tag], key=lambda v: v.coords)
-        sample = orbit_closed_form(R, R.space.assemble(_pick_member(sl), dot))
-        t = sample.translation_lattice
-        fine = sl.modulus.intersect(t)
-        for rep in sorted({t.reduce(c).coords for c in sl._cosets_mod(fine)}):
-            out.append(orbit_closed_form(R, R.space.assemble(Vector(rep), dot)))
+        t = _class_lattice(R, tag)
+        scale = math.lcm(sl.den, t.den)
+        reps = {t.reduce_at(c, scale) for c in sl._residues(sl.modulus.intersect(t), scale)}
+        for rep in sorted(reps):
+            base = R.space.assemble([Fraction(x, scale) for x in rep], dot.coords)
+            out.append(OrbitDescriptor(R.space, base, dot, R.dot_classes[tag], t))
     return out
-
-
-def _pick_member(sl: Semilattice) -> Vector:
-    return min(sl.cosets, key=lambda v: v.coords)
 
 
 def _remaining_translations(R: EarsDescriptor, orbit: OrbitDescriptor):
     """Per-class translation sets of the roots kept after removing the orbit.
 
-    A class untouched by the orbit keeps its semilattice; a fully removed
-    class maps to None.
+    Only the orbit's own class changes.  Its cosets c modulo fine = modulus
+    meet T are kept when c - sigma0 lies outside T, sigma0 the base's
+    isotropic part; if none is kept, the class maps to None.
     """
-    space = R.space
-    sigma0 = Vector(space.iso_part(orbit.base))
-    t = orbit.translation_lattice
-    out = {}
-    for tag, sl in R.translations.items():
-        if not (R.dot_classes[tag] & orbit.finite_orbit):
-            out[tag] = sl
-            continue
-        fine = sl.modulus.intersect(t)
-        removed = {fine.reduce(sigma0 + r).coords for r in t.quotient_reps(fine)}
-        keep = [c for c in sl._cosets_mod(fine) if c.coords not in removed]
-        if not keep:
-            out[tag] = None
-        else:
-            translated = not any(fine.contains(c) for c in keep)
-            out[tag] = Semilattice.from_cosets(keep, fine, translated=translated)
+    own = R.class_of_dot(orbit.dot_part)
+    sl, t = R.translations[own], orbit.translation_lattice
+    sigma0 = R.space.iso_part(orbit.base)
+    scale = math.lcm(sl.den, t.den, *(x.denominator for x in sigma0))
+    s0 = [x.numerator * (scale // x.denominator) for x in sigma0]
+    fine = sl.modulus.intersect(t)
+    keep = [c for c in sl._residues(fine, scale)
+            if any(t.reduce_at([a - b for a, b in zip(c, s0)], scale))]
+    out = dict(R.translations)
+    # the cosets are reduced modulo fine, so only the zero one lies in it
+    out[own] = Semilattice._of(fine, scale, keep, all(map(any, keep))) if keep else None
     return out
 
 
@@ -599,21 +597,6 @@ def _finite_closure(R: EarsDescriptor, fams):
     dots = [d for tag, sl in fams.items() if sl is not None
             for d in sorted(R.dot_classes[tag], key=lambda v: v.coords)]
     return reflection_closure(R.finite_part, dots)
-
-
-def _finite_generation(R: EarsDescriptor, fams) -> bool:
-    """Whether the reflections of the remaining directions generate the
-    finite Weyl group."""
-    letters, tree = _finite_closure(R, fams)
-    return bool(letters) and len(tree) == finite_weyl(R.finite_part).order
-
-
-def _finite_word(R: EarsDescriptor, fams, target_dot: Vector):
-    """BFS word over remaining-direction reflections hitting the target
-    reflection; the finite group is small so this is exhaustive."""
-    letters, tree = _finite_closure(R, fams)
-    target = R.finite_part.perms[R.finite_part.index[target_dot]]
-    return tuple(map(letters.get, closure_word(tree, target))) if target in tree else None
 
 
 def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
@@ -707,15 +690,15 @@ def generation_check(
     """Do the reflections of the roots outside the orbit still generate?"""
     _validate_orbit(R, removed_orbit)
     fams = _remaining_translations(R, removed_orbit)
-    if not _finite_generation(R, fams):
+    finite = R.finite_part
+    letters, tree = _finite_closure(R, fams)
+    if not letters or len(tree) != finite_weyl(finite).order:
         return NotGenerates(
             "the remaining directions do not generate the finite Weyl group"
         )
-    finite = R.finite_part
-    if R.nullity == 0:
-        word = _finite_word(R, fams, removed_orbit.dot_part)
-        if word is None:
-            return NotGenerates("the removed reflection is outside the finite closure")
+    if R.nullity == 0:  # the tree is all of W_fin, so it holds the removed reflection
+        target = finite.perms[finite.index[removed_orbit.dot_part]]
+        word = tuple(map(letters.get, closure_word(tree, target)))
         _check_certificate(R.space, removed_orbit.base, word)
         return Generates(word)
     if finite.rank == 1:
@@ -743,24 +726,22 @@ def _orbit_shrink(R, sub, removed_orbit):
     """Reason string when some orbit of the remaining system is strictly
     smaller than under the full group; None when all compared orbits agree.
 
-    A strictly smaller orbit proves the subgroup proper.  Compared orbits:
-    the removed base plus one representative per remaining class.
+    A strictly smaller orbit proves the subgroup proper.  sub keeps R's
+    finite part, so the finite orbits agree and only the class lattices
+    can shrink.  Compared: the removed base's class, named by the base,
+    then each class of sub, named by its least root.
     """
-    samples = [removed_orbit.base]
-    for tag, sl in sub.translations.items():
-        dot = min(sub.dot_classes[tag], key=lambda v: v.coords)
-        samples.append(sub.space.assemble(_pick_member(sl), dot))
-    for alpha in samples:
-        full = orbit_closed_form(R, alpha)
-        part = orbit_closed_form(sub, alpha)
-        ft, pt = full.translation_lattice, part.translation_lattice
+    own = R.class_of_dot(removed_orbit.dot_part)
+    for tag in dict.fromkeys((own, *sub.translations)):
+        ft, pt = _class_lattice(R, tag), _class_lattice(sub, tag)
         if pt != ft and pt.is_sublattice_of(ft):
+            alpha = removed_orbit.base if tag == own else sub.space.assemble(
+                min(sub.translations[tag].cosets, key=lambda v: v.coords),
+                min(sub.dot_classes[tag], key=lambda v: v.coords))
             return (
                 f"the orbit of {alpha} shrinks under the remaining roots, "
                 "so they generate a proper subgroup"
             )
-        if part.finite_orbit != full.finite_orbit:
-            return f"the finite orbit of {alpha} shrinks under the remaining roots"
     return None
 
 
@@ -775,10 +756,8 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
     order = {"extra": 0, "long": 1, "short": 2}
 
     def key(ob):
-        tag = R.class_of_dot(ob.dot_part)
-        if tag is None:
-            raise NotAnOrbit(f"{ob.dot_part} is not a root direction")
         off = ob.base_offset.coords
+        tag = R.class_of_dot(ob.dot_part)
         return (order[tag], -sum(c * c for c in off), tuple(-c for c in off))
 
     return sorted(anisotropic_orbits(R), key=key)

@@ -41,6 +41,11 @@ def test_bench_oracle_smoke():
     _smoke("oracle")
 
 
+def test_bench_oracle_traced_smoke():
+    # oracle requires non-zero weyl.orbit_closed_form and generation_check counters
+    _smoke("oracle", "--trace", "1")
+
+
 # every operation of the axioms workload with an orbits call on every
 # window-1 root, as the goldens were recorded, checked by the bench's checker
 _CHECK_ALL_AXIOMS = """

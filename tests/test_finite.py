@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ears import finite, weyl
+from ears import finite
 from ears.finite import (
     FiniteRootSystem,
     InvalidRank,
@@ -14,7 +14,7 @@ from ears.finite import (
     length_classes,
 )
 from ears.linalg import BilinearForm, Matrix, Vector, line_key, vec
-from ears.weyl import _finite_generation, _finite_orbit
+from ears.weyl import _finite_closure
 
 
 # orders of the reflection groups, frozen from the classification
@@ -226,21 +226,20 @@ def test_build_finite_matches_fraction_closure(sym, rank):
 
 @pytest.mark.parametrize("sym,rank", TABLE_TYPES)
 def test_finite_orbit_matches_fraction_bfs(sym, rank):
+    # weyl takes a root's finite orbit to be its length class
     system = build_finite(sym, rank)
-    orbits = []  # the reference BFS from any member of an orbit gives the orbit
-    for dot in sorted(system.roots, key=lambda v: v.coords):
-        want = next((o for o in orbits if dot in o), None)
-        if want is None:
-            want = reference_finite_orbit(system, dot)
-            orbits.append(want)
-        assert _finite_orbit(system, dot) == want
+    classes = [c for c in length_classes(system) if c]
+    assert frozenset().union(*classes) == system.roots
+    for cls in classes:  # the BFS from any member gives the orbit
+        assert reference_finite_orbit(system, min(cls, key=lambda v: v.coords)) == cls
 
 
 @pytest.mark.parametrize("sym,rank", sorted(WEYL_ORDERS))
-def test_finite_generation_matches_matrix_closure(sym, rank, monkeypatch):
+def test_finite_generation_matches_matrix_closure(sym, rank):
+    # generation_check compares the closure of the remaining directions
+    # with the order of finite_weyl
     system = build_finite(sym, rank)
-    group = finite_weyl(system)  # closed once here instead of once per union
-    monkeypatch.setattr(weyl, "finite_weyl", lambda s: group)
+    order = finite_weyl(system).order
     sh, lg, ex = length_classes(system)
     classes = {t: c for t, c in (("short", sh), ("long", lg), ("extra", ex)) if c}
     R = SimpleNamespace(finite_part=system, dot_classes=classes)
@@ -252,7 +251,7 @@ def test_finite_generation_matches_matrix_closure(sym, rank, monkeypatch):
         lines = {line_key(d): d for t in kept for d in classes[t]}
         gens = [system.reflection_matrix(d) for d in lines.values()]
         want = len(reference_matrix_closure(gens, rank)) == WEYL_ORDERS[(sym, rank)]
-        assert _finite_generation(R, fams) == want, kept
+        assert (len(_finite_closure(R, fams)[1]) == order) == want, kept
 
 
 def test_constructor_rejects_non_root_systems():

@@ -8,12 +8,15 @@ from operator import mul
 
 import pytest
 
-from ears.core import construct_ears, verify_axioms
+from ears.core import _CLASS_TAGS, ConstraintViolation, EarsDescriptor, construct_ears, verify_axioms
+from ears.finite import build_finite
 from ears.linalg import (
     AmbientSpace,
     DimensionMismatch,
     Matrix,
     Vector,
+    closure,
+    closure_word,
     line_key,
     reflect,
     reflection_matrix,
@@ -29,6 +32,7 @@ from ears.weyl import (
     NotGenerates,
     NotMinimal,
     NotOverFinitePart,
+    OrbitDescriptor,
     Stuck,
     anisotropic_orbits,
     extract_minimal,
@@ -39,8 +43,11 @@ from ears.weyl import (
     word_element,
     _AffineElement,
     _Rank1Decider,
-    _finite_word,
+    _class_lattice,
+    _finite_closure,
+    _orbit_shrink,
     _remaining_translations,
+    _removal_candidates,
     _removal_label,
 )
 
@@ -107,6 +114,142 @@ def orbit_reps(system, bound):
         alpha = min(remaining, key=lambda v: v.coords)
         remaining -= set(orbit_closed_form(system, alpha).window(bound))
         yield alpha
+
+
+def reference_lattice(R, dot):
+    """T of dot before the class lattice: Fraction rows g * row over every
+    class, g the gcd of the pairings of dot with the class."""
+    rows = []
+    for tag, sl in R.translations.items():
+        g = math.gcd(*(abs(int(R.finite_part.cartan_int(dot, b))) for b in R.dot_classes[tag]))
+        rows.extend(row * g for row in sl.lattice.rows)
+    return Lattice(R.space.nu, rows)
+
+
+def reference_orbit(R, alpha):
+    """The per-root construction the closed form replaced: the finite orbit
+    a BFS over root indices under the simple reflections, T from
+    reference_lattice."""
+    space, finite = R.space, R.finite_part
+    dot = Vector(space.dot_part(alpha))
+    if dot.is_zero():
+        return OrbitDescriptor(space, alpha, dot, [dot], Lattice(space.nu, []))
+    gens = [finite.perms[finite.index[s]] for s in finite.fundamental]
+    reached = closure([finite.index[dot]], gens, lambda i, p: p[i])
+    return OrbitDescriptor(
+        space, alpha, dot, [finite.ordered[i] for i in reached], reference_lattice(R, dot))
+
+
+def reference_cosets_mod(sl, finer):
+    return [finer.reduce(c + r) for c in sl.cosets for r in sl.modulus.quotient_reps(finer)]
+
+
+def reference_anisotropic_orbits(R):
+    """The sample-orbit construction: T read off the orbit of one root per
+    class, then the orbit of each coset of T that the class meets."""
+    out = []
+    for tag in _CLASS_TAGS:
+        sl = R.translations.get(tag)
+        if sl is None:
+            continue
+        dot = max(R.dot_classes[tag], key=lambda v: v.coords)
+        sample = reference_orbit(R, R.space.assemble(min(sl.cosets, key=lambda v: v.coords), dot))
+        t = sample.translation_lattice
+        fine = sl.modulus.intersect(t)
+        for rep in sorted({t.reduce(c).coords for c in reference_cosets_mod(sl, fine)}):
+            out.append(reference_orbit(R, R.space.assemble(Vector(rep), dot)))
+    return out
+
+
+def reference_remaining_translations(R, orbit):
+    """Removal by enumerating T modulo fine = modulus meet T, on every class
+    that meets the orbit's finite part."""
+    sigma0 = Vector(R.space.iso_part(orbit.base))
+    t = orbit.translation_lattice
+    out = {}
+    for tag, sl in R.translations.items():
+        if not (R.dot_classes[tag] & orbit.finite_orbit):
+            out[tag] = sl
+            continue
+        fine = sl.modulus.intersect(t)
+        removed = {fine.reduce(sigma0 + r) for r in t.quotient_reps(fine)}
+        keep = [c for c in reference_cosets_mod(sl, fine) if c not in removed]
+        translated = not any(fine.contains(c) for c in keep)
+        out[tag] = Semilattice.from_cosets(keep, fine, translated) if keep else None
+    return out
+
+
+def test_closed_form_matches_per_root_reference():
+    for name, R in removal_label_systems().items():
+        window = 1 if R.nullity >= 3 else 2
+        for alpha in R.anisotropic_window(window) + R.isotropic_window(1):
+            got, want = orbit_closed_form(R, alpha), reference_orbit(R, alpha)
+            assert got.finite_orbit == want.finite_orbit, (name, alpha)
+            assert got.translation_lattice == want.translation_lattice, (name, alpha)
+            assert got.key() == want.key(), (name, alpha)
+        # the gcds are W-invariant: every dot of a class gives its lattice
+        for tag, dots in R.dot_classes.items():
+            t = _class_lattice(R, tag)
+            assert all(reference_lattice(R, d) == t for d in dots), (name, tag)
+
+
+def test_removal_matches_quotient_reference():
+    order = {"extra": 0, "long": 1, "short": 2}
+    for name, R in removal_label_systems().items():
+        orbits = anisotropic_orbits(R)
+        want = reference_anisotropic_orbits(R)
+        assert [(o.key(), o.base) for o in orbits] == [(o.key(), o.base) for o in want], name
+        want.sort(key=lambda o: (order[R.class_of_dot(o.dot_part)],
+                                 -sum(c * c for c in o.base_offset), tuple(-c for c in o.base_offset)))
+        assert [(o.key(), o.base) for o in _removal_candidates(R)] == [
+            (o.key(), o.base) for o in want], name
+        for orbit in orbits:
+            got = _remaining_translations(R, orbit)
+            ref = reference_remaining_translations(R, orbit)
+            assert list(got) == list(ref), (name, orbit)
+            for tag, sl in ref.items():
+                assert got[tag] == sl, (name, orbit, tag)
+                if sl is not None:
+                    assert (got[tag].translated, repr(got[tag])) == (sl.translated, repr(sl))
+
+
+def reference_orbit_shrink(R, sub, removed_orbit):
+    """The per-sample comparison: the removed base and the least root of
+    each class of sub, finite orbits included."""
+    samples = [removed_orbit.base]
+    for tag, sl in sub.translations.items():
+        dot = min(sub.dot_classes[tag], key=lambda v: v.coords)
+        samples.append(sub.space.assemble(min(sl.cosets, key=lambda v: v.coords), dot))
+    for alpha in samples:
+        full, part = reference_orbit(R, alpha), reference_orbit(sub, alpha)
+        ft, pt = full.translation_lattice, part.translation_lattice
+        if pt != ft and pt.is_sublattice_of(ft):
+            return (f"the orbit of {alpha} shrinks under the remaining roots, "
+                    "so they generate a proper subgroup")
+        if part.finite_orbit != full.finite_orbit:
+            return f"the finite orbit of {alpha} shrinks under the remaining roots"
+    return None
+
+
+def test_orbit_shrink_matches_per_sample_reference():
+    reasons = set()
+    for name, R in removal_label_systems().items():
+        if R.finite_part.rank == 1 or R.nullity == 0:
+            continue
+        for orbit in anisotropic_orbits(R):
+            fams = _remaining_translations(R, orbit)
+            if any(sl is None for sl in fams.values()):
+                continue
+            try:
+                sub = construct_ears(R.finite_part, fams["short"], fams.get("long"), fams.get("extra"))
+            except ConstraintViolation:
+                continue
+            got = _orbit_shrink(R, sub, orbit)
+            assert got == reference_orbit_shrink(R, sub, orbit), (name, orbit)
+            reasons.add(got if got is None else got.startswith(f"the orbit of {orbit.base} "))
+    # both outcomes occur; every shrink found here is named by the least
+    # root of a remaining class, none by the removed base
+    assert reasons == {None, False}
 
 
 def test_orbit_closed_form_basic(nullity2):
@@ -319,8 +462,8 @@ def test_finite_a2_minimal():
     assert isinstance(minimality(a2f), Minimal)
 
 
-# words of the matrix BFS that _finite_word ran before it moved onto root
-# permutations, for each root of A2 with every direction kept
+# words of the matrix BFS that the nullity-zero word search ran before it
+# moved onto root permutations, for each root of A2 with every direction kept
 A2_WORDS = {
     (-1, -1): [(-1, -1)], (-1, 0): [(-1, 0)], (0, -1): [(0, -1)],
     (0, 1): [(0, -1)], (1, 0): [(-1, 0)], (1, 1): [(-1, -1)],
@@ -328,13 +471,35 @@ A2_WORDS = {
 
 
 def test_finite_words_on_a2_nu0():
+    # generation_check reads a nullity-zero word off this closure tree
     a2f = construct_ears("A2", Semilattice([], [[]]))
-    for dot in a2f.finite_part.roots:
-        word = _finite_word(a2f, a2f.translations, dot)
-        assert [v.coords for v in word] == A2_WORDS[dot.coords]
+    finite = a2f.finite_part
+    letters, tree = _finite_closure(a2f, a2f.translations)
+    for dot in finite.roots:
+        word = closure_word(tree, finite.perms[finite.index[dot]])
+        assert [letters[p].coords for p in word] == A2_WORDS[dot.coords]
     for orbit in anisotropic_orbits(a2f):
-        fams = _remaining_translations(a2f, orbit)
-        assert _finite_word(a2f, fams, orbit.dot_part) is None
+        # the one orbit is every root, so nothing is left to close
+        assert len(_finite_closure(a2f, _remaining_translations(a2f, orbit))[1]) == 1
+        assert generation_check(a2f, orbit) == NotGenerates(
+            "the remaining directions do not generate the finite Weyl group")
+
+
+def test_nullity_zero_words_on_bc():
+    # construct_ears refuses BC at nullity zero (extra meets 2 short), so
+    # these are built directly: removing the short or the extra class
+    # leaves a generating set, and the word is the other root on the line
+    trivial = Semilattice([], [[]])
+    for rank in (1, 2, 3):
+        tags = ("short", "extra") if rank == 1 else _CLASS_TAGS
+        R = EarsDescriptor(build_finite("BC", rank), 0, {t: trivial for t in tags})
+        for orbit in anisotropic_orbits(R):
+            verdict = generation_check(R, orbit)
+            if R.class_of_dot(orbit.dot_part) == "long":
+                assert isinstance(verdict, NotGenerates), (rank, orbit)
+                continue
+            other = orbit.dot_part * (-2 if R.class_of_dot(orbit.dot_part) == "short" else -H)
+            assert verdict == Generates((other,)), (rank, orbit)
 
 
 def test_bc1_nothing_removable(bc1_shifted):
