@@ -870,8 +870,17 @@ def semilattice_from_config(data: dict, nullity: int) -> Semilattice:
     """The set a config block describes; Lattice and Semilattice check the rows' nullity."""
     from .semilattice import Lattice
 
-    translated = bool(data.get("translated", False))
+    translated = _typed("translated", data.get("translated", False), bool)
     return Semilattice.from_cosets(data["cosets"], Lattice(nullity, data["basis"]), translated)
+
+
+def _typed(key: str, value, kind: type):
+    """value, if it is a JSON boolean (kind bool) or a JSON integer (kind
+    int; a boolean is not one): a config value is checked, never coerced."""
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise TypeError(f"config field {key!r} must be a JSON {name}, got {value!r}")
+    return value
 
 
 _CONFIG_KEYS = {"short": "S", "long": "L", "extra": "E"}
@@ -891,11 +900,11 @@ def descriptor_to_config(r: EarsDescriptor) -> dict:
 
 def descriptor_from_config(data: dict) -> EarsDescriptor:
     finite = _as_finite(data["type"])
-    if "rank" in data and int(data["rank"]) != finite.rank:
+    if "rank" in data and _typed("rank", data["rank"], int) != finite.rank:
         raise WrongArity(
             f"rank {data['rank']} does not match type {data['type']}"
         )
-    nullity = int(data["nullity"])
+    nullity = _typed("nullity", data["nullity"], int)
     sets = {}
     for tag, key in _CONFIG_KEYS.items():
         if key in data:
@@ -910,12 +919,8 @@ def descriptor_from_config(data: dict) -> EarsDescriptor:
 def _dot_form(space: AmbientSpace):
     from .linalg import BilinearForm
 
-    ell = space.split[1]
-    gram_rows = [
-        [space.form.gram[space.nu + i, space.nu + j] for j in range(ell)]
-        for i in range(ell)
-    ]
-    return BilinearForm(Matrix(gram_rows))
+    g, dot = space.form.gram, slice(space.nu, space.nu + space.rank)
+    return BilinearForm(Matrix._of([row[dot] for row in g.ints[dot]], g.den))
 
 
 def _finite_root_system_check(dots: set, space: AmbientSpace):

@@ -22,7 +22,7 @@ read them for two roots and use the form otherwise (reflection_matrix
 passes basis vectors).  Root closures and orbits run on integers through
 linalg.closure (imported here as finite.closure too); reflection_closure,
 on root permutations, is the one generation test, here and in weyl.
-finite_weyl keeps Fraction matrices.  weyl labels what an orbit removal
+finite_weyl closes Matrix products.  weyl labels what an orbit removal
 leaves with _classify_subset.
 """
 
@@ -110,10 +110,9 @@ class FiniteRootSystem:
 
 def _scaled_with_gram(vectors, form: BilinearForm):
     """Common denominator, the vectors scaled to ints, and G times each of
-    them for the integer-scaled Gram matrix G."""
+    them for the integer Gram rows G (form.gram.ints)."""
     d, ints = scaled_ints(vectors)
-    _, gram = scaled_ints(form.gram.rows)
-    return d, ints, [[sum(map(mul, row, a)) for row in gram] for a in ints]
+    return d, ints, [[sum(map(mul, row, a)) for row in form.gram.ints] for a in ints]
 
 
 def _closure_from_simples(simples: list[Vector], form: BilinearForm) -> frozenset[Vector]:

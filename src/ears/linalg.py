@@ -1,8 +1,9 @@
 """Exact rational vectors, matrices, bilinear forms and reflections.
 
-Everything here is immutable and hashable; arithmetic is exact (Fraction,
-or Python ints in the reflection kernel at the end), there is no floating
-point anywhere in this package's numeric core.
+Everything here is immutable and hashable; arithmetic is exact, there is
+no floating point anywhere in this package's numeric core.  Vectors hold
+Fractions; a Matrix holds integer rows over one denominator, and products
+of reflections are rank-one integer updates of it (times_reflector).
 
 The package's one elimination routine (echelon: fraction-free Gauss-Jordan
 on integers, under span_rank and kernel) and its one breadth-first search
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -106,60 +108,74 @@ def vec(*coords: Rational) -> Vector:
 
 
 class Matrix:
-    """Immutable square matrix with exact rational entries."""
+    """Immutable square matrix with exact rational entries: integer rows
+    ints over one positive denominator den with no common factor (as in
+    Lattice), so equal entries give equal matrices; rows is the Fraction
+    view, built when first read."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("ints", "den", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[Rational]]):
-        rs = tuple(tuple(_frac(x) for x in row) for row in rows)
-        n = len(rs)
-        if any(len(r) != n for r in rs):
+        rs = [[_frac(x) for x in row] for row in rows]
+        if any(len(r) != len(rs) for r in rs):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rs)
+        self._set(*scaled_ints(rs))
+
+    @classmethod
+    def _of(cls, ints, den: int) -> "Matrix":
+        """The matrix with integer rows ints over den > 0."""
+        return object.__new__(cls)._set(den, ints)
+
+    def _set(self, den: int, ints) -> "Matrix":
+        g = math.gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
+        ints = tuple(tuple(x // g for x in row) for row in ints) if g > 1 else tuple(map(tuple, ints))
+        for name, value in zip(self.__slots__, (ints, den // g, None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, self.den) for x in r) for r in self.ints))
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.den, self.ints))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return Matrix._of([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        cols = list(zip(*other.ints))
+        return Matrix._of([[sum(map(mul, r, c)) for c in cols] for r in self.ints], self.den * other.den)
 
     def __mul__(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {v.dim}")
-        return Vector(sum(a * b for a, b in zip(row, v.coords)) for row in self.rows)
+        return Vector(Fraction(sum(map(mul, row, v.coords)), self.den) for row in self.ints)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
+        return Matrix._of(list(zip(*self.ints)), self.den)
 
     def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return self.den == 1 and all(x == (i == j) for i, r in enumerate(self.ints) for j, x in enumerate(r))
 
     def __repr__(self) -> str:
         body = "; ".join("(" + ", ".join(str(x) for x in row) + ")" for row in self.rows)
@@ -217,16 +233,15 @@ class AmbientSpace:
             raise ValueError("nu must be >= 0")
         rank = finite_gram.dim
         dim = nu + rank + nu
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        den = finite_gram.den
+        rows = [[0] * dim for _ in range(dim)]
         for i in range(nu):
-            rows[i][nu + rank + i] = Fraction(1)
-            rows[nu + rank + i][i] = Fraction(1)
-        for i in range(rank):
-            for j in range(rank):
-                rows[nu + i][nu + j] = finite_gram.rows[i][j]
+            rows[i][nu + rank + i] = rows[nu + rank + i][i] = den
+        for i, row in enumerate(finite_gram.ints):
+            rows[nu + i][nu : nu + rank] = row
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "form", BilinearForm(Matrix(rows)))
+        object.__setattr__(self, "form", BilinearForm(Matrix._of(rows, den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("AmbientSpace is immutable")
@@ -396,11 +411,10 @@ def closure_word(tree: dict, state) -> tuple:
     return tuple(reversed(out))
 
 
-# -- integer kernel for products of reflections -------------------------------
+# -- reflections as rank-one updates --------------------------------------------
 #
 # A reflector (a, p, st) holds integer vectors a, p and an integer st > 0 with
-# r_alpha = I - a p^T / st.  A scaled matrix (rows, den) holds integer rows
-# and den > 0 with no common factor, so equality and hashing stay exact.
+# r_alpha = I - a p^T / st.
 
 
 def scaled_ints(vectors):
@@ -410,14 +424,13 @@ def scaled_ints(vectors):
 
 
 def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
-    """Kernel data of the reflection in alpha, from the integer-scaled Gram
-    matrix G: with a = alpha scaled to integers, p = 2 G a and st = a^T G a
-    (the Gram scale cancels), then divided by their common factor."""
+    """Rank-one data of the reflection in alpha, from the integer Gram rows
+    G: with a = alpha scaled to integers, p = 2 G a and st = a^T G a (the
+    Gram scale cancels), then divided by their common factor."""
     if alpha.dim != space.dim:
         raise DimensionMismatch(f"dim {space.dim} vs {alpha.dim}")
     _, (a,) = scaled_ints([alpha.coords])
-    _, gram = scaled_ints(space.form.gram.rows)
-    p = [2 * sum(g * x for g, x in zip(row, a) if g) for row in gram]
+    p = [2 * sum(g * x for g, x in zip(row, a) if g) for row in space.form.gram.ints]
     st = sum(x * y for x, y in zip(a, p)) // 2
     if st == 0:
         raise IsotropicRoot(f"reflection in isotropic vector {alpha!r}")
@@ -425,28 +438,14 @@ def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
     return tuple(a), tuple(x // g for x in p), st // g
 
 
-def scaled_identity(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
-
-
-def times_reflector(m: tuple, refl: tuple) -> tuple:
+def times_reflector(m: Matrix, refl: tuple) -> Matrix:
     """m @ r_alpha as the rank-one update m - (m a) p^T / st, in O(d^2)."""
-    rows, den = m
     a, p, st = refl
     out = []
-    for row in rows:
-        c = sum(x * y for x, y in zip(row, a))
-        out.append(tuple(st * x - c * y for x, y in zip(row, p)) if c or st > 1 else row)
-    den *= st
-    g = math.gcd(den, *(x for row in out for x in row)) if den > 1 else 1
-    if g > 1:
-        return tuple(tuple(x // g for x in row) for row in out), den // g
-    return tuple(out), den
-
-
-def from_scaled(m: tuple) -> Matrix:
-    rows, den = m
-    return Matrix([[Fraction(x, den) for x in row] for row in rows])
+    for row in m.ints:
+        c = sum(map(mul, row, a))
+        out.append([st * x - c * y for x, y in zip(row, p)] if c or st > 1 else row)
+    return Matrix._of(out, m.den * st)
 
 
 def preserves_form(space: AmbientSpace, m: Matrix) -> bool:

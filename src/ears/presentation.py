@@ -10,6 +10,7 @@ reflection presentation is of Coxeter shape, and rewrites identity words
 to eliminate letters outside a preferred set of roots.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,9 +136,9 @@ class ParityVector:
 def parity(word, R: EarsDescriptor) -> ParityVector:
     """Per-orbit letter counts mod 2; raises UnknownRoot on a non-root."""
     counts = {}
-    for letter in _letters(word):
+    for letter, n in Counter(_letters(word)).items():  # one orbit_id per distinct letter
         oid = orbit_id(R, letter)
-        counts[oid] = counts.get(oid, 0) + 1
+        counts[oid] = counts.get(oid, 0) + n
     return ParityVector(counts)
 
 
@@ -164,15 +165,15 @@ def _translation_certificate(m: Matrix):
 
     Such a w makes m^k v = v + k w, so no power of m is the identity.
     """
-    d = len(m.rows)
-    a = [[m[i, j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-    fixed = kernel(a, d)
+    d, den = m.dim, m.den
+    a = [[x - den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.ints)]
+    fixed = kernel(a, d)  # a = den (m - I) has the null space of m - I
     if not fixed:
         return None
-    # w must also be a combination of columns of a: solve a v = w by
-    # treating (v, coeffs of kernel basis) as unknowns of a v - K t = 0
+    # w must also be a combination of columns of m - I: solve (m - I) v = w
+    # by treating (v, coeffs of kernel basis) as unknowns of a v - den K t = 0
     cols = d + len(fixed)
-    stacked = [a[i] + [-k[i] for k in fixed] for i in range(d)]
+    stacked = [a[i] + [-den * k[i] for k in fixed] for i in range(d)]
     for sol in kernel(stacked, cols):
         coeffs = sol[d:]
         if all(c == 0 for c in coeffs):

@@ -23,13 +23,14 @@ the remaining roots; sound positives come from a bounded certificate
 search; otherwise Inconclusive is reported honestly.  At nullity zero the
 removed reflection's word is read off the closure of the remaining ones.
 
-Words and the certificate search multiply by reflections as rank-one
-updates on the integer kernel of linalg, and the windowed orbit search
-forms only the reflected members that stay in its box, on integers at one
-scale; certificates are re-checked against reflection_matrix, which does
-not use the kernel.  Finite generation and finite words run on root
-permutations (finite.reflection_closure).  Rank-one powers are closed
-form; a rank-one form other than [1] is refused by the decider.
+Words and the certificate search multiply a Matrix by reflections as
+rank-one integer updates (linalg.times_reflector), and the windowed orbit
+search forms only the reflected members that stay in its box, on integers
+at one scale; certificates are re-checked against reflection_matrix, built
+from Fraction reflect and not from those updates.  Finite generation and
+finite words run on root permutations (finite.reflection_closure).
+Rank-one powers are closed form; a rank-one form other than [1] is
+refused by the decider.
 Extraction reads the label of what a removal leaves off the remaining
 roots (finite._classify_subset) and accepts it only when the label's
 standard realization matches them.
@@ -64,10 +65,9 @@ from .linalg import (
     Matrix,
     Vector,
     closure_word,
-    from_scaled,
+    line_key,
     reflection_matrix,
     reflector,
-    scaled_identity,
     times_reflector,
 )
 from .semilattice import Lattice, Semilattice, box_points
@@ -97,10 +97,10 @@ def word_element(space: AmbientSpace, letters) -> GroupElement:
     """Ordered product of the reflections in the given anisotropic roots."""
     letters = tuple(letters)
     kernel = {r: reflector(space, r) for r in dict.fromkeys(letters)}
-    m = scaled_identity(space.dim)
+    m = Matrix.identity(space.dim)
     for root in letters:
         m = times_reflector(m, kernel[root])
-    return GroupElement(from_scaled(m), letters)
+    return GroupElement(m, letters)
 
 
 class OrbitDescriptor:
@@ -651,17 +651,13 @@ def _certificate_search(R, fams, target_root, depth, budget):
     """
     space = R.space
     bound = max(2, int(target_root.max_norm()) + 2)
-    gens = []
-    for tag in _CLASS_TAGS:
-        sl = fams.get(tag)
-        if sl is None or tag not in R.dot_classes:
-            continue
-        for d in sorted(R.dot_classes[tag], key=lambda v: v.coords):
-            for s in sl.window(bound):
-                root = space.assemble(s, d)
-                gens.append((root, reflector(space, root)))
-    gens.sort(key=lambda p: p[0].coords)
-    ident = scaled_identity(space.dim)
+    roots = [space.assemble(s, d) for tag, sl in fams.items() if sl is not None
+             for d in R.dot_classes.get(tag, ()) for s in sl.window(bound)]
+    lines = {}  # r, -r and a BC double 2r give one reflection: keep the first
+    for root in sorted(roots, key=lambda v: v.coords):
+        lines.setdefault(line_key(root), root)
+    gens = [(root, reflector(space, root)) for root in lines.values()]
+    ident = Matrix.identity(space.dim)
     target = times_reflector(ident, reflector(space, target_root))
     seen = {ident}
     frontier = [(ident, ())]

@@ -120,6 +120,20 @@ def test_zero_denominator_in_config_is_a_parse_error(capsys, tmp_path):
         assert main(["verify", "--in", path]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("field, value", [
+    ("translated", "false"),  # bool("false") would read it as true
+    ("nullity", 1.5),
+    ("nullity", True),
+    ("rank", 1.9),
+])
+def test_config_fields_are_checked_not_coerced(capsys, tmp_path, field, value):
+    cfg = descriptor_to_config(nullity2_system())
+    (cfg["S"] if field == "translated" else cfg)[field] = value
+    path = write_config(tmp_path / "typed.json", cfg)
+    assert main(["construct", "--in", path]) == EXIT_PARSE
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_constraint_violation_exit(capsys, tmp_path):
     # long lattice 4Z fails long + 2*short inside long
     cfg = {
@@ -255,3 +269,31 @@ def test_cli_imports_without_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_reports_identical_across_hash_seeds():
+    """CLI reports are byte-for-byte deterministic: the same commands on two
+    bench configs print the same bytes under two hash seeds."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = []
+    for name, coords in (("B2_nu2_product-even", "0,0,1,0,0,0"), ("A1_nu3_full", "0,0,0,1,0,0,0")):
+        path = os.path.join(root, "bench", "configs", f"{name}.json")
+        runs += [
+            ["verify", "--in", path, "--window", "4"],
+            ["orbits", "--in", path, "--window", "4", f"--root={coords}"],
+            ["minimality", "--in", path, "--budget", "200"],
+            ["presentation", "--in", path, "--budget", "200"],
+        ]
+    code = ("import json, sys\nfrom ears.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n    if main(argv):\n        sys.exit(f'exit code on {argv}')\n")
+    src = os.path.join(root, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                              capture_output=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outs.append(done.stdout)
+    assert outs[0].count(b'"meta"') == len(runs)
+    assert outs[0] == outs[1]

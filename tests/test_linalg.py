@@ -10,13 +10,11 @@ from ears.linalg import (
     IsotropicRoot,
     Matrix,
     coroot,
-    from_scaled,
     kernel,
     preserves_form,
     reflect,
     reflection_matrix,
     reflector,
-    scaled_identity,
     span_rank,
     times_reflector,
     vec,
@@ -120,21 +118,26 @@ def test_reflection_translation_part(space):
         assert not p.is_identity()
 
 
+def fraction_product(m, n):
+    """Row-by-column product of two Fraction row tuples."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*n)) for row in m)
+
+
 def test_reflector_kernel_matches_fraction_products(suite):
-    """Rank-one integer updates agree with Fraction reflection matrices on
-    random words, and every scaled product stays in lowest terms."""
+    """Rank-one integer updates agree with Fraction products of reflection
+    matrices on random words, and every product stays in lowest terms."""
     rng = random.Random(20061)
     for name, R in sorted(suite.items()):
         space = R.space
         roots = sorted(R.anisotropic_window(1), key=lambda v: v.coords)
         for _ in range(4):
-            m, slow = scaled_identity(space.dim), Matrix.identity(space.dim)
+            m, slow = Matrix.identity(space.dim), Matrix.identity(space.dim).rows
             for r in (rng.choice(roots) for _ in range(rng.randint(1, 10))):
                 m = times_reflector(m, reflector(space, r))
-                slow = slow @ reflection_matrix(space, r)
-                rows, den = m
-                assert math.gcd(den, *(x for row in rows for x in row)) == 1, name
-                assert from_scaled(m) == slow, name
+                slow = fraction_product(slow, reflection_matrix(space, r).rows)
+                assert math.gcd(m.den, *(x for row in m.ints for x in row)) == 1, name
+                assert m.rows == slow, name
+                assert m == Matrix(slow), name
 
 
 def test_reflector_kernel_reduces_g2_denominators(suite):
@@ -144,10 +147,23 @@ def test_reflector_kernel_reduces_g2_denominators(suite):
     thirds = [r for r in roots if reflector(space, r)[2] == 3]
     assert thirds
     r = reflector(space, thirds[0])
-    once = times_reflector(scaled_identity(space.dim), r)
-    assert once[1] > 1
-    assert times_reflector(once, r) == scaled_identity(space.dim)
-    assert from_scaled(once) == reflection_matrix(space, thirds[0])
+    once = times_reflector(Matrix.identity(space.dim), r)
+    assert once.den > 1
+    assert times_reflector(once, r) == Matrix.identity(space.dim)
+    assert once == reflection_matrix(space, thirds[0])
+
+
+def test_matrix_keeps_lowest_terms():
+    h = Fraction(1, 2)
+    m = Matrix([[h, 1], [0, Fraction(3, 2)]])
+    assert (m.ints, m.den) == (((1, 2), (0, 3)), 2)
+    assert m @ Matrix([[2, 0], [0, 2]]) == Matrix([[1, 2], [0, 3]])
+    assert (m @ Matrix([[2, 0], [0, 2]])).den == 1
+    assert Matrix([["1/3", 0], [0, 1]])[0, 0] == Fraction(1, 3)
+    assert repr(m) == "Matrix([(1/2, 1); (0, 3/2)])"
+    assert m * vec(2, 2) == vec(3, 3)
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]])
 
 
 def test_evaluate_rejects_isotropic_and_foreign_letters(space):

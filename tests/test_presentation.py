@@ -14,6 +14,7 @@ from ears.presentation import (
     NoneFound,
     NotARelation,
     Obstruction,
+    ParityVector,
     UnknownRoot,
     Yes,
     conjugation_obstruction,
@@ -122,6 +123,34 @@ def test_parity_detects_odd_orbit_use(nullity3, word8):
     # each of the eight letters lies in a different orbit, used once
     assert len(pv.support()) == 8
     assert gid in pv.support()
+
+
+def per_letter_parity(word, R):
+    counts = {}
+    for letter in word:
+        oid = orbit_id(R, letter)
+        counts[oid] = counts.get(oid, 0) + 1
+    return ParityVector(counts)
+
+
+def test_parity_matches_per_letter_count(suite):
+    ob = conjugation_obstruction(suite["A1 nu3 full"])
+    words = [("A1 nu3 full", ob.word.letters)]
+    assert (len(words[0][1]), len(set(words[0][1]))) == (318, 13)
+    rng = random.Random(13)
+    for name in sorted(suite):
+        roots = suite[name].anisotropic_window(2)
+        for _ in range(3):
+            a, b = rng.choice(roots), rng.choice(roots)
+            rel = conjugation_relation(suite[name].space, a, b).letters
+            words.append((name, rel + tuple(rng.choices(roots, k=rng.randint(0, 12)))))
+    for name, word in words:
+        got, want = parity(word, suite[name]), per_letter_parity(word, suite[name])
+        assert got == want and hash(got) == hash(want), name
+        assert got.support() == want.support(), name
+        assert [o.base_offset.coords for o in got.support()] == \
+            [o.base_offset.coords for o in want.support()], name
+        assert repr(got) == repr(want), name
 
 
 def test_parity_rejects_non_roots(nullity2):

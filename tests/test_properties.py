@@ -1,5 +1,7 @@
-"""Property-based checks over randomly drawn roots, words, and semilattices."""
+"""Property-based checks over randomly drawn roots, words, semilattices and
+matrices."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from ears.examples import (
     odd_translated,
     product_even_semilattice,
 )
-from ears.linalg import Vector, preserves_form, reflect, reflection_matrix
+from ears.linalg import Matrix, Vector, preserves_form, reflect, reflection_matrix
 from ears.presentation import (
     Infinite,
     conjugation_relation,
@@ -26,6 +28,7 @@ from ears.presentation import (
     square_relation,
 )
 from ears.weyl import orbit_bfs, orbit_closed_form
+from test_linalg import fraction_product
 from test_semilattice import assert_matches, assert_pair_matches, both
 
 R2 = nullity2_system()
@@ -152,3 +155,32 @@ def test_integer_sets_match_the_fraction_reference_on_random_input(x, y):
     (a, ra), (b, rb) = built
     if a.ambient == b.ambient:
         assert_pair_matches(a, ra, b, rb, (x, y))
+
+
+# -- Matrix on integer rows against Fraction rows ------------------------------
+
+
+@st.composite
+def _square_pair(draw):
+    """Two square Fraction matrices of one size, denominators 1-6 mixed."""
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
+    return [tuple(r) for r in draw(square)], [tuple(r) for r in draw(square)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_pair(), st.integers(1, 12))
+def test_matrix_matches_fraction_rows(pair, k):
+    a, b = pair
+    m, n = Matrix(a), Matrix(b)
+    assert m.den > 0 and math.gcd(m.den, *(x for row in m.ints for x in row)) == 1
+    assert m.rows == tuple(a)
+    assert all(m[i, j] == m.rows[i][j] for i in range(m.dim) for j in range(m.dim))
+    assert Matrix(m.rows) == m
+    assert (m @ n).rows == fraction_product(a, b)
+    assert m.transpose().rows == tuple(zip(*a))
+    # the same entries at another scale: k times the integers over k times den
+    scaled = Matrix._of([[k * x for x in row] for row in m.ints], k * m.den)
+    assert scaled == m and hash(scaled) == hash(m) and repr(scaled) == repr(m)
+    strings = Matrix([[str(x) for x in row] for row in a])
+    assert strings == m and hash(strings) == hash(m)

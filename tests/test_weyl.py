@@ -22,6 +22,7 @@ from ears.linalg import (
     reflection_matrix,
     reflector,
     scaled_ints,
+    times_reflector,
     vec,
 )
 from ears.semilattice import Lattice, Semilattice
@@ -43,6 +44,7 @@ from ears.weyl import (
     word_element,
     _AffineElement,
     _Rank1Decider,
+    _certificate_search,
     _class_lattice,
     _finite_closure,
     _orbit_shrink,
@@ -577,6 +579,62 @@ def test_extract_minimal_relabels_bc1_as_a1():
     assert len(certificate) == 317
     word = tuple(Vector(c) for c in certificate)
     assert word_element(R.space, word).matrix == reflection_matrix(R.space, Vector(base))
+
+
+def reference_certificate_search(R, fams, target_root, depth, budget):
+    """The certificate search with every window root as a generator, r and
+    -r (and a BC double 2r) each multiplied in; their products coincide."""
+    space = R.space
+    bound = max(2, int(target_root.max_norm()) + 2)
+    gens = []
+    for tag in _CLASS_TAGS:
+        sl = fams.get(tag)
+        if sl is None or tag not in R.dot_classes:
+            continue
+        for d in R.dot_classes[tag]:
+            for s in sl.window(bound):
+                root = space.assemble(s, d)
+                gens.append((root, reflector(space, root)))
+    gens.sort(key=lambda p: p[0].coords)
+    ident = Matrix.identity(space.dim)
+    target = times_reflector(ident, reflector(space, target_root))
+    seen = {ident}
+    frontier = [(ident, ())]
+    for _ in range(depth):
+        nxt = []
+        for m, w in frontier:
+            for root, g in gens:
+                p = times_reflector(m, g)
+                if p in seen:
+                    continue
+                if p == target:
+                    return w + (root,)
+                seen.add(p)
+                if len(seen) > budget:
+                    return None
+                nxt.append((p, w + (root,)))
+        frontier = nxt
+    return None
+
+
+def test_certificate_search_keeps_one_generator_per_line(suite):
+    """The same words as the search over every window root: for the removal
+    of every suite orbit, and for every orbit's base as the target with
+    nothing removed (hit at depth 1, by the first root of its line)."""
+    found = 0
+    for name, R in sorted(suite.items()):
+        orbits = anisotropic_orbits(R)
+        cases = [(_remaining_translations(R, ob), ob.base) for ob in orbits]
+        cases += [(R.translations, ob.base) for ob in orbits]
+        for fams, target in cases:
+            want = reference_certificate_search(R, fams, target, 8, 200)
+            assert _certificate_search(R, fams, target, 8, 200) == want, (name, target)
+            found += want is not None
+    assert found
+
+
+def test_f4_nu1_minimal(z1):
+    assert isinstance(minimality(construct_ears("F4", z1, z1)), Minimal)
 
 
 def test_bc1_lattice_case_minimal():
