@@ -45,6 +45,7 @@ from .weyl import (
     NotMinimal,
     NotOverFinitePart,
     Unknown,
+    minimality,
     orbit_closed_form,
     word_element,
 )
@@ -184,8 +185,6 @@ def cmd_orbits(cfg: RunConfig) -> int:
 
 
 def cmd_minimality(cfg: RunConfig) -> int:
-    from .weyl import minimality
-
     R = _load_descriptor(cfg)
     verdict = minimality(R, depth=cfg.search_depth, budget=cfg.budget)
     if isinstance(verdict, Minimal):

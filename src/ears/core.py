@@ -21,20 +21,24 @@ from itertools import islice
 from .finite import (
     FiniteRootSystem,
     InvalidRank,
+    _classify_subset,
     _connected,
     build_finite,
     length_classes,
 )
 from .linalg import (
     AmbientSpace,
+    BilinearForm,
     DimensionMismatch,
     Matrix,
     Vector,
     _frac,
+    reflection_matrix,
     scaled_ints,
     span_rank,
 )
 from .semilattice import (
+    Lattice,
     RankMismatch,
     Semilattice,
     residue_table,
@@ -91,15 +95,20 @@ class EarsDescriptor:
     ):
         sh, lg, ex = length_classes(finite_part)
         classes = {"short": sh, "long": lg, "extra": ex}
+        dot_classes = {t: classes[t] for t in _CLASS_TAGS if classes[t]}
+        if set(dot_classes) != set(translations):
+            raise WrongArity(
+                f"{finite_part.label} has length classes "
+                f"{sorted(dot_classes)} but translation sets "
+                f"{sorted(translations)}"
+            )
         object.__setattr__(self, "finite_part", finite_part)
         object.__setattr__(self, "nullity", nullity)
         object.__setattr__(self, "translations", dict(translations))
         object.__setattr__(
             self, "space", AmbientSpace(nullity, finite_part.form.gram)
         )
-        object.__setattr__(
-            self, "dot_classes", {t: classes[t] for t in _CLASS_TAGS if classes[t]}
-        )
+        object.__setattr__(self, "dot_classes", dot_classes)
         if isotropic is None:
             isotropic = translations["short"].sum_set(translations["short"])
         object.__setattr__(self, "isotropic", isotropic)
@@ -107,12 +116,6 @@ class EarsDescriptor:
         tables = {t: residue_table(s) for t, s in self.translations.items()}
         tables["isotropic"] = residue_table(self.isotropic)
         object.__setattr__(self, "_tables", tables)
-        if set(self.dot_classes) != set(self.translations):
-            raise WrongArity(
-                f"{finite_part.label} has length classes "
-                f"{sorted(self.dot_classes)} but translation sets "
-                f"{sorted(self.translations)}"
-            )
 
     def __setattr__(self, name, value):
         raise AttributeError("EarsDescriptor is immutable")
@@ -209,8 +212,6 @@ class EarsDescriptor:
         )
 
     def reflection_set(self, bound) -> frozenset[Matrix]:
-        from .linalg import reflection_matrix
-
         return frozenset(
             reflection_matrix(self.space, v) for v in self.anisotropic_window(bound)
         )
@@ -222,7 +223,7 @@ def is_root(r: EarsDescriptor, v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the four constructions
+# construction: the constraints are read off the finite tables
 
 
 def _require(cond: bool, message: str):
@@ -247,72 +248,37 @@ def construct_ears(x, short, long=None, extra=None, removal_chain=()) -> EarsDes
     """Build a descriptor from a finite type and per-length translation sets.
 
     short/long/extra hold the isotropic translations of the corresponding
-    root-length class; which ones must be present depends on the type.
-    Constraint failures raise ConstraintViolation naming the violated
-    inclusion; a translation set supplied for an absent length class (or a
-    missing one) raises WrongArity.
+    root-length class; a set supplied for an absent length class (or a
+    missing one) raises WrongArity, sets of different ranks RankMismatch.
+    The constraints follow from the finite tables: a class's set is a full
+    lattice when two of its roots span an A2 (Cartan integer -1), every set
+    but extra's contains 0, extra avoids 2*short, and for consecutive classes
+    x < y with squared-length ratio k, y + k*x lies in y and x + y in x.
+    Their failures raise ConstraintViolation naming the violated inclusion.
     """
     finite = _as_finite(x)
-    t, rank = finite.type_symbol, finite.rank
-    nu = short.ambient
-
-    if t in ("A", "D", "E"):
-        if long is not None or extra is not None:
-            raise WrongArity(f"{finite.label} takes only a short translation set")
-        _check_semilattice(short, "short", True, finite.label != "A1")
-        trans = {"short": short}
-    elif t in ("B", "C", "F", "G"):
-        if long is None or extra is not None:
-            raise WrongArity(f"{finite.label} takes short and long translation sets")
-        if long.ambient != nu:
-            raise RankMismatch("short and long translation sets differ in rank")
-        k = 3 if t == "G" else 2
-        s_lattice = (t == "C") or t in ("F", "G")
-        l_lattice = (t == "B" and rank >= 3) or t in ("F", "G")
-        _check_semilattice(short, "short", True, s_lattice)
-        _check_semilattice(long, "long", True, l_lattice)
-        _require(sum_condition(long, short, k), f"long + {k}*short ⊄ long")
-        _require(sum_condition(short, long, 1), "short + long ⊄ short")
-        trans = {"short": short, "long": long}
-    elif t == "BC" and rank >= 2:
-        if long is None or extra is None:
-            raise WrongArity(
-                f"{finite.label} takes short, long, and extra translation sets"
-            )
-        if long.ambient != nu or extra.ambient != nu:
-            raise RankMismatch("translation sets differ in rank")
-        _check_semilattice(short, "short", True, False)
-        _check_semilattice(long, "long", True, rank >= 3)
-        _check_semilattice(extra, "extra", False, False)
-        _require(
-            not extra.intersects(short.scaled(2)),
-            "extra ∩ 2*short ≠ ∅",
-        )
-        _require(sum_condition(long, short, 2), "long + 2*short ⊄ long")
-        _require(sum_condition(short, long, 1), "short + long ⊄ short")
-        _require(sum_condition(extra, long, 2), "extra + 2*long ⊄ extra")
-        _require(sum_condition(long, extra, 1), "long + extra ⊄ long")
-        trans = {"short": short, "long": long, "extra": extra}
-    elif t == "BC":
-        if long is not None or extra is None:
-            raise WrongArity(
-                f"{finite.label} takes short and extra translation sets"
-            )
-        if extra.ambient != nu:
-            raise RankMismatch("translation sets differ in rank")
-        _check_semilattice(short, "short", True, False)
-        _check_semilattice(extra, "extra", False, False)
-        _require(
-            not extra.intersects(short.scaled(2)),
-            "extra ∩ 2*short ≠ ∅",
-        )
-        _require(sum_condition(extra, short, 4), "extra + 4*short ⊄ extra")
-        _require(sum_condition(short, extra, 1), "short + extra ⊄ short")
-        trans = {"short": short, "extra": extra}
-    else:
-        raise InvalidRank(f"unsupported type {finite.label}")
-
-    return EarsDescriptor(finite, nu, trans, removal_chain)
+    given = {"short": short, "long": long, "extra": extra}
+    r = EarsDescriptor(
+        finite, short.ambient, {t: s for t, s in given.items() if s is not None}, removal_chain
+    )
+    sets = r.translations
+    ranks = {t: s.ambient for t, s in sets.items()}
+    if len(set(ranks.values())) > 1:
+        raise RankMismatch(f"translation sets differ in rank: {ranks}")
+    norms = {}
+    for tag, roots in r.dot_classes.items():
+        idx = [finite.index[d] for d in roots]
+        norms[tag] = finite.norms[idx[0]]
+        a2 = any(finite.cartan[i][j] == -1 for i in idx for j in idx)
+        _check_semilattice(sets[tag], tag, tag != "extra", a2)
+    if "extra" in sets:
+        _require(not sets["extra"].intersects(short.scaled(2)), "extra ∩ 2*short ≠ ∅")
+    tags = list(norms)
+    for x, y in zip(tags, tags[1:]):
+        k = norms[y] // norms[x]
+        _require(sum_condition(sets[y], sets[x], k), f"{y} + {k}*{x} ⊄ {y}")
+        _require(sum_condition(sets[x], sets[y], 1), f"{x} + {y} ⊄ {x}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +672,16 @@ def trim(r: EarsDescriptor) -> EarsDescriptor:
     """Halve the extra-long roots of a BC-type system, merging them into the
     short class; the result is the reduced-type system with the same
     reflections.  Raises NotBCType away from BC input."""
-    if r.finite_part.type_symbol != "BC":
+    if "extra" not in r.dot_classes:
         raise NotBCType(f"trim needs a BC-type system, got {r.finite_part.label}")
-    rank = r.finite_part.rank
+    finite = r.finite_part
     merged = r.translations["short"].union(
         r.translations["extra"].scaled(Fraction(1, 2))
     )
     rep = verify_semilattice(merged)
     _require(rep.ok, "short ∪ (1/2)extra is not a semilattice: " + "; ".join(rep.problems))
-    if rank == 1:
-        return construct_ears(build_finite("A", 1), merged)
-    return construct_ears(build_finite("B", rank), merged, r.translations["long"])
+    reduced = _classify_subset(finite, finite.roots - r.dot_classes["extra"])
+    return construct_ears(reduced, merged, r.translations.get("long"))
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +833,18 @@ def semilattice_to_config(s: Semilattice) -> dict:
 
 def semilattice_from_config(data: dict, nullity: int) -> Semilattice:
     """The set a config block describes; Lattice and Semilattice check the rows' nullity."""
-    from .semilattice import Lattice
-
     translated = _typed("translated", data.get("translated", False), bool)
     return Semilattice.from_cosets(data["cosets"], Lattice(nullity, data["basis"]), translated)
 
 
+_JSON_KINDS = {bool: "boolean", int: "integer", dict: "object"}
+
+
 def _typed(key: str, value, kind: type):
-    """value, if it is a JSON boolean (kind bool) or a JSON integer (kind
-    int; a boolean is not one): a config value is checked, never coerced."""
+    """value, if it is a JSON boolean, integer (a boolean is not one) or
+    object, as kind says: a config value is checked, never coerced."""
     if type(value) is not kind:
-        name = "boolean" if kind is bool else "integer"
-        raise TypeError(f"config field {key!r} must be a JSON {name}, got {value!r}")
+        raise TypeError(f"config field {key!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -908,7 +873,7 @@ def descriptor_from_config(data: dict) -> EarsDescriptor:
     sets = {}
     for tag, key in _CONFIG_KEYS.items():
         if key in data:
-            sets[tag] = semilattice_from_config(data[key], nullity)
+            sets[tag] = semilattice_from_config(_typed(key, data[key], dict), nullity)
     if "short" not in sets:
         raise WrongArity("config is missing the short translation set S")
     return construct_ears(
@@ -917,8 +882,6 @@ def descriptor_from_config(data: dict) -> EarsDescriptor:
 
 
 def _dot_form(space: AmbientSpace):
-    from .linalg import BilinearForm
-
     g, dot = space.form.gram, slice(space.nu, space.nu + space.rank)
     return BilinearForm(Matrix._of([row[dot] for row in g.ints[dot]], g.den))
 

@@ -140,7 +140,8 @@ def bc1_double_fixture() -> EarsDescriptor:
 
 
 def acceptance_suite() -> dict:
-    """Descriptors covering all four construction shapes.
+    """Descriptors covering every length-class layout: simply laced, two
+    lengths, BC1 and BC_l.
 
     Keys name the finite type, the nullity, and the translation choice;
     the dict order is stable.

@@ -125,6 +125,9 @@ def test_zero_denominator_in_config_is_a_parse_error(capsys, tmp_path):
     ("nullity", 1.5),
     ("nullity", True),
     ("rank", 1.9),
+    ("S", [1]),  # a translation-set block must be a JSON object
+    ("L", []),
+    ("E", None),
 ])
 def test_config_fields_are_checked_not_coerced(capsys, tmp_path, field, value):
     cfg = descriptor_to_config(nullity2_system())
@@ -132,6 +135,14 @@ def test_config_fields_are_checked_not_coerced(capsys, tmp_path, field, value):
     path = write_config(tmp_path / "typed.json", cfg)
     assert main(["construct", "--in", path]) == EXIT_PARSE
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value", [("basis", [[True]]), ("cosets", [[False]])])
+def test_boolean_coordinate_is_a_parse_error(capsys, tmp_path, where, value):
+    cfg = {"type": "A1", "nullity": 1,
+           "S": {"basis": [[1]], "cosets": [[0], [1]], where: value}}
+    path = write_config(tmp_path / "bool.json", cfg)
+    assert main(["construct", "--in", path]) == EXIT_PARSE
 
 
 def test_constraint_violation_exit(capsys, tmp_path):

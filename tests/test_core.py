@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,9 @@ from ears.core import (
     EarsDescriptor,
     NotBCType,
     WrongArity,
+    _as_finite,
+    _check_semilattice,
+    _require,
     characterize,
     construct_ears,
     descriptor_from_config,
@@ -20,9 +24,16 @@ from ears.core import (
     trim,
     verify_axioms,
 )
-from ears.finite import build_finite
+from ears.examples import doubled_lattice, integer_lattice, odd_translated, product_even_semilattice
+from ears.finite import InvalidRank, build_finite, length_classes
 from ears.linalg import AmbientSpace, Matrix, reflect, vec
-from ears.semilattice import Lattice, Semilattice, verify_semilattice
+from ears.semilattice import (
+    Lattice,
+    RankMismatch,
+    Semilattice,
+    sum_condition,
+    verify_semilattice,
+)
 
 H = Fraction(1, 2)
 
@@ -458,3 +469,182 @@ def test_config_cosets_sorted(bc2_nu1):
     cfg = descriptor_to_config(bc2_nu1)
     rows = cfg["S"]["cosets"]
     assert rows == sorted(rows)
+
+
+# --- construction rules against the hand-written reference --------------------
+
+
+def _reference_construct_ears(x, short, long=None, extra=None, removal_chain=()) -> EarsDescriptor:
+    """Build a descriptor from a finite type and per-length translation sets.
+
+    short/long/extra hold the isotropic translations of the corresponding
+    root-length class; which ones must be present depends on the type.
+    Constraint failures raise ConstraintViolation naming the violated
+    inclusion; a translation set supplied for an absent length class (or a
+    missing one) raises WrongArity.
+    """
+    finite = _as_finite(x)
+    t, rank = finite.type_symbol, finite.rank
+    nu = short.ambient
+
+    if t in ("A", "D", "E"):
+        if long is not None or extra is not None:
+            raise WrongArity(f"{finite.label} takes only a short translation set")
+        _check_semilattice(short, "short", True, finite.label != "A1")
+        trans = {"short": short}
+    elif t in ("B", "C", "F", "G"):
+        if long is None or extra is not None:
+            raise WrongArity(f"{finite.label} takes short and long translation sets")
+        if long.ambient != nu:
+            raise RankMismatch("short and long translation sets differ in rank")
+        k = 3 if t == "G" else 2
+        s_lattice = (t == "C") or t in ("F", "G")
+        l_lattice = (t == "B" and rank >= 3) or t in ("F", "G")
+        _check_semilattice(short, "short", True, s_lattice)
+        _check_semilattice(long, "long", True, l_lattice)
+        _require(sum_condition(long, short, k), f"long + {k}*short ⊄ long")
+        _require(sum_condition(short, long, 1), "short + long ⊄ short")
+        trans = {"short": short, "long": long}
+    elif t == "BC" and rank >= 2:
+        if long is None or extra is None:
+            raise WrongArity(
+                f"{finite.label} takes short, long, and extra translation sets"
+            )
+        if long.ambient != nu or extra.ambient != nu:
+            raise RankMismatch("translation sets differ in rank")
+        _check_semilattice(short, "short", True, False)
+        _check_semilattice(long, "long", True, rank >= 3)
+        _check_semilattice(extra, "extra", False, False)
+        _require(
+            not extra.intersects(short.scaled(2)),
+            "extra ∩ 2*short ≠ ∅",
+        )
+        _require(sum_condition(long, short, 2), "long + 2*short ⊄ long")
+        _require(sum_condition(short, long, 1), "short + long ⊄ short")
+        _require(sum_condition(extra, long, 2), "extra + 2*long ⊄ extra")
+        _require(sum_condition(long, extra, 1), "long + extra ⊄ long")
+        trans = {"short": short, "long": long, "extra": extra}
+    elif t == "BC":
+        if long is not None or extra is None:
+            raise WrongArity(
+                f"{finite.label} takes short and extra translation sets"
+            )
+        if extra.ambient != nu:
+            raise RankMismatch("translation sets differ in rank")
+        _check_semilattice(short, "short", True, False)
+        _check_semilattice(extra, "extra", False, False)
+        _require(
+            not extra.intersects(short.scaled(2)),
+            "extra ∩ 2*short ≠ ∅",
+        )
+        _require(sum_condition(extra, short, 4), "extra + 4*short ⊄ extra")
+        _require(sum_condition(short, extra, 1), "short + extra ⊄ short")
+        trans = {"short": short, "extra": extra}
+    else:
+        raise InvalidRank(f"unsupported type {finite.label}")
+
+    return EarsDescriptor(finite, nu, trans, removal_chain)
+
+
+def _reference_trim(r: EarsDescriptor) -> EarsDescriptor:
+    if r.finite_part.type_symbol != "BC":
+        raise NotBCType(f"trim needs a BC-type system, got {r.finite_part.label}")
+    rank = r.finite_part.rank
+    merged = r.translations["short"].union(
+        r.translations["extra"].scaled(Fraction(1, 2))
+    )
+    rep = verify_semilattice(merged)
+    _require(rep.ok, "short ∪ (1/2)extra is not a semilattice: " + "; ".join(rep.problems))
+    if rank == 1:
+        return _reference_construct_ears(build_finite("A", 1), merged)
+    return _reference_construct_ears(build_finite("B", rank), merged, r.translations["long"])
+
+
+def _outcome(build, finite, slots):
+    try:
+        return build(finite, *slots)
+    except Exception as exc:  # the comparison is over exception types too
+        return exc
+
+
+def _lattice(rows) -> Semilattice:
+    """The lattice the rows span, as the cosets of twice it."""
+    sums = [[sum(r[j] for r, b in zip(rows, bits) if b) for j in range(len(rows[0]))]
+            for bits in product((0, 1), repeat=len(rows))]
+    return Semilattice(rows, sums)
+
+
+def _candidates(nu: int) -> dict:
+    """Translation sets for one slot: lattices, a translated set, a set that
+    is not closed, one that does not span, one of the wrong rank, and none."""
+    eye = [[int(i == j) for j in range(nu)] for i in range(nu)]
+    return {
+        "Z": integer_lattice(nu),
+        "2Z": doubled_lattice(nu),
+        "odd": odd_translated(nu),
+        "index2": _lattice([[2]] if nu == 1 else [[1, 1], [0, 2]]),
+        "product-even": product_even_semilattice(nu),
+        "not closed": Semilattice.from_cosets(
+            [[0] * nu] + eye, Lattice(nu, [[4 * x for x in row] for row in eye])),
+        "not spanning": Semilattice(eye[:-1] or [[0]], [[0] * nu]),
+        "wrong rank": integer_lattice(nu + 1),
+        "none": None,
+    }
+
+
+# every ConstraintViolation message the reference can raise
+_REFERENCE_MESSAGES = {
+    *(f"{c} translation set {m}" for c in ("short", "long", "extra")
+      for m in ("does not span the isotropic space", "is not closed under x + 2y")),
+    *(f"0 is missing from the {c} translation set" for c in ("short", "long")),
+    *(f"{c} translation set must be a full lattice for this type" for c in ("short", "long")),
+    "extra ∩ 2*short ≠ ∅",
+    "long + 2*short ⊄ long", "long + 3*short ⊄ long", "short + long ⊄ short",
+    "extra + 2*long ⊄ extra", "long + extra ⊄ long",
+    "extra + 4*short ⊄ extra", "short + extra ⊄ short",
+}
+
+_REFERENCE_LABELS = ("A1", "A2", "D4", "B2", "B3", "C3", "F4", "G2", "BC1", "BC2", "BC3")
+
+
+def _reference_corpus():
+    """(label, finite system, slots) at nullity 1 and 2: every candidate in
+    each slot whose length class the type has, Z or none in the others; then
+    the inputs that reach the messages this grid misses."""
+    finites = {label: _as_finite(label) for label in _REFERENCE_LABELS}
+    for nu in (1, 2):
+        cands = _candidates(nu)
+        few = {k: cands[k] for k in ("Z", "none")}
+        for label, finite in finites.items():
+            present = dict(zip(("short", "long", "extra"), length_classes(finite)))
+            pools = [cands if roots else few for roots in present.values()]
+            for names in product(*pools):
+                yield label, finite, tuple(pool[n] for pool, n in zip(pools, names))
+    z1 = integer_lattice(1)
+    odd3 = Semilattice([[3]], [[3]], translated=True)  # 3 + 6Z, closed and avoiding 2Z
+    yield "B2", finites["B2"], (z1, _lattice([[4]]), None)
+    yield "BC1", finites["BC1"], (z1, None, odd3)
+    yield "BC2", finites["BC2"], (z1, z1, odd3)
+
+
+def test_construct_matches_the_reference_on_every_corpus_input():
+    messages = set()
+    for label, finite, slots in _reference_corpus():
+        want = _outcome(_reference_construct_ears, finite, slots)
+        got = _outcome(construct_ears, finite, slots)
+        case = (label, slots)
+        assert type(got) is type(want), (case, want, got)
+        if isinstance(want, ConstraintViolation):
+            assert str(got) == str(want), case
+            messages.add(str(want))
+        elif isinstance(want, EarsDescriptor):
+            assert got == want and got.dot_classes == want.dot_classes, case
+    assert messages == _REFERENCE_MESSAGES, _REFERENCE_MESSAGES ^ messages
+
+
+def test_trim_matches_the_reference(suite, bc1_shifted):
+    z1 = integer_lattice(1)
+    bc3 = construct_ears("BC3", z1, z1, odd_translated(1))
+    for r in (suite["BC1 nu1"], bc1_shifted, suite["BC2 nu1"], bc3):
+        want, got = _reference_trim(r), trim(r)
+        assert got == want and got.finite_part == want.finite_part, r

@@ -9,6 +9,7 @@ from ears.linalg import (
     DimensionMismatch,
     IsotropicRoot,
     Matrix,
+    Vector,
     coroot,
     kernel,
     preserves_form,
@@ -37,6 +38,11 @@ def test_vector_arithmetic_is_exact():
 def test_vector_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         vec(1, 2) + vec(1, 2, 3)
+
+
+def test_booleans_are_not_coordinates():
+    with pytest.raises(TypeError):
+        Vector([True])
 
 
 def test_matrix_product_and_transpose():

@@ -1,7 +1,13 @@
 """Property-based checks over randomly drawn roots, words, semilattices and
 matrices."""
 
+import contextlib
+import copy
+import io
+import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -10,7 +16,10 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from ears.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, main
+from ears.core import descriptor_to_config
 from ears.examples import (
+    acceptance_suite,
     integer_lattice,
     nullity2_system,
     odd_translated,
@@ -184,3 +193,41 @@ def test_matrix_matches_fraction_rows(pair, k):
     assert scaled == m and hash(scaled) == hash(m) and repr(scaled) == repr(m)
     strings = Matrix([[str(x) for x in row] for row in a])
     assert strings == m and hash(strings) == hash(m)
+
+
+# -- the config loader answers every edited suite config with an exit code -----
+
+_SUITE_CONFIGS = [descriptor_to_config(r) for r in acceptance_suite().values()]
+_POOL = [None, True, False, 0, -1, 1.5, "x", "1/0", [], {}, [[]], [1]]
+
+
+def _paths(node, at=()):
+    """The path of every leaf and block below the top of a config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _paths(child, at + (key,))
+
+
+@st.composite
+def _edited_configs(draw):
+    """A suite config with one leaf or block replaced by a pool value."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_SUITE_CONFIGS)))
+    *up, last = draw(st.sampled_from(list(_paths(cfg))))
+    parent = cfg
+    for key in up:
+        parent = parent[key]
+    parent[last] = draw(st.sampled_from(_POOL))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edited_configs())
+def test_config_loader_exits_with_a_code(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edited.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["construct", "--in", path])
+    assert code in (EXIT_OK, EXIT_CONSTRAINT, EXIT_PARSE), cfg
