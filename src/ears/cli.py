@@ -136,8 +136,11 @@ def _emit(cfg: RunConfig, report: dict) -> None:
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {cfg.output_path}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -700,6 +701,25 @@ class CharacterizeReport:
         return next(c for c in self.checks if c.axiom == name)
 
 
+def _iso_index(xs, lo, hi, i=0):
+    """Index of the sorted rows xs[lo:hi] by coordinate i: its distinct
+    values, where each starts (then hi), and each one's index by i + 1."""
+    starts = [j for j in range(lo, hi) if j == lo or xs[j][i] != xs[j - 1][i]]
+    ends = starts[1:] + [hi]
+    subs = None if i + 1 == len(xs[lo]) else [_iso_index(xs, a, b, i + 1) for a, b in zip(starts, ends)]
+    return [xs[j][i] for j in starts], starts + [hi], subs
+
+
+def _box_runs(node, bounds, i=0):
+    """The runs (lo, hi) of indexed rows x with bounds[k][0] <= x[k] <=
+    bounds[k][1] for every k, in the rows' order."""
+    keys, starts, subs = node
+    a, b = bisect_left(keys, bounds[i][0]), bisect_right(keys, bounds[i][1])
+    if subs is None:
+        return [(starts[a], starts[b])] if a < b else []
+    return [run for j in range(a, b) for run in _box_runs(subs[j], bounds, i + 1)]
+
+
 def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     """Test a finite window of an alleged anisotropic root set.
 
@@ -712,7 +732,10 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     isotropic exactly when its dot part is zero, and images have zero dual
     part.  The window is scaled to integers once: for each pair of dot
     parts the coefficient c = p/q is exact, and the image of beta in alpha
-    has scaled iso part (q beta - p alpha) / q.
+    has scaled iso part (q beta - p alpha) / q, in the box exactly when
+    |q beta_i - p alpha_i| <= edge for each i: an index of the betas by iso
+    coordinate yields just those betas, in order.  The count reported is
+    |alphas| * |betas| for each dot pair whose image dot part is in the box.
     """
     vs = sorted(set(window), key=lambda v: v.coords)
     checks = []
@@ -735,6 +758,7 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     checked = 0
     if not bad:
         dots = {d: Vector(d) for d in groups}
+        index = {d: _iso_index([x for _, x in b], 0, len(b)) for d, b in groups.items()} if nu else {}
         for da_key, alphas in groups.items():
             da = dots[da_key]
             caa = dot_form.evaluate(da, da)
@@ -744,17 +768,17 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
                 img_dot = db - da * c
                 if img_dot.max_norm() > box:
                     continue
+                checked += len(alphas) * len(betas)
                 p, q = c.numerator, c.denominator
                 edge = int(box * scale) * q
                 target = targets.get(img_dot.coords, ())
                 q_betas = [(beta, [q * t for t in xb]) for beta, xb in betas]
                 for alpha, xa in alphas:
                     p_alpha = [p * t for t in xa]
-                    for beta, q_beta in q_betas:
-                        checked += 1
+                    bounds = [(-((edge - t) // q), (t + edge) // q) for t in p_alpha]
+                    runs = _box_runs(index[db_key], bounds) if nu else [(0, len(betas))]
+                    for beta, q_beta in (pair for lo, hi in runs for pair in q_betas[lo:hi]):
                         y = [u - w for u, w in zip(q_beta, p_alpha)]
-                        if max(map(abs, y), default=0) > edge:
-                            continue
                         if q == 1:
                             key = tuple(y)
                         else:

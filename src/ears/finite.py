@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import matmul, mul
 
 from .linalg import BilinearForm, Matrix, Vector, closure, scaled_ints, span_rank
@@ -183,8 +184,9 @@ def _realization(type_symbol: str, rank: int) -> tuple[BilinearForm, list[Vector
     raise InvalidRank(f"unknown type symbol {type_symbol!r}")
 
 
+@lru_cache(maxsize=64)
 def build_finite(type_symbol: str, rank: int) -> FiniteRootSystem:
-    """Standard realization of an irreducible finite root system."""
+    """Standard realization of an irreducible finite root system (frozen, so shared)."""
     t = type_symbol.upper()
     form, simples = _realization(type_symbol, rank)
     roots = _closure_from_simples(simples, form)

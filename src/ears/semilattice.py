@@ -466,13 +466,14 @@ class ResidueTable:
 
 
 def residue_table(s: Semilattice, cap: int = 4_000_000) -> ResidueTable | None:
-    """Build a ResidueTable for S, or None if S is degenerate or too large."""
+    """Build a ResidueTable for S, or None if S is degenerate or too large:
+    S is periodic under period * Z^n, so its residues are its points in the
+    box [0, period - 1]^n."""
     if s.modulus.rank != s.ambient:
         return None
     rows = s.modulus.rows_at(s.den)
     period = math.prod(r[i] for i, r in enumerate(rows))
     if s.coset_count * period ** (s.ambient - 1) > cap:
         return None
-    starts = [tuple(x % period for x in c) for c in s.ints]
-    residues = closure(starts, rows, lambda t, r: tuple((x + y) % period for x, y in zip(t, r)), cap)
+    residues = box_points(rows, s.ints, [0] * s.ambient, [period - 1] * s.ambient)
     return ResidueTable(s.ambient, s.den, period, frozenset(residues))

@@ -253,6 +253,13 @@ def test_output_file(tmp_path, nu2_config):
     assert rep["ok"] is True
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_unwritable_output_is_a_parse_error(capsys, tmp_path, nu2_config, where):
+    out = tmp_path / where
+    assert main(["verify", "--in", nu2_config, "--out", str(out)]) == EXIT_PARSE
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 def test_threads_env(capsys, monkeypatch, nu2_config):
     monkeypatch.setenv("EARS_THREADS", "7")
     code, rep = run(capsys, "construct", "--in", nu2_config)

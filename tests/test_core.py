@@ -7,12 +7,16 @@ from itertools import product
 import pytest
 
 from ears.core import (
+    AxiomCheck,
+    CharacterizeReport,
     ConstraintViolation,
     EarsDescriptor,
     NotBCType,
     WrongArity,
     _as_finite,
     _check_semilattice,
+    _dot_form,
+    _finite_root_system_check,
     _require,
     characterize,
     construct_ears,
@@ -26,7 +30,7 @@ from ears.core import (
 )
 from ears.examples import doubled_lattice, integer_lattice, odd_translated, product_even_semilattice
 from ears.finite import InvalidRank, build_finite, length_classes
-from ears.linalg import AmbientSpace, Matrix, reflect, vec
+from ears.linalg import AmbientSpace, Matrix, Vector, reflect, scaled_ints, span_rank, vec
 from ears.semilattice import (
     Lattice,
     RankMismatch,
@@ -34,6 +38,7 @@ from ears.semilattice import (
     sum_condition,
     verify_semilattice,
 )
+from ears.weyl import extract_minimal
 
 H = Fraction(1, 2)
 
@@ -449,6 +454,158 @@ def test_characterize_matches_reference_on_broken_windows(a1_nu1, window, expect
     got = _reflection_summary(window, a1_nu1.space)
     assert got == _reference_reflection_check(window, a1_nu1.space)
     assert got == expected
+
+
+# characterize as it was before the box index, verbatim: every pair is
+# formed, and the pairs whose image leaves the window box are skipped one by one.
+def _reference_characterize(window, space: AmbientSpace) -> CharacterizeReport:
+    """Test a finite window of an alleged anisotropic root set.
+
+    Four hypotheses: closure under its own reflections (images leaving the
+    window box are ignored), the image in the dot space is an irreducible
+    finite root system, the generated subgroup is a full lattice, and no
+    root has its double in the set.  All verdicts are window-scale.
+
+    Reflections use the form on the (iso, dot) part, for which a vector is
+    isotropic exactly when its dot part is zero, and images have zero dual
+    part.  The window is scaled to integers once: for each pair of dot
+    parts the coefficient c = p/q is exact, and the image of beta in alpha
+    has scaled iso part (q beta - p alpha) / q.
+    """
+    vs = sorted(set(window), key=lambda v: v.coords)
+    checks = []
+    box = max((v.max_norm() for v in vs), default=Fraction(0))
+    members = {v.coords for v in vs}
+    nu, ell = space.nu, space.rank
+
+    scale, ints = scaled_ints(vs)
+    groups: dict[tuple, list] = {}  # dot part -> (root, scaled iso part)
+    targets: dict[tuple, set] = {}  # dot part -> scaled iso parts, dual zero
+    for v, x in zip(vs, ints):
+        dot = space.dot_part(v)
+        groups.setdefault(dot, []).append((v, x[:nu]))
+        if not any(x[nu + ell :]):
+            targets.setdefault(dot, set()).add(tuple(x[:nu]))
+
+    iso_members = [v for v in vs if not any(space.dot_part(v))]
+    dot_form = _dot_form(space)
+    bad = list(iso_members[:3])
+    checked = 0
+    if not bad:
+        dots = {d: Vector(d) for d in groups}
+        for da_key, alphas in groups.items():
+            da = dots[da_key]
+            caa = dot_form.evaluate(da, da)
+            for db_key, betas in groups.items():
+                db = dots[db_key]
+                c = 2 * dot_form.evaluate(db, da) / caa
+                img_dot = db - da * c
+                if img_dot.max_norm() > box:
+                    continue
+                p, q = c.numerator, c.denominator
+                edge = int(box * scale) * q
+                target = targets.get(img_dot.coords, ())
+                q_betas = [(beta, [q * t for t in xb]) for beta, xb in betas]
+                for alpha, xa in alphas:
+                    p_alpha = [p * t for t in xa]
+                    for beta, q_beta in q_betas:
+                        checked += 1
+                        y = [u - w for u, w in zip(q_beta, p_alpha)]
+                        if max(map(abs, y), default=0) > edge:
+                            continue
+                        if q == 1:
+                            key = tuple(y)
+                        else:
+                            key = None if any(t % q for t in y) else tuple(t // q for t in y)
+                        if key not in target:
+                            img_iso = [Fraction(t, q * scale) for t in y]
+                            bad.append((alpha, beta, space.assemble(img_iso, img_dot.coords)))
+                            if len(bad) >= 3:
+                                break
+                    if len(bad) >= 3:
+                        break
+                if bad:
+                    break
+            if bad:
+                break
+    if not bad:
+        detail = (
+            f"{checked} reflection images inside the window box "
+            f"(norm {box}) are all members"
+        )
+    elif iso_members:
+        detail = "isotropic vector in an allegedly anisotropic set"
+    else:
+        detail = "reflection image escapes the set"
+    checks.append(
+        AxiomCheck("reflection_invariance", not bad, detail, tuple(bad[:3]))
+    )
+
+    dot_set = {Vector(space.dot_part(v)) for v in vs}
+    dot_set.discard(Vector([0] * ell))
+    finite_ok, finite_detail = _finite_root_system_check(dot_set, space)
+    checks.append(AxiomCheck("finite_image", finite_ok, finite_detail))
+
+    rank = span_rank(vs)
+    dual_zero = all(all(c == 0 for c in space.dual_part(v)) for v in vs)
+    checks.append(
+        AxiomCheck(
+            "full_lattice",
+            rank == space.nu + ell and dual_zero,
+            f"generated subgroup has rank {rank}, expected {space.nu + ell}; "
+            "finitely generated rational, so discrete"
+            if dual_zero
+            else "a vector has a non-zero dual part, outside the (iso, dot) span",
+        )
+    )
+
+    doubles = [v for v in vs if (v * 2).coords in members]
+    checks.append(
+        AxiomCheck(
+            "reduced",
+            not doubles,
+            f"no vector has its double in the set ({len(vs)} vectors)"
+            if not doubles
+            else "a vector and its double are both present",
+            tuple(doubles[:3]),
+        )
+    )
+    return CharacterizeReport(tuple(checks))
+
+
+def _perturbed(window, space):
+    """The window and broken copies of it: first, middle or last root
+    dropped; a root scaled by 3/2 or doubled; every root halved; every
+    third root shifted by 1/2 in each iso coordinate; 0 added."""
+    w = sorted(window, key=lambda v: v.coords)
+    mid, nu = len(w) // 2, space.nu
+    half = vec(*([H] * nu + [0] * (space.dim - nu)))
+    return {
+        "window": w,
+        "first dropped": w[1:],
+        "middle dropped": w[:mid] + w[mid + 1 :],
+        "last dropped": w[:-1],
+        "scaled 3/2": w + [w[mid] * Fraction(3, 2)],
+        "doubled": w + [w[mid] * 2],
+        "halved": [v * H for v in w],
+        "half-shifted": [v + half if i % 3 == 0 else v for i, v in enumerate(w)],
+        "zero added": w + [vec(*[0] * space.dim)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_AT_WINDOW_TWO))
+def test_characterize_matches_the_pair_loop_on_perturbed_windows(suite, name):
+    R = suite[name]
+    for n in (1,) if R.nullity == 3 else (1, 2):
+        for label, window in _perturbed(R.anisotropic_window(n), R.space).items():
+            got = repr(characterize(window, R.space))
+            assert got == repr(_reference_characterize(window, R.space)), (n, label)
+
+
+def test_characterize_counts_every_pair_on_the_extraction_window(nullity3):
+    R = extract_minimal(nullity3)
+    check = characterize(R.anisotropic_window(3), R.space).check("reflection_invariance")
+    assert check.detail == "311364 reflection images inside the window box (norm 3) are all members"
 
 
 # --- config round trip --------------------------------------------------------------

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from ears import finite
+from ears.core import descriptor_from_config, descriptor_to_config, trim, verify_axioms
 from ears.finite import (
     FiniteRootSystem,
     InvalidRank,
@@ -265,3 +266,23 @@ def test_constructor_rejects_non_root_systems():
 def test_closure_cap():
     with pytest.raises(RuntimeError):
         closure([0], [1], lambda s, g: s + g, cap=10)
+
+
+def test_build_finite_is_built_once():
+    first = build_finite("B", 2)
+    assert build_finite("B", 2) is first
+    assert build_finite.__wrapped__("B", 2) == first
+
+
+def test_shared_finite_system_is_not_changed_by_use(suite):
+    config = descriptor_to_config(suite["B2 nu1 matched"])
+    before = descriptor_from_config(config)
+    tables = (before.finite_part.ordered, before.finite_part.cartan, before.finite_part.perms)
+    for R in suite.values():
+        verify_axioms(R, 2)
+        if R.finite_part.type_symbol == "BC":
+            trim(R)
+    after = descriptor_from_config(config)
+    assert after == before and after.finite_part is before.finite_part
+    assert (after.finite_part.ordered, after.finite_part.cartan, after.finite_part.perms) == tables
+    assert after.finite_part == build_finite.__wrapped__("B", 2)

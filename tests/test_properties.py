@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ears.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, main
-from ears.core import descriptor_to_config
+from ears.core import characterize, descriptor_to_config
 from ears.examples import (
     acceptance_suite,
     integer_lattice,
@@ -36,9 +36,11 @@ from ears.presentation import (
     parity,
     square_relation,
 )
+from ears.semilattice import Lattice, Semilattice, residue_table
 from ears.weyl import orbit_bfs, orbit_closed_form
+from test_core import _reference_characterize
 from test_linalg import fraction_product
-from test_semilattice import assert_matches, assert_pair_matches, both
+from test_semilattice import assert_matches, assert_pair_matches, both, reference_residue_table
 
 R2 = nullity2_system()
 SP2 = R2.space
@@ -166,6 +168,23 @@ def test_integer_sets_match_the_fraction_reference_on_random_input(x, y):
         assert_pair_matches(a, ra, b, rb, (x, y))
 
 
+@settings(max_examples=80, deadline=None)
+@given(_described_sets())
+def test_residue_table_matches_the_closure_on_random_input(x):
+    basis, cosets, translated, _ = x
+    s = Semilattice.from_cosets(cosets, Lattice(len(cosets[0]), basis), translated)
+    table = residue_table(s)
+    assert table == reference_residue_table(s), x
+    if s.modulus.rank < s.ambient:
+        assert table is None
+        return
+    period = table.period
+    size = s.coset_count * period ** (s.ambient - 1)
+    assert len(table.residues) <= size
+    assert residue_table(s, cap=size) == table
+    assert residue_table(s, cap=size - 1) is None
+
+
 # -- Matrix on integer rows against Fraction rows ------------------------------
 
 
@@ -231,3 +250,26 @@ def test_config_loader_exits_with_a_code(cfg):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["construct", "--in", path])
     assert code in (EXIT_OK, EXIT_CONSTRAINT, EXIT_PARSE), cfg
+
+
+_SUITE_WINDOWS = [
+    (sorted(R.anisotropic_window(1), key=lambda v: v.coords), R.space)
+    for _, R in sorted(acceptance_suite().items())
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SUITE_WINDOWS), st.data())
+def test_characterize_matches_the_pair_loop_on_random_edits(system, data):
+    """Random deletions and half-shifts of a suite window at window 1."""
+    window, space = system
+    picks = st.sets(st.integers(0, len(window) - 1), max_size=4)
+    dropped, shifted = data.draw(picks), data.draw(picks)
+    halves = st.lists(st.sampled_from([0, Fraction(1, 2), Fraction(-1, 2)]), min_size=space.nu, max_size=space.nu)
+    edited = []
+    for i, v in enumerate(window):
+        if i in shifted:
+            v = v + Vector(data.draw(halves) + [0] * (space.dim - space.nu))
+        if i not in dropped:
+            edited.append(v)
+    assert repr(characterize(edited, space)) == repr(_reference_characterize(edited, space))

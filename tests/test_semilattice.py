@@ -9,6 +9,7 @@ from ears.linalg import Vector, closure, scaled_ints, vec
 from ears.semilattice import (
     Lattice,
     RankMismatch,
+    ResidueTable,
     Semilattice,
     _hnf_int,
     box_points,
@@ -207,6 +208,21 @@ def test_closures_match_breadth_first_loops(suite):
                 assert got == reference_cosets(m0, cvecs), label
             table = residue_table(sl)
             assert (table.scale, table.period, table.residues) == reference_residues(sl), label
+            assert table == reference_residue_table(sl), label
+
+
+def reference_residue_table(s, cap=4_000_000):
+    """residue_table as a closure over the modulus rows mod period (the
+    breadth-first construction it replaced)."""
+    if s.modulus.rank != s.ambient:
+        return None
+    rows = s.modulus.rows_at(s.den)
+    period = math.prod(r[i] for i, r in enumerate(rows))
+    if s.coset_count * period ** (s.ambient - 1) > cap:
+        return None
+    starts = [tuple(x % period for x in c) for c in s.ints]
+    residues = closure(starts, rows, lambda t, r: tuple((x + y) % period for x, y in zip(t, r)), cap)
+    return ResidueTable(s.ambient, s.den, period, frozenset(residues))
 
 
 def test_rank_mismatch_rejected():
