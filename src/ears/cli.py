@@ -5,7 +5,8 @@ orbits and minimality verdicts with their certificates inline, report on
 the two presentation questions, apply the trim and isotropic-closure
 transforms, and re-run the bundled example computations against their
 recorded outcomes.  Exit codes are a stable contract: 0 pass, 1 recorded
-outcome mismatch, 2 constraint violation, 3 parse error.
+outcome mismatch, 2 constraint violation, 3 parse error, 4 internal error
+(a failed re-check or an exceeded closure cap).
 """
 
 import argparse
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     ConstraintViolation,
@@ -60,6 +60,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONSTRAINT = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def _threads_cap() -> int:
 def _parse_root(text: str) -> Vector:
     body = text.strip().lstrip("[").rstrip("]")
     try:
-        return Vector([Fraction(tok.strip()) for tok in body.split(",")])
+        return Vector([tok.strip() for tok in body.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad root {text!r}: {exc}")
 
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -34,8 +34,9 @@ from .linalg import (
     Matrix,
     Vector,
     _frac,
+    common_ints,
     reflection_matrix,
-    scaled_ints,
+    sorted_vectors,
     span_rank,
 )
 from .semilattice import (
@@ -114,9 +115,7 @@ class EarsDescriptor:
             isotropic = translations["short"].sum_set(translations["short"])
         object.__setattr__(self, "isotropic", isotropic)
         object.__setattr__(self, "removal_chain", tuple(removal_chain))
-        tables = {t: residue_table(s) for t, s in self.translations.items()}
-        tables["isotropic"] = residue_table(self.isotropic)
-        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("EarsDescriptor is immutable")
@@ -148,11 +147,12 @@ class EarsDescriptor:
     # -- membership ---------------------------------------------------------
 
     def _member(self, tag: str, iso: Vector) -> bool:
-        table = self._tables.get(tag)
-        if table is not None:
-            return table.contains(iso)
+        """Membership of iso in a tag's set; its residue table is built on first use."""
         target = self.isotropic if tag == "isotropic" else self.translations[tag]
-        return target.contains(iso)
+        if tag not in self._tables:
+            self._tables[tag] = residue_table(target)
+        table = self._tables[tag]
+        return target.contains(iso) if table is None else table.contains(iso)
 
     def class_of_dot(self, dot: Vector) -> str | None:
         for tag, roots in self.dot_classes.items():
@@ -166,10 +166,9 @@ class EarsDescriptor:
             raise DimensionMismatch(
                 f"vector dim {v.dim}, ambient dim {self.space.dim}"
             )
-        if any(c != 0 for c in self.space.dual_part(v)):
+        iso, dot, dual = self.space.blocks(v)
+        if not dual.is_zero():
             return "not_root"
-        dot = Vector(self.space.dot_part(v))
-        iso = Vector(self.space.iso_part(v))
         if dot.is_zero():
             return "isotropic" if self._member("isotropic", iso) else "not_root"
         tag = self.class_of_dot(dot)
@@ -179,14 +178,11 @@ class EarsDescriptor:
 
     # -- assembly and enumeration -------------------------------------------
 
-    def assemble_root(self, dot: Vector, iso: Vector) -> Vector:
-        return self.space.assemble(iso.coords, dot.coords)
-
     def families(self, bound=None):
         """(tag, dot root, translation set) triples, one per finite root."""
         out = []
         for tag in _CLASS_TAGS:
-            for dot in sorted(self.dot_classes.get(tag, ()), key=lambda d: d.coords):
+            for dot in sorted_vectors(self.dot_classes.get(tag, ())):
                 if bound is not None and dot.max_norm() > _frac(bound):
                     continue
                 out.append((tag, dot, self.translations[tag]))
@@ -196,21 +192,15 @@ class EarsDescriptor:
         out = []
         for _, dot, trans in self.families(bound):
             for iso in trans.window(bound):
-                out.append(self.assemble_root(dot, iso))
-        return sorted(out, key=lambda v: v.coords)
+                out.append(self.space.assemble(iso, dot))
+        return sorted_vectors(out)
 
     def isotropic_window(self, bound) -> list[Vector]:
         zero_dot = Vector([0] * self.finite_part.rank)
-        return sorted(
-            (self.assemble_root(zero_dot, iso) for iso in self.isotropic.window(bound)),
-            key=lambda v: v.coords,
-        )
+        return sorted_vectors(self.space.assemble(iso, zero_dot) for iso in self.isotropic.window(bound))
 
     def window(self, bound) -> list[Vector]:
-        return sorted(
-            self.anisotropic_window(bound) + self.isotropic_window(bound),
-            key=lambda v: v.coords,
-        )
+        return sorted_vectors(self.anisotropic_window(bound) + self.isotropic_window(bound))
 
     def reflection_set(self, bound) -> frozenset[Matrix]:
         return frozenset(
@@ -386,7 +376,7 @@ def _verify_descriptor(desc: EarsDescriptor, bound: int) -> AxiomReport:
 
     checks.append(_check_strings_descriptor(desc, bound))
 
-    present = {Vector(space.dot_part(v)) for v in aniso}
+    present = {space.blocks(v)[1] for v in aniso}
     detail, connected = _dot_connectivity(present, desc.finite_part)
     checks.append(AxiomCheck("R7", connected, detail + f" (window {bound})"))
 
@@ -413,7 +403,7 @@ def _check_iso_pairing(desc: EarsDescriptor, bound, iso_window) -> AxiomCheck:
     short = desc.translations["short"]
     bad = []
     for v in iso_window:
-        sigma = Vector(desc.space.iso_part(v))
+        sigma = desc.space.blocks(v)[0]
         if not any(short.contains(tau + sigma) for tau in short.cosets):
             bad.append(v)
     return AxiomCheck(
@@ -476,8 +466,7 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
         """Window points of s and their class keys, enumerated once per call."""
         if s not in windows:
             pts = s.window(bound)
-            windows[s] = pts, [
-                k.reduce_at([c.numerator * (scale // c.denominator) for c in v], scale) for v in pts]
+            windows[s] = pts, [k.reduce_at(v.at(scale), scale) for v in pts]
         return windows[s]
 
     member = {}
@@ -485,7 +474,7 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
     def in_set(tag: str, x: list) -> bool:
         cls = k.reduce_at(x, scale)
         if (tag, cls) not in member:
-            member[tag, cls] = desc._member(tag, Vector([Fraction(a, scale) for a in cls]))
+            member[tag, cls] = desc._member(tag, Vector._of(cls, scale))
         return member[tag, cls]
 
     profiles = {}
@@ -535,8 +524,8 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
                 for i, j in islice(found, 2):
                     witnesses.append(
                         (
-                            desc.assemble_root(da, a_iso[i]),
-                            desc.assemble_root(db, b_iso[j]),
+                            desc.space.assemble(a_iso[i], da),
+                            desc.space.assemble(b_iso[j], db),
                         )
                     )
             if len(witnesses) > 4:
@@ -560,12 +549,8 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
     checks = []
     members = set(roots)
     zero = Vector([0] * space.dim)
-    aniso = sorted(
-        (v for v in members if not space.is_isotropic(v)), key=lambda v: v.coords
-    )
-    iso = sorted(
-        (v for v in members if space.is_isotropic(v)), key=lambda v: v.coords
-    )
+    aniso = sorted_vectors(v for v in members if not space.is_isotropic(v))
+    iso = sorted_vectors(v for v in members if space.is_isotropic(v))
 
     checks.append(AxiomCheck("R1", zero in members, "0 in the given set"))
     bad = [v for v in members if -v not in members]
@@ -658,11 +643,10 @@ def irc_window(vectors, space: AmbientSpace) -> list[Vector]:
     for i, a in enumerate(vs):
         for b in vs:
             d = a - b
-            if all(c == 0 for c in space.dot_part(d)) and all(
-                c == 0 for c in space.dual_part(d)
-            ):
+            _, dot, dual = space.blocks(d)
+            if dot.is_zero() and dual.is_zero():
                 out.add(d)
-    return sorted(out, key=lambda v: v.coords)
+    return sorted_vectors(out)
 
 
 # ---------------------------------------------------------------------------
@@ -737,27 +721,27 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     coordinate yields just those betas, in order.  The count reported is
     |alphas| * |betas| for each dot pair whose image dot part is in the box.
     """
-    vs = sorted(set(window), key=lambda v: v.coords)
+    members = set(window)
+    vs = sorted_vectors(members)
     checks = []
-    box = max((v.max_norm() for v in vs), default=Fraction(0))
-    members = {v.coords for v in vs}
     nu, ell = space.nu, space.rank
 
-    scale, ints = scaled_ints(vs)
-    groups: dict[tuple, list] = {}  # dot part -> (root, scaled iso part)
-    targets: dict[tuple, set] = {}  # dot part -> scaled iso parts, dual zero
+    scale, ints = common_ints(vs)
+    box = Fraction(max((abs(t) for x in ints for t in x), default=0), scale)
+    groups: dict[tuple, list] = {}  # scaled dot part -> (root, scaled iso part)
+    targets: dict[tuple, set] = {}  # scaled dot part -> scaled iso parts, dual zero
     for v, x in zip(vs, ints):
-        dot = space.dot_part(v)
+        dot = x[nu : nu + ell]
         groups.setdefault(dot, []).append((v, x[:nu]))
         if not any(x[nu + ell :]):
-            targets.setdefault(dot, set()).add(tuple(x[:nu]))
+            targets.setdefault(dot, set()).add(x[:nu])
 
-    iso_members = [v for v in vs if not any(space.dot_part(v))]
+    dots = {d: Vector._of(d, scale) for d in groups}
+    iso_members = [v for v, x in zip(vs, ints) if not any(x[nu : nu + ell])]
     dot_form = _dot_form(space)
     bad = list(iso_members[:3])
     checked = 0
     if not bad:
-        dots = {d: Vector(d) for d in groups}
         index = {d: _iso_index([x for _, x in b], 0, len(b)) for d, b in groups.items()} if nu else {}
         for da_key, alphas in groups.items():
             da = dots[da_key]
@@ -771,7 +755,7 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
                 checked += len(alphas) * len(betas)
                 p, q = c.numerator, c.denominator
                 edge = int(box * scale) * q
-                target = targets.get(img_dot.coords, ())
+                target = targets.get(img_dot.at(scale), ())
                 q_betas = [(beta, [q * t for t in xb]) for beta, xb in betas]
                 for alpha, xa in alphas:
                     p_alpha = [p * t for t in xa]
@@ -784,8 +768,7 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
                         else:
                             key = None if any(t % q for t in y) else tuple(t // q for t in y)
                         if key not in target:
-                            img_iso = [Fraction(t, q * scale) for t in y]
-                            bad.append((alpha, beta, space.assemble(img_iso, img_dot.coords)))
+                            bad.append((alpha, beta, space.assemble(Vector._of(y, q * scale), img_dot)))
                             if len(bad) >= 3:
                                 break
                     if len(bad) >= 3:
@@ -807,13 +790,13 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
         AxiomCheck("reflection_invariance", not bad, detail, tuple(bad[:3]))
     )
 
-    dot_set = {Vector(space.dot_part(v)) for v in vs}
+    dot_set = {dots[d] for d in groups}
     dot_set.discard(Vector([0] * ell))
     finite_ok, finite_detail = _finite_root_system_check(dot_set, space)
     checks.append(AxiomCheck("finite_image", finite_ok, finite_detail))
 
     rank = span_rank(vs)
-    dual_zero = all(all(c == 0 for c in space.dual_part(v)) for v in vs)
+    dual_zero = not any(any(x[nu + ell :]) for x in ints)
     checks.append(
         AxiomCheck(
             "full_lattice",
@@ -825,7 +808,7 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
         )
     )
 
-    doubles = [v for v in vs if (v * 2).coords in members]
+    doubles = [v for v in vs if v * 2 in members]
     checks.append(
         AxiomCheck(
             "reduced",
@@ -839,18 +822,15 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     return CharacterizeReport(tuple(checks))
 
 
-def _num_to_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _vec_to_json(v: Vector) -> list:
-    return [_num_to_json(c) for c in v.coords]
+    """Each coordinate as a JSON integer, or as "n/d" in lowest terms."""
+    return [x // g if g == v.den else f"{x // g}/{v.den // g}" for x in v.ints for g in (math.gcd(x, v.den),)]
 
 
 def semilattice_to_config(s: Semilattice) -> dict:
     return {
         "basis": [_vec_to_json(row) for row in s.modulus.rows],
-        "cosets": [_vec_to_json(c) for c in sorted(s.cosets, key=lambda v: v.coords)],
+        "cosets": [_vec_to_json(c) for c in sorted_vectors(s.cosets)],
         "translated": s.translated,
     }
 

@@ -6,8 +6,6 @@ element of the word-to-group map, and the named descriptor suite the
 acceptance checks run over.
 """
 
-from fractions import Fraction
-
 from .core import EarsDescriptor, construct_ears
 from .linalg import Vector, vec
 from .semilattice import Lattice, Semilattice

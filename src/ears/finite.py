@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import matmul, mul
 
-from .linalg import BilinearForm, Matrix, Vector, closure, scaled_ints, span_rank
+from .linalg import BilinearForm, Matrix, Vector, closure, common_ints, sorted_vectors, span_rank
 
 
 class InvalidRank(ValueError):
@@ -60,7 +60,7 @@ class FiniteRootSystem:
     perms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.roots, key=lambda v: v.coords))
+        ordered = tuple(sorted_vectors(self.roots))
         _, ints, gints = _scaled_with_gram(ordered, self.form)
         pairs = [[sum(map(mul, a, gb)) for gb in gints] for a in ints]
         norms = tuple(row[i] for i, row in enumerate(pairs))
@@ -101,18 +101,15 @@ class FiniteRootSystem:
         return self.ordered[self.perms[j][i]]
 
     def reflection_matrix(self, alpha: Vector) -> Matrix:
-        n = alpha.dim
-        cols = []
-        for j in range(n):
-            e = Vector([Fraction(i == j) for i in range(n)])
-            cols.append(self.reflect(alpha, e).coords)
-        return Matrix(list(zip(*cols)))
+        images = [self.reflect(alpha, Vector._of(e)) for e in Matrix.identity(alpha.dim).ints]
+        den, cols = common_ints(images)
+        return Matrix._of(list(zip(*cols)), den)
 
 
 def _scaled_with_gram(vectors, form: BilinearForm):
     """Common denominator, the vectors scaled to ints, and G times each of
     them for the integer Gram rows G (form.gram.ints)."""
-    d, ints = scaled_ints(vectors)
+    d, ints = common_ints(vectors)
     return d, ints, [[sum(map(mul, row, a)) for row in form.gram.ints] for a in ints]
 
 
@@ -129,7 +126,7 @@ def _closure_from_simples(simples: list[Vector], form: BilinearForm) -> frozense
         return tuple(x - c * y for x, y in zip(v, s))
 
     starts = [tuple(s) for s in ints] + [tuple(-x for x in s) for s in ints]
-    return frozenset(Vector(Fraction(x, d) for x in v) for v in closure(starts, refl, act))
+    return frozenset(Vector._of(v, d) for v in closure(starts, refl, act))
 
 
 # E6 and E7 take the leading 6x6 and 7x7 blocks

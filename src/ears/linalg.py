@@ -1,9 +1,11 @@
 """Exact rational vectors, matrices, bilinear forms and reflections.
 
 Everything here is immutable and hashable; arithmetic is exact, there is
-no floating point anywhere in this package's numeric core.  Vectors hold
-Fractions; a Matrix holds integer rows over one denominator, and products
-of reflections are rank-one integer updates of it (times_reflector).
+no floating point anywhere in this package's numeric core.  A Vector holds
+integers over one denominator, and so does a Matrix, row by row; other
+modules read a Vector as ints at a scale (Vector.at, common_ints) and build
+one back with Vector._of, and its Fractions (coords) are only a view.
+Products of reflections are rank-one integer updates (times_reflector).
 
 The package's one elimination routine (echelon: fraction-free Gauss-Jordan
 on integers, under span_rank and kernel) and its one breadth-first search
@@ -40,22 +42,54 @@ class DimensionMismatch(ValueError):
 
 
 class Vector:
-    """Immutable vector with exact rational coordinates."""
+    """Immutable vector with exact rational coordinates: integers ints over
+    one positive denominator den with no common factor (as in Matrix), so
+    equal vectors have equal (ints, den); coords is the Fraction view, built
+    when first read, and the hash is hash(coords), computed once."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("ints", "den", "_coords", "_hash")
 
     def __init__(self, coords: Iterable[Rational]):
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
+        xs = [x if type(x) is int else _frac(x) for x in coords]
+        den = math.lcm(1, *(x.denominator for x in xs))  # of lowest terms: no common factor left
+        self._set(tuple(x.numerator * (den // x.denominator) for x in xs), den)
+
+    @classmethod
+    def _of(cls, ints, den: int = 1) -> "Vector":
+        """The vector ints / den, for a sequence ints and den > 0."""
+        g = math.gcd(den, *ints) if den > 1 else 1
+        return object.__new__(cls)._set(tuple(x // g for x in ints) if g > 1 else tuple(ints), den // g)
+
+    def _set(self, ints: tuple, den: int) -> "Vector":
+        _setattr(self, "ints", ints)
+        _setattr(self, "den", den)
+        _setattr(self, "_coords", None)
+        _setattr(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        if self._coords is None:
+            _setattr(self, "_coords", tuple(Fraction(x, self.den) for x in self.ints))
+        return self._coords
+
+    def at(self, scale: int) -> tuple[int, ...] | None:
+        """The coordinates of scale * v as ints, or None when one is not an
+        integer, that is when den does not divide scale."""
+        q, r = divmod(scale, self.den)
+        if r:
+            return None
+        return self.ints if q == 1 else tuple(q * x for x in self.ints)
+
+    @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.ints)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.coords)
@@ -64,36 +98,40 @@ class Vector:
         return self.coords[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.coords == other.coords
+        return isinstance(other, Vector) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        if self._hash is None:  # hash(Fraction(x)) == hash(x)
+            _setattr(self, "_hash", hash(self.ints if self.den == 1 else self.coords))
+        return self._hash
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
+        d = math.lcm(self.den, other.den)
+        return Vector._of([a + b for a, b in zip(self.at(d), other.at(d))], d)
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
+        d = math.lcm(self.den, other.den)
+        return Vector._of([a - b for a, b in zip(self.at(d), other.at(d))], d)
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.coords)
+        return object.__new__(Vector)._set(tuple(-a for a in self.ints), self.den)
 
     def __mul__(self, scalar: Rational) -> "Vector":
-        s = _frac(scalar)
-        return Vector(a * s for a in self.coords)
+        s = scalar if type(scalar) is int else _frac(scalar)
+        return Vector._of([a * s.numerator for a in self.ints], self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.ints)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def max_norm(self) -> Fraction:
-        return max((abs(c) for c in self.coords), default=Fraction(0))
+        return Fraction(max(map(abs, self.ints), default=0), self.den)
 
     def _check(self, other: "Vector") -> None:
         if not isinstance(other, Vector) or other.dim != self.dim:
@@ -101,6 +139,9 @@ class Vector:
 
     def __repr__(self) -> str:
         return "Vector((" + ", ".join(str(c) for c in self.coords) + "))"
+
+
+_setattr = object.__setattr__
 
 
 def vec(*coords: Rational) -> Vector:
@@ -169,7 +210,7 @@ class Matrix:
     def __mul__(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {v.dim}")
-        return Vector(Fraction(sum(map(mul, row, v.coords)), self.den) for row in self.ints)
+        return Vector._of([sum(map(mul, row, v.ints)) for row in self.ints], self.den * v.den)
 
     def transpose(self) -> "Matrix":
         return Matrix._of(list(zip(*self.ints)), self.den)
@@ -202,12 +243,9 @@ class BilinearForm:
     def evaluate(self, v: Vector, w: Vector) -> Fraction:
         if v.dim != self.dim or w.dim != self.dim:
             raise DimensionMismatch("form dimension mismatch")
-        return sum(
-            v.coords[i] * self.gram.rows[i][j] * w.coords[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.gram.rows[i][j] != 0
-        ) or Fraction(0)
+        g = self.gram
+        total = sum(x * sum(map(mul, row, w.ints)) for x, row in zip(v.ints, g.ints) if x)
+        return Fraction(total, v.den * g.den * w.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BilinearForm) and self.gram == other.gram
@@ -266,13 +304,18 @@ class AmbientSpace:
     def dual_part(self, v: Vector) -> tuple[Fraction, ...]:
         return v.coords[self.nu + self.rank :]
 
+    def blocks(self, v: Vector) -> tuple[Vector, Vector, Vector]:
+        """The isotropic, dot and dual blocks of v, as Vectors."""
+        a, b = self.nu, self.nu + self.rank
+        return Vector._of(v.ints[:a], v.den), Vector._of(v.ints[a:b], v.den), Vector._of(v.ints[b:], v.den)
+
     def assemble(self, iso, dot, dual=None) -> Vector:
-        iso = tuple(_frac(x) for x in iso)
-        dot = tuple(_frac(x) for x in dot)
-        dual = tuple(_frac(x) for x in dual) if dual is not None else (Fraction(0),) * self.nu
-        if len(iso) != self.nu or len(dot) != self.rank or len(dual) != self.nu:
+        """The vector with these blocks (Vectors or sequences); dual defaults to 0."""
+        parts = [p if isinstance(p, Vector) else Vector(p) for p in (iso, dot, dual or [0] * self.nu)]
+        if tuple(p.dim for p in parts) != self.split:
             raise DimensionMismatch("assemble: block sizes do not match the split")
-        return Vector(iso + dot + dual)
+        den = math.lcm(*(p.den for p in parts))
+        return Vector._of(sum((p.at(den) for p in parts), ()), den)
 
     def is_isotropic(self, v: Vector) -> bool:
         return self.pair(v, v) == 0
@@ -310,19 +353,31 @@ def reflection_matrix(space: AmbientSpace, alpha: Vector) -> Matrix:
     n = space.pair(alpha, alpha)
     if n == 0:
         raise IsotropicRoot(f"reflection in isotropic vector {alpha!r}")
-    d = space.dim
-    cols = []
-    for j in range(d):
-        e = Vector([Fraction(i == j) for i in range(d)])
-        cols.append(reflect(space, alpha, e).coords)
-    return Matrix(list(zip(*cols)))
+    images = [reflect(space, alpha, Vector._of(e)) for e in Matrix.identity(space.dim).ints]
+    den, cols = common_ints(images)
+    return Matrix._of(list(zip(*cols)), den)
 
 
-def line_key(r: Vector) -> tuple:
-    """Key of the line through r: r scaled to first nonzero coordinate 1,
-    so r and -r (which give the same reflection) share it."""
-    nz = next((c for c in r.coords if c), 1)
-    return tuple(c / nz for c in r.coords)
+def line_key(r: Vector) -> tuple[int, ...]:
+    """Key of the line through r: r.ints over their gcd, first nonzero one
+    positive, so r and -r (which give the same reflection) share it."""
+    g = math.gcd(*r.ints) or 1
+    sign = -1 if next((x for x in r.ints if x), 0) < 0 else 1
+    return tuple(x // (sign * g) for x in r.ints)
+
+
+def common_ints(vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator of the vectors and each one at it."""
+    den = math.lcm(1, *(v.den for v in vectors))
+    return den, [v.at(den) for v in vectors]
+
+
+def sorted_vectors(vectors) -> list[Vector]:
+    """The vectors sorted by coords, compared as ints at their common
+    denominator, a positive scale that keeps the order."""
+    vs = list(vectors)
+    den = math.lcm(1, *(v.den for v in vs))
+    return sorted(vs, key=lambda v: v.at(den))
 
 
 def _eliminate(row, prow, pc):
@@ -357,9 +412,9 @@ def echelon(rows) -> list[tuple[list[int], int]]:
 
 
 def span_rank(vectors) -> int:
-    """Rank of the rational span, by echelon on the vectors scaled to
-    integers once."""
-    return len(echelon(scaled_ints(list(vectors))[1]))
+    """Rank of the rational span, by echelon on the vectors at their
+    common denominator."""
+    return len(echelon(common_ints(list(vectors))[1]))
 
 
 def kernel(rows, width: int) -> list[list[Fraction]]:
@@ -418,24 +473,25 @@ def closure_word(tree: dict, state) -> tuple:
 
 
 def scaled_ints(vectors):
-    """Common denominator and the integer-scaled copies of the vectors."""
+    """Common denominator and the integer-scaled copies of rows of
+    Fractions (common_ints does this for Vectors)."""
     d = math.lcm(1, *(x.denominator for v in vectors for x in v))
     return d, [[x.numerator * (d // x.denominator) for x in v] for v in vectors]
 
 
 def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
     """Rank-one data of the reflection in alpha, from the integer Gram rows
-    G: with a = alpha scaled to integers, p = 2 G a and st = a^T G a (the
-    Gram scale cancels), then divided by their common factor."""
+    G: with a = alpha.ints, p = 2 G a and st = a^T G a (the scales of
+    alpha and G cancel), then divided by their common factor."""
     if alpha.dim != space.dim:
         raise DimensionMismatch(f"dim {space.dim} vs {alpha.dim}")
-    _, (a,) = scaled_ints([alpha.coords])
+    a = alpha.ints
     p = [2 * sum(g * x for g, x in zip(row, a) if g) for row in space.form.gram.ints]
     st = sum(x * y for x, y in zip(a, p)) // 2
     if st == 0:
         raise IsotropicRoot(f"reflection in isotropic vector {alpha!r}")
     g = math.gcd(st, *p) * (1 if st > 0 else -1)
-    return tuple(a), tuple(x // g for x in p), st // g
+    return a, tuple(x // g for x in p), st // g
 
 
 def times_reflector(m: Matrix, refl: tuple) -> Matrix:

@@ -24,6 +24,7 @@ from .linalg import (
     line_key,
     reflect,
     reflection_matrix,
+    sorted_vectors,
 )
 from .weyl import (
     GroupElement,
@@ -249,7 +250,7 @@ def coxeter_presentation_decision(R: EarsDescriptor):
         return Yes(R.nullity)
     space = R.space
     sl = R.translations["short"]
-    dot = max(R.dot_classes["short"], key=lambda v: v.coords)
+    dot = sorted_vectors(R.dot_classes["short"])[-1]
     lam = sl.lattice.rows
     shifts = [row * 2 for row in lam[:2]]
     zero = Vector([0] * R.nullity)

@@ -10,41 +10,26 @@ instance reproduces its point set faithfully.
 Each set is kept as integers over its least denominator den: a lattice
 as the Hermite normal form of den * L, a semilattice as its cosets reduced
 modulo the modulus, so reduction is integer floor division at the pivots.
-Vector is the boundary type: an incoming Vector is scaled once, and the
-Vectors handed out (rows, cosets, windows) are built from the integers.
+Vector is the boundary type: an incoming Vector is read as ints at a scale
+(Vector.at), and the Vectors handed out (rows, cosets, windows) are built
+on the integers (Vector._of).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, _frac, closure, scaled_ints
+from .linalg import Vector, _frac, closure, common_ints, sorted_vectors
 
 
 class RankMismatch(ValueError):
     pass
 
 
-def _vector(x, den: int) -> Vector:
-    return Vector([Fraction(a, den) for a in x])
-
-
 def _add(x, y) -> list[int]:
     return [a + b for a, b in zip(x, y)]
-
-
-def _at(v: Vector, den: int) -> list[int] | None:
-    """The coordinates of den * v as ints, or None when one is not integral."""
-    out = []
-    for x in v.coords:
-        q, r = divmod(den, x.denominator)
-        if r:
-            return None
-        out.append(x.numerator * q)
-    return out
 
 
 def _joint(a, b) -> int:
@@ -63,7 +48,7 @@ def _entry(cosets, ambient: int | None = None) -> tuple[int, list[list[int]]]:
     for c in cvecs:
         if c.dim != ambient:
             raise RankMismatch(f"coset dim {c.dim}, ambient rank {ambient}")
-    return scaled_ints(cvecs)
+    return common_ints(cvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +109,7 @@ class Lattice:
         for v in vecs:
             if v.dim != ambient:
                 raise RankMismatch(f"row of dim {v.dim} in ambient rank {ambient}")
-        self._set(ambient, *scaled_ints(vecs))
+        self._set(ambient, *common_ints(vecs))
 
     @classmethod
     def _of(cls, ambient: int, scale: int, ints) -> "Lattice":
@@ -146,7 +131,7 @@ class Lattice:
     @property
     def rows(self) -> tuple[Vector, ...]:
         if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(_vector(r, self.den) for r in self.hnf))
+            object.__setattr__(self, "_rows", tuple(Vector._of(r, self.den) for r in self.hnf))
         return self._rows
 
     @property
@@ -183,13 +168,13 @@ class Lattice:
         """Canonical representative of v modulo this lattice."""
         if v.dim != self.ambient:
             raise RankMismatch(f"vector dim {v.dim}, ambient {self.ambient}")
-        scale = math.lcm(self.den, *(x.denominator for x in v.coords))
-        return _vector(self.reduce_at(_at(v, scale), scale), scale)
+        scale = math.lcm(self.den, v.den)
+        return Vector._of(self.reduce_at(v.at(scale), scale), scale)
 
     def contains(self, v: Vector) -> bool:
         if v.dim != self.ambient:
             raise RankMismatch(f"vector dim {v.dim}, ambient {self.ambient}")
-        x = _at(v, self.den)
+        x = v.at(self.den)
         return x is not None and not any(self.reduce_at(x, self.den))
 
     def sum(self, other: "Lattice") -> "Lattice":
@@ -224,7 +209,7 @@ class Lattice:
 
     def quotient_reps(self, sub: "Lattice", cap: int = 1 << 20) -> list[Vector]:
         """Representatives of this lattice modulo a finite-index sublattice."""
-        return [_vector(x, self.den) for x in self._quotient(sub, cap)]
+        return [Vector._of(x, self.den) for x in self._quotient(sub, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +268,7 @@ class Semilattice:
     @property
     def cosets(self) -> frozenset[Vector]:
         if self._cosets is None:
-            object.__setattr__(self, "_cosets", frozenset(_vector(c, self.den) for c in self.ints))
+            object.__setattr__(self, "_cosets", frozenset(Vector._of(c, self.den) for c in self.ints))
         return self._cosets
 
     def __eq__(self, other) -> bool:
@@ -302,17 +287,8 @@ class Semilattice:
     def coset_count(self) -> int:
         return len(self.ints)
 
-    def _has(self, x, scale: int) -> bool:
-        """Whether x / scale (ints) is a member; every member lies in (1/den) Z^n."""
-        den = self.den
-        if scale != den:
-            if any(a * den % scale for a in x):
-                return False
-            x = [a * den // scale for a in x]
-        return self.modulus.reduce_at(x, den) in self.ints
-
     def contains(self, v: Vector) -> bool:
-        x = _at(v, self.den) if v.dim == self.ambient else None
+        x = v.at(self.den) if v.dim == self.ambient else None
         return x is not None and self.modulus.reduce_at(x, self.den) in self.ints
 
     def is_lattice(self) -> bool:
@@ -356,7 +332,7 @@ class Semilattice:
         k = self.modulus.intersect(other.modulus)
         if k.rank < self.modulus.rank:
             return False
-        return all(other._has(x, self.den) for x in self._residues(k, self.den))
+        return all(other.contains(Vector._of(x, self.den)) for x in self._residues(k, self.den))
 
     def intersects(self, other: "Semilattice") -> bool:
         """Whether the two point sets share an element."""
@@ -372,7 +348,7 @@ class Semilattice:
         lim = b.numerator * self.den // b.denominator
         lo, hi = [-lim] * self.ambient, [lim] * self.ambient
         points = box_points(self.modulus.rows_at(self.den), self.ints, lo, hi)
-        return [_vector(p, self.den) for p in sorted(set(points))]
+        return [Vector._of(p, self.den) for p in sorted(set(points))]
 
 
 def box_points(rows, cosets, lo, hi) -> list[tuple[int, ...]]:
@@ -418,7 +394,7 @@ def verify_semilattice(s: Semilattice) -> SemilatticeReport:
         problems.append("0 is not a member and the set is not marked translated")
     closed = sum_condition(s, s, 2)
     if not closed:
-        cosets = sorted(s.cosets, key=lambda v: v.coords)
+        cosets = sorted_vectors(s.cosets)
         a, b = next((a, b) for a in cosets for b in cosets if not s.contains(a + b * 2))
         problems.append(f"not closed under x + 2y: {a} + 2*{b} escapes")
     return SemilatticeReport(spans, contains_zero, closed, tuple(problems))
@@ -429,18 +405,12 @@ def sum_condition(a: Semilattice, b: Semilattice, k: int) -> bool:
 
     A is a finite union of cosets of its modulus, so translation by any
     single vector either permutes those cosets or escapes; it suffices to
-    test the generators of kB.  A lies in (1/a.den) Z^n, so a generator
-    outside it escapes at once.
+    test the generators of kB.
     """
     if a.ambient != b.ambient:
         raise RankMismatch(f"ambient ranks differ: {a.ambient} vs {b.ambient}")
-    shifts = []
-    for t in (*b.ints, *b.modulus.rows_at(b.den)):
-        y = [k * a.den * x for x in t]
-        if any(z % b.den for z in y):
-            return False
-        shifts.append([z // b.den for z in y])
-    return all(a._has(_add(c, t), a.den) for c in a.ints for t in shifts)
+    shifts = [Vector._of(t, b.den) * k for t in (*b.ints, *b.modulus.rows_at(b.den))]
+    return all(a.contains(c + t) for c in a.cosets for t in shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +431,7 @@ class ResidueTable:
     residues: frozenset
 
     def contains(self, v: Vector) -> bool:
-        x = _at(v, self.scale) if v.dim == self.dim else None
+        x = v.at(self.scale) if v.dim == self.dim else None
         return x is not None and tuple(a % self.period for a in x) in self.residues
 
 

@@ -26,9 +26,10 @@ removed reflection's word is read off the closure of the remaining ones.
 Words and the certificate search multiply a Matrix by reflections as
 rank-one integer updates (linalg.times_reflector), and the windowed orbit
 search forms only the reflected members that stay in its box, on integers
-at one scale; certificates are re-checked against reflection_matrix, built
-from Fraction reflect and not from those updates.  Finite generation and
-finite words run on root permutations (finite.reflection_closure).
+at one scale (Vector.at); certificates are re-checked against
+reflection_matrix, built from linalg.reflect and not from those updates.
+Finite generation and finite words run on root permutations
+(finite.reflection_closure).
 Rank-one powers are closed form; a rank-one form other than [1] is
 refused by the decider.
 Extraction reads the label of what a removal leaves off the remaining
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .core import (
@@ -68,6 +68,7 @@ from .linalg import (
     line_key,
     reflection_matrix,
     reflector,
+    sorted_vectors,
     times_reflector,
 )
 from .semilattice import Lattice, Semilattice, box_points
@@ -114,7 +115,7 @@ class OrbitDescriptor:
         object.__setattr__(self, "dot_part", dot_part)
         object.__setattr__(self, "finite_orbit", frozenset(finite_orbit))
         object.__setattr__(self, "translation_lattice", translation_lattice)
-        iso = translation_lattice.reduce(Vector(space.iso_part(base)))
+        iso = translation_lattice.reduce(space.blocks(base)[0])
         object.__setattr__(self, "_key", (
             tuple(sorted(d.coords for d in self.finite_orbit)),
             tuple(r.coords for r in translation_lattice.rows),
@@ -147,23 +148,20 @@ class OrbitDescriptor:
         space = self.space
         if v.dim != space.dim:
             raise DimensionMismatch(f"vector dim {v.dim}, space dim {space.dim}")
-        if any(x != 0 for x in space.dual_part(v)):
+        iso, dot, dual = space.blocks(v)
+        if not dual.is_zero() or dot not in self.finite_orbit:
             return False
-        if Vector(space.dot_part(v)) not in self.finite_orbit:
-            return False
-        tau = Vector(space.iso_part(v)) - Vector(space.iso_part(self.base))
-        return self.translation_lattice.contains(tau)
+        return self.translation_lattice.contains(iso - space.blocks(self.base)[0])
 
     def window(self, bound) -> list[Vector]:
         """All orbit members with max-norm at most bound, sorted."""
         space = self.space
         isos = Semilattice.from_cosets(
-            [Vector(space.iso_part(self.base))], self.translation_lattice, translated=True
+            [space.blocks(self.base)[0]], self.translation_lattice, translated=True
         ).window(bound)
-        out = [
+        return sorted_vectors(
             space.assemble(s, d) for d in self.finite_orbit if d.max_norm() <= bound for s in isos
-        ]
-        return sorted(out, key=lambda v: v.coords)
+        )
 
 
 def _class_lattice(R: EarsDescriptor, tag: str) -> Lattice:
@@ -188,9 +186,9 @@ def orbit_closed_form(R: EarsDescriptor, alpha: Vector) -> OrbitDescriptor:
     space = R.space
     if alpha.dim != space.dim:
         raise DimensionMismatch(f"vector dim {alpha.dim}, space dim {space.dim}")
-    if any(x != 0 for x in space.dual_part(alpha)):
+    _, dot, dual = space.blocks(alpha)
+    if not dual.is_zero():
         raise NotOverFinitePart("nonzero dual coordinates")
-    dot = Vector(space.dot_part(alpha))
     if dot.is_zero():
         return OrbitDescriptor(space, alpha, dot, [dot], Lattice(space.nu))
     tag = R.class_of_dot(dot)
@@ -225,13 +223,14 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     space = R.space
     if alpha.dim != space.dim:
         raise DimensionMismatch(f"vector dim {alpha.dim}, space dim {space.dim}")
-    if any(space.dual_part(alpha)):
+    iso, dot, dual = space.blocks(alpha)
+    if not dual.is_zero():
         raise NotOverFinitePart("nonzero dual coordinates")
     if alpha.max_norm() > bound:
         return frozenset()
     pad = bound + 2
     # the dot parts the box admits, each with its moves (c, image's dot, tag)
-    dots = [Vector(space.dot_part(alpha))]
+    dots = [dot]
     index = {dots[0]: 0}
     # sigma + d and -sigma - d give one reflection: on a symmetric set keep one sign
     sym = {t for t, sl in R.translations.items() if all(sl.contains(-c) for c in sl.cosets)}
@@ -240,7 +239,7 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
         moves.append([])
         for tag, roots in R.dot_classes.items():
             for d in roots:
-                if tag in sym and d.coords < (-d).coords:
+                if tag in sym and d.ints < (-d).ints:
                     continue
                 c = R.finite_part.cartan_int(u, d)
                 w = u - d * c
@@ -250,7 +249,7 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
                         dots.append(w)
                     moves[-1].append((c, index[w], tag))
     scale = math.lcm(
-        *(x.denominator for v in (alpha, *dots) for x in v),
+        *(v.den for v in (alpha, *dots)),
         *(sl.den for sl in R.translations.values()),
     ) * math.lcm(*(c.denominator for m in moves for c, _, _ in m))
 
@@ -263,7 +262,7 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
         [(abs(c.numerator), c.denominator, 1 if c > 0 else -1, j, *sets[t]) for c, j, t in m]
         for m in moves
     ]
-    start = (0, tuple([x.numerator * (scale // x.denominator) for x in space.iso_part(alpha)]))
+    start = (0, iso.at(scale))
     # not linalg.closure: each move yields all its images at once, from box_points
     seen = {start}
     frontier = [start]
@@ -280,9 +279,7 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
                         seen.add(w)
                         nxt.append(w)
         frontier = nxt
-    return frozenset(
-        space.assemble([Fraction(y, scale) for y in x], dots[i].coords) for i, x in seen
-    )
+    return frozenset(space.assemble(Vector._of(x, scale), dots[i]) for i, x in seen)
 
 
 # -- exact membership for rank-one systems ----------------------------------
@@ -316,12 +313,11 @@ class _AffineElement:
     def reflection(cls, space: AmbientSpace, root: Vector, scale: int):
         """The reflection at shear scale `scale`; None when its shear
         vector is not integral at that scale."""
-        x = space.dot_part(root)[0]
-        b = [-2 * scale * s / x for s in space.iso_part(root)]
-        if any(v.denominator != 1 for v in b):
+        nu = space.nu
+        x, b = root.ints[nu], [-2 * scale * s for s in root.ints[:nu]]
+        if any(v % x for v in b):
             return None
-        nu = len(b)
-        return cls(-1, tuple(map(int, b)), (0,) * (nu * (nu - 1) // 2), (root,))
+        return cls(-1, tuple(v // x for v in b), (0,) * (nu * (nu - 1) // 2), (root,))
 
     def __matmul__(self, other: "_AffineElement") -> "_AffineElement":
         e2 = other.eps
@@ -458,16 +454,15 @@ class _Rank1Decider:
             if sl is None:
                 continue
             dot = Vector([x])
-            for c in sorted(sl.cosets, key=lambda v: v.coords):
+            for c in sorted_vectors(sl.cosets):
                 for off in _offsets(self.nu, sl.modulus.rows):
                     roots.append(space.assemble(c + off, dot))
-        roots.sort(key=lambda v: v.coords)
+        roots = sorted_vectors(roots)
         if not roots:
             raise ValueError("no generators")
-        self.scale = math.lcm(
-            *((2 * s / space.dot_part(r)[0]).denominator
-              for r in roots for s in space.iso_part(r))
-        )
+        nu = self.nu  # the least scale at which every shear 2 sigma / x is integral
+        self.scale = math.lcm(*(abs(r.ints[nu]) // math.gcd(2 * s, r.ints[nu])
+                                for r in roots for s in r.ints[:nu]))
         self._base = _AffineElement.reflection(space, roots[0], self.scale)
         self._rows = _CarrierReducer(self.nu)
         for r in roots[1:]:
@@ -551,12 +546,12 @@ def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
         if sl is None:
             continue
         # the positive member of its line, so certificate words stay short
-        dot = max(R.dot_classes[tag], key=lambda v: v.coords)
+        dot = sorted_vectors(R.dot_classes[tag])[-1]
         t = _class_lattice(R, tag)
         scale = math.lcm(sl.den, t.den)
         reps = {t.reduce_at(c, scale) for c in sl._residues(sl.modulus.intersect(t), scale)}
         for rep in sorted(reps):
-            base = R.space.assemble([Fraction(x, scale) for x in rep], dot.coords)
+            base = R.space.assemble(Vector._of(rep, scale), dot)
             out.append(OrbitDescriptor(R.space, base, dot, R.dot_classes[tag], t))
     return out
 
@@ -570,9 +565,9 @@ def _remaining_translations(R: EarsDescriptor, orbit: OrbitDescriptor):
     """
     own = R.class_of_dot(orbit.dot_part)
     sl, t = R.translations[own], orbit.translation_lattice
-    sigma0 = R.space.iso_part(orbit.base)
-    scale = math.lcm(sl.den, t.den, *(x.denominator for x in sigma0))
-    s0 = [x.numerator * (scale // x.denominator) for x in sigma0]
+    sigma0 = R.space.blocks(orbit.base)[0]
+    scale = math.lcm(sl.den, t.den, sigma0.den)
+    s0 = sigma0.at(scale)
     fine = sl.modulus.intersect(t)
     keep = [c for c in sl._residues(fine, scale)
             if any(t.reduce_at([a - b for a, b in zip(c, s0)], scale))]
@@ -595,7 +590,7 @@ def _finite_closure(R: EarsDescriptor, fams):
     """finite.reflection_closure of the remaining directions, in class
     order, then by root."""
     dots = [d for tag, sl in fams.items() if sl is not None
-            for d in sorted(R.dot_classes[tag], key=lambda v: v.coords)]
+            for d in sorted_vectors(R.dot_classes[tag])]
     return reflection_closure(R.finite_part, dots)
 
 
@@ -608,12 +603,10 @@ def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
     corrections that are themselves products of tested ones.
     """
     space = R.space
-    x = orbit.dot_part[0]
-    sigma0 = Vector(space.iso_part(orbit.base))
-    if x < 0:
+    dot, sigma0 = orbit.dot_part, space.blocks(orbit.base)[0]
+    if dot.ints[0] < 0:
         # reflections are attached to lines; use the positive-dot member
-        x, sigma0 = -x, -sigma0
-    dot = Vector([x])
+        dot, sigma0 = -dot, -sigma0
     families = []
     for tag, sl in fams.items():
         coeff = abs(next(iter(R.dot_classes[tag]))[0])
@@ -654,7 +647,7 @@ def _certificate_search(R, fams, target_root, depth, budget):
     roots = [space.assemble(s, d) for tag, sl in fams.items() if sl is not None
              for d in R.dot_classes.get(tag, ()) for s in sl.window(bound)]
     lines = {}  # r, -r and a BC double 2r give one reflection: keep the first
-    for root in sorted(roots, key=lambda v: v.coords):
+    for root in sorted_vectors(roots):
         lines.setdefault(line_key(root), root)
     gens = [(root, reflector(space, root)) for root in lines.values()]
     ident = Matrix.identity(space.dim)
@@ -732,8 +725,8 @@ def _orbit_shrink(R, sub, removed_orbit):
         ft, pt = _class_lattice(R, tag), _class_lattice(sub, tag)
         if pt != ft and pt.is_sublattice_of(ft):
             alpha = removed_orbit.base if tag == own else sub.space.assemble(
-                min(sub.translations[tag].cosets, key=lambda v: v.coords),
-                min(sub.dot_classes[tag], key=lambda v: v.coords))
+                sorted_vectors(sub.translations[tag].cosets)[0],
+                sorted_vectors(sub.dot_classes[tag])[0])
             return (
                 f"the orbit of {alpha} shrinks under the remaining roots, "
                 "so they generate a proper subgroup"
@@ -858,7 +851,7 @@ def _recenter(R: EarsDescriptor, fams):
     the shifted set is isomorphic to the one actually left behind.
     """
     short = fams["short"]
-    s0 = min(short.cosets, key=lambda v: v.coords)  # already reduced mod the modulus
+    s0 = sorted_vectors(short.cosets)[0]  # already reduced mod the modulus
     out = {}
     for tag, sl in fams.items():
         if sl is None:

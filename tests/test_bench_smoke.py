@@ -66,3 +66,35 @@ def test_bench_axioms_every_orbit_matches_goldens():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["ops"] == 378
     assert result["problems"] == {}
+
+
+# Fraction constructions over one axioms pass, after a warm-up pass; the
+# integer Vector halved the 189,252 of the Fraction-coordinate Vector, and
+# this keeps it at no more than half of that
+_COUNT_FRACTIONS = """
+import fractions, json, random, sys
+sys.path[:0] = ["src", "bench"]
+import workloads
+workload = workloads.build("axioms", random.Random(1))
+for op in workload.ops:
+    op.call()
+calls = 0
+new = fractions.Fraction.__new__
+def counted(cls, *args, **kwargs):
+    global calls
+    calls += 1
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counted
+for op in workload.ops:
+    op.call()
+print(json.dumps({"ops": len(workload.ops), "fractions": calls}))
+"""
+
+
+def test_axioms_pass_builds_few_fractions():
+    done = subprocess.run([sys.executable, "-c", _COUNT_FRACTIONS], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["ops"] == 156
+    assert result["fractions"] <= 94_626, result

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ears.cli import EXIT_CONSTRAINT, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
+from ears.cli import EXIT_CONSTRAINT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from ears.core import descriptor_to_config
 from ears.examples import (
     bc1_double_fixture,
@@ -197,6 +197,31 @@ def test_minimality_not_minimal(capsys, nu3_config):
     got = word_element(R.space, word).matrix
     base = Vector(Fraction(c) for c in rep["orbit_base"])
     assert got == reflection_matrix(R.space, base)
+
+
+def test_failed_recheck_is_an_internal_error(capsys, monkeypatch, nu3_config):
+    # a certificate that no longer multiplies to the removed reflection
+    # fails weyl._check_certificate: exit 4 and one stderr line, not exit 1
+    import ears.weyl
+    from ears.linalg import Matrix
+    from ears.weyl import GroupElement
+
+    monkeypatch.setattr(ears.weyl, "word_element",
+                        lambda space, letters: GroupElement(Matrix.identity(space.dim)))
+    assert main(["minimality", "--in", nu3_config]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: certificate failed re-verification\n"
+
+
+def test_exceeded_closure_cap_is_an_internal_error(capsys, monkeypatch, nu2_config):
+    import ears.linalg
+
+    monkeypatch.setattr(ears.linalg.closure, "__defaults__", (1,))
+    assert main(["minimality", "--in", nu2_config]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: closure exceeded 1 states\n"
 
 
 def test_minimality_minimal(capsys, nu2_config):

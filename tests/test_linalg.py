@@ -45,6 +45,106 @@ def test_booleans_are_not_coordinates():
         Vector([True])
 
 
+def test_vector_keeps_lowest_terms():
+    h = Fraction(1, 2)
+    v = vec(h, 1, -3)
+    assert (v.ints, v.den) == ((1, 2, -6), 2)
+    assert ((v + v).ints, (v + v).den) == ((1, 2, -6), 1)
+    assert (v * 0).ints == (0, 0, 0) and (v * 0).den == 1
+    assert Vector(["1/2", 1, Fraction(-3)]) == v
+    assert hash(v) == hash((h, Fraction(1), Fraction(-3)))
+    assert hash(v * 2) == hash((1, 2, -6))
+    assert v.at(4) == (2, 4, -12)
+    assert v.at(3) is None
+    assert repr(v) == "Vector((1/2, 1, -3))"
+
+
+class RefVector:
+    """The former Vector, on Fraction coordinates: the reference the integer
+    Vector is compared with."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", tuple(ref_frac(c) for c in coords))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Vector is immutable")
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def __getitem__(self, i):
+        return self.coords[i]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RefVector) and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __add__(self, other):
+        return RefVector(a + b for a, b in zip(self.coords, other.coords))
+
+    def __sub__(self, other):
+        return RefVector(a - b for a, b in zip(self.coords, other.coords))
+
+    def __neg__(self):
+        return RefVector(-a for a in self.coords)
+
+    def __mul__(self, scalar):
+        s = ref_frac(scalar)
+        return RefVector(a * s for a in self.coords)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+    def is_integral(self) -> bool:
+        return all(c.denominator == 1 for c in self.coords)
+
+    def max_norm(self) -> Fraction:
+        return max((abs(c) for c in self.coords), default=Fraction(0))
+
+    def __repr__(self) -> str:
+        return "Vector((" + ", ".join(str(c) for c in self.coords) + "))"
+
+
+def ref_frac(x) -> Fraction:
+    if isinstance(x, (Fraction, str)) or (isinstance(x, int) and not isinstance(x, bool)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def ref_at(v: RefVector, den: int):
+    """The coordinates of den * v as ints, or None when one is not integral."""
+    out = []
+    for x in v.coords:
+        q, r = divmod(den, x.denominator)
+        if r:
+            return None
+        out.append(x.numerator * q)
+    return tuple(out)
+
+
+def ref_line_key(r: RefVector) -> tuple:
+    """r scaled to first nonzero coordinate 1."""
+    nz = next((c for c in r.coords if c), 1)
+    return tuple(c / nz for c in r.coords)
+
+
+def ref_vec_to_json(v: RefVector) -> list:
+    return [int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in v.coords]
+
+
 def test_matrix_product_and_transpose():
     m = Matrix([[1, 2], [0, 1]])
     assert m @ Matrix([[1, -2], [0, 1]]) == Matrix.identity(2)

@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ears.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, main
-from ears.core import characterize, descriptor_to_config
+from ears.core import _vec_to_json, characterize, descriptor_to_config
 from ears.examples import (
     acceptance_suite,
     integer_lattice,
@@ -25,7 +25,7 @@ from ears.examples import (
     odd_translated,
     product_even_semilattice,
 )
-from ears.linalg import Matrix, Vector, preserves_form, reflect, reflection_matrix
+from ears.linalg import Matrix, Vector, line_key, preserves_form, reflect, reflection_matrix
 from ears.presentation import (
     Infinite,
     conjugation_relation,
@@ -39,7 +39,7 @@ from ears.presentation import (
 from ears.semilattice import Lattice, Semilattice, residue_table
 from ears.weyl import orbit_bfs, orbit_closed_form
 from test_core import _reference_characterize
-from test_linalg import fraction_product
+from test_linalg import RefVector, fraction_product, ref_at, ref_line_key, ref_vec_to_json
 from test_semilattice import assert_matches, assert_pair_matches, both, reference_residue_table
 
 R2 = nullity2_system()
@@ -63,6 +63,53 @@ def test_semilattice_closure(idx, data):
     a = data.draw(st.sampled_from(members))
     b = data.draw(st.sampled_from(members))
     assert sl.contains(a + b * 2)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two coordinate lists of one length, denominators 1-6; the second is
+    often a rational multiple of the first, so equal vectors and shared
+    lines are drawn too."""
+    dim = draw(st.integers(0, 4))
+    xs = draw(st.lists(_RATIONALS, min_size=dim, max_size=dim))
+    how = draw(st.sampled_from(["free", "same", "multiple"]))
+    if how == "same":
+        return xs, list(xs)
+    if how == "multiple":
+        k = draw(_RATIONALS.filter(bool))
+        return xs, [k * x for x in xs]
+    return xs, draw(st.lists(_RATIONALS, min_size=dim, max_size=dim))
+
+
+def _assert_matches(got: Vector, want: RefVector, scale: int):
+    assert isinstance(got.ints, tuple) and got.den > 0
+    assert math.gcd(got.den, *got.ints) == 1
+    assert got.coords == want.coords and list(got) == list(want)
+    assert got == Vector(want.coords)
+    assert hash(got) == hash(got.coords) == hash(want)
+    assert repr(got) == repr(want)
+    assert got.max_norm() == want.max_norm()
+    assert got.is_zero() == want.is_zero()
+    assert got.is_integral() == want.is_integral()
+    assert got.at(scale) == ref_at(want, scale)
+    assert _vec_to_json(got) == ref_vec_to_json(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_pairs(), st.one_of(st.integers(-3, 3), _RATIONALS), st.integers(1, 72))
+def test_vector_matches_the_fraction_reference(pair, scalar, scale):
+    xs, ys = pair
+    v, w, rv, rw = Vector(xs), Vector(ys), RefVector(xs), RefVector(ys)
+    for got, want in ((v, rv), (w, rw), (v + w, rv + rw), (v - w, rv - rw), (-v, -rv),
+                      (v * scalar, rv * scalar), (scalar * w, scalar * rw)):
+        _assert_matches(got, want, scale)
+    assert (v == w) == (rv == rw)
+    assert (hash(v) == hash(w)) == (hash(rv) == hash(rw))
+    assert (line_key(v) == line_key(w)) == (ref_line_key(rv) == ref_line_key(rw))
+    assert line_key(v) == line_key(-v) == line_key(v * 3)
 
 
 @settings(max_examples=80, deadline=None)
