@@ -4,7 +4,13 @@ Subcommands construct and verify root systems from JSON configs, compute
 orbits and minimality verdicts with their certificates inline, report on
 the two presentation questions, apply the trim and isotropic-closure
 transforms, and re-run the bundled example computations against their
-recorded outcomes.  Exit codes are a stable contract: 0 pass, 1 recorded
+recorded outcomes.
+
+Every call takes one path through `main`: the parser built at import reads
+the flags, `main` checks them and `EARS_THREADS`, loads the descriptor from
+`--in` (every command but `examples`), calls the command as a report
+builder `(R, args) -> (report, exit code)`, and writes the report, with its
+`meta` block, once.  Exit codes are a stable contract: 0 pass, 1 recorded
 outcome mismatch, 2 constraint violation, 3 parse error, 4 internal error
 (a failed re-check or an exceeded closure cap).
 """
@@ -13,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .core import (
     ConstraintViolation,
@@ -28,23 +33,21 @@ from .core import (
     verify_axioms,
 )
 from .finite import InvalidRank
-from .linalg import DimensionMismatch, Matrix, Vector, reflection_matrix
+from .linalg import DimensionMismatch, Vector, reflection_matrix
 from .presentation import (
-    No,
     NoneFound,
     Obstruction,
     Yes,
     conjugation_obstruction,
     coxeter_presentation_decision,
     evaluate,
+    witness_word,
 )
 from .semilattice import RankMismatch
 from .weyl import (
-    Generates,
     Minimal,
     NotMinimal,
     NotOverFinitePart,
-    Unknown,
     minimality,
     orbit_closed_form,
     word_element,
@@ -61,18 +64,6 @@ EXIT_MISMATCH = 1
 EXIT_CONSTRAINT = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    window_bound: int = 4
-    search_depth: int = 8
-    budget: int = 1_000_000
-    root: Vector | None = None
-    threads: int = 1
 
 
 def _vecs(vs) -> list:
@@ -100,23 +91,18 @@ def _parse_root(text: str) -> Vector:
         raise ParseError(f"bad root {text!r}: {exc}")
 
 
-def _load_config(cfg: RunConfig) -> dict:
-    if cfg.input_path is None:
+def _load_descriptor(path: str | None) -> EarsDescriptor:
+    if path is None:
         raise ParseError("this command needs --in with a JSON config")
     try:
-        with open(cfg.input_path) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {cfg.input_path}: {exc}")
+        raise ParseError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {cfg.input_path}: {exc}")
+        raise ParseError(f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")
-    return data
-
-
-def _load_descriptor(cfg: RunConfig) -> EarsDescriptor:
-    data = _load_config(cfg)
     try:
         return descriptor_from_config(data)
     except ConstraintViolation:
@@ -126,71 +112,63 @@ def _load_descriptor(cfg: RunConfig) -> EarsDescriptor:
         raise ParseError(f"bad descriptor config: {exc}")
 
 
-def _emit(cfg: RunConfig, report: dict) -> None:
-    report = dict(report)
+def _emit(report: dict, args, threads: int) -> None:
     report["meta"] = {
-        "threads_cap": cfg.threads,
+        "threads_cap": threads,
         "threads_used": 1,
-        "window_bound": cfg.window_bound,
-        "search_depth": cfg.search_depth,
-        "budget": cfg.budget,
+        "window_bound": args.window,
+        "search_depth": args.depth,
+        "budget": args.budget,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.output_path:
+    if args.output_path:
         try:
-            with open(cfg.output_path, "w") as fh:
+            with open(args.output_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ParseError(f"cannot write {cfg.output_path}: {exc}")
+            raise ParseError(f"cannot write {args.output_path}: {exc}")
     else:
         sys.stdout.write(text)
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- subcommands: each builds its report from the loaded descriptor ----------
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
-    _emit(cfg, {"descriptor": descriptor_to_config(R), "label": R.label})
-    return EXIT_OK
+def cmd_construct(R: EarsDescriptor, args) -> tuple[dict, int]:
+    return {"descriptor": descriptor_to_config(R), "label": R.label}, EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
-    report = verify_axioms(R, bound=cfg.window_bound)
-    _emit(cfg, {
+def cmd_verify(R: EarsDescriptor, args) -> tuple[dict, int]:
+    report = verify_axioms(R, bound=args.window)
+    return {
         "ok": report.ok,
-        "caveat": f"verified on window {cfg.window_bound}",
+        "caveat": f"verified on window {args.window}",
         "checks": [
             {"axiom": c.axiom, "passed": c.passed, "detail": c.detail}
             for c in report.checks
         ],
-    })
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    }, EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_orbits(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
-    if cfg.root is None:
+def cmd_orbits(R: EarsDescriptor, args) -> tuple[dict, int]:
+    if args.root is None:
         raise ParseError("orbits needs --root with comma-separated coordinates")
     try:
-        orbit = orbit_closed_form(R, cfg.root)
+        orbit = orbit_closed_form(R, args.root)
     except (NotOverFinitePart, DimensionMismatch) as exc:
         raise ParseError(str(exc))
-    _emit(cfg, {
-        "root": _vec_to_json(cfg.root),
+    return {
+        "root": _vec_to_json(args.root),
         "base": _vec_to_json(orbit.base),
         "base_offset": _vec_to_json(orbit.base_offset),
         "finite_orbit": sorted(_vecs(orbit.finite_orbit)),
         "translation_lattice": _vecs(orbit.translation_lattice.rows),
-        "window_members": _vecs(orbit.window(cfg.window_bound)),
-    })
-    return EXIT_OK
+        "window_members": _vecs(orbit.window(args.window)),
+    }, EXIT_OK
 
 
-def cmd_minimality(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
-    verdict = minimality(R, depth=cfg.search_depth, budget=cfg.budget)
+def cmd_minimality(R: EarsDescriptor, args) -> tuple[dict, int]:
+    verdict = minimality(R, depth=args.depth, budget=args.budget)
     if isinstance(verdict, Minimal):
         body = {"verdict": "Minimal", "orbit_count": verdict.orbit_count}
     elif isinstance(verdict, NotMinimal):
@@ -203,12 +181,10 @@ def cmd_minimality(cfg: RunConfig) -> int:
         }
     else:
         body = {"verdict": "Unknown", "unresolved": len(verdict.unresolved)}
-    _emit(cfg, body)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_presentation(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
+def cmd_presentation(R: EarsDescriptor, args) -> tuple[dict, int]:
     cox = coxeter_presentation_decision(R)
     if isinstance(cox, Yes):
         cox_body = {"answer": "yes", "nullity": cox.nullity}
@@ -220,8 +196,7 @@ def cmd_presentation(cfg: RunConfig) -> int:
             "evaluates_to_identity":
                 evaluate(cox.word, R.space).matrix.is_identity(),
         }
-    conj = conjugation_obstruction(R, depth=cfg.search_depth,
-                                   budget=cfg.budget)
+    conj = conjugation_obstruction(R, depth=args.depth, budget=args.budget)
     if isinstance(conj, Obstruction):
         conj_body = {
             "status": "obstruction",
@@ -234,29 +209,24 @@ def cmd_presentation(cfg: RunConfig) -> int:
                      "orbits_checked": conj.orbits_checked}
     else:
         conj_body = {"status": "unknown", "unresolved": len(conj.unresolved)}
-    _emit(cfg, {"coxeter": cox_body, "conjugation": conj_body})
-    return EXIT_OK
+    return {"coxeter": cox_body, "conjugation": conj_body}, EXIT_OK
 
 
-def cmd_trim(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
+def cmd_trim(R: EarsDescriptor, args) -> tuple[dict, int]:
     try:
         out = trim(R)
     except NotBCType as exc:
         raise ConstraintViolation(str(exc))
-    _emit(cfg, {"descriptor": descriptor_to_config(out), "label": out.label})
-    return EXIT_OK
+    return {"descriptor": descriptor_to_config(out), "label": out.label}, EXIT_OK
 
 
-def cmd_irc(cfg: RunConfig) -> int:
-    R = _load_descriptor(cfg)
+def cmd_irc(R: EarsDescriptor, args) -> tuple[dict, int]:
     closed = irc(R)
-    _emit(cfg, {
+    return {
         "descriptor": descriptor_to_config(closed),
         "label": closed.label,
         "isotropic": semilattice_to_config(closed.isotropic),
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _example_goldens() -> list:
@@ -264,9 +234,7 @@ def _example_goldens() -> list:
     checks = []
 
     R2 = examples.nullity2_system()
-    a1, a2, a3 = examples.nullity2_roots()
-    word12 = [a1, a2, a3, a1, a2, a3, a2, a1, a3, a2, a1, a3]
-    got = word_element(R2.space, word12).matrix
+    got = word_element(R2.space, witness_word(examples.nullity2_roots()).letters).matrix
     checks.append((
         "twelve-letter word evaluates to the identity",
         got.is_identity(),
@@ -297,17 +265,16 @@ def _example_goldens() -> list:
     return checks
 
 
-def cmd_examples(cfg: RunConfig) -> int:
+def cmd_examples(R, args) -> tuple[dict, int]:
     checks = _example_goldens()
     ok = all(passed for _, passed, _ in checks)
-    _emit(cfg, {
+    return {
         "ok": ok,
         "checks": [
             {"name": name, "passed": passed, "detail": detail}
             for name, passed, detail in checks
         ],
-    })
-    return EXIT_OK if ok else EXIT_MISMATCH
+    }, EXIT_OK if ok else EXIT_MISMATCH
 
 
 _COMMANDS = {
@@ -321,48 +288,36 @@ _COMMANDS = {
     "examples": cmd_examples,
 }
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ears",
-        description="exact computations with extended affine root systems",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--window", type=int, default=4, metavar="N",
-                        help="max-norm bound for windowed checks (default 4)")
-    parser.add_argument("--depth", type=int, default=8, metavar="N",
-                        help="word-search depth (default 8)")
-    parser.add_argument("--budget", type=int, default=1_000_000, metavar="N",
-                        help="group-element budget for searches (default 1e6)")
-    parser.add_argument("--in", dest="input_path", metavar="PATH",
-                        help="input JSON config")
-    parser.add_argument("--out", dest="output_path", metavar="PATH",
-                        help="output JSON report (default stdout)")
-    parser.add_argument("--root", metavar="COORDS",
-                        help="root coordinates, comma separated")
-    return parser
-
-
-def make_config(args) -> RunConfig:
-    if args.window < 1 or args.depth < 1 or args.budget < 1:
-        raise ParseError("--window, --depth and --budget must be positive")
-    return RunConfig(
-        command=args.command,
-        input_path=args.input_path,
-        output_path=args.output_path,
-        window_bound=args.window,
-        search_depth=args.depth,
-        budget=args.budget,
-        root=_parse_root(args.root) if args.root else None,
-        threads=_threads_cap(),
-    )
+_PARSER = argparse.ArgumentParser(
+    prog="ears",
+    description="exact computations with extended affine root systems",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--window", type=int, default=4, metavar="N",
+                     help="max-norm bound for windowed checks (default 4)")
+_PARSER.add_argument("--depth", type=int, default=8, metavar="N",
+                     help="word-search depth (default 8)")
+_PARSER.add_argument("--budget", type=int, default=1_000_000, metavar="N",
+                     help="group-element budget for searches (default 1e6)")
+_PARSER.add_argument("--in", dest="input_path", metavar="PATH",
+                     help="input JSON config")
+_PARSER.add_argument("--out", dest="output_path", metavar="PATH",
+                     help="output JSON report (default stdout)")
+_PARSER.add_argument("--root", metavar="COORDS",
+                     help="root coordinates, comma separated")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        cfg = make_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        if args.window < 1 or args.depth < 1 or args.budget < 1:
+            raise ParseError("--window, --depth and --budget must be positive")
+        args.root = _parse_root(args.root) if args.root else None
+        threads = _threads_cap()
+        R = None if args.command == "examples" else _load_descriptor(args.input_path)
+        report, code = _COMMANDS[args.command](R, args)
+        _emit(report, args, threads)
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

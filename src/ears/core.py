@@ -181,9 +181,10 @@ class EarsDescriptor:
     def families(self, bound=None):
         """(tag, dot root, translation set) triples, one per finite root."""
         out = []
+        limit = None if bound is None else _frac(bound)
         for tag in _CLASS_TAGS:
             for dot in sorted_vectors(self.dot_classes.get(tag, ())):
-                if bound is not None and dot.max_norm() > _frac(bound):
+                if limit is not None and dot.max_norm() > limit:
                     continue
                 out.append((tag, dot, self.translations[tag]))
         return out

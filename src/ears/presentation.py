@@ -17,7 +17,6 @@ from fractions import Fraction
 from .core import EarsDescriptor
 from .linalg import (
     AmbientSpace,
-    IsotropicRoot,
     Matrix,
     Vector,
     kernel,

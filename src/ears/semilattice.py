@@ -182,7 +182,7 @@ class Lattice:
         return Lattice._of(self.ambient, scale, self.rows_at(scale) + other.rows_at(scale))
 
     def scaled(self, factor) -> "Lattice":
-        f = _frac(factor)
+        f = factor if type(factor) is int else _frac(factor)
         ints = [[f.numerator * x for x in r] for r in self.hnf]
         return Lattice._of(self.ambient, self.den * f.denominator, ints)
 
@@ -295,7 +295,7 @@ class Semilattice:
         return self.canonical and self.coset_count == 2 ** self.lattice.rank
 
     def scaled(self, factor) -> "Semilattice":
-        f = _frac(factor)
+        f = factor if type(factor) is int else _frac(factor)
         cints = [[f.numerator * a for a in c] for c in self.ints]
         return Semilattice._of(self.modulus.scaled(f), self.den * f.denominator, cints, self.translated)
 

@@ -107,7 +107,8 @@ def word_element(space: AmbientSpace, letters) -> GroupElement:
 class OrbitDescriptor:
     """Closed-form orbit of a vector under the extended affine Weyl group."""
 
-    __slots__ = ("space", "base", "dot_part", "finite_orbit", "translation_lattice", "_key")
+    __slots__ = ("space", "base", "dot_part", "finite_orbit", "translation_lattice",
+                 "base_offset", "_key")
 
     def __init__(self, space, base, dot_part, finite_orbit, translation_lattice):
         object.__setattr__(self, "space", space)
@@ -115,22 +116,22 @@ class OrbitDescriptor:
         object.__setattr__(self, "dot_part", dot_part)
         object.__setattr__(self, "finite_orbit", frozenset(finite_orbit))
         object.__setattr__(self, "translation_lattice", translation_lattice)
-        iso = translation_lattice.reduce(space.blocks(base)[0])
-        object.__setattr__(self, "_key", (
-            tuple(sorted(d.coords for d in self.finite_orbit)),
-            tuple(r.coords for r in translation_lattice.rows),
-            iso.coords,
-        ))
+        # the isotropic part shared by every orbit member, reduced mod T
+        object.__setattr__(self, "base_offset", translation_lattice.reduce(space.blocks(base)[0]))
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitDescriptor is immutable")
 
-    @property
-    def base_offset(self) -> Vector:
-        """Isotropic part shared by every orbit member, reduced mod T."""
-        return Vector(self._key[2])
-
     def key(self):
+        """Exact identity of the orbit; built on first use, since most
+        callers never compare orbits."""
+        if self._key is None:
+            object.__setattr__(self, "_key", (
+                tuple(sorted(d.coords for d in self.finite_orbit)),
+                tuple(r.coords for r in self.translation_lattice.rows),
+                self.base_offset.coords,
+            ))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -676,7 +677,13 @@ def generation_check(
     R: EarsDescriptor, removed_orbit: OrbitDescriptor, depth: int = 8,
     budget: int = 1_000_000,
 ):
-    """Do the reflections of the roots outside the orbit still generate?"""
+    """Do the reflections of the roots outside the orbit still generate?
+
+    The nullity-0 branch is reached only by hand-built descriptors: at
+    nullity 0 an orbit is a whole length class, only BC has a proper
+    union of classes that generates W_fin, and construct_ears refuses BC
+    at nullity 0 (extra meets 2*short).
+    """
     _validate_orbit(R, removed_orbit)
     fams = _remaining_translations(R, removed_orbit)
     finite = R.finite_part

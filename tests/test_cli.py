@@ -1,5 +1,6 @@
 """End-to-end CLI checks driving main() with temp config files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -302,6 +303,16 @@ def test_threads_env_rejected(monkeypatch, nu2_config, value):
 def test_bad_flags(nu2_config):
     assert main(["verify", "--in", nu2_config, "--window", "0"]) == EXIT_PARSE
     assert main(["minimality", "--in", nu2_config, "--budget", "0"]) == EXIT_PARSE
+
+
+def test_parser_is_built_once(capsys, monkeypatch, nu2_config):
+    """main reuses the parser built when ears.cli was imported."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a new argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert run(capsys, "examples")[0] == EXIT_OK
+    assert run(capsys, "verify", "--in", nu2_config, "--window", "1")[0] == EXIT_OK
 
 
 def test_cli_imports_without_numpy():

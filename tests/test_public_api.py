@@ -37,3 +37,25 @@ def test_public_names_are_pinned():
     assert names == PUBLIC
     for name in names:
         assert hasattr(ears, name), name
+
+
+def test_modules_use_every_import():
+    """Each module of the package uses every name it imports; __init__.py
+    re-exports its imports and is exempt, as is `from __future__`."""
+    unused = []
+    for path in sorted(Path(ears.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

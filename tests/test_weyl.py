@@ -48,6 +48,7 @@ from ears.weyl import (
     _class_lattice,
     _finite_closure,
     _orbit_shrink,
+    _recenter,
     _remaining_translations,
     _removal_candidates,
     _removal_label,
@@ -579,6 +580,31 @@ def test_extract_minimal_relabels_bc1_as_a1():
     assert len(certificate) == 317
     word = tuple(Vector(c) for c in certificate)
     assert word_element(R.space, word).matrix == reflection_matrix(R.space, Vector(base))
+
+
+@pytest.mark.parametrize("name", ["A1 nu2 full", "A1 nu3 full", "BC1 nu2 shifted"])
+def test_recenter_after_zero_coset_removal(name):
+    """Removing the short orbit through zero leaves a translated short
+    class; _recenter moves it back by s -> s - x*s0 on each root x*e + s,
+    s0 the least remaining short coset, and the extra class (x = 2) by 2*s0."""
+    R = acceptance_suite()[name]
+    orbit = next(ob for ob in anisotropic_orbits(R)
+                 if R.class_of_dot(ob.dot_part) == "short" and ob.base_offset.is_zero())
+    fams = _remaining_translations(R, orbit)
+    assert fams["short"].translated
+    out = _recenter(R, fams)
+    assert out["short"].contains(Vector([0] * R.nullity))
+    assert not out["short"].translated
+    construct_ears(R.finite_part, out["short"], long=out.get("long"), extra=out.get("extra"))
+    s0 = min(fams["short"].cosets, key=lambda v: v.coords)
+    for tag, sl in fams.items():
+        if sl is None:
+            assert out[tag] is None
+            continue
+        for dot in R.dot_classes[tag]:
+            shift = s0 * dot[0]
+            assert all(out[tag].contains(s - shift) for s in sl.window(3)), (tag, dot)
+            assert all(sl.contains(s + shift) for s in out[tag].window(3)), (tag, dot)
 
 
 def reference_certificate_search(R, fams, target_root, depth, budget):
