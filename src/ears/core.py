@@ -87,6 +87,7 @@ class EarsDescriptor:
         "translations",
         "space",
         "dot_classes",
+        "_tag_of",
         "isotropic",
         "removal_chain",
         "_tables",
@@ -111,6 +112,9 @@ class EarsDescriptor:
             self, "space", AmbientSpace(nullity, finite_part.form.gram)
         )
         object.__setattr__(self, "dot_classes", dot_classes)
+        object.__setattr__(
+            self, "_tag_of", {d: t for t, roots in dot_classes.items() for d in roots}
+        )
         if isotropic is None:
             isotropic = translations["short"].sum_set(translations["short"])
         object.__setattr__(self, "isotropic", isotropic)
@@ -155,10 +159,7 @@ class EarsDescriptor:
         return target.contains(iso) if table is None else table.contains(iso)
 
     def class_of_dot(self, dot: Vector) -> str | None:
-        for tag, roots in self.dot_classes.items():
-            if dot in roots:
-                return tag
-        return None
+        return self._tag_of.get(dot)
 
     def classify(self, v: Vector) -> str:
         """One of "anisotropic", "isotropic", "not_root"."""
@@ -416,18 +417,6 @@ def _check_iso_pairing(desc: EarsDescriptor, bound, iso_window) -> AxiomCheck:
     )
 
 
-def _string_profile_targets(desc, da, db) -> tuple:
-    """Length-class tag of db + n*da for n in [-_SCAN, _SCAN]."""
-    targets = []
-    for n in range(-_SCAN, _SCAN + 1):
-        d = db + da * n
-        if d.is_zero():
-            targets.append("isotropic")
-        else:
-            targets.append(desc.class_of_dot(d))
-    return tuple(targets)
-
-
 def _string_ok(member: list, c) -> bool:
     """Whether the membership profile of b + n*a, n in [-_SCAN, _SCAN], is
     one interval [-d, u] around n = 0 with d - u = c = 2(a,b)/(a,a)."""
@@ -452,7 +441,8 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
     integer vectors (at the sets' common denominator, reduced by K),
     the interval test runs once per class pair, and a failing class pair is
     expanded back to window pairs only to name the first two witnesses of
-    its family pair.
+    its family pair.  The set b + n*a must lie in is read off the class map
+    by its integer dot part (0: isotropic), and c = 0 for isotropic b.
     """
     finite = desc.finite_part
     sets = [*desc.translations.values(), desc.isotropic]
@@ -490,6 +480,9 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
             memo[ka, kb] = _string_ok(profile, c)
         return memo[ka, kb]
 
+    dden, dots = common_ints(desc._tag_of)  # the class map on integer dot parts
+    tag_at = dict(zip(dots, desc._tag_of.values()))
+    tag_at[(0,) * finite.rank] = "isotropic"
     zero_dot = Vector([0] * finite.rank)
     fams = desc.families(bound)
     b_fams = fams + [("isotropic", zero_dot, desc.isotropic)]
@@ -500,12 +493,17 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
         a_iso, a_keys = keyed(ta)
         if not a_iso:
             continue
-        for _, db, tb in b_fams:
+        ia = da.at(dden)
+        for tag, db, tb in b_fams:
             b_iso, b_keys = keyed(tb)
             if not b_iso:
                 continue
-            c = finite.cartan_int(db, da)
-            targets = _string_profile_targets(desc, da, db)
+            c = 0 if tag == "isotropic" else finite.cartan_int(db, da)
+            ib = db.at(dden)
+            targets = tuple(
+                tag_at.get(tuple([y + n * x for x, y in zip(ia, ib)]))
+                for n in range(-_SCAN, _SCAN + 1)
+            )
             pair_count += len(a_iso) * len(b_iso)
             memo = profiles.setdefault((targets, c), {})
             b_classes = set(b_keys)

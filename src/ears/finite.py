@@ -22,12 +22,14 @@ read them for two roots and use the form otherwise (reflection_matrix
 passes basis vectors).  Root closures and orbits run on integers through
 linalg.closure (imported here as finite.closure too); reflection_closure,
 on root permutations, is the one generation test, here and in weyl.
-finite_weyl closes Matrix products.  weyl labels what an orbit removal
-leaves with _classify_subset.
+finite_weyl closes Matrix products.  _classify_subset gives a set of roots
+the standard system of its rank with the same length profile (root count
+per squared length, doubles apart); weyl and core.trim name with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -251,40 +253,30 @@ def reflection_closure(system: FiniteRootSystem, roots) -> tuple[dict, dict]:
     return letters, closure([identity], letters, lambda t, p: tuple(map(t.__getitem__, p)))
 
 
-def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> str:
-    """Type label of a (sub-)root system given by a subset of system.roots."""
+def _profile(system: FiniteRootSystem, roots) -> list:
+    """Length profile of roots of system: their squared lengths over the
+    lengths' gcd, each marked when it is the double of another of the
+    roots, sorted (so it holds the root count per length, doubles apart)."""
+    doubles = {r * 2 for r in roots}
+    norms = [system.norms[system.index[r]] for r in roots]
+    g = math.gcd(*norms)
+    return sorted((n // g, r in doubles) for r, n in zip(roots, norms))
+
+
+def _classify_subset(system: FiniteRootSystem, roots: frozenset[Vector]) -> FiniteRootSystem:
+    """The standard system of the rank of a subset of system.roots whose
+    length profile is the subset's; no two types of one rank share one."""
     if not roots:
         raise NotIrreducible("empty root set")
-    halves = {r for r in roots if r * Fraction(1, 2) in roots}
-    rest = roots - halves
-    lengths = sorted({system.norms[system.index[r]] for r in rest})
-    rank = span_rank(roots)
-    if halves:
-        return f"BC{rank}"
-    if len(lengths) == 1:
-        n = len(roots)
-        if n == rank * (rank + 1):
-            return f"A{rank}"
-        if n == 2 * rank * (rank - 1):
-            return f"D{rank}"
-        if (rank, n) in ((6, 72), (7, 126), (8, 240)):
-            return f"E{rank}"
-        raise NotIrreducible(f"unrecognized single-length system of rank {rank} with {n} roots")
-    ratio = Fraction(lengths[1], lengths[0])
-    n_sh = sum(1 for r in rest if system.norms[system.index[r]] == lengths[0])
-    n_lg = len(rest) - n_sh
-    if ratio == 3:
-        return "G2"
-    if ratio == 2:
-        if rank == 2 and n_sh == 4 and n_lg == 4:
-            return "B2"
-        if n_sh == 2 * rank:
-            return f"B{rank}"
-        if n_lg == 2 * rank:
-            return f"B{rank}" if rank == 2 else f"C{rank}"
-        if rank == 4 and n_sh == 24 and n_lg == 24:
-            return "F4"
-    raise NotIrreducible(f"unrecognized two-length system of rank {rank}")
+    rank, profile = span_rank(roots), _profile(system, roots)
+    for t in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        try:
+            standard = build_finite(t, rank)
+        except InvalidRank:
+            continue
+        if _profile(standard, standard.ordered) == profile:
+            return standard
+    raise NotIrreducible(f"no standard rank-{rank} system has the length profile of these {len(roots)} roots")
 
 
 def invariant_generating_subsets(system: FiniteRootSystem) -> list[tuple[str, frozenset[Vector]]]:
@@ -300,6 +292,6 @@ def invariant_generating_subsets(system: FiniteRootSystem) -> list[tuple[str, fr
     for mask in range(1, 1 << len(classes)):
         subset = frozenset().union(*(classes[i] for i in range(len(classes)) if mask >> i & 1))
         if len(reflection_closure(system, subset)[1]) == order:
-            found.append((_classify_subset(system, subset), subset))
+            found.append((_classify_subset(system, subset).label, subset))
     found.sort(key=lambda pair: (-len(pair[1]), pair[0]))
     return found

@@ -3,11 +3,12 @@
 A word is a finite sequence of anisotropic roots standing for the ordered
 product of their reflections.  This module evaluates words exactly, tracks
 letter counts per orbit modulo two (reflections of linearly dependent roots
-coincide, so the counts live on lines through the origin), computes the
-order of a product of two reflections with a sound infinite-order
-certificate (its null spaces from linalg.kernel), decides whether the
-reflection presentation is of Coxeter shape, and rewrites identity words
-to eliminate letters outside a preferred set of roots.
+coincide, so the counts live on lines through the origin), reads the
+order of a product of two reflections off the Gram matrix of their plane,
+with a sound infinite-order certificate (its null spaces from
+linalg.kernel), decides whether the reflection presentation is of
+Coxeter shape, and rewrites identity words to eliminate letters outside
+a preferred set of roots.
 """
 
 from collections import Counter
@@ -190,25 +191,23 @@ def _translation_certificate(m: Matrix):
 def coxeter_order(space: AmbientSpace, alpha: Vector, beta: Vector, cap: int = 24):
     """Order of r_alpha r_beta: an integer <= cap, Infinite, or Undetermined.
 
-    Infinite is only reported with a certificate: a vector moved by a fixed
-    nonzero translation under some power of the product, which rules out
-    every finite order.  Without one the result is Undetermined(cap).
+    The product m fixes every vector orthogonal to alpha and beta, so the
+    Gram matrix of their plane decides.  A degenerate plane makes m - I
+    nilpotent and nonzero: Infinite, certified by a vector moved by a fixed
+    nonzero translation.  Otherwise n = 4(a,b)^2/((a,a)(b,b)) = 0, 1, 2, 3
+    gives the order 2, 3, 4, 6, and any other n no finite order and, as m
+    fixes no nonzero vector of the plane, no certificate either.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     m = reflection_matrix(space, alpha) @ reflection_matrix(space, beta)
-    powers = []
-    p = m
-    for n in range(1, cap + 1):
-        if p.is_identity():
-            return n
-        powers.append(p)
-        p = p @ m
-    for p in powers:
-        cert = _translation_certificate(p)
-        if cert is not None:
-            return Infinite(cap, cert)
-    return Undetermined(cap)
+    if m.is_identity():
+        return 1
+    aa, bb, ab = space.pair(alpha, alpha), space.pair(beta, beta), space.pair(alpha, beta)
+    if aa * bb == ab * ab:
+        return Infinite(cap, _translation_certificate(m))
+    order = {0: 2, 1: 3, 2: 4, 3: 6}.get(4 * ab * ab / (aa * bb))
+    return order if order is not None and order <= cap else Undetermined(cap)
 
 
 # -- Coxeter shape of the presentation ---------------------------------------

@@ -32,9 +32,9 @@ Finite generation and finite words run on root permutations
 (finite.reflection_closure).
 Rank-one powers are closed form; a rank-one form other than [1] is
 refused by the decider.
-Extraction reads the label of what a removal leaves off the remaining
-roots (finite._classify_subset) and accepts it only when the label's
-standard realization matches them.
+Extraction takes the standard system with the length profile of what a
+removal leaves (finite._classify_subset) and accepts it only when it has
+the finite part's form and its length classes are the remaining ones.
 """
 
 from __future__ import annotations
@@ -47,12 +47,10 @@ from .core import (
     _CLASS_TAGS,
     ConstraintViolation,
     EarsDescriptor,
-    _as_finite,
     characterize,
     construct_ears,
 )
 from .finite import (
-    InvalidRank,
     NotIrreducible,
     _classify_subset,
     finite_weyl,
@@ -777,18 +775,17 @@ def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
 def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:
     """Label and class mapping for the descriptor left after a removal.
 
-    The label is read off the remaining roots (finite._classify_subset).
-    It is accepted when its standard realization has the form of R's finite
-    part and its non-empty length classes are exactly the remaining dot
-    classes; each new class takes the translation set of the class it
+    The standard system with the length profile of the remaining roots
+    (finite._classify_subset) is accepted when it has the form of R's
+    finite part and its non-empty length classes are exactly the remaining
+    dot classes; each new class takes the translation set of the class it
     equals.  Anything else raises Stuck.
     """
     finite = R.finite_part
     left = {R.dot_classes[tag]: tag for tag in _CLASS_TAGS if fams.get(tag) is not None}
     try:
-        label = _classify_subset(finite, frozenset().union(*left))
-        new = _as_finite(label)
-    except (InvalidRank, NotIrreducible) as exc:
+        new = _classify_subset(finite, frozenset().union(*left))
+    except NotIrreducible as exc:
         raise Stuck(
             f"removal leaves classes {list(left.values())} of a {finite.label} "
             f"system, which are not an irreducible root system: {exc}"
@@ -797,9 +794,9 @@ def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:
     if new.form != finite.form or {c for c in classes if c} != set(left):
         raise Stuck(
             f"removal leaves classes {list(left.values())} of a {finite.label} "
-            f"system, which the standard {label} realization does not match"
+            f"system, which the standard {new.label} realization does not match"
         )
-    return label, {tag: fams[left[c]] if c else None for tag, c in zip(_CLASS_TAGS, classes)}
+    return new.label, {tag: fams[left[c]] if c else None for tag, c in zip(_CLASS_TAGS, classes)}
 
 
 def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) -> EarsDescriptor:

@@ -142,7 +142,7 @@ HALF_PLUS_Z1 = Semilattice.from_cosets([[H]], Lattice(1, [[1]]), translated=True
 
 def _raw(label, nullity, **translations):
     """A descriptor built without construct_ears's constraint checks."""
-    return EarsDescriptor(build_finite(label[0], int(label[1])), nullity, translations)
+    return EarsDescriptor(_as_finite(label), nullity, translations)
 
 
 def _string_failures(desc, bound):
@@ -200,6 +200,74 @@ R6_CASES = [
     ),
     pytest.param(
         lambda: construct_ears("A1", Semilattice([[H]], [[0], [H]])), 3, (), id="A1-halfZ"
+    ),
+    # one nu = 1 system per type of rank 3 and above, G2 (strings of length
+    # 4) and BC3 (doubles), each with a failing descriptor, at window 1
+    pytest.param(lambda: construct_ears("B3", Z1, Z1), 1, (), id="B3-Z-Z"),
+    pytest.param(
+        lambda: _raw("B3", 1, short=TWOZ1, long=Z1),
+        1,
+        (
+            ((0, -1, 0, 0, 0), (-1, -1, -1, 0, 0)),
+            ((0, -1, 0, 0, 0), (1, -1, -1, 0, 0)),
+            ((0, -1, 0, 0, 0), (-1, -1, 0, -1, 0)),
+        ),
+        id="B3-2Z-Z",
+    ),
+    pytest.param(lambda: construct_ears("C3", Z1, TWOZ1), 1, (), id="C3-Z-2Z"),
+    pytest.param(
+        lambda: _raw("C3", 1, short=E_ODD1, long=Z1),
+        1,
+        (
+            ((-1, -1, -1, 0, 0), (-1, -1, 0, -1, 0)),
+            ((-1, -1, -1, 0, 0), (1, -1, 0, -1, 0)),
+            ((-1, -1, -1, 0, 0), (-1, -1, 0, 1, 0)),
+        ),
+        id="C3-odd-Z",
+    ),
+    pytest.param(lambda: construct_ears("D4", Z1), 1, (), id="D4-Z"),
+    pytest.param(
+        lambda: _raw("D4", 1, short=E_ODD1),
+        1,
+        (
+            ((-1, -1, -1, 0, 0, 0), (-1, -1, 0, -1, 0, 0)),
+            ((-1, -1, -1, 0, 0, 0), (1, -1, 0, -1, 0, 0)),
+            ((-1, -1, -1, 0, 0, 0), (-1, -1, 0, 0, -1, 0)),
+        ),
+        id="D4-odd",
+    ),
+    pytest.param(lambda: construct_ears("F4", Z1, Z1), 1, (), id="F4-Z-Z"),
+    pytest.param(
+        lambda: _raw("F4", 1, short=Z1, long=E_ODD1),
+        1,
+        (
+            ((-1, -1, -1, 0, 0, 0), (-1, -1, 0, 0, 0, 0)),
+            ((-1, -1, -1, 0, 0, 0), (1, -1, 0, 0, 0, 0)),
+            ((-1, -1, -1, 0, 0, 0), (-1, 0, -1, 0, 0, 0)),
+        ),
+        id="F4-Z-odd",
+    ),
+    pytest.param(lambda: construct_ears("G2", Z1, Z1), 1, (), id="G2-Z-Z"),
+    pytest.param(
+        lambda: _raw("G2", 1, short=TWOZ1, long=Z1),
+        1,
+        (
+            ((0, -1, -1, 0), (-1, 0, -1, 0)),
+            ((0, -1, -1, 0), (1, 0, -1, 0)),
+            ((0, -1, -1, 0), (-1, 0, 1, 0)),
+        ),
+        id="G2-2Z-Z",
+    ),
+    pytest.param(lambda: construct_ears("BC3", Z1, Z1, E_ODD1), 1, (), id="BC3-Z-Z-odd"),
+    pytest.param(
+        lambda: _raw("BC3", 1, short=TWOZ1, long=Z1, extra=Z1),
+        1,
+        (
+            ((0, -1, 0, 0, 0), (-1, -1, -1, 0, 0)),
+            ((0, -1, 0, 0, 0), (1, -1, -1, 0, 0)),
+            ((0, -1, 0, 0, 0), (-1, -1, 0, -1, 0)),
+        ),
+        id="BC3-2Z-Z-Z",
     ),
 ]
 

@@ -1,12 +1,17 @@
+import random
+from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from ears import finite
-from ears.core import descriptor_from_config, descriptor_to_config, trim, verify_axioms
+from ears.core import _as_finite, descriptor_from_config, descriptor_to_config, trim, verify_axioms
 from ears.finite import (
     FiniteRootSystem,
     InvalidRank,
+    NotIrreducible,
+    _classify_subset,
     _closure_from_simples,
     build_finite,
     closure,
@@ -14,7 +19,7 @@ from ears.finite import (
     invariant_generating_subsets,
     length_classes,
 )
-from ears.linalg import BilinearForm, Matrix, Vector, line_key, vec
+from ears.linalg import BilinearForm, Matrix, Vector, line_key, span_rank, vec
 from ears.weyl import _finite_closure
 
 
@@ -286,3 +291,121 @@ def test_shared_finite_system_is_not_changed_by_use(suite):
     assert after == before and after.finite_part is before.finite_part
     assert (after.finite_part.ordered, after.finite_part.cartan, after.finite_part.perms) == tables
     assert after.finite_part == build_finite.__wrapped__("B", 2)
+
+
+# -- naming root subsets by length profile ---------------------------------------
+#
+# The reference is the count-rule classifier the profile lookup replaced.
+
+
+def reference_classify_subset(system, roots):
+    """Type label of a (sub-)root system given by a subset of system.roots."""
+    if not roots:
+        raise NotIrreducible("empty root set")
+    halves = {r for r in roots if r * Fraction(1, 2) in roots}
+    rest = roots - halves
+    lengths = sorted({system.norms[system.index[r]] for r in rest})
+    rank = span_rank(roots)
+    if halves:
+        return f"BC{rank}"
+    if len(lengths) == 1:
+        n = len(roots)
+        if n == rank * (rank + 1):
+            return f"A{rank}"
+        if n == 2 * rank * (rank - 1):
+            return f"D{rank}"
+        if (rank, n) in ((6, 72), (7, 126), (8, 240)):
+            return f"E{rank}"
+        raise NotIrreducible(f"unrecognized single-length system of rank {rank} with {n} roots")
+    ratio = Fraction(lengths[1], lengths[0])
+    n_sh = sum(1 for r in rest if system.norms[system.index[r]] == lengths[0])
+    n_lg = len(rest) - n_sh
+    if ratio == 3:
+        return "G2"
+    if ratio == 2:
+        if rank == 2 and n_sh == 4 and n_lg == 4:
+            return "B2"
+        if n_sh == 2 * rank:
+            return f"B{rank}"
+        if n_lg == 2 * rank:
+            return f"B{rank}" if rank == 2 else f"C{rank}"
+        if rank == 4 and n_sh == 24 and n_lg == 24:
+            return "F4"
+    raise NotIrreducible(f"unrecognized two-length system of rank {rank}")
+
+
+def reference_profile(system, roots):
+    """Root count per squared length over the least one, doubles apart,
+    through the Fraction form."""
+    least = min(system.pair(r, r) for r in roots)
+    return Counter((system.pair(r, r) / least, r * Fraction(1, 2) in roots) for r in roots)
+
+
+STANDARD_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)] + [("BC", n) for n in range(1, 9)]
+)
+
+# seven simply laced types, seven with two lengths and three BC types
+CORPUS_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6),
+    ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("G", 2), ("F", 4),
+    ("BC", 1), ("BC", 2), ("BC", 3),
+]
+
+
+def classifier_corpus():
+    """Per corpus type, every union of length classes, then the root sets
+    generated (closed under their own reflections) by 60 seeded random
+    sets of 1-4 roots."""
+    out = []
+    for sym, rank in CORPUS_TYPES:
+        system = build_finite(sym, rank)
+        classes = [c for c in length_classes(system) if c]
+        for mask in range(1, 1 << len(classes)):
+            out.append((system, frozenset().union(*(c for i, c in enumerate(classes) if mask >> i & 1))))
+        rng = random.Random(f"{sym}{rank}")
+        for _ in range(60):
+            picked = rng.sample(system.ordered, rng.randint(1, min(4, len(system.ordered))))
+            out.append((system, frozenset(closure(picked, picked, lambda v, a: system.reflect(a, v)))))
+    return out
+
+
+# reference labels of corpus subsets whose realization has another length
+# profile: all of them reducible (D2, no type here, is A1 x A1)
+MISNAMED = {"D2": 51, "B3": 10, "C3": 9, "BC2": 5, "C4": 4, "B4": 2, "G2": 1, "BC3": 1}
+
+
+def test_standard_systems_classify_as_themselves():
+    assert len(STANDARD_TYPES) == 39
+    for sym, rank in STANDARD_TYPES:
+        system = build_finite(sym, rank)
+        assert _classify_subset(system, system.roots) is system, system.label
+
+
+def test_classify_subset_matches_reference_where_the_label_fits():
+    """Where the reference label has a standard realization with the
+    subset's profile, the subset gets that system; everywhere else
+    NotIrreducible."""
+    corpus = classifier_corpus()
+    assert len(corpus) == 1065
+    misnamed = Counter()
+    for system, roots in corpus:
+        try:
+            label = reference_classify_subset(system, roots)
+        except NotIrreducible:
+            label = None
+        try:
+            standard = _as_finite(label) if label else None
+        except InvalidRank:
+            standard = None
+        if standard and reference_profile(standard, standard.roots) == reference_profile(system, roots):
+            assert _classify_subset(system, roots) is standard
+            continue
+        with pytest.raises(NotIrreducible):
+            _classify_subset(system, roots)
+        if label:
+            misnamed[label] += 1
+    assert dict(misnamed) == MISNAMED
+    assert len(corpus) - sum(misnamed.values()) == 982

@@ -14,7 +14,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ears.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, main
 from ears.core import _vec_to_json, characterize, descriptor_to_config
@@ -25,9 +25,12 @@ from ears.examples import (
     odd_translated,
     product_even_semilattice,
 )
-from ears.linalg import Matrix, Vector, line_key, preserves_form, reflect, reflection_matrix
+from ears.finite import build_finite
+from ears.linalg import AmbientSpace, Matrix, Vector, line_key, preserves_form, reflect, reflection_matrix
 from ears.presentation import (
     Infinite,
+    Undetermined,
+    _translation_certificate,
     conjugation_relation,
     conjugation_rewrite,
     coxeter_order,
@@ -148,6 +151,64 @@ def test_coxeter_order_is_symmetric(data):
         assert isinstance(bwd, Infinite)
     else:
         assert fwd == bwd
+
+
+def reference_coxeter_order(space, alpha, beta, cap):
+    """The order of r_alpha r_beta by powers: the first identity power up
+    to cap, else Infinite from the first power with a translation
+    certificate, else Undetermined."""
+    m = reflection_matrix(space, alpha) @ reflection_matrix(space, beta)
+    powers = []
+    p = m
+    for n in range(1, cap + 1):
+        if p.is_identity():
+            return n
+        powers.append(p)
+        p = p @ m
+    for p in powers:
+        cert = _translation_certificate(p)
+        if cert is not None:
+            return Infinite(cap, cert)
+    return Undetermined(cap)
+
+
+@st.composite
+def _reflection_pairs(draw):
+    """A space, two anisotropic vectors in it and a cap.  The space has a
+    random symmetric Gram block (indefinite and degenerate ones too), and
+    the second vector is free, on the first one's line, or the first (with
+    its dual part cleared) plus an isotropic one, which spans a degenerate
+    plane; or the space is that of a finite type and both are its roots
+    plus isotropic parts."""
+    nu, rank = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    how = draw(st.sampled_from(["free", "line", "radical", "roots"]))
+    if how == "roots":
+        finite = build_finite(*draw(st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("B", 3)])))
+        space = AmbientSpace(nu, finite.form.gram)
+        iso = st.lists(st.integers(-2, 2), min_size=nu, max_size=nu)
+        alpha, beta = (space.assemble(draw(iso), draw(st.sampled_from(finite.ordered))) for _ in "ab")
+        return space, alpha, beta, draw(st.integers(1, 24))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(rank) for j in range(i, rank)}
+    space = AmbientSpace(nu, Matrix([[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]))
+    coords = st.lists(st.integers(-3, 3), min_size=space.dim, max_size=space.dim)
+    alpha = Vector(draw(coords))
+    if how == "free":
+        beta = Vector(draw(coords))
+    elif how == "line":
+        beta = alpha * draw(st.sampled_from([-2, -1, Fraction(1, 2), 3]))
+    else:
+        alpha = Vector(alpha.ints[: nu + rank] + (0,) * nu)
+        shift = draw(st.lists(st.integers(-3, 3), min_size=nu, max_size=nu))
+        beta = alpha * draw(st.sampled_from([-1, 1, 2])) + Vector(shift + [0] * (rank + nu))
+    assume(space.pair(alpha, alpha) != 0 and space.pair(beta, beta) != 0)
+    return space, alpha, beta, draw(st.integers(1, 24))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reflection_pairs())
+def test_coxeter_order_matches_the_power_loop(case):
+    space, alpha, beta, cap = case
+    assert repr(coxeter_order(space, alpha, beta, cap)) == repr(reference_coxeter_order(space, alpha, beta, cap))
 
 
 def random_relation(data):

@@ -8,8 +8,15 @@ from operator import mul
 
 import pytest
 
-from ears.core import _CLASS_TAGS, ConstraintViolation, EarsDescriptor, construct_ears, verify_axioms
-from ears.finite import build_finite
+from ears.core import (
+    _CLASS_TAGS,
+    ConstraintViolation,
+    EarsDescriptor,
+    _as_finite,
+    construct_ears,
+    verify_axioms,
+)
+from ears.finite import InvalidRank, NotIrreducible, build_finite, length_classes
 from ears.linalg import (
     AmbientSpace,
     DimensionMismatch,
@@ -63,6 +70,7 @@ from ears.examples import (
     product_even_semilattice,
     removable_root,
 )
+from test_finite import reference_classify_subset
 
 GAMMA = removable_root()
 PRODUCT_EVEN3 = product_even_semilattice(3)
@@ -569,6 +577,42 @@ def test_removal_label_table():
             assert (label, {t: c for t, c in mapped.items() if c}) == want, (name, kept)
             assert set(mapped) == {"short", "long", "extra"}
     assert set(RELABELS) <= seen
+
+
+def reference_removal_label(R, fams):
+    """_removal_label on the count-rule classifier, its label's realization
+    built again by name."""
+    finite = R.finite_part
+    left = {R.dot_classes[tag]: tag for tag in _CLASS_TAGS if fams.get(tag) is not None}
+    try:
+        label = reference_classify_subset(finite, frozenset().union(*left))
+        new = _as_finite(label)
+    except (InvalidRank, NotIrreducible) as exc:
+        raise Stuck(
+            f"removal leaves classes {list(left.values())} of a {finite.label} "
+            f"system, which are not an irreducible root system: {exc}"
+        ) from exc
+    classes = length_classes(new)
+    if new.form != finite.form or {c for c in classes if c} != set(left):
+        raise Stuck(
+            f"removal leaves classes {list(left.values())} of a {finite.label} "
+            f"system, which the standard {label} realization does not match"
+        )
+    return label, {tag: fams[left[c]] if c else None for tag, c in zip(_CLASS_TAGS, classes)}
+
+
+def test_removal_label_stuck_where_the_reference_is():
+    for name, R in removal_label_systems().items():
+        tags = list(R.translations)
+        for mask in range(1 << len(tags)):
+            fams = {t: (t if mask >> i & 1 else None) for i, t in enumerate(tags)}
+            outcomes = []
+            for label_of in (reference_removal_label, _removal_label):
+                try:
+                    outcomes.append(label_of(R, fams))
+                except Stuck:
+                    outcomes.append(Stuck)
+            assert outcomes[0] == outcomes[1], (name, fams)
 
 
 def test_extract_minimal_relabels_bc1_as_a1():
