@@ -35,7 +35,6 @@ from .linalg import (
     Vector,
     _frac,
     common_ints,
-    reflection_matrix,
     sorted_vectors,
     span_rank,
 )
@@ -201,14 +200,6 @@ class EarsDescriptor:
         zero_dot = Vector([0] * self.finite_part.rank)
         return sorted_vectors(self.space.assemble(iso, zero_dot) for iso in self.isotropic.window(bound))
 
-    def window(self, bound) -> list[Vector]:
-        return sorted_vectors(self.anisotropic_window(bound) + self.isotropic_window(bound))
-
-    def reflection_set(self, bound) -> frozenset[Matrix]:
-        return frozenset(
-            reflection_matrix(self.space, v) for v in self.anisotropic_window(bound)
-        )
-
 
 def is_root(r: EarsDescriptor, v) -> str:
     """Classify a vector against the root set: anisotropic/isotropic/not_root."""
@@ -298,12 +289,6 @@ class AxiomReport:
     def check(self, axiom: str) -> AxiomCheck:
         return next(c for c in self.checks if c.axiom == axiom)
 
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            lines.append(f"{c.axiom}: {'pass' if c.passed else 'FAIL'} - {c.detail}")
-        return "\n".join(lines)
-
 
 _SCAN = 8  # root strings have length at most 5; leave slack to catch strays
 
@@ -358,14 +343,9 @@ def _verify_descriptor(desc: EarsDescriptor, bound: int) -> AxiomReport:
     )
 
     bad = [v for v in aniso if desc.classify(v * 2) != "not_root"]
-    checks.append(
-        AxiomCheck(
-            "R4",
-            not bad,
-            f"2*root excluded for {len(aniso)} window roots (window {bound})",
-            tuple(bad[:3]),
-        )
-    )
+    detail = f"2*root is a root for {len(bad)} of" if bad else "2*root excluded for"
+    checks.append(AxiomCheck("R4", not bad, f"{detail} {len(aniso)} window roots (window {bound})",
+                             tuple(bad[:3])))
 
     checks.append(
         AxiomCheck(
@@ -408,13 +388,10 @@ def _check_iso_pairing(desc: EarsDescriptor, bound, iso_window) -> AxiomCheck:
         sigma = desc.space.blocks(v)[0]
         if not any(short.contains(tau + sigma) for tau in short.cosets):
             bad.append(v)
-    return AxiomCheck(
-        "R8",
-        not bad,
-        f"every one of {len(iso_window)} window isotropic roots pairs with an "
-        f"anisotropic root (window {bound})",
-        tuple(bad[:3]),
-    )
+    n = len(iso_window)
+    detail = (f"{len(bad)} of {n} window isotropic roots pair with no anisotropic root" if bad
+              else f"every one of {n} window isotropic roots pairs with an anisotropic root")
+    return AxiomCheck("R8", not bad, f"{detail} (window {bound})", tuple(bad[:3]))
 
 
 def _string_ok(member: list, c) -> bool:
@@ -551,7 +528,8 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
     aniso = sorted_vectors(v for v in members if not space.is_isotropic(v))
     iso = sorted_vectors(v for v in members if space.is_isotropic(v))
 
-    checks.append(AxiomCheck("R1", zero in members, "0 in the given set"))
+    where = "in" if zero in members else "missing from"
+    checks.append(AxiomCheck("R1", zero in members, f"0 {where} the given set"))
     bad = [v for v in members if -v not in members]
     checks.append(
         AxiomCheck("R2", not bad, f"negation closure on {len(members)} vectors", tuple(bad[:3]))
@@ -562,9 +540,8 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
         AxiomCheck("R3", rank == want, f"set spans rank {rank}, expected {want}")
     )
     bad = [v for v in aniso if v * 2 in members]
-    checks.append(
-        AxiomCheck("R4", not bad, f"2*root excluded, {len(aniso)} anisotropic vectors", tuple(bad[:3]))
-    )
+    detail = f"2*root in the set for {len(bad)} of" if bad else "2*root excluded,"
+    checks.append(AxiomCheck("R4", not bad, f"{detail} {len(aniso)} anisotropic vectors", tuple(bad[:3])))
     checks.append(AxiomCheck("R5", True, "finite sets are discrete"))
 
     witnesses = []
@@ -599,14 +576,9 @@ def _verify_finite_set(roots: frozenset, space: AmbientSpace, bound) -> AxiomRep
     checks.append(AxiomCheck("R7", connected, detail))
 
     bad = [s for s in iso if not any(a + s in members for a in aniso)]
-    checks.append(
-        AxiomCheck(
-            "R8",
-            not bad,
-            f"every of {len(iso)} isotropic vectors pairs with an anisotropic one",
-            tuple(bad[:3]),
-        )
-    )
+    detail = (f"{len(bad)} of {len(iso)} isotropic vectors pair with no anisotropic one" if bad
+              else f"every one of {len(iso)} isotropic vectors pairs with an anisotropic one")
+    checks.append(AxiomCheck("R8", not bad, detail, tuple(bad[:3])))
     return AxiomReport(int(bound), tuple(checks))
 
 

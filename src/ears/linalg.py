@@ -127,9 +127,6 @@ class Vector:
     def is_zero(self) -> bool:
         return not any(self.ints)
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def max_norm(self) -> Fraction:
         return Fraction(max(map(abs, self.ints), default=0), self.den)
 
@@ -294,15 +291,6 @@ class AmbientSpace:
 
     def pair(self, v: Vector, w: Vector) -> Fraction:
         return self.form.evaluate(v, w)
-
-    def iso_part(self, v: Vector) -> tuple[Fraction, ...]:
-        return v.coords[: self.nu]
-
-    def dot_part(self, v: Vector) -> tuple[Fraction, ...]:
-        return v.coords[self.nu : self.nu + self.rank]
-
-    def dual_part(self, v: Vector) -> tuple[Fraction, ...]:
-        return v.coords[self.nu + self.rank :]
 
     def blocks(self, v: Vector) -> tuple[Vector, Vector, Vector]:
         """The isotropic, dot and dual blocks of v, as Vectors."""

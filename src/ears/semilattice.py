@@ -208,7 +208,9 @@ class Lattice:
         return sorted(closure([zero], self.hnf, lambda v, g: sub.reduce_at(_add(v, g), den), cap))
 
     def quotient_reps(self, sub: "Lattice", cap: int = 1 << 20) -> list[Vector]:
-        """Representatives of this lattice modulo a finite-index sublattice."""
+        """Representatives of this lattice modulo a finite-index sublattice.
+
+        No code in the package calls this; bench/spans.py traces it by name."""
         return [Vector._of(x, self.den) for x in self._quotient(sub, cap)]
 
 
@@ -299,13 +301,6 @@ class Semilattice:
         cints = [[f.numerator * a for a in c] for c in self.ints]
         return Semilattice._of(self.modulus.scaled(f), self.den * f.denominator, cints, self.translated)
 
-    def shifted(self, v: Vector) -> "Semilattice":
-        vs, (x,) = _entry([v], self.ambient)
-        scale = math.lcm(self.den, vs)
-        f, g = scale // self.den, scale // vs
-        cints = [[f * a + g * b for a, b in zip(c, x)] for c in self.ints]
-        return Semilattice._of(self.modulus, scale, cints, translated=True)
-
     def union(self, other: "Semilattice") -> "Semilattice":
         """Set union, re-canonicalized."""
         scale = _joint(self, other)
@@ -327,12 +322,6 @@ class Semilattice:
         reps = self.modulus._quotient(finer)
         return [finer.reduce_at([f * a + g * b for a, b in zip(c, r)], scale)
                 for c in self.ints for r in reps]
-
-    def subset_of(self, other: "Semilattice") -> bool:
-        k = self.modulus.intersect(other.modulus)
-        if k.rank < self.modulus.rank:
-            return False
-        return all(other.contains(Vector._of(x, self.den)) for x in self._residues(k, self.den))
 
     def intersects(self, other: "Semilattice") -> bool:
         """Whether the two point sets share an element."""

@@ -241,6 +241,40 @@ def test_presentation(capsys, nu2_config):
     assert rep["conjugation"] == {"status": "none_found", "orbits_checked": 3}
 
 
+BENCH_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "configs")
+
+
+def bench_config(name):
+    return os.path.join(BENCH_CONFIGS, f"{name}.json")
+
+
+def test_presentation_coxeter_yes(capsys):
+    code, rep = run(capsys, "presentation", "--in", bench_config("A1_nu1_full"), "--budget", "200")
+    assert code == EXIT_OK
+    assert rep["coxeter"] == {"answer": "yes", "nullity": 1}
+    assert rep["conjugation"] == {"status": "none_found", "orbits_checked": 2}
+
+
+def test_presentation_conjugation_obstruction(capsys):
+    code, rep = run(capsys, "presentation", "--in", bench_config("A1_nu3_full"), "--budget", "200")
+    assert code == EXIT_OK
+    assert rep["coxeter"]["answer"] == "no"
+    assert rep["coxeter"]["evaluates_to_identity"] is True
+    assert rep["conjugation"]["status"] == "obstruction"
+    assert rep["conjugation"]["evaluates_to_identity"] is True
+    assert len(rep["conjugation"]["odd_orbits"]) == 8
+
+
+def test_undecided_orbits_are_reported_unknown(capsys):
+    path = bench_config("B2_nu2_matched")
+    code, rep = run(capsys, "minimality", "--in", path, "--budget", "200")
+    assert code == EXIT_OK
+    assert (rep["verdict"], rep["unresolved"]) == ("Unknown", 3)
+    code, rep = run(capsys, "presentation", "--in", path, "--budget", "200")
+    assert code == EXIT_OK
+    assert rep["conjugation"] == {"status": "unknown", "unresolved": 3}
+
+
 def test_trim(capsys, bc1_config):
     code, rep = run(capsys, "trim", "--in", bc1_config)
     assert code == EXIT_OK

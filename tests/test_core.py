@@ -30,7 +30,17 @@ from ears.core import (
 )
 from ears.examples import doubled_lattice, integer_lattice, odd_translated, product_even_semilattice
 from ears.finite import InvalidRank, build_finite, length_classes
-from ears.linalg import AmbientSpace, Matrix, Vector, reflect, scaled_ints, span_rank, vec
+from ears.linalg import (
+    AmbientSpace,
+    Matrix,
+    Vector,
+    reflect,
+    reflection_matrix,
+    scaled_ints,
+    sorted_vectors,
+    span_rank,
+    vec,
+)
 from ears.semilattice import (
     Lattice,
     RankMismatch,
@@ -120,7 +130,7 @@ AXIOM_CASES = [
 @pytest.mark.parametrize("label,args,kwargs,bound", AXIOM_CASES)
 def test_axioms_hold(label, args, kwargs, bound):
     rep = verify_axioms(construct_ears(label, *args, **kwargs), bound)
-    assert rep.ok, rep.summary()
+    assert rep.ok, rep.checks
 
 
 def test_set_mode_flags_unreduced():
@@ -131,6 +141,25 @@ def test_set_mode_flags_unreduced():
     assert not rep.check("R4").passed
     for name in ("R1", "R2", "R3", "R5", "R6", "R7", "R8"):
         assert rep.check(name).passed
+
+
+def test_failing_details_say_what_failed():
+    sp = AmbientSpace(0, Matrix([[1]]))
+    rep = verify_axioms([vec(1), vec(-1), vec(2), vec(-2)], bound=2, space=sp)
+    assert rep.check("R1").detail == "0 missing from the given set"
+    assert rep.check("R4").detail == "2*root in the set for 2 of 4 anisotropic vectors"
+    sp = AmbientSpace(1, Matrix([[2]]))
+    rep = verify_axioms([vec(0, 0, 0), vec(0, 1, 0), vec(0, -1, 0), vec(2, 0, 0), vec(-2, 0, 0)], bound=2, space=sp)
+    assert (rep.check("R1").passed, rep.check("R1").detail) == (True, "0 in the given set")
+    assert not rep.check("R8").passed
+    assert rep.check("R8").detail == "2 of 3 isotropic vectors pair with no anisotropic one"
+    # descriptor mode, built directly: construct_ears refuses both
+    z1 = integer_lattice(1)
+    c = verify_axioms(EarsDescriptor(build_finite("BC", 1), 1, {"short": z1, "extra": z1}), 2).check("R4")
+    assert (c.passed, c.detail) == (False, "2*root is a root for 10 of 20 window roots (window 2)")
+    two_z = Semilattice([[1]], [[0]])
+    c = verify_axioms(EarsDescriptor(build_finite("A", 1), 1, {"short": two_z}, isotropic=z1), 2).check("R8")
+    assert (c.passed, c.detail) == (False, "2 of 5 window isotropic roots pair with no anisotropic root (window 2)")
 
 
 # --- root strings (R6) against a brute-force reference ----------------------
@@ -152,7 +181,7 @@ def _string_failures(desc, bound):
     sp = desc.space
     bad = set()
     for a in desc.anisotropic_window(bound):
-        for b in desc.window(bound):
+        for b in desc.anisotropic_window(bound) + desc.isotropic_window(bound):
             ns = [n for n in range(-8, 9) if desc.classify(b + a * n) != "not_root"]
             c = 2 * sp.pair(b, a) / sp.pair(a, a)
             interval = ns == list(range(ns[0], ns[-1] + 1))
@@ -357,7 +386,7 @@ def test_irc_fixed_point(label, args, kwargs):
 def test_irc_window_recovers_isotropic(a1_sec2):
     aniso = a1_sec2.anisotropic_window(2)
     got = [v for v in irc_window(aniso, a1_sec2.space) if v.max_norm() <= 2]
-    assert got == a1_sec2.window(2)
+    assert got == sorted_vectors(a1_sec2.anisotropic_window(2) + a1_sec2.isotropic_window(2))
 
 
 # --- trim -----------------------------------------------------------------------
@@ -381,8 +410,12 @@ def test_trim_bc2(bc2_nu1):
 
 def test_trim_reflections_agree_up_to_dilation(bc1_nu1):
     tr = trim(bc1_nu1)
-    assert bc1_nu1.reflection_set(2) <= tr.reflection_set(2)
-    assert tr.reflection_set(2) <= bc1_nu1.reflection_set(4)
+
+    def reflections(R, bound):
+        return frozenset(reflection_matrix(R.space, v) for v in R.anisotropic_window(bound))
+
+    assert reflections(bc1_nu1, 2) <= reflections(tr, 2)
+    assert reflections(tr, 2) <= reflections(bc1_nu1, 4)
 
 
 def test_trim_rejects_non_bc(bc1_nu1):
@@ -416,7 +449,7 @@ def test_characterize_flags_missing_root(a1_sec2):
 
 
 def test_characterize_flags_isotropic_input(a1_sec2):
-    rep = characterize(a1_sec2.window(2), a1_sec2.space)
+    rep = characterize(a1_sec2.anisotropic_window(2) + a1_sec2.isotropic_window(2), a1_sec2.space)
     assert not rep.check("reflection_invariance").passed
 
 
@@ -448,19 +481,19 @@ def _reference_reflection_check(window, space):
     vs = sorted(set(window), key=lambda v: v.coords)
     box = max(v.max_norm() for v in vs)
     members = set(vs)
-    flat = [v for v in vs if not any(space.dot_part(v))]
+    flat = [v for v in vs if space.blocks(v)[1].is_zero()]
     if flat:
         return False, None, tuple(flat[:3])
     groups = {}
     for v in vs:
-        groups.setdefault(space.dot_part(v), []).append(v)
+        groups.setdefault(space.blocks(v)[1].coords, []).append(v)
     bad, checked = [], 0
     for alphas in groups.values():
         for betas in groups.values():
             for alpha in alphas:
                 for beta in betas:
                     img = reflect(space, alpha, beta)
-                    if max(abs(x) for x in space.dot_part(img)) > box:
+                    if space.blocks(img)[1].max_norm() > box:
                         continue
                     checked += 1
                     if img.max_norm() <= box and img not in members:
@@ -569,12 +602,12 @@ def _reference_characterize(window, space: AmbientSpace) -> CharacterizeReport:
     groups: dict[tuple, list] = {}  # dot part -> (root, scaled iso part)
     targets: dict[tuple, set] = {}  # dot part -> scaled iso parts, dual zero
     for v, x in zip(vs, ints):
-        dot = space.dot_part(v)
+        dot = space.blocks(v)[1].coords
         groups.setdefault(dot, []).append((v, x[:nu]))
         if not any(x[nu + ell :]):
             targets.setdefault(dot, set()).add(tuple(x[:nu]))
 
-    iso_members = [v for v in vs if not any(space.dot_part(v))]
+    iso_members = [v for v in vs if space.blocks(v)[1].is_zero()]
     dot_form = _dot_form(space)
     bad = list(iso_members[:3])
     checked = 0
@@ -628,13 +661,13 @@ def _reference_characterize(window, space: AmbientSpace) -> CharacterizeReport:
         AxiomCheck("reflection_invariance", not bad, detail, tuple(bad[:3]))
     )
 
-    dot_set = {Vector(space.dot_part(v)) for v in vs}
+    dot_set = {space.blocks(v)[1] for v in vs}
     dot_set.discard(Vector([0] * ell))
     finite_ok, finite_detail = _finite_root_system_check(dot_set, space)
     checks.append(AxiomCheck("finite_image", finite_ok, finite_detail))
 
     rank = span_rank(vs)
-    dual_zero = all(all(c == 0 for c in space.dual_part(v)) for v in vs)
+    dual_zero = all(space.blocks(v)[2].is_zero() for v in vs)
     checks.append(
         AxiomCheck(
             "full_lattice",

@@ -31,8 +31,8 @@ def test_vector_arithmetic_is_exact():
     assert (v * 3).coords == (Fraction(1), Fraction(6))
     assert (-v).coords == (Fraction(-1, 3), Fraction(-2))
     assert v.max_norm() == 2
-    assert not v.is_integral()
-    assert (v * 3).is_integral()
+    assert v.den == 3
+    assert (v * 3).den == 1
 
 
 def test_vector_dimension_mismatch():
@@ -165,9 +165,7 @@ def space():
 
 def test_ambient_split_roundtrip(space):
     v = space.assemble([1, 2], [3], [4, 5])
-    assert space.iso_part(v) == (1, 2)
-    assert space.dot_part(v) == (3,)
-    assert space.dual_part(v) == (4, 5)
+    assert [b.coords for b in space.blocks(v)] == [(1, 2), (3,), (4, 5)]
     assert v.dim == 5
 
 

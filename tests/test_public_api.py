@@ -1,6 +1,7 @@
 """The names ears/__init__.py imports are the package's public surface."""
 
 import ast
+import re
 from pathlib import Path
 
 import ears
@@ -59,3 +60,23 @@ def test_modules_use_every_import():
                 used.add(node.id)
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_member_has_a_caller():
+    """Each function and method of the package is named in it (as a Name or an
+    Attribute), is public, is a dunder, or is named in bench/*.py after a
+    space, dot or quote, which is how bench/spans.py traces members."""
+    trees = [(p.name, ast.parse(p.read_text())) for p in sorted(Path(ears.__file__).parent.glob("*.py"))]
+    named = {n.id if isinstance(n, ast.Name) else n.attr
+             for _, tree in trees for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    bench = "\n".join(p.read_text() for p in sorted((Path(__file__).parents[1] / "bench").glob("*.py")))
+    members = []
+    for file, tree in trees:
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        members += [(file, methods.get(id(f)), f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    orphans = [f"{file}:{owner + '.' if owner else ''}{name}" for file, owner, name in members
+               if name not in named and name not in PUBLIC
+               and not (name.startswith("__") and name.endswith("__"))
+               and not re.search(rf"[ .\"']{name}\b", bench)]
+    assert orphans == []

@@ -35,6 +35,7 @@ from ears.linalg import (
 from ears.semilattice import Lattice, Semilattice
 from ears.weyl import (
     Generates,
+    Inconclusive,
     Minimal,
     NotAnOrbit,
     NotGenerates,
@@ -142,7 +143,7 @@ def reference_orbit(R, alpha):
     a BFS over root indices under the simple reflections, T from
     reference_lattice."""
     space, finite = R.space, R.finite_part
-    dot = Vector(space.dot_part(alpha))
+    dot = space.blocks(alpha)[1]
     if dot.is_zero():
         return OrbitDescriptor(space, alpha, dot, [dot], Lattice(space.nu, []))
     gens = [finite.perms[finite.index[s]] for s in finite.fundamental]
@@ -175,7 +176,7 @@ def reference_anisotropic_orbits(R):
 def reference_remaining_translations(R, orbit):
     """Removal by enumerating T modulo fine = modulus meet T, on every class
     that meets the orbit's finite part."""
-    sigma0 = Vector(R.space.iso_part(orbit.base))
+    sigma0 = R.space.blocks(orbit.base)[0]
     t = orbit.translation_lattice
     out = {}
     for tag, sl in R.translations.items():
@@ -520,6 +521,47 @@ def test_bc1_nothing_removable(bc1_shifted):
     assert extract_minimal(bc1_shifted) == bc1_shifted
 
 
+# generation_check at depth 8 and budget 200 on each orbit of each suite
+# system, in anisotropic_orbits order: G generates, I inconclusive, and the
+# other letters are NotGenerates with the reason REASONS names
+SUITE_VERDICTS = {
+    "A1 nu1 doubled": "OO", "A1 nu1 full": "OO", "A1 nu2 full": "OOOO",
+    "A1 nu2 product-even": "OOO", "A1 nu3 full": "GGGGGGGG",
+    "A1 nu3 product-even": "OOOOOOO", "A2 nu0": "W", "A2 nu1": "W",
+    "B2 nu1 doubled": "RSW", "B2 nu1 matched": "WRS", "B2 nu2 matched": "RIIIW",
+    "B2 nu2 product-even": "RSSW", "BC1 nu1": "OO", "BC1 nu2 shifted": "OOOO",
+    "BC2 nu1": "IWI", "G2 nu1": "WW",
+}
+REASONS = {
+    "O": "is outside the subgroup generated by the remaining roots",
+    "W": "the remaining directions do not generate the finite Weyl group",
+    "R": "the remaining roots are not a root system",
+    "S": "shrinks under the remaining roots, so they generate a proper subgroup",
+}
+
+
+def test_generation_verdicts_on_the_suite(suite):
+    for name, R in suite.items():
+        orbits = anisotropic_orbits(R)
+        assert len(orbits) == len(SUITE_VERDICTS[name]), name
+        for ob, code in zip(orbits, SUITE_VERDICTS[name]):
+            verdict = generation_check(R, ob, 8, 200)
+            if code == "G":
+                assert isinstance(verdict, Generates), (name, ob.base)
+                assert word_element(R.space, verdict.certificate).matrix == reflection_matrix(R.space, ob.base)
+            elif code == "I":
+                assert verdict == Inconclusive(8), (name, ob.base)
+            else:
+                assert isinstance(verdict, NotGenerates), (name, ob.base, verdict)
+                assert REASONS[code] in verdict.reason, (name, ob.base, verdict.reason)
+
+
+def test_extract_minimal_stuck_on_undecided_orbits(suite):
+    for name, count in (("B2 nu2 matched", 3), ("BC2 nu1", 2)):
+        with pytest.raises(Stuck, match=rf"^{count} orbit\(s\) undecided at depth 8$"):
+            extract_minimal(suite[name], 8, 200)
+
+
 def bc1_nu3():
     """BC1 over the product-even semilattice of Z^3, extra (2,2,2) + 4Z^3."""
     extra = Semilattice.from_cosets(
@@ -775,8 +817,8 @@ def test_affine_normal_form_matches_matrices(suite, name):
     nu = space.nu
     roots = suite[name].anisotropic_window(2)
     scale = math.lcm(*(
-        (2 * s / space.dot_part(r)[0]).denominator
-        for r in roots for s in space.iso_part(r)
+        (2 * s / space.blocks(r)[1].coords[0]).denominator
+        for r in roots for s in space.blocks(r)[0].coords
     ))
     letters = {r: _AffineElement.reflection(space, r, scale) for r in roots}
     ident = Matrix.identity(space.dim)
