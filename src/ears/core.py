@@ -87,6 +87,7 @@ class EarsDescriptor:
         "space",
         "dot_classes",
         "_tag_of",
+        "_lattices",
         "isotropic",
         "removal_chain",
         "_tables",
@@ -114,6 +115,7 @@ class EarsDescriptor:
         object.__setattr__(
             self, "_tag_of", {d: t for t, roots in dot_classes.items() for d in roots}
         )
+        object.__setattr__(self, "_lattices", {})
         if isotropic is None:
             isotropic = translations["short"].sum_set(translations["short"])
         object.__setattr__(self, "isotropic", isotropic)
@@ -159,6 +161,22 @@ class EarsDescriptor:
 
     def class_of_dot(self, dot: Vector) -> str | None:
         return self._tag_of.get(dot)
+
+    def class_lattice(self, tag: str) -> Lattice:
+        """T of every root whose dot part lies in the class tag, built on
+        first use: the sum of g_b <S_b> over the classes b, one HNF at the
+        lattices' common scale.  The gcds g_b come from one Cartan-table
+        row; any member of the class gives the same ones."""
+        if tag not in self._lattices:
+            finite = self.finite_part
+            row = finite.cartan[finite.index[next(iter(self.dot_classes[tag]))]]
+            scale = math.lcm(*(sl.lattice.den for sl in self.translations.values()))
+            ints = []
+            for b, sl in self.translations.items():
+                g = math.gcd(*(row[finite.index[d]] for d in self.dot_classes[b]))
+                ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
+            self._lattices[tag] = Lattice._of(self.space.nu, scale, ints)
+        return self._lattices[tag]
 
     def classify(self, v: Vector) -> str:
         """One of "anisotropic", "isotropic", "not_root"."""

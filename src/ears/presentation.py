@@ -13,7 +13,6 @@ a preferred set of roots.
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import EarsDescriptor
 from .linalg import (
@@ -92,9 +91,10 @@ def orbit_id(R: EarsDescriptor, v: Vector) -> OrbitDescriptor:
     """
     if R.classify(v) != "anisotropic":
         raise UnknownRoot(f"{v} is not an anisotropic root of {R.label}")
-    half = v * Fraction(1, 2)
-    if R.classify(half) == "anisotropic":
-        v = half
+    if R.class_of_dot(R.space.blocks(v)[1]) == "extra":  # dots twice a finite root
+        half = Vector._of(v.ints, 2 * v.den)
+        if R.classify(half) == "anisotropic":
+            v = half
     return orbit_closed_form(R, v)
 
 

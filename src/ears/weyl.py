@@ -8,7 +8,8 @@ Orbit structure: the orbit of alpha is alpha - dot(alpha) + (the length
 class of dot(alpha), on which W_fin is transitive: Humphreys, 10.4, Lemma
 C) + T, where T sums g_b <S_b> over the classes b, g_b the gcd of the
 Cartan integers <dot(alpha), b^vee> over b.  That gcd is W-invariant in
-dot(alpha), so each class has one lattice T (_class_lattice).
+dot(alpha), so each class has one lattice T, built once per descriptor
+(EarsDescriptor.class_lattice).
 
 Generation after removing an orbit is decided exactly when the finite
 part has rank one.  With the finite form normalized to [1], each group
@@ -122,8 +123,9 @@ class OrbitDescriptor:
         raise AttributeError("OrbitDescriptor is immutable")
 
     def key(self):
-        """Exact identity of the orbit; built on first use, since most
-        callers never compare orbits."""
+        """Sort key of the orbit, in Fractions; built on first use, since
+        only sorting needs it.  Two orbits have equal keys exactly when
+        they are equal, and equality runs on the integer parts."""
         if self._key is None:
             object.__setattr__(self, "_key", (
                 tuple(sorted(d.coords for d in self.finite_orbit)),
@@ -132,13 +134,16 @@ class OrbitDescriptor:
             ))
         return self._key
 
+    def _identity(self):
+        return self.base_offset, self.translation_lattice, self.finite_orbit
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitDescriptor):
             return NotImplemented
-        return self.key() == other.key()
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._identity())
 
     def __repr__(self) -> str:
         return f"<orbit of {self.base} ({len(self.finite_orbit)} directions)>"
@@ -163,21 +168,6 @@ class OrbitDescriptor:
         )
 
 
-def _class_lattice(R: EarsDescriptor, tag: str) -> Lattice:
-    """T of every root whose dot part lies in the class tag: the sum of
-    g_b <S_b> over the classes b, one HNF at the lattices' common scale.
-    The gcds g_b come from one Cartan-table row; any member of the class
-    gives the same ones."""
-    finite = R.finite_part
-    row = finite.cartan[finite.index[next(iter(R.dot_classes[tag]))]]
-    scale = math.lcm(*(sl.lattice.den for sl in R.translations.values()))
-    ints = []
-    for b, sl in R.translations.items():
-        g = math.gcd(*(row[finite.index[d]] for d in R.dot_classes[b]))
-        ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
-    return Lattice._of(R.space.nu, scale, ints)
-
-
 def orbit_closed_form(R: EarsDescriptor, alpha: Vector) -> OrbitDescriptor:
     """Orbit of alpha as base + finite orbit + translation lattice: the
     length class of dot(alpha) and its class lattice, or {0} and the zero
@@ -193,7 +183,7 @@ def orbit_closed_form(R: EarsDescriptor, alpha: Vector) -> OrbitDescriptor:
     tag = R.class_of_dot(dot)
     if tag is None:
         raise NotOverFinitePart(f"{dot} is not a finite root")
-    return OrbitDescriptor(space, alpha, dot, R.dot_classes[tag], _class_lattice(R, tag))
+    return OrbitDescriptor(space, alpha, dot, R.dot_classes[tag], R.class_lattice(tag))
 
 
 def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
@@ -546,7 +536,7 @@ def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
             continue
         # the positive member of its line, so certificate words stay short
         dot = sorted_vectors(R.dot_classes[tag])[-1]
-        t = _class_lattice(R, tag)
+        t = R.class_lattice(tag)
         scale = math.lcm(sl.den, t.den)
         reps = {t.reduce_at(c, scale) for c in sl._residues(sl.modulus.intersect(t), scale)}
         for rep in sorted(reps):
@@ -727,7 +717,7 @@ def _orbit_shrink(R, sub, removed_orbit):
     """
     own = R.class_of_dot(removed_orbit.dot_part)
     for tag in dict.fromkeys((own, *sub.translations)):
-        ft, pt = _class_lattice(R, tag), _class_lattice(sub, tag)
+        ft, pt = R.class_lattice(tag), sub.class_lattice(tag)
         if pt != ft and pt.is_sublattice_of(ft):
             alpha = removed_orbit.base if tag == own else sub.space.assemble(
                 sorted_vectors(sub.translations[tag].cosets)[0],

@@ -98,3 +98,53 @@ def test_axioms_pass_builds_few_fractions():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["ops"] == 156
     assert result["fractions"] <= 1_556, result
+
+
+# The oracle's 300 relation ops, run twice on one workload.  The first pass
+# builds the class lattice of the nullity-two system's one class once (one
+# HNF) and the second builds none.  Fraction constructions in the second
+# pass: 5,048 when every letter built its class lattice, a Fraction half and
+# a Fraction key for its orbit; 376 with orbits named on integers, all from
+# reflect.  The bound is a tenth of the first.  A descriptor loaded from a
+# config has built no class lattice, so loading one per operation costs none.
+_COUNT_RELATION_WORK = """
+import fractions, json, random, sys
+sys.path[:0] = ["src", "bench"]
+import fixtures, workloads
+from ears import semilattice
+fresh = sum(len(R._lattices) for R in fixtures.load_suite()[0].values())
+workload = workloads.build("oracle", random.Random(1))
+ops = [op for op in workload.ops if op.command == "relations"]
+hnfs = 0
+hnf = semilattice._hnf_int
+def counted_hnf(*args):
+    global hnfs
+    hnfs += 1
+    return hnf(*args)
+semilattice._hnf_int = counted_hnf
+for op in ops:
+    op.call()
+first, hnfs = hnfs, 0
+calls = 0
+new = fractions.Fraction.__new__
+def counted(cls, *args, **kwargs):
+    global calls
+    calls += 1
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counted
+for op in ops:
+    op.call()
+classes = len(workload.systems["A1 nu2 product-even"].dot_classes)
+print(json.dumps({"ops": len(ops), "fresh": fresh, "classes": classes,
+                  "hnfs": [first, hnfs], "fractions": calls}))
+"""
+
+
+def test_oracle_relations_name_orbits_by_lookup():
+    done = subprocess.run([sys.executable, "-c", _COUNT_RELATION_WORK], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert (result["ops"], result["fresh"]) == (300, 0), result
+    assert result["hnfs"] == [result["classes"], 0], result
+    assert result["fractions"] <= 504, result

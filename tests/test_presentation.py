@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from ears.core import construct_ears
+from ears.core import _CLASS_TAGS, EarsDescriptor, construct_ears
+from ears.finite import build_finite
 from ears.linalg import Vector, reflect, vec
 from ears.presentation import (
     GeneratorWord,
@@ -23,12 +25,16 @@ from ears.presentation import (
     coxeter_order,
     coxeter_presentation_decision,
     evaluate,
+    line_relation,
     orbit_id,
     parity,
+    square_relation,
     witness_word,
 )
 from ears.semilattice import Semilattice
-from ears.examples import certificate_word, removable_root
+from ears.weyl import orbit_closed_form
+from ears.examples import certificate_word, integer_lattice, removable_root
+from test_weyl import removal_label_systems
 
 A1 = vec(0, 0, 1, 0, 0)
 A2 = vec(1, 0, 1, 0, 0)
@@ -125,29 +131,85 @@ def test_parity_detects_odd_orbit_use(nullity3, word8):
     assert gid in pv.support()
 
 
+def reference_orbit_id(R, v):
+    """orbit_id by two classify calls: the letter, then its Fraction half,
+    whatever the letter's class."""
+    if R.classify(v) != "anisotropic":
+        raise UnknownRoot(f"{v} is not an anisotropic root of {R.label}")
+    half = v * Fraction(1, 2)
+    if R.classify(half) == "anisotropic":
+        v = half
+    return orbit_closed_form(R, v)
+
+
 def per_letter_parity(word, R):
     counts = {}
     for letter in word:
-        oid = orbit_id(R, letter)
+        oid = reference_orbit_id(R, letter)
         counts[oid] = counts.get(oid, 0) + 1
     return ParityVector(counts)
 
 
-def test_parity_matches_per_letter_count(suite):
-    ob = conjugation_obstruction(suite["A1 nu3 full"])
-    words = [("A1 nu3 full", ob.word.letters)]
-    assert (len(words[0][1]), len(set(words[0][1]))) == (318, 13)
+def doubled_bc_systems() -> dict:
+    """BC descriptors built directly, with extra translations that meet
+    twice the short ones, which construct_ears refuses: only there are v
+    and v/2 both roots."""
+    trivial = Semilattice([], [[]])
+    systems = {
+        f"BC{rank} nu0": EarsDescriptor(
+            build_finite("BC", rank), 0,
+            {t: trivial for t in (("short", "extra") if rank == 1 else _CLASS_TAGS)})
+        for rank in (1, 2)
+    }
+    z1 = integer_lattice(1)
+    systems["BC1 nu1 doubled"] = EarsDescriptor(build_finite("BC", 1), 1, {"short": z1, "extra": z1})
+    return systems
+
+
+def test_orbit_id_matches_two_classify_reference():
+    systems = {**removal_label_systems(), **doubled_bc_systems()}
+    halved = set()
+    for name, R in systems.items():
+        for v in R.anisotropic_window(2):
+            assert orbit_id(R, v).key() == reference_orbit_id(R, v).key(), (name, v)
+            if R.classify(v * Fraction(1, 2)) == "anisotropic":
+                halved.add(name)
+    assert halved == set(doubled_bc_systems())
+
+
+def test_parity_matches_per_letter_count(suite, nullity2):
+    words = []
+    for name, R in suite.items():
+        ob = conjugation_obstruction(R, 8, 200)
+        if isinstance(ob, Obstruction):
+            words.append((name, R, ob.word.letters))
+    assert [name for name, _, _ in words] == ["A1 nu3 full"]
+    assert (len(words[0][2]), len(set(words[0][2]))) == (318, 13)
     rng = random.Random(13)
     for name in sorted(suite):
-        roots = suite[name].anisotropic_window(2)
+        R = suite[name]
+        roots = R.anisotropic_window(2)
         for _ in range(3):
             a, b = rng.choice(roots), rng.choice(roots)
-            rel = conjugation_relation(suite[name].space, a, b).letters
-            words.append((name, rel + tuple(rng.choices(roots, k=rng.randint(0, 12)))))
-    for name, word in words:
-        got, want = parity(word, suite[name]), per_letter_parity(word, suite[name])
+            rel = conjugation_relation(R.space, a, b).letters
+            words.append((name, R, rel + tuple(rng.choices(roots, k=rng.randint(0, 12)))))
+    # 300 relations on the nullity-two system, each even on every orbit,
+    # and a seeded prefix of each, which mostly is not
+    space, roots = nullity2.space, nullity2.anisotropic_window(2)
+    for i in range(300):
+        kind, a, b = rng.choice(("line", "square", "conjugation")), rng.choice(roots), rng.choice(roots)
+        if kind == "line":
+            rel = line_relation(a, -a)
+        elif kind == "square":
+            rel = square_relation(a)
+        else:
+            rel = conjugation_relation(space, a, b)
+        words += [(i, nullity2, rel.letters), (i, nullity2, rel.letters[:rng.randint(1, len(rel))])]
+    assert sum(not parity(word, R).is_zero() for _, R, word in words) > 200
+    for name, R, word in words:
+        got, want = parity(word, R), per_letter_parity(word, R)
         assert got == want and hash(got) == hash(want), name
-        assert got.support() == want.support(), name
+        assert [o.key() for o in got.support()] == sorted(o.key() for o in want.bits), name
         assert [o.base_offset.coords for o in got.support()] == \
             [o.base_offset.coords for o in want.support()], name
         assert repr(got) == repr(want), name

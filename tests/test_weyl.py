@@ -53,7 +53,6 @@ from ears.weyl import (
     _AffineElement,
     _Rank1Decider,
     _certificate_search,
-    _class_lattice,
     _finite_closure,
     _orbit_shrink,
     _recenter,
@@ -201,7 +200,7 @@ def test_closed_form_matches_per_root_reference():
             assert got.key() == want.key(), (name, alpha)
         # the gcds are W-invariant: every dot of a class gives its lattice
         for tag, dots in R.dot_classes.items():
-            t = _class_lattice(R, tag)
+            t = R.class_lattice(tag)
             assert all(reference_lattice(R, d) == t for d in dots), (name, tag)
 
 
@@ -262,6 +261,21 @@ def test_orbit_shrink_matches_per_sample_reference():
     # both outcomes occur; every shrink found here is named by the least
     # root of a remaining class, none by the removed base
     assert reasons == {None, False}
+
+
+def test_orbit_equality_is_key_equality(suite):
+    """Orbits compare on their integer parts; equal keys and equal orbits
+    must be the same relation, and equal orbits must hash equal."""
+    orbits = [orbit_closed_form(R, alpha) for R in suite.values()
+              for alpha in R.anisotropic_window(1) + R.isotropic_window(1)]
+    equal = 0
+    for a in orbits:
+        for b in orbits:
+            assert (a == b) == (a.key() == b.key()), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                equal += 1
+    assert len(orbits) < equal < len(orbits) ** 2
 
 
 def test_orbit_closed_form_basic(nullity2):
