@@ -88,6 +88,8 @@ def orbit_id(R: EarsDescriptor, v: Vector) -> OrbitDescriptor:
 
     Linearly dependent roots define the same reflection, so they must
     share a tag: the orbit of the shortest root on the letter's line.
+    Halving serves only descriptors built directly with v and v/2 both
+    roots: construct_ears refuses extra meeting 2*short.
     """
     if R.classify(v) != "anisotropic":
         raise UnknownRoot(f"{v} is not an anisotropic root of {R.label}")

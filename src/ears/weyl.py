@@ -17,12 +17,15 @@ element then has a normal form (sign, shear vector b, isotropic block B)
 with B + B^T = -b b^T, so it is stored on integers as (sign, b, B - B^T)
 at one scale per decider; the even-word subgroup is nilpotent of class
 two, and membership reduces to Hermite-style integer reduction carried
-out on group elements.  For higher ranks the verdict is three-valued:
-sound negatives come from the finite quotient, from the remaining set
-failing to be a root system, or from a class lattice that shrinks under
-the remaining roots; sound positives come from a bounded certificate
-search; otherwise Inconclusive is reported honestly.  At nullity zero the
-removed reflection's word is read off the closure of the remaining ones.
+out on group elements, with one division when a pivot divides.  Words
+are carried as straight-line-program nodes, expanded once per Generates
+and re-checked by flat re-multiplication.  For higher ranks the verdict
+is three-valued: sound negatives come from the finite quotient, from the
+remaining set failing to be a root system, or from a class lattice that
+shrinks under the remaining roots; sound positives come from a bounded
+certificate search; otherwise Inconclusive is reported honestly.  At
+nullity zero the removed reflection's word is read off the closure of
+the remaining ones.
 
 Words and the certificate search multiply a Matrix by reflections as
 rank-one integer updates (linalg.times_reflector), and the windowed orbit
@@ -289,14 +292,47 @@ def _wedge(b1, b2):
     )
 
 
-class _AffineElement:
-    __slots__ = ("eps", "b", "w", "word")
+class _Word(tuple):
+    """A node of a straight-line program (Holt, Eick and O'Brien 2005):
+    ("*", u, v) is u then v, ("~", u) is u reversed and ("^", u, n) is u
+    n times; any other tuple is a leaf of letters."""
 
-    def __init__(self, eps, b, w, word):
+
+def _expand(node) -> tuple:
+    """The letters of a word node, without recursion.  Each node is
+    expanded once; a repeat copies the span of its first expansion."""
+    out, spans, stack = [], {}, [(node, False, None)]
+    while stack:
+        node, rev, start = stack.pop()
+        if start is not None:  # the first expansion of node ends here
+            spans[id(node)] = (start, len(out), rev)
+        elif type(node) is not _Word:
+            out.extend(node[::-1] if rev else node)
+        elif id(node) in spans:
+            a, b, first = spans[id(node)]
+            out.extend(out[a:b] if first == rev else out[a:b][::-1])
+        elif node[0] == "~":
+            stack.append((node[1], not rev, None))
+        else:
+            stack.append((node, rev, len(out)))
+            # pushed last to first in the order they are emitted
+            kids = [node[1]] * node[2] if node[0] == "^" else node[1:] if rev else node[:0:-1]
+            stack += [(kid, rev, None) for kid in kids]
+    return tuple(out)
+
+
+class _AffineElement:
+    __slots__ = ("eps", "b", "w", "node")
+
+    def __init__(self, eps, b, w, node):
         self.eps = eps
         self.b = b
         self.w = w
-        self.word = word
+        self.node = node
+
+    @property
+    def word(self) -> tuple:
+        return _expand(self.node)
 
     @classmethod
     def reflection(cls, space: AmbientSpace, root: Vector, scale: int):
@@ -315,12 +351,12 @@ class _AffineElement:
             x + y - e2 * z
             for x, y, z in zip(self.w, other.w, _wedge(self.b, other.b))
         )
-        return _AffineElement(self.eps * e2, b, w, self.word + other.word)
+        return _AffineElement(self.eps * e2, b, w, _Word(("*", self.node, other.node)))
 
     def inverse(self) -> "_AffineElement":
         b = tuple(-self.eps * x for x in self.b)
         w = tuple(-x for x in self.w)
-        return _AffineElement(self.eps, b, w, tuple(reversed(self.word)))
+        return _AffineElement(self.eps, b, w, _Word(("~", self.node)))
 
     def power(self, n: int) -> "_AffineElement":
         """(1, b, w)^n = (1, n b, n w); eps = -1 squares first."""
@@ -331,7 +367,7 @@ class _AffineElement:
             return half @ base if n % 2 else half
         return _AffineElement(
             1, tuple(n * x for x in base.b), tuple(n * x for x in base.w),
-            base.word * n,
+            _Word(("^", base.node, n)),
         )
 
     def is_identity(self) -> bool:
@@ -390,14 +426,19 @@ class _CarrierReducer:
                 continue
             rv, rel = self.rows[p]
             g, x, y = _xgcd(rv[p], v[p])
+            if y == 0:  # the pivot divides v[p]: one division, the row stays
+                q = v[p] // g
+                queue.append(([a - q * b for a, b in zip(v, rv)], el @ rel.power(-q)))
+                continue
+            # x == 0 when v[p] divides the pivot: v's row takes its place,
+            # and what is left of v, an identity, is not queued
             nv = [x * a + y * b for a, b in zip(rv, v)]
-            nel = rel.power(x) @ el.power(y)
+            nel = rel.power(x) @ el.power(y) if x else el.power(y)
             q1, q2 = rv[p] // g, v[p] // g
-            r1 = [a - q1 * b for a, b in zip(rv, nv)]
-            r2 = [a - q2 * b for a, b in zip(v, nv)]
             self.rows[p] = (nv, nel)
-            queue.append((r1, rel @ nel.power(-q1)))
-            queue.append((r2, el @ nel.power(-q2)))
+            queue.append(([a - q1 * b for a, b in zip(rv, nv)], rel @ nel.power(-q1)))
+            if x:
+                queue.append(([a - q2 * b for a, b in zip(v, nv)], el @ nel.power(-q2)))
 
     def reduce(self, v, element):
         """Right-divide by basis rows; None when v is outside the row lattice."""
@@ -467,28 +508,20 @@ class _Rank1Decider:
         for g in kappa_gens:
             self._kappa.insert(g.w, g)
 
-    def _membership(self, el: _AffineElement):
-        """Word multiplying el to the identity, or None when el is outside."""
+    def reduce_reflection(self, root: Vector):
+        """r_root multiplied to the identity by the generators, or None when
+        r_root is outside; its word, less r_root and read backwards, is a
+        certificate for r_root."""
+        el = _AffineElement.reflection(self.space, root, self.scale)
+        if el is None:
+            return None
         if el.eps == -1:
             el = el @ self._base
         el = self._rows.reduce(el.b, el)
         if el is None:
             return None
         el = self._kappa.reduce(el.w, el)
-        if el is None or not el.is_identity():
-            return None
-        return el.word
-
-    def reflection_word(self, root: Vector):
-        """Certificate word with product r_root, or None when not a member."""
-        start = _AffineElement.reflection(self.space, root, self.scale)
-        if start is None:
-            return None
-        word = self._membership(start)
-        if word is None:
-            return None
-        assert word[0] == root
-        return tuple(reversed(word[1:]))
+        return el if el is not None and el.is_identity() else None
 
 
 # -- generation verdicts -----------------------------------------------------
@@ -602,17 +635,19 @@ def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
         families.append((coeff, sl))
     families.sort(key=lambda p: p[0])
     decider = _Rank1Decider(space, families)
-    certificate = None
     for off in _offsets(space.nu, orbit.translation_lattice.rows):
         root = space.assemble(sigma0 + off, dot)
-        word = decider.reflection_word(root)
-        if word is None:
+        el = decider.reduce_reflection(root)
+        if el is None:
             return NotGenerates(
                 f"the reflection in {root} is outside the subgroup generated "
                 "by the remaining roots (rank-one membership is decided exactly)"
             )
         if off.is_zero():
-            certificate = word
+            zero = el
+    word = zero.word  # the only word a decision expands
+    assert word[0] == space.assemble(sigma0, dot)
+    certificate = word[:0:-1]
     _check_certificate(space, orbit.base, certificate)
     return Generates(certificate)
 

@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 import pytest
 
+import ears.weyl
 from ears.core import (
     _CLASS_TAGS,
     ConstraintViolation,
@@ -51,6 +53,7 @@ from ears.weyl import (
     orbit_closed_form,
     word_element,
     _AffineElement,
+    _CarrierReducer,
     _Rank1Decider,
     _certificate_search,
     _finite_closure,
@@ -59,12 +62,14 @@ from ears.weyl import (
     _remaining_translations,
     _removal_candidates,
     _removal_label,
+    _xgcd,
 )
 
 from ears.examples import (
     acceptance_suite,
     even_system,
     integer_lattice,
+    nullity3_system,
     odd_translated,
     orbit_oracle_cases,
     product_even_semilattice,
@@ -872,3 +877,165 @@ def test_rank1_decider_refuses_other_forms(z1):
     space = AmbientSpace(1, Matrix([[2]]))
     with pytest.raises(ValueError, match=r"\[2\]"):
         _Rank1Decider(space, [(1, z1)])
+
+
+def reference_insert(self, v, element):
+    """_CarrierReducer.insert with the full extended-gcd combination on
+    every step, also where a pivot divides and one row is an identity."""
+    queue = [(list(v), element)]
+    while queue:
+        v, el = queue.pop()
+        p = self._pivot(v)
+        if p is None:
+            if not el.is_identity():
+                self.residuals.append(el)
+            continue
+        if p not in self.rows:
+            if v[p] < 0:
+                v = [-x for x in v]
+                el = el.inverse()
+            self.rows[p] = (v, el)
+            continue
+        rv, rel = self.rows[p]
+        g, x, y = _xgcd(rv[p], v[p])
+        nv = [x * a + y * b for a, b in zip(rv, v)]
+        nel = rel.power(x) @ el.power(y)
+        q1, q2 = rv[p] // g, v[p] // g
+        r1 = [a - q1 * b for a, b in zip(rv, nv)]
+        r2 = [a - q2 * b for a, b in zip(v, nv)]
+        self.rows[p] = (nv, nel)
+        queue.append((r1, rel @ nel.power(-q1)))
+        queue.append((r2, el @ nel.power(-q2)))
+
+
+def _state(el):
+    return el.eps, el.b, el.w, el.word
+
+
+def _reducer_state(reducer):
+    return ({p: (v, _state(el)) for p, (v, el) in reducer.rows.items()},
+            [_state(el) for el in reducer.residuals])
+
+
+def test_insert_matches_reference_on_minimality_deciders(suite, monkeypatch):
+    built = []
+    init = _Rank1Decider.__init__
+
+    def spy(self, space, families):
+        built.append((space, families))
+        init(self, space, families)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Rank1Decider, "__init__", spy)
+        for R in [suite[name] for name in RANK_ONE] + [nullity3_system()]:
+            minimality(R, 8, 200)
+    assert len(built) == 26  # minimality stops at the first removable orbit
+    for space, families in built:
+        got = _Rank1Decider(space, families)
+        with monkeypatch.context() as m:
+            m.setattr(_CarrierReducer, "insert", reference_insert)
+            want = _Rank1Decider(space, families)
+        for attr in ("_rows", "_kappa"):
+            assert _reducer_state(getattr(got, attr)) == _reducer_state(getattr(want, attr))
+
+
+def _letters(space, shifts):
+    # every shear -2 sigma / x is integral for these shifts, so the scale is 1
+    return [_AffineElement.reflection(space, space.assemble(s, [1]), 1) for s in shifts]
+
+
+def _random_element(rng, letters, nu):
+    out = _identity(nu)
+    for el in rng.choices(letters, k=rng.randint(1, 5)):
+        out = out @ el
+    return out
+
+
+def test_insert_matches_reference_in_every_branch(nullity3, monkeypatch):
+    letters = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1], [0, 2, 1]))
+    branches = Counter()
+
+    def spy(a, b):
+        g, x, y = _xgcd(a, b)
+        branches["y == 0" if y == 0 else "x == 0" if x == 0 else "general"] += 1
+        return g, x, y
+
+    rng = random.Random(2021)
+    for _ in range(60):
+        # rows unrelated to their elements take long gcd chains, whose words
+        # grow as powers of one another: up to 3 rows keep them under 7,500
+        dim = rng.randint(1, 3)
+        rows = [([rng.randint(-6, 6) for _ in range(dim)], _random_element(rng, letters, 3))
+                for _ in range(rng.randint(1, 3))]
+        got, want = _CarrierReducer(dim), _CarrierReducer(dim)
+        with monkeypatch.context() as m:
+            m.setattr(ears.weyl, "_xgcd", spy)
+            for v, el in rows:
+                got.insert(v, el)
+        for v, el in rows:
+            reference_insert(want, v, el)
+        assert _reducer_state(got) == _reducer_state(want)
+    assert min(branches.values()) >= 1 and len(branches) == 3, branches
+
+
+# _AffineElement products and word expansions in one minimality call at
+# depth 8, budget 200.  On A1 nu3 product-even the reducer ran the full
+# extended-gcd combination on every step: 3,948 products, with every word
+# a flat tuple rebuilt on every product.  With one division when a pivot
+# divides it takes 1,656, and since the verdict is Minimal no word is
+# expanded.  On A1 nu3 full the one Generates expands its certificate.
+def test_rank_one_minimality_work(suite, monkeypatch):
+    counts = Counter()
+    product, expand = _AffineElement.__matmul__, ears.weyl._expand
+
+    def counted_product(self, other):
+        counts["products"] += 1
+        return product(self, other)
+
+    def counted_expand(node):
+        counts["expansions"] += 1
+        return expand(node)
+
+    monkeypatch.setattr(_AffineElement, "__matmul__", counted_product)
+    monkeypatch.setattr(ears.weyl, "_expand", counted_expand)
+    assert isinstance(minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
+    assert counts["products"] <= 1_700 and counts["expansions"] == 0, counts
+    counts.clear()
+    assert isinstance(minimality(suite["A1 nu3 full"], 8, 200), NotMinimal)
+    assert counts["expansions"] == 1, counts
+
+
+def _flat_power(eps, word, n):
+    """The flat word of power(n): a negative n reverses, eps = -1 squares first."""
+    word, n = (word, n) if n >= 0 else (word[::-1], -n)
+    return (word + word) * (n // 2) + word * (n % 2) if eps == -1 else word * n
+
+
+def test_word_nodes_expand_to_flat_words(nullity3):
+    letters = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1]))
+    pool = [(el, el.word) for el in letters] + [(_identity(3), ())]
+    rng = random.Random(12)
+    for _ in range(400):
+        (a, wa), (b, wb) = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(3)
+        if op == 0:
+            el, want = a @ b, wa + wb
+        elif op == 1:
+            el, want = a.inverse(), wa[::-1]
+        else:
+            n = rng.randint(-6, 6)
+            el, want = a.power(n), _flat_power(a.eps, wa, n)
+        assert el.word == want
+        if len(want) <= 500:  # shared nodes, met in both orientations
+            pool.append((el, want))
+
+
+def test_long_chains_expand_without_recursion(nullity3):
+    # the longest suite certificate has 11,471 letters
+    r, s = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0]))
+    left, right, mixed = _identity(3), _identity(3), _identity(3)
+    for _ in range(12_000):
+        left, right, mixed = left @ r, s @ right, (mixed @ r).inverse()
+    assert left.word == r.word * 12_000
+    assert right.word == s.word * 12_000
+    assert mixed.word == r.word * 12_000
