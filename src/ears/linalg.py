@@ -346,12 +346,13 @@ def reflection_matrix(space: AmbientSpace, alpha: Vector) -> Matrix:
     return Matrix._of(list(zip(*cols)), den)
 
 
-def line_key(r: Vector) -> tuple[int, ...]:
-    """Key of the line through r: r.ints over their gcd, first nonzero one
-    positive, so r and -r (which give the same reflection) share it."""
-    g = math.gcd(*r.ints) or 1
-    sign = -1 if next((x for x in r.ints if x), 0) < 0 else 1
-    return tuple(x // (sign * g) for x in r.ints)
+def line_key(r) -> tuple[int, ...]:
+    """Key of the line through r (a Vector, or ints at any scale): the ints
+    over their gcd, first nonzero one positive, so r and -r share it."""
+    ints = r.ints if isinstance(r, Vector) else r
+    g = math.gcd(*ints) or 1
+    sign = -1 if next((x for x in ints if x), 0) < 0 else 1
+    return tuple(x // (sign * g) for x in ints)
 
 
 def common_ints(vectors) -> tuple[int, list[tuple[int, ...]]]:

@@ -17,9 +17,11 @@ element then has a normal form (sign, shear vector b, isotropic block B)
 with B + B^T = -b b^T, so it is stored on integers as (sign, b, B - B^T)
 at one scale per decider; the even-word subgroup is nilpotent of class
 two, and membership reduces to Hermite-style integer reduction carried
-out on group elements, with one division when a pivot divides.  Words
-are carried as straight-line-program nodes, expanded once per Generates
-and re-checked by flat re-multiplication.  For higher ranks the verdict
+out on group elements, with one division when a pivot divides.  Its
+generators are integer tuples at one scale, one Vector per letter.  Words
+are straight-line-program nodes, expanded once per Generates (RuntimeError
+above _WORD_CAP letters, before any is built) and re-checked by flat
+re-multiplication.  For higher ranks the verdict
 is three-valued: sound negatives come from the finite quotient, from the
 remaining set failing to be a root system, or from a class lattice that
 shrinks under the remaining roots; sound positives come from a bounded
@@ -28,14 +30,16 @@ nullity zero the removed reflection's word is read off the closure of
 the remaining ones.
 
 Words and the certificate search multiply a Matrix by reflections as
-rank-one integer updates (linalg.times_reflector), and the windowed orbit
+rank-one integer updates (linalg.times_reflector); the search keys its
+window roots' lines on integer tuples at one scale and builds a Vector
+per kept line only; the windowed orbit
 search forms only the reflected members that stay in its box, on integers
 at one scale (Vector.at); certificates are re-checked against
 reflection_matrix, built from linalg.reflect and not from those updates.
 Finite generation and finite words run on root permutations
 (finite.reflection_closure).
-Rank-one powers are closed form; a rank-one form other than [1] is
-refused by the decider.
+Rank-one powers are closed form, and so is a reduction step (times_power:
+one product); a rank-one form other than [1] is refused by the decider.
 Extraction takes the standard system with the length profile of what a
 removal leaves (finite._classify_subset) and accepts it only when it has
 the finite part's form and its length classes are the remaining ones.
@@ -298,9 +302,29 @@ class _Word(tuple):
     n times; any other tuple is a leaf of letters."""
 
 
+_WORD_CAP = 1_000_000  # letters; the suite's longest certificate has 11,471
+
+
+def _length(node) -> int:
+    """The letter count of a word node, each node counted once, without recursion."""
+    size, stack = {}, [node]
+    while stack:
+        top = stack.pop()
+        kids = () if type(top) is not _Word else top[1:] if top[0] == "*" else top[1:2]
+        if todo := [k for k in kids if id(k) not in size]:
+            stack += [top, *todo]
+        else:  # a leaf, or a node whose children are counted
+            n = sum(size[id(k)] for k in kids) if kids else len(top)
+            size[id(top)] = n * top[2] if kids and top[0] == "^" else n
+    return size[id(node)]
+
+
 def _expand(node) -> tuple:
     """The letters of a word node, without recursion.  Each node is
-    expanded once; a repeat copies the span of its first expansion."""
+    expanded once; a repeat copies the span of its first expansion.
+    RuntimeError when there would be more than _WORD_CAP letters."""
+    if (n := _length(node)) > _WORD_CAP:
+        raise RuntimeError(f"a word of {n} letters exceeds the cap of {_WORD_CAP}")
     out, spans, stack = [], {}, [(node, False, None)]
     while stack:
         node, rev, start = stack.pop()
@@ -370,6 +394,16 @@ class _AffineElement:
             _Word(("^", base.node, n)),
         )
 
+    def times_power(self, r: "_AffineElement", n: int) -> "_AffineElement":
+        """self @ r.power(n), in closed form when r.eps == 1:
+        (eps, b + n b_r, w + n (w_r - b^b_r)), with the same word node."""
+        if r.eps == -1:
+            return self @ r.power(n)
+        b = tuple(x + n * y for x, y in zip(self.b, r.b))
+        w = tuple(x + n * (y - z) for x, y, z in zip(self.w, r.w, _wedge(self.b, r.b)))
+        base = r.node if n >= 0 else _Word(("~", r.node))
+        return _AffineElement(self.eps, b, w, _Word(("*", self.node, _Word(("^", base, abs(n))))))
+
     def is_identity(self) -> bool:
         return self.eps == 1 and not any(self.b) and not any(self.w)
 
@@ -428,7 +462,7 @@ class _CarrierReducer:
             g, x, y = _xgcd(rv[p], v[p])
             if y == 0:  # the pivot divides v[p]: one division, the row stays
                 q = v[p] // g
-                queue.append(([a - q * b for a, b in zip(v, rv)], el @ rel.power(-q)))
+                queue.append(([a - q * b for a, b in zip(v, rv)], el.times_power(rel, -q)))
                 continue
             # x == 0 when v[p] divides the pivot: v's row takes its place,
             # and what is left of v, an identity, is not queued
@@ -436,9 +470,9 @@ class _CarrierReducer:
             nel = rel.power(x) @ el.power(y) if x else el.power(y)
             q1, q2 = rv[p] // g, v[p] // g
             self.rows[p] = (nv, nel)
-            queue.append(([a - q1 * b for a, b in zip(rv, nv)], rel @ nel.power(-q1)))
+            queue.append(([a - q1 * b for a, b in zip(rv, nv)], rel.times_power(nel, -q1)))
             if x:
-                queue.append(([a - q2 * b for a, b in zip(v, nv)], el @ nel.power(-q2)))
+                queue.append(([a - q2 * b for a, b in zip(v, nv)], el.times_power(nel, -q2)))
 
     def reduce(self, v, element):
         """Right-divide by basis rows; None when v is outside the row lattice."""
@@ -453,14 +487,14 @@ class _CarrierReducer:
             if rem:
                 return None
             v = [a - q * b for a, b in zip(v, rv)]
-            element = element @ rel.power(-q)
+            element = element.times_power(rel, -q)
         return element
 
 
 def _offsets(nu: int, rows):
-    """0, the rows, then the sums of pairs of rows: the translations whose
-    reflections stand for all of a rank-one family."""
-    return [Vector([0] * nu), *rows, *(a + b for a, b in combinations(rows, 2))]
+    """0, the rows, then the sums of pairs of rows (int tuples): the
+    translations whose reflections stand for all of a rank-one family."""
+    return [(0,) * nu, *rows, *(tuple(x + y for x, y in zip(a, b)) for a, b in combinations(rows, 2))]
 
 
 class _Rank1Decider:
@@ -478,33 +512,27 @@ class _Rank1Decider:
                 f"realization has [{g}]"
             )
         self.space = space
-        self.nu = space.nu
-        roots = []
-        for x, sl in families:
-            if sl is None:
-                continue
-            dot = Vector([x])
-            for c in sorted_vectors(sl.cosets):
-                for off in _offsets(self.nu, sl.modulus.rows):
-                    roots.append(space.assemble(c + off, dot))
-        roots = sorted_vectors(roots)
-        if not roots:
+        self.nu = nu = space.nu
+        # the roots (sigma, x, 0) as ints at one scale, in Vector order; one Vector each
+        fams = [(x, sl) for x, sl in families if sl is not None]
+        top = math.lcm(1, *(n for x, sl in fams for n in (x.denominator, sl.den)))
+        ints = sorted(
+            (*(top // sl.den * a + b for a, b in zip(c, off)), int(x * top), *(0,) * nu)
+            for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.ints)
+        if not ints:
             raise ValueError("no generators")
-        nu = self.nu  # the least scale at which every shear 2 sigma / x is integral
-        self.scale = math.lcm(*(abs(r.ints[nu]) // math.gcd(2 * s, r.ints[nu])
-                                for r in roots for s in r.ints[:nu]))
-        self._base = _AffineElement.reflection(space, roots[0], self.scale)
-        self._rows = _CarrierReducer(self.nu)
-        for r in roots[1:]:
-            g = _AffineElement.reflection(space, r, self.scale) @ self._base
+        # the least scale at which every shear 2 sigma / x is integral
+        self.scale = math.lcm(*(abs(r[nu]) // math.gcd(2 * s, r[nu]) for r in ints for s in r[:nu]))
+        self._base, *rest = [_AffineElement.reflection(space, Vector._of(r, top), self.scale) for r in ints]
+        self._rows = _CarrierReducer(nu)
+        for r in rest:
+            g = r @ self._base
             self._rows.insert(g.b, g)
         pivots = [self._rows.rows[p][1] for p in sorted(self._rows.rows)]
-        kappa_gens = list(self._rows.residuals)
-        for a, b in combinations(pivots, 2):
-            com = a @ b @ a.inverse() @ b.inverse()
-            if not com.is_identity():
-                kappa_gens.append(com)
-        self._kappa = _CarrierReducer(self.nu * (self.nu - 1) // 2)
+        # the commutators have b = 0, and an identity among them is dropped by insert
+        kappa_gens = [*self._rows.residuals,
+                      *(a @ b @ a.inverse() @ b.inverse() for a, b in combinations(pivots, 2))]
+        self._kappa = _CarrierReducer(nu * (nu - 1) // 2)
         for g in kappa_gens:
             self._kappa.insert(g.w, g)
 
@@ -515,8 +543,7 @@ class _Rank1Decider:
         el = _AffineElement.reflection(self.space, root, self.scale)
         if el is None:
             return None
-        if el.eps == -1:
-            el = el @ self._base
+        el = el @ self._base  # a reflection has eps = -1
         el = self._rows.reduce(el.b, el)
         if el is None:
             return None
@@ -629,21 +656,17 @@ def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
     if dot.ints[0] < 0:
         # reflections are attached to lines; use the positive-dot member
         dot, sigma0 = -dot, -sigma0
-    families = []
-    for tag, sl in fams.items():
-        coeff = abs(next(iter(R.dot_classes[tag]))[0])
-        families.append((coeff, sl))
-    families.sort(key=lambda p: p[0])
+    families = [(abs(next(iter(R.dot_classes[tag]))[0]), sl) for tag, sl in fams.items()]
     decider = _Rank1Decider(space, families)
-    for off in _offsets(space.nu, orbit.translation_lattice.rows):
-        root = space.assemble(sigma0 + off, dot)
+    for off in _offsets(space.nu, orbit.translation_lattice.hnf):
+        root = space.assemble(sigma0 + Vector._of(off, orbit.translation_lattice.den), dot)
         el = decider.reduce_reflection(root)
         if el is None:
             return NotGenerates(
                 f"the reflection in {root} is outside the subgroup generated "
                 "by the remaining roots (rank-one membership is decided exactly)"
             )
-        if off.is_zero():
+        if not any(off):
             zero = el
     word = zero.word  # the only word a decision expands
     assert word[0] == space.assemble(sigma0, dot)
@@ -668,12 +691,17 @@ def _certificate_search(R, fams, target_root, depth, budget):
     """
     space = R.space
     bound = max(2, int(target_root.max_norm()) + 2)
-    roots = [space.assemble(s, d) for tag, sl in fams.items() if sl is not None
-             for d in R.dot_classes.get(tag, ()) for s in sl.window(bound)]
+    # the window roots as ints at one scale, sorted as tuples (Vector order)
+    pairs = [(sl, d) for tag, sl in fams.items() if sl is not None for d in R.dot_classes.get(tag, ())]
+    top = math.lcm(1, *(n for sl, d in pairs for n in (sl.den, d.den)))
+    lim, zero = bound * top, (0,) * space.nu
+    ints = {(*p, *d.at(top), *zero) for sl, d in pairs for p in box_points(
+        sl.modulus.rows_at(top), [[top // sl.den * a for a in c] for c in sl.ints],
+        [-lim] * space.nu, [lim] * space.nu)}
     lines = {}  # r, -r and a BC double 2r give one reflection: keep the first
-    for root in sorted_vectors(roots):
-        lines.setdefault(line_key(root), root)
-    gens = [(root, reflector(space, root)) for root in lines.values()]
+    for r in sorted(ints):
+        lines.setdefault(line_key(r), r)
+    gens = [(root, reflector(space, root)) for root in (Vector._of(r, top) for r in lines.values())]
     ident = Matrix.identity(space.dim)
     target = times_reflector(ident, reflector(space, target_root))
     seen = {ident}

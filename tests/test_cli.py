@@ -225,6 +225,18 @@ def test_exceeded_closure_cap_is_an_internal_error(capsys, monkeypatch, nu2_conf
     assert captured.err == "internal error: RuntimeError: closure exceeded 1 states\n"
 
 
+def test_overlong_certificate_is_an_internal_error(capsys, monkeypatch, nu3_config):
+    # the first removable orbit's reflection and its 317-letter certificate
+    # make a 318-letter word, one over the cap
+    import ears.weyl
+
+    monkeypatch.setattr(ears.weyl, "_WORD_CAP", 317)
+    assert main(["minimality", "--in", nu3_config]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: a word of 318 letters exceeds the cap of 317\n"
+
+
 def test_minimality_minimal(capsys, nu2_config):
     code, rep = run(capsys, "minimality", "--in", nu2_config)
     assert code == EXIT_OK

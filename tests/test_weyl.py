@@ -31,6 +31,7 @@ from ears.linalg import (
     reflection_matrix,
     reflector,
     scaled_ints,
+    sorted_vectors,
     times_reflector,
     vec,
 )
@@ -55,7 +56,9 @@ from ears.weyl import (
     _AffineElement,
     _CarrierReducer,
     _Rank1Decider,
+    _Word,
     _certificate_search,
+    _expand,
     _finite_closure,
     _orbit_shrink,
     _recenter,
@@ -821,6 +824,17 @@ def test_affine_power_closed_form_matches_repeated_products(nullity3):
             assert got.word == want.word, n
 
 
+def test_times_power_matches_the_product(nullity3):
+    # the closed form needs r.eps == 1; r.eps == -1 falls back to the product
+    r1, r2, r3 = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1]))
+    elements = [r1, r1 @ r2 @ r3, r1 @ r2, r1 @ r2 @ r1 @ r3]
+    assert [el.eps for el in elements] == [-1, -1, 1, 1]
+    for a in elements:
+        for r in elements:
+            for n in range(-6, 7):
+                assert _state(a.times_power(r, n)) == _state(a @ r.power(n)), (n,)
+
+
 RANK_ONE = [
     "A1 nu1 doubled", "A1 nu1 full", "A1 nu2 full", "A1 nu2 product-even",
     "A1 nu3 full", "A1 nu3 product-even", "BC1 nu1", "BC1 nu2 shifted",
@@ -978,28 +992,35 @@ def test_insert_matches_reference_in_every_branch(nullity3, monkeypatch):
     assert min(branches.values()) >= 1 and len(branches) == 3, branches
 
 
-# _AffineElement products and word expansions in one minimality call at
-# depth 8, budget 200.  On A1 nu3 product-even the reducer ran the full
-# extended-gcd combination on every step: 3,948 products, with every word
-# a flat tuple rebuilt on every product.  With one division when a pivot
-# divides it takes 1,656, and since the verdict is Minimal no word is
-# expanded.  On A1 nu3 full the one Generates expands its certificate.
+# _AffineElement products, closed-form steps (times_power) and word
+# expansions in one minimality call at depth 8, budget 200.  On A1 nu3
+# product-even the reducer ran the full extended-gcd combination on every
+# step: 3,948 products, with every word a flat tuple rebuilt on every
+# product.  With one division when a pivot divides it takes 1,656 steps,
+# 1,255 of them closed-form steps, and since the verdict is Minimal no
+# word is expanded.  On A1 nu3 full the one Generates expands its
+# certificate.
 def test_rank_one_minimality_work(suite, monkeypatch):
     counts = Counter()
-    product, expand = _AffineElement.__matmul__, ears.weyl._expand
+    product, step, expand = _AffineElement.__matmul__, _AffineElement.times_power, ears.weyl._expand
 
     def counted_product(self, other):
         counts["products"] += 1
         return product(self, other)
+
+    def counted_step(self, r, n):
+        counts["steps"] += 1
+        return step(self, r, n)
 
     def counted_expand(node):
         counts["expansions"] += 1
         return expand(node)
 
     monkeypatch.setattr(_AffineElement, "__matmul__", counted_product)
+    monkeypatch.setattr(_AffineElement, "times_power", counted_step)
     monkeypatch.setattr(ears.weyl, "_expand", counted_expand)
     assert isinstance(minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
-    assert counts["products"] <= 1_700 and counts["expansions"] == 0, counts
+    assert counts == {"products": 401, "steps": 1_255}, counts
     counts.clear()
     assert isinstance(minimality(suite["A1 nu3 full"], 8, 200), NotMinimal)
     assert counts["expansions"] == 1, counts
@@ -1026,6 +1047,7 @@ def test_word_nodes_expand_to_flat_words(nullity3):
             n = rng.randint(-6, 6)
             el, want = a.power(n), _flat_power(a.eps, wa, n)
         assert el.word == want
+        assert ears.weyl._length(el.node) == len(want)
         if len(want) <= 500:  # shared nodes, met in both orientations
             pool.append((el, want))
 
@@ -1039,3 +1061,98 @@ def test_long_chains_expand_without_recursion(nullity3):
     assert left.word == r.word * 12_000
     assert right.word == s.word * 12_000
     assert mixed.word == r.word * 12_000
+
+
+def test_overlong_words_are_refused_before_expansion(nullity3):
+    # the length is read off the node DAG: a billion letters are never built
+    (r,) = _letters(nullity3.space, ([0, 0, 0],))
+    with pytest.raises(RuntimeError, match="a word of 1000000000 letters exceeds the cap"):
+        _expand(_Word(("^", r.node, 10**9)))
+    doubled = r
+    for _ in range(20):  # shared nodes count once per use: 2**20 letters
+        doubled = doubled @ doubled
+    assert ears.weyl._length(doubled.node) == 2**20 > ears.weyl._WORD_CAP
+    with pytest.raises(RuntimeError, match="exceeds the cap"):
+        doubled.word
+
+
+def reference_decider_roots(space, families):
+    """The rank-one decider's generators as Vectors: every coset plus
+    offset assembled, then sorted."""
+    roots = []
+    for x, sl in families:
+        if sl is None:
+            continue
+        rows = sl.modulus.rows
+        offsets = [Vector([0] * space.nu), *rows, *(a + b for a, b in combinations(rows, 2))]
+        roots += [space.assemble(c + off, Vector([x]))
+                  for c in sorted_vectors(sl.cosets) for off in offsets]
+    return sorted_vectors(roots)
+
+
+def reference_search_generators(R, fams, target_root):
+    """The certificate search's generators as Vectors: the window roots,
+    sorted, and the first root of each line."""
+    space = R.space
+    bound = max(2, int(target_root.max_norm()) + 2)
+    roots = [space.assemble(s, d) for tag, sl in fams.items() if sl is not None
+             for d in R.dot_classes.get(tag, ()) for s in sl.window(bound)]
+    lines = {}
+    for root in sorted_vectors(roots):
+        lines.setdefault(line_key(root), root)
+    return list(lines.values())
+
+
+def test_generators_match_the_vector_reference(suite, monkeypatch):
+    # every decider and search minimality builds on the suite and on
+    # nullity3_system(): the same letters in the same order, and the
+    # decider's integer tuples assemble no Vector
+    deciders, searches = [], []
+    init, search = _Rank1Decider.__init__, _certificate_search
+    reflection = _AffineElement.reflection.__func__
+
+    def spy_init(self, space, families):
+        deciders.append((space, families))
+        init(self, space, families)
+
+    def spy_search(R, fams, target_root, depth, budget):
+        searches.append((R, fams, target_root))
+        return search(R, fams, target_root, depth, budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Rank1Decider, "__init__", spy_init)
+        m.setattr(ears.weyl, "_certificate_search", spy_search)
+        for R in [*suite.values(), nullity3_system()]:
+            minimality(R, 8, 200)
+    assert (len(deciders), len(searches)) == (26, 3)
+
+    letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
+
+    def spy_reflection(cls, space, root, scale):
+        letters.append(root)
+        return reflection(cls, space, root, scale)
+
+    def spy_reflector(space, root):
+        letters.append(root)
+        return reflector(space, root)
+
+    def no_assemble(space, *blocks):
+        assembled["calls"] += 1
+        return assemble(space, *blocks)
+
+    for space, families in deciders:
+        letters.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_AffineElement, "reflection", classmethod(spy_reflection))
+            m.setattr(AmbientSpace, "assemble", no_assemble)
+            _Rank1Decider(space, families)
+        assert letters == reference_decider_roots(space, families)
+    assert not assembled, assembled
+    for R, fams, target_root in searches:
+        letters.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ears.weyl, "reflector", spy_reflector)
+            search(R, fams, target_root, 8, 200)
+        # the generators, then the target
+        assert letters[-1] == target_root
+        assert letters[:-1] == reference_search_generators(R, fams, target_root)
