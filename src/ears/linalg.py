@@ -427,8 +427,7 @@ def closure(starts, generators, act, cap: int = 2_000_000) -> dict:
 
     Returns a dict mapping each state reached to (parent, generator) on the
     first path to it, found in generator order per state and in frontier
-    order (None for the starts); closure_word reads a path back.  More than
-    cap states raise RuntimeError.
+    order (None for the starts).  More than cap states raise RuntimeError.
     """
     tree = dict.fromkeys(starts)
     frontier = list(tree)
@@ -444,15 +443,6 @@ def closure(starts, generators, act, cap: int = 2_000_000) -> dict:
                         raise RuntimeError(f"closure exceeded {cap} states")
         frontier = nxt
     return tree
-
-
-def closure_word(tree: dict, state) -> tuple:
-    """The generators along the first path closure found to state."""
-    out = []
-    while tree[state] is not None:
-        state, g = tree[state]
-        out.append(g)
-    return tuple(reversed(out))
 
 
 # -- reflections as rank-one updates --------------------------------------------

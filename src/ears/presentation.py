@@ -87,16 +87,12 @@ def orbit_id(R: EarsDescriptor, v: Vector) -> OrbitDescriptor:
     """The orbit tag under which a letter is counted.
 
     Linearly dependent roots define the same reflection, so they must
-    share a tag: the orbit of the shortest root on the letter's line.
-    Halving serves only descriptors built directly with v and v/2 both
-    roots: construct_ears refuses extra meeting 2*short.
+    share a tag.  R's translation sets must pass construct_ears's rules;
+    its finite part may be any.  Then extra never meets 2*short, so the
+    roots on v's line are v and -v = r_v(v), both in v's orbit.
     """
     if R.classify(v) != "anisotropic":
         raise UnknownRoot(f"{v} is not an anisotropic root of {R.label}")
-    if R.class_of_dot(R.space.blocks(v)[1]) == "extra":  # dots twice a finite root
-        half = Vector._of(v.ints, 2 * v.den)
-        if R.classify(half) == "anisotropic":
-            v = half
     return orbit_closed_form(R, v)
 
 
@@ -137,7 +133,8 @@ class ParityVector:
 
 
 def parity(word, R: EarsDescriptor) -> ParityVector:
-    """Per-orbit letter counts mod 2; raises UnknownRoot on a non-root."""
+    """Per-orbit letter counts mod 2; raises UnknownRoot on a non-root.
+    R's translation sets must pass construct_ears's rules; its finite part may be any."""
     counts = {}
     for letter, n in Counter(_letters(word)).items():  # one orbit_id per distinct letter
         oid = orbit_id(R, letter)
@@ -290,7 +287,8 @@ def conjugation_obstruction(R: EarsDescriptor, depth: int = 8,
     certificate: it evaluates to the identity but uses the base's orbit an
     odd number of times, so equality classes of words cannot be told apart
     by orbit counts alone.  A Minimal verdict reports NoneFound; an
-    Unknown verdict is returned as-is.
+    Unknown verdict is returned as-is.  R's translation sets must pass
+    construct_ears's rules; its finite part may be any.
     """
     verdict = minimality(R, depth, budget)
     if isinstance(verdict, Minimal):

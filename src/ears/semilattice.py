@@ -394,12 +394,14 @@ def sum_condition(a: Semilattice, b: Semilattice, k: int) -> bool:
 
     A is a finite union of cosets of its modulus, so translation by any
     single vector either permutes those cosets or escapes; it suffices to
-    test the generators of kB.
+    test the generators of kB.  On ints at the joint scale a shifted coset
+    is in A exactly when it reduces to one of A's cosets there.
     """
-    if a.ambient != b.ambient:
-        raise RankMismatch(f"ambient ranks differ: {a.ambient} vs {b.ambient}")
-    shifts = [Vector._of(t, b.den) * k for t in (*b.ints, *b.modulus.rows_at(b.den))]
-    return all(a.contains(c + t) for c in a.cosets for t in shifts)
+    scale = _joint(a, b)
+    f, g = scale // a.den, k * scale // b.den
+    reps = {tuple(f * x for x in c) for c in a.ints}
+    return all(a.modulus.reduce_at([x + g * y for x, y in zip(c, t)], scale) in reps
+               for c in reps for t in (*b.ints, *b.modulus.rows_at(b.den)))
 
 
 # ---------------------------------------------------------------------------

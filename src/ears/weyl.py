@@ -25,9 +25,7 @@ re-multiplication.  For higher ranks the verdict
 is three-valued: sound negatives come from the finite quotient, from the
 remaining set failing to be a root system, or from a class lattice that
 shrinks under the remaining roots; sound positives come from a bounded
-certificate search; otherwise Inconclusive is reported honestly.  At
-nullity zero the removed reflection's word is read off the closure of
-the remaining ones.
+certificate search; otherwise Inconclusive is reported honestly.
 
 Words and the certificate search multiply a Matrix by reflections as
 rank-one integer updates (linalg.times_reflector); the search keys its
@@ -36,10 +34,12 @@ per kept line only; the windowed orbit
 search forms only the reflected members that stay in its box, on integers
 at one scale (Vector.at); certificates are re-checked against
 reflection_matrix, built from linalg.reflect and not from those updates.
-Finite generation and finite words run on root permutations
+Finite generation runs on root permutations
 (finite.reflection_closure).
 Rank-one powers are closed form, and so is a reduction step (times_power:
-one product); a rank-one form other than [1] is refused by the decider.
+one product).  Any positive rank-one form [g] is decided: scaling the dual
+block by 1/g turns the form into [1] and fixes every root, so it carries
+the group for [g] onto the group for [1], letter by letter.
 Extraction takes the standard system with the length profile of what a
 removal leaves (finite._classify_subset) and accepts it only when it has
 the finite part's form and its length classes are the remaining ones.
@@ -70,7 +70,6 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
-    closure_word,
     line_key,
     reflection_matrix,
     reflector,
@@ -505,12 +504,8 @@ class _Rank1Decider:
     """
 
     def __init__(self, space: AmbientSpace, families):
-        g = space.form.gram[space.nu, space.nu]
-        if g != 1:
-            raise ValueError(
-                f"the rank-one normal form needs the finite form [1]; this "
-                f"realization has [{g}]"
-            )
+        # any finite form [g] is decided as [1]: (tau, y, delta) -> (tau, y, delta / g)
+        # scales the form by 1/g and fixes the roots, so it conjugates the two groups
         self.space = space
         self.nu = nu = space.nu
         # the roots (sigma, x, 0) as ints at one scale, in Vector order; one Vector each
@@ -519,8 +514,6 @@ class _Rank1Decider:
         ints = sorted(
             (*(top // sl.den * a + b for a, b in zip(c, off)), int(x * top), *(0,) * nu)
             for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.ints)
-        if not ints:
-            raise ValueError("no generators")
         # the least scale at which every shear 2 sigma / x is integral
         self.scale = math.lcm(*(abs(r[nu]) // math.gcd(2 * s, r[nu]) for r in ints for s in r[:nu]))
         self._base, *rest = [_AffineElement.reflection(space, Vector._of(r, top), self.scale) for r in ints]
@@ -729,12 +722,7 @@ def generation_check(
     budget: int = 1_000_000,
 ):
     """Do the reflections of the roots outside the orbit still generate?
-
-    The nullity-0 branch is reached only by hand-built descriptors: at
-    nullity 0 an orbit is a whole length class, only BC has a proper
-    union of classes that generates W_fin, and construct_ears refuses BC
-    at nullity 0 (extra meets 2*short).
-    """
+    R's translation sets must pass construct_ears's rules; its finite part may be any."""
     _validate_orbit(R, removed_orbit)
     fams = _remaining_translations(R, removed_orbit)
     finite = R.finite_part
@@ -743,11 +731,6 @@ def generation_check(
         return NotGenerates(
             "the remaining directions do not generate the finite Weyl group"
         )
-    if R.nullity == 0:  # the tree is all of W_fin, so it holds the removed reflection
-        target = finite.perms[finite.index[removed_orbit.dot_part]]
-        word = tuple(map(letters.get, closure_word(tree, target)))
-        _check_certificate(R.space, removed_orbit.base, word)
-        return Generates(word)
     if finite.rank == 1:
         return _rank1_decision(R, removed_orbit, fams)
     if any(sl is None for sl in fams.values()):
@@ -811,7 +794,8 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
 
 
 def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
-    """Minimal / NotMinimal(orbit, certificate) / Unknown(unresolved)."""
+    """Minimal / NotMinimal(orbit, certificate) / Unknown(unresolved).
+    R's translation sets must pass construct_ears's rules; its finite part may be any."""
     orbits = _removal_candidates(R)
     unresolved = []
     for orbit in orbits:
@@ -857,7 +841,8 @@ def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) 
 
     Each step re-validates the smaller system and records the removal in
     the descriptor's removal_chain.  Raises Stuck when a verdict is
-    Inconclusive or the result is not representable.
+    Inconclusive or the result is not representable.  R's translation
+    sets must pass construct_ears's rules; its finite part may be any.
     """
     current = R
     while True:

@@ -98,6 +98,22 @@ def test_sum_set():
     assert ss == integer_lattice(2)
 
 
+def test_sum_condition_shifts_by_cosets_and_modulus_rows():
+    def z(step, den=1):  # the multiples of step / den, kept as one coset of that lattice
+        return Semilattice.from_cosets([[0]], Lattice(1, [[Fraction(step, den)]]))
+    # B keeps its modulus as given (not canonical), and A + B escapes
+    # A = Z x 2Z only through B's modulus row (0, 1), never through a coset
+    a = Semilattice.from_cosets([[0, 0]], Lattice(2, [[1, 0], [0, 2]]))
+    b = Semilattice.from_cosets([[0, 0], [1, 0]], Lattice(2, [[4, 0], [0, 1]]))
+    assert not b.canonical
+    assert not sum_condition(a, b, 1) and sum_condition(a, b, 2)
+    # denominators differ: Z + (1/2)Z escapes Z, Z + 2 (1/2)Z does not
+    assert sum_condition(z(1, 2), z(1), 1)
+    assert not sum_condition(z(1), z(1, 2), 1) and sum_condition(z(1), z(1, 2), 2)
+    with pytest.raises(RankMismatch):
+        sum_condition(z(1), integer_lattice(2), 1)
+
+
 def _grid_window(s, bound):
     """Every point of the box on the grid of the set's common denominator
     that the set contains, sorted: a reference that does not enumerate."""
@@ -499,8 +515,9 @@ def assert_pair_matches(a, ra, b, rb, label):
     for op in ("intersects", "sum_set", "union"):
         got = outcome(getattr(a, op), b)
         assert view(got) == view(outcome(getattr(ra, op), rb)), (label, op)
-    assert sum_condition(a, b, 2) == all(
-        ra.contains(c + t * 2) for c in ra.cosets for t in (*rb.cosets, *rb.modulus.rows)), label
+    for k in (1, 2, 3, 4):  # construct_ears asks 1 and each ratio of squared lengths
+        assert sum_condition(a, b, k) == all(
+            ra.contains(c + t * k) for c in ra.cosets for t in (*rb.cosets, *rb.modulus.rows)), (label, k)
 
 
 def test_integer_sets_match_the_fraction_reference_on_the_suite(suite):

@@ -18,14 +18,14 @@ from ears.core import (
     construct_ears,
     verify_axioms,
 )
-from ears.finite import InvalidRank, NotIrreducible, build_finite, length_classes
+from ears.finite import FiniteRootSystem, InvalidRank, NotIrreducible, build_finite, length_classes
 from ears.linalg import (
     AmbientSpace,
+    BilinearForm,
     DimensionMismatch,
     Matrix,
     Vector,
     closure,
-    closure_word,
     line_key,
     reflect,
     reflection_matrix,
@@ -496,22 +496,8 @@ def test_finite_a2_minimal():
     assert isinstance(minimality(a2f), Minimal)
 
 
-# words of the matrix BFS that the nullity-zero word search ran before it
-# moved onto root permutations, for each root of A2 with every direction kept
-A2_WORDS = {
-    (-1, -1): [(-1, -1)], (-1, 0): [(-1, 0)], (0, -1): [(0, -1)],
-    (0, 1): [(0, -1)], (1, 0): [(-1, 0)], (1, 1): [(-1, -1)],
-}
-
-
 def test_finite_words_on_a2_nu0():
-    # generation_check reads a nullity-zero word off this closure tree
     a2f = construct_ears("A2", Semilattice([], [[]]))
-    finite = a2f.finite_part
-    letters, tree = _finite_closure(a2f, a2f.translations)
-    for dot in finite.roots:
-        word = closure_word(tree, finite.perms[finite.index[dot]])
-        assert [letters[p].coords for p in word] == A2_WORDS[dot.coords]
     for orbit in anisotropic_orbits(a2f):
         # the one orbit is every root, so nothing is left to close
         assert len(_finite_closure(a2f, _remaining_translations(a2f, orbit))[1]) == 1
@@ -519,21 +505,27 @@ def test_finite_words_on_a2_nu0():
             "the remaining directions do not generate the finite Weyl group")
 
 
-def test_nullity_zero_words_on_bc():
-    # construct_ears refuses BC at nullity zero (extra meets 2 short), so
-    # these are built directly: removing the short or the extra class
-    # leaves a generating set, and the word is the other root on the line
+def test_extra_meeting_twice_short_is_refused_and_never_misjudged(z1):
+    # the only inputs on which v and v/2 are both roots, or a nullity-zero
+    # removal leaves a generating set: construct_ears refuses each of them,
+    # so orbit_id has no line to halve and generation_check no nullity-zero path
     trivial = Semilattice([], [[]])
-    for rank in (1, 2, 3):
-        tags = ("short", "extra") if rank == 1 else _CLASS_TAGS
-        R = EarsDescriptor(build_finite("BC", rank), 0, {t: trivial for t in tags})
+    nu0 = {rank: {t: trivial for t in (("short", "extra") if rank == 1 else _CLASS_TAGS)}
+           for rank in (1, 2, 3)}
+    for finite, sets in [*((f"BC{rank}", nu0[rank]) for rank in (1, 2, 3)),
+                         ("BC1", {"short": z1, "extra": z1})]:
+        with pytest.raises(ConstraintViolation, match=r"^extra ∩ 2\*short ≠ ∅$"):
+            construct_ears(finite, **sets)
+    # built directly anyway: a Generates was re-checked, a short or extra
+    # orbit never gets NotGenerates, and the long class is still needed
+    for rank, sets in nu0.items():
+        R = EarsDescriptor(build_finite("BC", rank), 0, sets)
         for orbit in anisotropic_orbits(R):
             verdict = generation_check(R, orbit)
             if R.class_of_dot(orbit.dot_part) == "long":
                 assert isinstance(verdict, NotGenerates), (rank, orbit)
-                continue
-            other = orbit.dot_part * (-2 if R.class_of_dot(orbit.dot_part) == "short" else -H)
-            assert verdict == Generates((other,)), (rank, orbit)
+            else:
+                assert not isinstance(verdict, NotGenerates), (rank, orbit, verdict)
 
 
 def test_bc1_nothing_removable(bc1_shifted):
@@ -887,10 +879,20 @@ def test_affine_normal_form_matches_matrices(suite, name):
     assert central if nu >= 2 else not central
 
 
-def test_rank1_decider_refuses_other_forms(z1):
-    space = AmbientSpace(1, Matrix([[2]]))
-    with pytest.raises(ValueError, match=r"\[2\]"):
-        _Rank1Decider(space, [(1, z1)])
+def test_rank_one_forms_other_than_one_decide_alike(suite):
+    # (tau, y, delta) -> (tau, y, delta / g) carries the group over [g] onto
+    # the group over [1] and fixes every root, so the verdicts are the same;
+    # each Generates was re-checked in its own space.  The suite's
+    # "A1 nu3 full" is nullity3_system().
+    for name in RANK_ONE:
+        R = suite[name]
+        want = [generation_check(R, ob) for ob in anisotropic_orbits(R)]
+        f = R.finite_part
+        for g in (2, H):
+            finite = FiniteRootSystem(f.type_symbol, 1, f.roots, BilinearForm(Matrix([[g]])), f.fundamental)
+            Rg = construct_ears(finite, **R.translations)
+            assert Rg.space.form.gram[R.nullity, R.nullity] == g
+            assert [generation_check(Rg, ob) for ob in anisotropic_orbits(Rg)] == want, (name, g)
 
 
 def reference_insert(self, v, element):
