@@ -196,16 +196,12 @@ class EarsDescriptor:
 
     # -- assembly and enumeration -------------------------------------------
 
-    def families(self, bound=None):
-        """(tag, dot root, translation set) triples, one per finite root."""
-        out = []
-        limit = None if bound is None else _frac(bound)
-        for tag in _CLASS_TAGS:
-            for dot in sorted_vectors(self.dot_classes.get(tag, ())):
-                if limit is not None and dot.max_norm() > limit:
-                    continue
-                out.append((tag, dot, self.translations[tag]))
-        return out
+    def families(self, bound):
+        """(tag, dot root, translation set) triples, one per finite root
+        with every coordinate in [-bound, bound]."""
+        limit = _frac(bound)
+        return [(tag, dot, self.translations[tag]) for tag in _CLASS_TAGS
+                for dot in sorted_vectors(self.dot_classes.get(tag, ())) if dot.max_norm() <= limit]
 
     def anisotropic_window(self, bound) -> list[Vector]:
         out = []

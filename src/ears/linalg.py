@@ -7,10 +7,13 @@ modules read a Vector as ints at a scale (Vector.at, common_ints) and build
 one back with Vector._of, and its Fractions (coords) are only a view.
 Products of reflections are rank-one integer updates (times_reflector).
 
-The package's one elimination routine (echelon: fraction-free Gauss-Jordan
-on integers, under span_rank and kernel) and its one breadth-first search
-(closure, for orbits, cosets and generated groups) live here, so every
-other module can use them.
+The package's one elimination routine and its one breadth-first search
+live here, so every other module can use them.  The elimination is the
+integer Hermite normal form (_hnf_int, unimodular row operations): Lattice
+keeps its rows, span_rank feeds it vectors one at a time until the pivots
+cover every coordinate in use, and kernel solves the pivot entries upward
+through its rows.  The search is closure, for orbits, cosets and
+generated groups.
 """
 
 from __future__ import annotations
@@ -369,55 +372,75 @@ def sorted_vectors(vectors) -> list[Vector]:
     return sorted(vs, key=lambda v: v.at(den))
 
 
-def _eliminate(row, prow, pc):
-    """row with its entry at pc cleared by the pivot row prow, fraction-free
-    and gcd-normalized."""
-    row = [prow[pc] * a - row[pc] * b for a, b in zip(row, prow)]
-    k = math.gcd(*row)
-    return [a // k for a in row] if k > 1 else row
+def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
+    """Row-style Hermite normal form of an integer matrix, pivoting on the
+    first ncols columns, by unimodular row operations.
 
-
-def echelon(rows) -> list[tuple[list[int], int]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows.
-
-    Returns (row, pivot column) pairs: each row is gcd-normalized, starts at
-    its pivot and is zero at every other pivot column, so dividing each row
-    by its pivot entry gives the unique reduced echelon form.  It stops once
-    the pivots cover every column some row uses: later rows reduce to 0.
+    Returns (echelon, leftover): echelon rows have strictly increasing pivot
+    columns with positive pivots and reduced entries above each pivot;
+    leftover rows vanish on the first ncols columns (nonempty only if aug>0,
+    where rows carry aug extra bookkeeping columns on the right).
     """
-    used = sum(1 for col in zip(*rows) if any(col))
-    pivoted = []
-    for row in rows:
-        if len(pivoted) == used:
-            break
-        for prow, pc in pivoted:
-            if row[pc]:
-                row = _eliminate(row, prow, pc)
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is not None:
-            pivoted = [(_eliminate(prow, row, pc) if prow[pc] else prow, c) for prow, c in pivoted]
-            pivoted.append((row, pc))
-    return pivoted
+    pool = [list(r) for r in mat if any(r)]
+    echelon = []
+    for col in range(ncols):
+        sel = [r for r in pool if r[col] != 0]
+        pool = [r for r in pool if r[col] == 0]
+        while len(sel) > 1:
+            sel.sort(key=lambda r: abs(r[col]))
+            r0 = sel[0]
+            nxt = [r0]
+            for r in sel[1:]:
+                q = r[col] // r0[col]
+                rr = [a - q * b for a, b in zip(r, r0)]
+                if rr[col] != 0:
+                    nxt.append(rr)
+                elif any(rr):
+                    pool.append(rr)
+            sel = nxt
+        if sel:
+            r0 = sel[0]
+            if r0[col] < 0:
+                r0 = [-a for a in r0]
+            echelon.append((col, r0))
+    for i in range(len(echelon) - 1, -1, -1):
+        col, ri = echelon[i]
+        p = ri[col]
+        for j in range(i):
+            cj, rj = echelon[j]
+            q = rj[col] // p
+            if q:
+                echelon[j] = (cj, [a - q * b for a, b in zip(rj, ri)])
+    return [r for _, r in echelon], pool if aug else []
 
 
 def span_rank(vectors) -> int:
-    """Rank of the rational span, by echelon on the vectors at their
-    common denominator."""
-    return len(echelon(common_ints(list(vectors))[1]))
+    """Rank of the rational span: the vectors, at their common denominator,
+    enter the HNF one at a time until its pivots cover every coordinate
+    some vector uses, after which no vector can raise the rank."""
+    rows = common_ints(list(vectors))[1]
+    used = sum(1 for col in zip(*rows) if any(col))
+    hnf = []
+    for row in rows:
+        if len(hnf) == used:
+            break
+        hnf = _hnf_int(hnf + [row], len(row))[0]
+    return len(hnf)
 
 
 def kernel(rows, width: int) -> list[list[Fraction]]:
     """Basis of the rational null space of the matrix with the given rows
-    (each of length width): one vector per free column, 1 there, 0 at the
-    other free columns, read off the reduced echelon form."""
-    pivoted = echelon(scaled_ints(rows)[1])
-    pivots = {pc for _, pc in pivoted}
+    (each of length width): one vector per free column of the HNF, 1 there
+    and 0 at the other free columns, its pivot entries solved upward
+    through the HNF rows."""
+    hnf = _hnf_int(scaled_ints(rows)[1], width)[0]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in hnf]
     basis = []
     for fc in range(width):
         if fc not in pivots:
             v = [Fraction(fc == j) for j in range(width)]
-            for row, pc in pivoted:
-                v[pc] = Fraction(-row[fc], row[pc])
+            for row, pc in zip(reversed(hnf), reversed(pivots)):
+                v[pc] = -sum((a * x for a, x in zip(row[pc + 1:], v[pc + 1:])), Fraction(0)) / row[pc]
             basis.append(v)
     return basis
 

@@ -6,9 +6,9 @@ letter counts per orbit modulo two (reflections of linearly dependent roots
 coincide, so the counts live on lines through the origin), reads the
 order of a product of two reflections off the Gram matrix of their plane,
 with a sound infinite-order certificate (its null spaces from
-linalg.kernel), decides whether the reflection presentation is of
-Coxeter shape, and rewrites identity words to eliminate letters outside
-a preferred set of roots.
+linalg.kernel, on the integer HNF), decides whether the reflection
+presentation is of Coxeter shape, and rewrites identity words to
+eliminate letters outside a preferred set of roots.
 """
 
 from collections import Counter

@@ -8,8 +8,9 @@ verify_semilattice) is kept in the presentation it arrived in, so every
 instance reproduces its point set faithfully.
 
 Each set is kept as integers over its least denominator den: a lattice
-as the Hermite normal form of den * L, a semilattice as its cosets reduced
-modulo the modulus, so reduction is integer floor division at the pivots.
+as the Hermite normal form of den * L (linalg._hnf_int), a semilattice as
+its cosets reduced modulo the modulus, so reduction is integer floor
+division at the pivots.
 Vector is the boundary type: an incoming Vector is read as ints at a scale
 (Vector.at), and the Vectors handed out (rows, cosets, windows) are built
 on the integers (Vector._of).
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .linalg import Vector, _frac, closure, common_ints, sorted_vectors
+from .linalg import Vector, _frac, _hnf_int, closure, common_ints, sorted_vectors
 
 
 class RankMismatch(ValueError):
@@ -49,53 +50,6 @@ def _entry(cosets, ambient: int | None = None) -> tuple[int, list[list[int]]]:
         if c.dim != ambient:
             raise RankMismatch(f"coset dim {c.dim}, ambient rank {ambient}")
     return common_ints(cvecs)
-
-
-# ---------------------------------------------------------------------------
-# integer Hermite normal form
-
-
-def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
-    """Row-style HNF of an integer matrix, pivoting on the first ncols columns.
-
-    Returns (echelon, leftover): echelon rows have strictly increasing pivot
-    columns with positive pivots and reduced entries above each pivot;
-    leftover rows vanish on the first ncols columns (nonempty only if aug>0,
-    where rows carry aug extra bookkeeping columns on the right).  Unlike
-    linalg.echelon this eliminates over Z, by unimodular row operations,
-    which is what a lattice basis needs.
-    """
-    pool = [list(r) for r in mat if any(r)]
-    echelon = []
-    for col in range(ncols):
-        sel = [r for r in pool if r[col] != 0]
-        pool = [r for r in pool if r[col] == 0]
-        while len(sel) > 1:
-            sel.sort(key=lambda r: abs(r[col]))
-            r0 = sel[0]
-            nxt = [r0]
-            for r in sel[1:]:
-                q = r[col] // r0[col]
-                rr = [a - q * b for a, b in zip(r, r0)]
-                if rr[col] != 0:
-                    nxt.append(rr)
-                elif any(rr):
-                    pool.append(rr)
-            sel = nxt
-        if sel:
-            r0 = sel[0]
-            if r0[col] < 0:
-                r0 = [-a for a in r0]
-            echelon.append((col, r0))
-    for i in range(len(echelon) - 1, -1, -1):
-        col, ri = echelon[i]
-        p = ri[col]
-        for j in range(i):
-            cj, rj = echelon[j]
-            q = rj[col] // p
-            if q:
-                echelon[j] = (cj, [a - q * b for a, b in zip(rj, ri)])
-    return [r for _, r in echelon], pool if aug else []
 
 
 class Lattice:
@@ -381,7 +335,10 @@ def verify_semilattice(s: Semilattice) -> SemilatticeReport:
     contains_zero = s.contains(Vector([0] * s.ambient))
     if not s.translated and not contains_zero:
         problems.append("0 is not a member and the set is not marked translated")
-    closed = sum_condition(s, s, 2)
+    # _build kept the canonical form exactly when S + 2<S> <= S, which is
+    # S + 2S <= S: a shift that maps S's finitely many cosets into
+    # themselves permutes them, and so does its inverse
+    closed = s.canonical
     if not closed:
         cosets = sorted_vectors(s.cosets)
         a, b = next((a, b) for a in cosets for b in cosets if not s.contains(a + b * 2))

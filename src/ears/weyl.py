@@ -41,8 +41,9 @@ one product).  Any positive rank-one form [g] is decided: scaling the dual
 block by 1/g turns the form into [1] and fixes every root, so it carries
 the group for [g] onto the group for [1], letter by letter.
 Extraction takes the standard system with the length profile of what a
-removal leaves (finite._classify_subset) and accepts it only when it has
-the finite part's form and its length classes are the remaining ones.
+removal leaves (finite._classify_subset) and accepts it only when its form
+is a positive multiple of the finite part's (the same scaling argument)
+and its length classes are the remaining ones.
 """
 
 from __future__ import annotations
@@ -813,10 +814,12 @@ def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:
     """Label and class mapping for the descriptor left after a removal.
 
     The standard system with the length profile of the remaining roots
-    (finite._classify_subset) is accepted when it has the form of R's
-    finite part and its non-empty length classes are exactly the remaining
-    dot classes; each new class takes the translation set of the class it
-    equals.  Anything else raises Stuck.
+    (finite._classify_subset) is accepted when its form is a positive
+    multiple of R's finite form and its non-empty length classes are
+    exactly the remaining dot classes; each new class takes the
+    translation set of the class it equals.  Anything else raises Stuck.
+    Scaling the dual block by 1/c carries the form over c * G onto the
+    form over G and fixes every root, so the factor changes nothing.
     """
     finite = R.finite_part
     left = {R.dot_classes[tag]: tag for tag in _CLASS_TAGS if fams.get(tag) is not None}
@@ -828,7 +831,10 @@ def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:
             f"system, which are not an irreducible root system: {exc}"
         ) from exc
     classes = length_classes(new)
-    if new.form != finite.form or {c for c in classes if c} != set(left):
+    # equal line keys of the flattened Grams mean a positive factor, since a
+    # positive definite Gram has a positive first entry
+    same_form = line_key(sum(new.form.gram.ints, ())) == line_key(sum(finite.form.gram.ints, ()))
+    if not same_form or {c for c in classes if c} != set(left):
         raise Stuck(
             f"removal leaves classes {list(left.values())} of a {finite.label} "
             f"system, which the standard {new.label} realization does not match"

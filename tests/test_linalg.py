@@ -21,6 +21,7 @@ from ears.linalg import (
     vec,
 )
 from ears.presentation import evaluate
+from ears.semilattice import Lattice
 
 
 def test_vector_arithmetic_is_exact():
@@ -310,6 +311,9 @@ SPAN_CASES = {
     "back substitution": [vec(1, 2, 3), vec(0, 0, 0), vec(0, 3, 4), vec(2, 7, 10)],
     # every used column pivoted after two rows; the zero rows come after the stop
     "early stop, zero rows": [vec(2, 1, 0), vec(1, 1, 0), vec(0, 0, 0), vec(5, 7, 0)],
+    # 19 collinear rows, then the one row that raises the rank: stopping
+    # before every used column has a pivot gives 1
+    "rank rises last": [vec(k, -2 * k, 3 * k) for k in range(1, 20)] + [vec(1, -2, 4)],
 }
 
 
@@ -318,6 +322,13 @@ def test_span_rank_matches_fraction_elimination(name):
     vectors = SPAN_CASES[name]
     assert span_rank(vectors) == reference_span_rank(vectors)
     assert span_rank(iter(vectors)) == reference_span_rank(vectors)
+
+
+def test_span_rank_is_the_lattice_rank_on_r3_windows(suite):
+    # the window roots whose span axiom R3 checks, at window 2
+    for name, R in suite.items():
+        w = R.anisotropic_window(2) + R.isotropic_window(2)
+        assert span_rank(w) == Lattice(R.space.dim, w).rank == reference_span_rank(w), name
 
 
 def reference_solve_rows(rows, width):

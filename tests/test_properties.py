@@ -39,7 +39,7 @@ from ears.presentation import (
     parity,
     square_relation,
 )
-from ears.semilattice import Lattice, Semilattice, residue_table
+from ears.semilattice import Lattice, Semilattice, residue_table, sum_condition, verify_semilattice
 from ears.weyl import orbit_bfs, orbit_closed_form
 from test_core import _reference_characterize
 from test_linalg import RefVector, fraction_product, ref_at, ref_line_key, ref_vec_to_json
@@ -291,6 +291,19 @@ def test_residue_table_matches_the_closure_on_random_input(x):
     assert len(table.residues) <= size
     assert residue_table(s, cap=size) == table
     assert residue_table(s, cap=size - 1) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_described_sets())
+def test_closed_under_x_plus_2y_exactly_when_canonical(x):
+    # S keeps its canonical form exactly when S + 2<S> <= S, which is
+    # S + 2S <= S, so verify_semilattice reads closed off canonical
+    basis, cosets, translated, given_modulus = x
+    if given_modulus:
+        s = Semilattice.from_cosets(cosets, Lattice(len(cosets[0]), basis), translated)
+    else:
+        s = Semilattice(basis, cosets, translated)
+    assert sum_condition(s, s, 2) == s.canonical == verify_semilattice(s).closed, x
 
 
 # -- Matrix on integer rows against Fraction rows ------------------------------

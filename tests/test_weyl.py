@@ -895,6 +895,19 @@ def test_rank_one_forms_other_than_one_decide_alike(suite):
             assert [generation_check(Rg, ob) for ob in anisotropic_orbits(Rg)] == want, (name, g)
 
 
+def test_extract_minimal_over_rank_one_forms_other_than_one(nullity3):
+    # the standard A1 left by the removal has the form [1], a positive
+    # multiple of [g], so extraction goes the same way as over [1]
+    want = extract_minimal(nullity3)
+    f = nullity3.finite_part
+    for g in (2, H):
+        finite = FiniteRootSystem(f.type_symbol, 1, f.roots, BilinearForm(Matrix([[g]])), f.fundamental)
+        got = extract_minimal(construct_ears(finite, **nullity3.translations))
+        assert got == want, g
+        assert got.space == want.space, g
+        assert got.removal_chain == want.removal_chain, g
+
+
 def reference_insert(self, v, element):
     """_CarrierReducer.insert with the full extended-gcd combination on
     every step, also where a pivot divides and one row is an identity."""
