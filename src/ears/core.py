@@ -679,14 +679,20 @@ def _iso_index(xs, lo, hi, i=0):
     return [xs[j][i] for j in starts], starts + [hi], subs
 
 
-def _box_runs(node, bounds, i=0):
+def _box_runs(node, bounds):
     """The runs (lo, hi) of indexed rows x with bounds[k][0] <= x[k] <=
     bounds[k][1] for every k, in the rows' order."""
-    keys, starts, subs = node
-    a, b = bisect_left(keys, bounds[i][0]), bisect_right(keys, bounds[i][1])
-    if subs is None:
-        return [(starts[a], starts[b])] if a < b else []
-    return [run for j in range(a, b) for run in _box_runs(subs[j], bounds, i + 1)]
+    nodes = [node]
+    for lo, hi in bounds[:-1]:
+        nodes = [sub for keys, _, subs in nodes for sub in subs[bisect_left(keys, lo) : bisect_right(keys, hi)]]
+    lo, hi = bounds[-1]
+    return [(starts[a], starts[b]) for keys, starts, _ in nodes
+            for a, b in ((bisect_left(keys, lo), bisect_right(keys, hi)),) if a < b]
+
+
+def _pack(x, m: int) -> int:
+    """sum x_i m^i: linear in x, and one-to-one on |x_i| <= (m - 1) / 2."""
+    return sum(t * m**i for i, t in enumerate(x))
 
 
 def characterize(window, space: AmbientSpace) -> CharacterizeReport:
@@ -703,11 +709,18 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     parts the coefficient c = p/q is exact, and the image of beta in alpha
     has scaled iso part (q beta - p alpha) / q, in the box exactly when
     |q beta_i - p alpha_i| <= edge for each i: an index of the betas by iso
-    coordinate yields just those betas, in order.  The count reported is
+    coordinate yields just those betas, in runs, in order.  Iso parts are
+    packed as P(x) = sum x_i M^i, M = 2 edge + 1: P is linear, and one-to-one
+    where |y_i| <= edge, as on every in-box image and q-fold target, so no
+    image aliases onto a member.  A run is one set containment, walked pair
+    by pair for its witnesses only when that fails.  The count reported is
     |alphas| * |betas| for each dot pair whose image dot part is in the box.
+    Raises DimensionMismatch on a vector not of the space's dimension.
     """
     members = set(window)
     vs = sorted_vectors(members)
+    if (wrong := next((v for v in vs if v.dim != space.dim), None)) is not None:
+        raise DimensionMismatch(f"vector dim {wrong.dim}, space dim {space.dim}")
     checks = []
     nu, ell = space.nu, space.rank
 
@@ -726,6 +739,7 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
     dot_form = _dot_form(space)
     bad = list(iso_members[:3])
     checked = 0
+    packed: dict[int, tuple] = {}  # q -> iso parts by dot part, packed at radix 2 * edge + 1
     if not bad:
         index = {d: _iso_index([x for _, x in b], 0, len(b)) for d, b in groups.items()} if nu else {}
         for da_key, alphas in groups.items():
@@ -740,19 +754,22 @@ def characterize(window, space: AmbientSpace) -> CharacterizeReport:
                 checked += len(alphas) * len(betas)
                 p, q = c.numerator, c.denominator
                 edge = int(box * scale) * q
-                target = targets.get(img_dot.at(scale), ())
-                q_betas = [(beta, [q * t for t in xb]) for beta, xb in betas]
-                for alpha, xa in alphas:
-                    p_alpha = [p * t for t in xa]
-                    bounds = [(-((edge - t) // q), (t + edge) // q) for t in p_alpha]
+                if q not in packed:
+                    packed[q] = ({d: [_pack(x, 2 * edge + 1) for _, x in b] for d, b in groups.items()},
+                                 {d: {q * _pack(x, 2 * edge + 1) for x in t} for d, t in targets.items()})
+                units, target = packed[q][0], packed[q][1].get(img_dot.at(scale), set())
+                q_betas = [q * u for u in units[db_key]]
+                for (alpha, xa), ua in zip(alphas, units[da_key]):
+                    pa = p * ua
+                    bounds = [(-((edge - p * t) // q), (p * t + edge) // q) for t in xa]
                     runs = _box_runs(index[db_key], bounds) if nu else [(0, len(betas))]
-                    for beta, q_beta in (pair for lo, hi in runs for pair in q_betas[lo:hi]):
-                        y = [u - w for u, w in zip(q_beta, p_alpha)]
-                        if q == 1:
-                            key = tuple(y)
-                        else:
-                            key = None if any(t % q for t in y) else tuple(t // q for t in y)
-                        if key not in target:
+                    failing = (j for lo, hi in runs
+                               if not target.issuperset(map(pa.__rsub__, q_betas[lo:hi]))
+                               for j in range(lo, hi))
+                    for j in failing:
+                        if q_betas[j] - pa not in target:
+                            beta, xb = betas[j]
+                            y = [q * u - p * w for u, w in zip(xb, xa)]
                             bad.append((alpha, beta, space.assemble(Vector._of(y, q * scale), img_dot)))
                             if len(bad) >= 3:
                                 break

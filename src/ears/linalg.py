@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -415,11 +415,11 @@ def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
 
 
 def span_rank(vectors) -> int:
-    """Rank of the rational span: the vectors, at their common denominator,
-    enter the HNF one at a time until its pivots cover every coordinate
-    some vector uses, after which no vector can raise the rank."""
-    rows = common_ints(list(vectors))[1]
-    used = sum(1 for col in zip(*rows) if any(col))
+    """Rank of the rational span: the vectors' numerators (each a positive
+    multiple of its vector) enter the HNF one at a time until its pivots
+    cover every coordinate some vector uses; no later one can raise the rank."""
+    rows = [v.ints for v in vectors]
+    used = sum(1 for j in range(len(rows[0]) if rows else 0) if any(map(itemgetter(j), rows)))
     hnf = []
     for row in rows:
         if len(hnf) == used:

@@ -18,8 +18,10 @@ with B + B^T = -b b^T, so it is stored on integers as (sign, b, B - B^T)
 at one scale per decider; the even-word subgroup is nilpotent of class
 two, and membership reduces to Hermite-style integer reduction carried
 out on group elements, with one division when a pivot divides.  Its
-generators are integer tuples at one scale, one Vector per letter.  Words
-are straight-line-program nodes, expanded once per Generates (RuntimeError
+generators are integer tuples at one scale, one Vector per letter, and
+the wedge's index pairs are computed once per nullity.  Words are
+straight-line-program nodes, plain tuples tagged by a str ("*", "~",
+"^") over leaves of letters, expanded once per Generates (RuntimeError
 above _WORD_CAP letters, before any is built) and re-checked by flat
 re-multiplication.  For higher ranks the verdict
 is three-valued: sound negatives come from the finite quotient, from the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .core import (
@@ -290,16 +293,22 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
 # (-1, -2 sigma D / x, 0).
 
 
+@lru_cache(maxsize=64)
+def _pairs(nu: int) -> tuple:
+    """The index pairs i < j of w in nu coordinates, in w's order."""
+    return tuple(combinations(range(nu), 2))
+
+
 def _wedge(b1, b2):
-    return (
-        b1[i] * b2[j] - b1[j] * b2[i] for i, j in combinations(range(len(b1)), 2)
-    )
+    return [b1[i] * b2[j] - b1[j] * b2[i] for i, j in _pairs(len(b1))]
 
 
-class _Word(tuple):
-    """A node of a straight-line program (Holt, Eick and O'Brien 2005):
+def _tag(node):
+    """The tag of a word node, or None for a leaf.  A word is a node of a
+    straight-line program (Holt, Eick and O'Brien 2005), a plain tuple:
     ("*", u, v) is u then v, ("~", u) is u reversed and ("^", u, n) is u
-    n times; any other tuple is a leaf of letters."""
+    n times; a tuple that does not start with a str is a leaf of letters."""
+    return node[0] if node and type(node[0]) is str else None
 
 
 _WORD_CAP = 1_000_000  # letters; the suite's longest certificate has 11,471
@@ -310,12 +319,12 @@ def _length(node) -> int:
     size, stack = {}, [node]
     while stack:
         top = stack.pop()
-        kids = () if type(top) is not _Word else top[1:] if top[0] == "*" else top[1:2]
+        kids = () if (tag := _tag(top)) is None else top[1:] if tag == "*" else top[1:2]
         if todo := [k for k in kids if id(k) not in size]:
             stack += [top, *todo]
         else:  # a leaf, or a node whose children are counted
             n = sum(size[id(k)] for k in kids) if kids else len(top)
-            size[id(top)] = n * top[2] if kids and top[0] == "^" else n
+            size[id(top)] = n * top[2] if tag == "^" else n
     return size[id(node)]
 
 
@@ -330,7 +339,7 @@ def _expand(node) -> tuple:
         node, rev, start = stack.pop()
         if start is not None:  # the first expansion of node ends here
             spans[id(node)] = (start, len(out), rev)
-        elif type(node) is not _Word:
+        elif _tag(node) is None:
             out.extend(node[::-1] if rev else node)
         elif id(node) in spans:
             a, b, first = spans[id(node)]
@@ -369,18 +378,18 @@ class _AffineElement:
         return cls(-1, tuple(v // x for v in b), (0,) * (nu * (nu - 1) // 2), (root,))
 
     def __matmul__(self, other: "_AffineElement") -> "_AffineElement":
-        e2 = other.eps
-        b = tuple(y + e2 * x for x, y in zip(self.b, other.b))
-        w = tuple(
-            x + y - e2 * z
-            for x, y, z in zip(self.w, other.w, _wedge(self.b, other.b))
-        )
-        return _AffineElement(self.eps * e2, b, w, _Word(("*", self.node, other.node)))
+        wedge = _wedge(self.b, other.b)
+        if other.eps == 1:
+            b = tuple([x + y for x, y in zip(self.b, other.b)])
+            w = tuple([x + y - z for x, y, z in zip(self.w, other.w, wedge)])
+        else:
+            b = tuple([y - x for x, y in zip(self.b, other.b)])
+            w = tuple([x + y + z for x, y, z in zip(self.w, other.w, wedge)])
+        return _AffineElement(self.eps * other.eps, b, w, ("*", self.node, other.node))
 
     def inverse(self) -> "_AffineElement":
-        b = tuple(-self.eps * x for x in self.b)
-        w = tuple(-x for x in self.w)
-        return _AffineElement(self.eps, b, w, _Word(("~", self.node)))
+        b = self.b if self.eps == -1 else tuple([-x for x in self.b])
+        return _AffineElement(self.eps, b, tuple([-x for x in self.w]), ("~", self.node))
 
     def power(self, n: int) -> "_AffineElement":
         """(1, b, w)^n = (1, n b, n w); eps = -1 squares first."""
@@ -390,8 +399,7 @@ class _AffineElement:
             half = (base @ base).power(n // 2)
             return half @ base if n % 2 else half
         return _AffineElement(
-            1, tuple(n * x for x in base.b), tuple(n * x for x in base.w),
-            _Word(("^", base.node, n)),
+            1, tuple([n * x for x in base.b]), tuple([n * x for x in base.w]), ("^", base.node, n)
         )
 
     def times_power(self, r: "_AffineElement", n: int) -> "_AffineElement":
@@ -399,10 +407,10 @@ class _AffineElement:
         (eps, b + n b_r, w + n (w_r - b^b_r)), with the same word node."""
         if r.eps == -1:
             return self @ r.power(n)
-        b = tuple(x + n * y for x, y in zip(self.b, r.b))
-        w = tuple(x + n * (y - z) for x, y, z in zip(self.w, r.w, _wedge(self.b, r.b)))
-        base = r.node if n >= 0 else _Word(("~", r.node))
-        return _AffineElement(self.eps, b, w, _Word(("*", self.node, _Word(("^", base, abs(n))))))
+        b = tuple([x + n * y for x, y in zip(self.b, r.b)])
+        w = tuple([x + n * (y - z) for x, y, z in zip(self.w, r.w, _wedge(self.b, r.b))])
+        base = r.node if n >= 0 else ("~", r.node)
+        return _AffineElement(self.eps, b, w, ("*", self.node, ("^", base, abs(n))))
 
     def is_identity(self) -> bool:
         return self.eps == 1 and not any(self.b) and not any(self.w)

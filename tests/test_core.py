@@ -32,6 +32,7 @@ from ears.examples import doubled_lattice, integer_lattice, odd_translated, prod
 from ears.finite import InvalidRank, build_finite, length_classes
 from ears.linalg import (
     AmbientSpace,
+    DimensionMismatch,
     Matrix,
     Vector,
     reflect,
@@ -726,6 +727,37 @@ def test_characterize_counts_every_pair_on_the_extraction_window(nullity3):
     R = extract_minimal(nullity3)
     check = characterize(R.anisotropic_window(3), R.space).check("reflection_invariance")
     assert check.detail == "311364 reflection images inside the window box (norm 3) are all members"
+
+
+# Packed keys: the box [-1, 1]^2 at dot parts +-e, whose in-box images
+# reach +-edge in both iso coordinates; dot parts +-3e over [-3, 3]^2 with
+# +-e over [-1, 1]^2, where the pairs (+-3e, +-e) have c = +-2/3 and give
+# the first witnesses from negative coordinates, some at y_i = 9 = edge;
+# the box less (1, 0, e), an escaping image whose key at radix 2 * edge
+# would be that of the member (-1, 1, e).
+_BOX = [vec(s, t, d, 0, 0) for s, t in product((-1, 0, 1), repeat=2) for d in (1, -1)]
+_PACKING_EDGES = {
+    "at the edge": _BOX,
+    "q = 3": [vec(s, t, d, 0, 0) for s, t in product(range(-3, 4), repeat=2) for d in (3, -3)] + _BOX,
+    "alias at radix 2 edge": [v for v in _BOX if v != vec(1, 0, 1, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("label", sorted(_PACKING_EDGES))
+def test_characterize_packs_keys_without_aliasing(label):
+    space = AmbientSpace(2, Matrix([[2]]))
+    got = characterize(_PACKING_EDGES[label], space)
+    assert repr(got) == repr(_reference_characterize(_PACKING_EDGES[label], space))
+    check = got.check("reflection_invariance")
+    assert check.passed == (label == "at the edge")
+    if label == "alias at radix 2 edge":
+        assert {img for _, _, img in check.witnesses} == {vec(1, 0, 1, 0, 0)}
+
+
+def test_characterize_refuses_the_wrong_dimension(nullity2):
+    # a 7-dimensional vector used to be sliced as if it were 5-dimensional
+    with pytest.raises(DimensionMismatch, match="vector dim 7, space dim 5"):
+        characterize([vec(0, 0, 1, 0, 0), vec(0, 0, 1, 0, 0, 0, 0)], nullity2.space)
 
 
 # --- config round trip --------------------------------------------------------------

@@ -56,7 +56,6 @@ from ears.weyl import (
     _AffineElement,
     _CarrierReducer,
     _Rank1Decider,
-    _Word,
     _certificate_search,
     _expand,
     _finite_closure,
@@ -1082,7 +1081,7 @@ def test_overlong_words_are_refused_before_expansion(nullity3):
     # the length is read off the node DAG: a billion letters are never built
     (r,) = _letters(nullity3.space, ([0, 0, 0],))
     with pytest.raises(RuntimeError, match="a word of 1000000000 letters exceeds the cap"):
-        _expand(_Word(("^", r.node, 10**9)))
+        _expand(("^", r.node, 10**9))
     doubled = r
     for _ in range(20):  # shared nodes count once per use: 2**20 letters
         doubled = doubled @ doubled
