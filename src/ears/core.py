@@ -42,7 +42,6 @@ from .semilattice import (
     Lattice,
     RankMismatch,
     Semilattice,
-    residue_table,
     sum_condition,
     verify_semilattice,
 )
@@ -90,7 +89,6 @@ class EarsDescriptor:
         "_lattices",
         "isotropic",
         "removal_chain",
-        "_tables",
     )
 
     def __init__(
@@ -120,7 +118,6 @@ class EarsDescriptor:
             isotropic = translations["short"].sum_set(translations["short"])
         object.__setattr__(self, "isotropic", isotropic)
         object.__setattr__(self, "removal_chain", tuple(removal_chain))
-        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("EarsDescriptor is immutable")
@@ -151,14 +148,6 @@ class EarsDescriptor:
 
     # -- membership ---------------------------------------------------------
 
-    def _member(self, tag: str, iso: Vector) -> bool:
-        """Membership of iso in a tag's set; its residue table is built on first use."""
-        target = self.isotropic if tag == "isotropic" else self.translations[tag]
-        if tag not in self._tables:
-            self._tables[tag] = residue_table(target)
-        table = self._tables[tag]
-        return target.contains(iso) if table is None else table.contains(iso)
-
     def class_of_dot(self, dot: Vector) -> str | None:
         return self._tag_of.get(dot)
 
@@ -188,11 +177,11 @@ class EarsDescriptor:
         if not dual.is_zero():
             return "not_root"
         if dot.is_zero():
-            return "isotropic" if self._member("isotropic", iso) else "not_root"
+            return "isotropic" if self.isotropic.contains(iso) else "not_root"
         tag = self.class_of_dot(dot)
         if tag is None:
             return "not_root"
-        return "anisotropic" if self._member(tag, iso) else "not_root"
+        return "anisotropic" if self.translations[tag].contains(iso) else "not_root"
 
     # -- assembly and enumeration -------------------------------------------
 
@@ -452,11 +441,12 @@ def _check_strings_descriptor(desc: EarsDescriptor, bound: int) -> AxiomCheck:
         return windows[s]
 
     member = {}
+    by_tag = {**desc.translations, "isotropic": desc.isotropic}
 
     def in_set(tag: str, x: list) -> bool:
         cls = k.reduce_at(x, scale)
         if (tag, cls) not in member:
-            member[tag, cls] = desc._member(tag, Vector._of(cls, scale))
+            member[tag, cls] = by_tag[tag].contains(Vector._of(cls, scale))
         return member[tag, cls]
 
     profiles = {}

@@ -7,13 +7,14 @@ modules read a Vector as ints at a scale (Vector.at, common_ints) and build
 one back with Vector._of, and its Fractions (coords) are only a view.
 Products of reflections are rank-one integer updates (times_reflector).
 
-The package's one elimination routine and its one breadth-first search
+The package's one elimination routine and its shared breadth-first search
 live here, so every other module can use them.  The elimination is the
 integer Hermite normal form (_hnf_int, unimodular row operations): Lattice
 keeps its rows, span_rank feeds it vectors one at a time until the pivots
 cover every coordinate in use, and kernel solves the pivot entries upward
 through its rows.  The search is closure, for orbits, cosets and
-generated groups.
+generated groups; weyl.orbit_bfs and the certificate search keep their
+own loops, each for a reason given at the loop.
 """
 
 from __future__ import annotations
@@ -302,11 +303,12 @@ class AmbientSpace:
 
     def assemble(self, iso, dot, dual=None) -> Vector:
         """The vector with these blocks (Vectors or sequences); dual defaults to 0."""
-        parts = [p if isinstance(p, Vector) else Vector(p) for p in (iso, dot, dual or [0] * self.nu)]
-        if tuple(p.dim for p in parts) != self.split:
+        parts = [p if isinstance(p, Vector) else Vector(p) for p in ((iso, dot, dual) if dual else (iso, dot))]
+        if tuple(p.dim for p in parts) != self.split[: len(parts)]:
             raise DimensionMismatch("assemble: block sizes do not match the split")
         den = math.lcm(*(p.den for p in parts))
-        return Vector._of(sum((p.at(den) for p in parts), ()), den)
+        ints = sum((p.at(den) for p in parts), ())
+        return Vector._of(ints if dual else ints + (0,) * self.nu, den)
 
     def is_isotropic(self, v: Vector) -> bool:
         return self.pair(v, v) == 0
@@ -403,7 +405,8 @@ def _hnf_int(mat: Sequence[Sequence[int]], ncols: int, aug: int = 0):
             if r0[col] < 0:
                 r0 = [-a for a in r0]
             echelon.append((col, r0))
-    for i in range(len(echelon) - 1, -1, -1):
+    # top down: reducing by row i changes no column left of its pivot
+    for i in range(len(echelon)):
         col, ri = echelon[i]
         p = ri[col]
         for j in range(i):

@@ -181,10 +181,11 @@ class Semilattice:
     True); otherwise the original presentation is kept so the point set is
     still exact.  Equality compares point sets for canonical instances.
     `ints` holds the cosets reduced modulo `modulus`, as integer tuples at
-    scale `den`, the least denominator of `lattice`.
+    scale `den`, the least denominator of `lattice`; `points` (the members
+    in a box) and `contains` (membership) are the set's two queries.
     """
 
-    __slots__ = ("ambient", "den", "ints", "modulus", "lattice", "translated", "canonical", "_cosets")
+    __slots__ = ("ambient", "den", "ints", "modulus", "lattice", "translated", "canonical", "_cosets", "_table")
 
     def __init__(self, basis: Iterable, cosets: Iterable, translated: bool = False):
         scale, cints = _entry(cosets)
@@ -213,7 +214,7 @@ class Semilattice:
             modulus, canonical = m1, True
         else:
             modulus, final, canonical = m0, reduced, False
-        values = (n, den, final, modulus, lattice, translated, canonical, None)
+        values = (n, den, final, modulus, lattice, translated, canonical, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         return self
@@ -244,8 +245,15 @@ class Semilattice:
         return len(self.ints)
 
     def contains(self, v: Vector) -> bool:
-        x = v.at(self.den) if v.dim == self.ambient else None
-        return x is not None and self.modulus.reduce_at(x, self.den) in self.ints
+        """Membership: residues mod period in the residue table, built on the
+        first integral query, or reduction modulo the modulus without one."""
+        if v.dim != self.ambient or (x := v.at(self.den)) is None:
+            return False
+        if self._table is None:
+            object.__setattr__(self, "_table", residue_table(self) or False)
+        if t := self._table:
+            return tuple([a % t.period for a in x]) in t.residues
+        return self.modulus.reduce_at(x, self.den) in self.ints
 
     def is_lattice(self) -> bool:
         return self.canonical and self.coset_count == 2 ** self.lattice.rank
@@ -285,13 +293,19 @@ class Semilattice:
         return any(not any(joint.reduce_at([f * x - g * y for x, y in zip(a, b)], scale))
                    for a in self.ints for b in other.ints)
 
+    def points(self, scale: int, lo, hi) -> list[tuple[int, ...]]:
+        """The members x / scale with lo <= x <= hi coordinatewise, as ints at
+        scale (a multiple of den), each once, in no particular order."""
+        f = scale // self.den
+        cosets = self.ints if f == 1 else [[f * a for a in c] for c in self.ints]
+        return box_points(self.modulus.rows_at(scale), cosets, lo, hi)
+
     def window(self, bound) -> list[Vector]:
         """All members with every coordinate in [-bound, bound], sorted."""
         b = _frac(bound)
         lim = b.numerator * self.den // b.denominator
-        lo, hi = [-lim] * self.ambient, [lim] * self.ambient
-        points = box_points(self.modulus.rows_at(self.den), self.ints, lo, hi)
-        return [Vector._of(p, self.den) for p in sorted(set(points))]
+        points = self.points(self.den, [-lim] * self.ambient, [lim] * self.ambient)
+        return [Vector._of(p, self.den) for p in sorted(points)]
 
 
 def box_points(rows, cosets, lo, hi) -> list[tuple[int, ...]]:
@@ -332,7 +346,7 @@ def verify_semilattice(s: Semilattice) -> SemilatticeReport:
     spans = s.lattice.rank == s.ambient
     if not spans:
         problems.append(f"members span a subspace of dimension {s.lattice.rank} < {s.ambient}")
-    contains_zero = s.contains(Vector([0] * s.ambient))
+    contains_zero = (0,) * s.ambient in s.ints  # the cosets are reduced: no table is built
     if not s.translated and not contains_zero:
         problems.append("0 is not a member and the set is not marked translated")
     # _build kept the canonical form exactly when S + 2<S> <= S, which is
@@ -378,10 +392,6 @@ class ResidueTable:
     period: int
     residues: frozenset
 
-    def contains(self, v: Vector) -> bool:
-        x = v.at(self.scale) if v.dim == self.dim else None
-        return x is not None and tuple(a % self.period for a in x) in self.residues
-
 
 def residue_table(s: Semilattice, cap: int = 4_000_000) -> ResidueTable | None:
     """Build a ResidueTable for S, or None if S is degenerate or too large:
@@ -393,5 +403,5 @@ def residue_table(s: Semilattice, cap: int = 4_000_000) -> ResidueTable | None:
     period = math.prod(r[i] for i, r in enumerate(rows))
     if s.coset_count * period ** (s.ambient - 1) > cap:
         return None
-    residues = box_points(rows, s.ints, [0] * s.ambient, [period - 1] * s.ambient)
+    residues = s.points(s.den, [0] * s.ambient, [period - 1] * s.ambient)
     return ResidueTable(s.ambient, s.den, period, frozenset(residues))

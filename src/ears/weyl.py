@@ -80,7 +80,7 @@ from .linalg import (
     sorted_vectors,
     times_reflector,
 )
-from .semilattice import Lattice, Semilattice, box_points
+from .semilattice import Lattice, Semilattice
 
 
 class NotOverFinitePart(ValueError):
@@ -208,7 +208,7 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     fixes v, and otherwise the image stays in the box exactly when dot(v) -
     c d does and sigma lies in the shifted box |iso(v) - c sigma| <= bound:
     per member and d, only those sigma of d's translation set are
-    enumerated (semilattice.box_points), on integers at one common scale.
+    enumerated (Semilattice.points), on integers at one common scale.
 
     The result is a subset of orbit_closed_form(R, alpha).window(bound).
     It is the whole window only where the window's members connect through
@@ -253,26 +253,22 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
     ) * math.lcm(*(c.denominator for m in moves for c, _, _ in m))
 
     box, clip = math.floor(bound * scale), math.floor(pad * scale)
-    sets = {
-        t: (sl.modulus.rows_at(scale), [tuple(scale // sl.den * a for a in c) for c in sl.ints])
-        for t, sl in R.translations.items()
-    }
     moves = [
-        [(abs(c.numerator), c.denominator, 1 if c > 0 else -1, j, *sets[t]) for c, j, t in m]
+        [(abs(c.numerator), c.denominator, 1 if c > 0 else -1, j, R.translations[t]) for c, j, t in m]
         for m in moves
     ]
     start = (0, iso.at(scale))
-    # not linalg.closure: each move yields all its images at once, from box_points
+    # not linalg.closure: each move yields all its images at once, from one box query
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for i, x in frontier:
-            for p, q, e, j, rows, cosets in moves[i]:
+            for p, q, e, j, sl in moves[i]:
                 # sigma with |x - e p sigma / q| <= box, within the padded window
                 lo = [max(-clip, -(q * (box - e * y) // p)) for y in x]
                 hi = [min(clip, q * (box + e * y) // p) for y in x]
-                for sigma in box_points(rows, cosets, lo, hi):
+                for sigma in sl.points(scale, lo, hi):
                     w = (j, tuple([y - e * p * z // q for y, z in zip(x, sigma)]))
                     if w not in seen:
                         seen.add(w)
@@ -521,8 +517,8 @@ class _Rank1Decider:
         fams = [(x, sl) for x, sl in families if sl is not None]
         top = math.lcm(1, *(n for x, sl in fams for n in (x.denominator, sl.den)))
         ints = sorted(
-            (*(top // sl.den * a + b for a, b in zip(c, off)), int(x * top), *(0,) * nu)
-            for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.ints)
+            (*(a + b for a, b in zip(c.at(top), off)), int(x * top), *(0,) * nu)
+            for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.cosets)
         # the least scale at which every shear 2 sigma / x is integral
         self.scale = math.lcm(*(abs(r[nu]) // math.gcd(2 * s, r[nu]) for r in ints for s in r[:nu]))
         self._base, *rest = [_AffineElement.reflection(space, Vector._of(r, top), self.scale) for r in ints]
@@ -697,9 +693,8 @@ def _certificate_search(R, fams, target_root, depth, budget):
     pairs = [(sl, d) for tag, sl in fams.items() if sl is not None for d in R.dot_classes.get(tag, ())]
     top = math.lcm(1, *(n for sl, d in pairs for n in (sl.den, d.den)))
     lim, zero = bound * top, (0,) * space.nu
-    ints = {(*p, *d.at(top), *zero) for sl, d in pairs for p in box_points(
-        sl.modulus.rows_at(top), [[top // sl.den * a for a in c] for c in sl.ints],
-        [-lim] * space.nu, [lim] * space.nu)}
+    ints = {(*p, *d.at(top), *zero) for sl, d in pairs
+            for p in sl.points(top, [-lim] * space.nu, [lim] * space.nu)}
     lines = {}  # r, -r and a BC double 2r give one reflection: keep the first
     for r in sorted(ints):
         lines.setdefault(line_key(r), r)

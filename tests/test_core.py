@@ -338,22 +338,24 @@ def test_short_must_span():
 
 
 def test_residue_tables_are_built_on_first_use(monkeypatch):
-    # a table is built per set when membership is first asked of it, so a
+    # a set builds its table when membership is first asked of it, so a
     # construct that fails its constraints builds none; a None table (a
-    # degenerate set or one over the cap) falls back to Semilattice.contains
-    import ears.core
+    # degenerate set or one over the cap) falls back to reduction modulo
+    # the modulus.  Z is built here: a shared set may already hold its table.
+    import ears.semilattice
 
     built = []
-    monkeypatch.setattr(ears.core, "residue_table", lambda s: built.append(s))
+    monkeypatch.setattr(ears.semilattice, "residue_table", lambda s: built.append(s))
     with pytest.raises(ConstraintViolation, match="0 is missing from the short translation set"):
         construct_ears("A1", odd_translated(1))
-    R = construct_ears("A1", Z1)
+    z = Semilattice([[1]], [[0], [1]])
+    R = construct_ears("A1", z)
     assert built == []
     assert [R.classify(v) for v in (vec(1, 1, 0), vec(H, 1, 0), vec(3, -1, 0))] == [
         "anisotropic", "not_root", "anisotropic"]
-    assert built == [Z1]
+    assert built == [z]
     assert [R.classify(v) for v in (vec(2, 0, 0), vec(1, 0, 0))] == ["isotropic", "isotropic"]
-    assert built == [Z1, R.isotropic]
+    assert built == [z, R.isotropic]
 
 
 def test_extra_disjoint_from_doubled_short():

@@ -80,3 +80,25 @@ def test_every_member_has_a_caller():
                and not (name.startswith("__") and name.endswith("__"))
                and not re.search(rf"[ .\"']{name}\b", bench)]
     assert orphans == []
+
+
+def test_set_layout_stays_behind_semilattice():
+    """No module but semilattice.py names box_points or residue_table (as a
+    Name, an Attribute or an import), so how a set is held as integers and
+    queried stays behind Semilattice.points and Semilattice.contains."""
+    hidden = {"box_points", "residue_table"}
+    found = []
+    for path in sorted(Path(ears.__file__).parent.glob("*.py")):
+        if path.name == "semilattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in hidden]
+    assert found == []

@@ -114,6 +114,49 @@ def test_sum_condition_shifts_by_cosets_and_modulus_rows():
         sum_condition(z(1), integer_lattice(2), 1)
 
 
+def test_sum_condition_needs_the_modulus_rows_of_a_canonical_set():
+    # B is canonical with modulus 2Z^4, but its reduced cosets 0 and the rows
+    # of M generate only M Z^4, of index |det M| = 3; so the coset shifts
+    # alone keep A = M Z^4, while 2 e_1 lies in B and not in A
+    m = [[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 0]]
+    i4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    b = Semilattice(i4, [[0, 0, 0, 0], *m])
+    a = Semilattice.from_cosets([[0, 0, 0, 0]], Lattice(4, m))
+    assert b.canonical and b.lattice == Lattice(4, i4) and b.modulus == Lattice(4, i4).scaled(2)
+    gen = Lattice(4, [c.coords for c in b.cosets])
+    assert gen.den == 1 and math.prod(r[p] for r, p in zip(gen.hnf, gen.pivots)) == 3
+    assert b.contains(vec(2, 0, 0, 0)) and not a.contains(vec(2, 0, 0, 0))
+    assert all(a.contains(c + t) for c in a.cosets for t in b.cosets)
+    assert not sum_condition(a, b, 1)
+
+
+def test_points_are_the_window_at_every_scale(suite):
+    for name, R in sorted(suite.items()):
+        for tag, sl in sorted(dict(R.translations, isotropic=R.isotropic).items()):
+            for k in (1, 3):
+                lim = 2 * k * sl.den
+                got = sl.points(k * sl.den, [-lim] * sl.ambient, [lim] * sl.ambient)
+                assert len(set(got)) == len(got), (name, tag, k)
+                assert [Vector._of(p, k * sl.den) for p in sorted(got)] == sl.window(2), (name, tag, k)
+
+
+def test_contains_answers_alike_with_and_without_a_table(monkeypatch):
+    import ears.semilattice
+
+    # a full set, a translated one with a finer denominator, and a degenerate one
+    cfgs = [([[1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1]]), ([[1, 0], [0, 1]], [["1/2", 1]]),
+            ([[1, 0]], [[0, 0], [1, 0]])]
+    probes = [vec(*(Fraction(x, 2) for x in p)) for p in product(range(-5, 6), repeat=2)]
+    for basis, cosets in cfgs:
+        with_table = Semilattice(basis, cosets, translated=True)
+        monkeypatch.setattr(ears.semilattice, "residue_table", lambda s: None)
+        without = Semilattice(basis, cosets, translated=True)
+        answers = [without.contains(v) for v in probes]
+        monkeypatch.undo()
+        assert [with_table.contains(v) for v in probes] == answers, cosets
+        assert any(answers) and bool(with_table._table) == (len(basis) == 2), cosets
+
+
 def _grid_window(s, bound):
     """Every point of the box on the grid of the set's common denominator
     that the set contains, sorted: a reference that does not enumerate."""
@@ -548,6 +591,15 @@ def test_differently_scaled_inputs_give_one_lattice():
     s = Semilattice.from_cosets([[1], ["1/2"]], Lattice(1, [[2]]))
     t = Semilattice.from_cosets([["2/2"], ["3/6"], [5]], Lattice(1, [["4/2"]]))
     assert s == t and hash(s) == hash(t)
+
+
+def test_hermite_form_is_canonical_in_any_row_order():
+    # rows of M in two orders: the entry above the last pivot is reduced
+    # into [0, 3) whichever rows the elimination met first
+    m = [[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 0]]
+    a, b = Lattice(4, m), Lattice(4, m[::-1])
+    assert a.hnf == b.hnf == ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 3))
+    assert a == b and hash(a) == hash(b)
 
 
 def test_finer_denominators_are_not_members():

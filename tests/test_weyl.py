@@ -57,6 +57,7 @@ from ears.weyl import (
     _CarrierReducer,
     _Rank1Decider,
     _certificate_search,
+    _check_certificate,
     _expand,
     _finite_closure,
     _orbit_shrink,
@@ -892,6 +893,34 @@ def test_rank_one_forms_other_than_one_decide_alike(suite):
             Rg = construct_ears(finite, **R.translations)
             assert Rg.space.form.gram[R.nullity, R.nullity] == g
             assert [generation_check(Rg, ob) for ob in anisotropic_orbits(Rg)] == want, (name, g)
+
+
+def test_negative_dot_bases_decide_as_their_orbits(suite):
+    # 2 sigma0 lies in T, so -base names the same orbit; the rank-one
+    # decision flips it to the member with a positive dot part, and the
+    # verdict, certificate included, is the one on the orbit's own base
+    for name in RANK_ONE:
+        R = suite[name]
+        for ob in anisotropic_orbits(R):
+            flipped = orbit_closed_form(R, -ob.base)
+            assert flipped == ob and flipped.dot_part.ints[0] < 0, (name, ob.base)
+            assert generation_check(R, flipped) == generation_check(R, ob), (name, ob.base)
+
+
+def test_search_found_certificates_are_rechecked(suite, monkeypatch):
+    # above rank one a positive comes only from the search: with nothing
+    # removed it finds each base's own reflection, the re-check accepts that
+    # word and refuses the empty one, and generation_check returns it
+    R = suite["B2 nu1 matched"]
+    for ob in anisotropic_orbits(R):
+        word = _certificate_search(R, R.translations, ob.base, 8, 200)
+        assert word, ob.base
+        _check_certificate(R.space, ob.base, word)
+        with pytest.raises(AssertionError, match="re-verification"):
+            _check_certificate(R.space, ob.base, ())
+        with monkeypatch.context() as m:
+            m.setattr(ears.weyl, "_remaining_translations", lambda R, orbit: dict(R.translations))
+            assert generation_check(R, ob, 8, 200) == Generates(word), ob.base
 
 
 def test_extract_minimal_over_rank_one_forms_other_than_one(nullity3):
