@@ -32,6 +32,7 @@ from .linalg import (
     BilinearForm,
     DimensionMismatch,
     Matrix,
+    Value,
     Vector,
     _frac,
     common_ints,
@@ -73,7 +74,7 @@ def _as_finite(x) -> FiniteRootSystem:
     return build_finite(m.group(1), int(m.group(2)))
 
 
-class EarsDescriptor:
+class EarsDescriptor(Value):
     """Finite presentation of an extended affine root system.
 
     The isotropic root set defaults to short + short; irc passes its closure.
@@ -103,41 +104,15 @@ class EarsDescriptor:
                 f"{sorted(dot_classes)} but translation sets "
                 f"{sorted(translations)}"
             )
-        object.__setattr__(self, "finite_part", finite_part)
-        object.__setattr__(self, "nullity", nullity)
-        object.__setattr__(self, "translations", dict(translations))
-        object.__setattr__(
-            self, "space", AmbientSpace(nullity, finite_part.form.gram)
-        )
-        object.__setattr__(self, "dot_classes", dot_classes)
-        object.__setattr__(
-            self, "_tag_of", {d: t for t, roots in dot_classes.items() for d in roots}
-        )
-        object.__setattr__(self, "_lattices", {})
+        space = AmbientSpace(nullity, finite_part.form.gram)
         if isotropic is None:
             isotropic = translations["short"].sum_set(translations["short"])
-        object.__setattr__(self, "isotropic", isotropic)
-        object.__setattr__(self, "removal_chain", tuple(removal_chain))
+        tag_of = {d: t for t, roots in dot_classes.items() for d in roots}
+        self._fill(finite_part, nullity, dict(translations), space, dot_classes,
+                   tag_of, {}, isotropic, tuple(removal_chain))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EarsDescriptor is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EarsDescriptor)
-            and self.finite_part.label == other.finite_part.label
-            and self.nullity == other.nullity
-            and self.translations == other.translations
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.finite_part.label,
-                self.nullity,
-                tuple(sorted(self.translations.items(), key=lambda kv: kv[0])),
-            )
-        )
+    def _identity(self):
+        return self.finite_part.label, self.nullity, tuple(sorted(self.translations.items()))
 
     def __repr__(self) -> str:
         return f"<EARS {self.label}>"

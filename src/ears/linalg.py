@@ -1,11 +1,17 @@
 """Exact rational vectors, matrices, bilinear forms and reflections.
 
 Everything here is immutable and hashable; arithmetic is exact, there is
-no floating point anywhere in this package's numeric core.  A Vector holds
-integers over one denominator, and so does a Matrix, row by row; other
-modules read a Vector as ints at a scale (Vector.at, common_ints) and build
-one back with Vector._of, and its Fractions (coords) are only a view.
-Products of reflections are rank-one integer updates (times_reflector).
+no floating point anywhere in this package's numeric core.  The package's
+value classes derive from Value: slots filled once by _fill, one guard
+against assignment, and equality (same type) and hash on _identity().
+Vector keeps its own equality and a hash cached once, equal to
+hash(coords), since it is built far more often than any other.
+
+A Vector holds integers over one denominator, and so does a Matrix, row
+by row; other modules read a Vector as ints at a scale (Vector.at,
+common_ints) and build one back with Vector._of, and its Fractions
+(coords) are only a view.  Products of reflections are rank-one integer
+updates (times_reflector).
 
 The package's one elimination routine and its shared breadth-first search
 live here, so every other module can use them.  The elimination is the
@@ -25,6 +31,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
+_setattr = object.__setattr__
 
 
 def _frac(x) -> Fraction:
@@ -45,7 +52,29 @@ class DimensionMismatch(ValueError):
     """Raised when operand dimensions disagree."""
 
 
-class Vector:
+class Value:
+    """Base of the package's immutable values: slotted, filled once by
+    _fill (in slot order), equal exactly when of the same type with equal
+    _identity(), and hashed by that identity."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+
+class Vector(Value):
     """Immutable vector with exact rational coordinates: integers ints over
     one positive denominator den with no common factor (as in Matrix), so
     equal vectors have equal (ints, den); coords is the Fraction view, built
@@ -70,9 +99,6 @@ class Vector:
         _setattr(self, "_coords", None)
         _setattr(self, "_hash", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -104,7 +130,7 @@ class Vector:
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.den == other.den and self.ints == other.ints
 
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # not Value's: built once, as hash(coords)
         if self._hash is None:  # hash(Fraction(x)) == hash(x)
             _setattr(self, "_hash", hash(self.ints if self.den == 1 else self.coords))
         return self._hash
@@ -142,14 +168,11 @@ class Vector:
         return "Vector((" + ", ".join(str(c) for c in self.coords) + "))"
 
 
-_setattr = object.__setattr__
-
-
 def vec(*coords: Rational) -> Vector:
     return Vector(coords)
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable square matrix with exact rational entries: integer rows
     ints over one positive denominator den with no common factor (as in
     Lattice), so equal entries give equal matrices; rows is the Fraction
@@ -171,12 +194,7 @@ class Matrix:
     def _set(self, den: int, ints) -> "Matrix":
         g = math.gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
         ints = tuple(tuple(x // g for x in row) for row in ints) if g > 1 else tuple(map(tuple, ints))
-        for name, value in zip(self.__slots__, (ints, den // g, None)):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        return self._fill(ints, den // g, None)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -188,11 +206,8 @@ class Matrix:
     def dim(self) -> int:
         return len(self.ints)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.den == other.den and self.ints == other.ints
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.ints))
+    def _identity(self):
+        return self.den, self.ints
 
     def __getitem__(self, ij):
         i, j = ij
@@ -224,7 +239,7 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-class BilinearForm:
+class BilinearForm(Value):
     """Symmetric bilinear form given by an exact Gram matrix."""
 
     __slots__ = ("gram",)
@@ -232,10 +247,10 @@ class BilinearForm:
     def __init__(self, gram: Matrix):
         if gram != gram.transpose():
             raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
+        self._fill(gram)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
+    def _identity(self):
+        return self.gram
 
     @property
     def dim(self) -> int:
@@ -248,14 +263,8 @@ class BilinearForm:
         total = sum(x * sum(map(mul, row, w.ints)) for x, row in zip(v.ints, g.ints) if x)
         return Fraction(total, v.den * g.den * w.den)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BilinearForm) and self.gram == other.gram
 
-    def __hash__(self) -> int:
-        return hash(self.gram)
-
-
-class AmbientSpace:
+class AmbientSpace(Value):
     """Ambient space split into (radical, definite part, dual of radical).
 
     The basis is ordered (radical block of size nu, definite block of size
@@ -278,12 +287,10 @@ class AmbientSpace:
             rows[i][nu + rank + i] = rows[nu + rank + i][i] = den
         for i, row in enumerate(finite_gram.ints):
             rows[nu + i][nu : nu + rank] = row
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "form", BilinearForm(Matrix._of(rows, den)))
+        self._fill(nu, rank, BilinearForm(Matrix._of(rows, den)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientSpace is immutable")
+    def _identity(self):
+        return self.nu, self.form
 
     @property
     def dim(self) -> int:
@@ -312,16 +319,6 @@ class AmbientSpace:
 
     def is_isotropic(self, v: Vector) -> bool:
         return self.pair(v, v) == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AmbientSpace)
-            and self.nu == other.nu
-            and self.form == other.form
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nu, self.form))
 
 
 def coroot(space: AmbientSpace, alpha: Vector) -> Vector:

@@ -18,6 +18,7 @@ from .core import EarsDescriptor
 from .linalg import (
     AmbientSpace,
     Matrix,
+    Value,
     Vector,
     kernel,
     line_key,
@@ -96,34 +97,26 @@ def orbit_id(R: EarsDescriptor, v: Vector) -> OrbitDescriptor:
     return orbit_closed_form(R, v)
 
 
-class ParityVector:
-    """Letter counts modulo two, one bit per orbit of lines."""
+class ParityVector(Value):
+    """Letter counts modulo two, one bit per orbit of lines: bits is the
+    frozenset of the orbits with an odd count."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits=None):
-        odd = {}
-        for orbit, bit in dict(bits or {}).items():
-            if bit % 2:
-                odd[orbit] = 1
-        self.bits = odd
+        self._fill(frozenset(orbit for orbit, bit in dict(bits or {}).items() if bit % 2))
+
+    def _identity(self):
+        return self.bits
 
     def __getitem__(self, orbit) -> int:
-        return self.bits.get(orbit, 0)
+        return int(orbit in self.bits)
 
     def is_zero(self) -> bool:
         return not self.bits
 
     def support(self) -> tuple:
         return tuple(sorted(self.bits, key=lambda ob: ob.key()))
-
-    def __eq__(self, other):
-        if not isinstance(other, ParityVector):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash(frozenset(self.bits))
 
     def __repr__(self):
         if self.is_zero():

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .linalg import Vector, _frac, _hnf_int, closure, common_ints, sorted_vectors
+from .linalg import Value, Vector, _frac, _hnf_int, closure, common_ints
 
 
 class RankMismatch(ValueError):
@@ -52,7 +52,7 @@ def _entry(cosets, ambient: int | None = None) -> tuple[int, list[list[int]]]:
     return common_ints(cvecs)
 
 
-class Lattice:
+class Lattice(Value):
     """Discrete subgroup L of Q^n: the canonical integer echelon basis hnf of
     den * L, den the least scale making L integral, and each row's pivot."""
 
@@ -75,12 +75,7 @@ class Lattice:
         g = math.gcd(scale, *(x for r in hnf for x in r))
         hnf = tuple(tuple(x // g for x in r) for r in hnf)
         pivots = tuple(next(j for j, x in enumerate(r) if x) for r in hnf)
-        for name, value in zip(self.__slots__, (ambient, scale // g, hnf, pivots, None)):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
+        return self._fill(ambient, scale // g, hnf, pivots, None)
 
     @property
     def rows(self) -> tuple[Vector, ...]:
@@ -92,12 +87,8 @@ class Lattice:
     def rank(self) -> int:
         return len(self.hnf)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Lattice) and (self.ambient, self.den, self.hnf) == (
-            other.ambient, other.den, other.hnf)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.den, self.hnf))
+    def _identity(self):
+        return self.ambient, self.den, self.hnf
 
     def __repr__(self) -> str:
         return f"Lattice({self.ambient}, {[list(r.coords) for r in self.rows]!r})"
@@ -172,7 +163,7 @@ class Lattice:
 # semilattices
 
 
-class Semilattice:
+class Semilattice(Value):
     """Finite-coset presentation of a (translated) semilattice.
 
     Constructed from a generating description S = cosets + 2<basis>.  The
@@ -214,13 +205,7 @@ class Semilattice:
             modulus, canonical = m1, True
         else:
             modulus, final, canonical = m0, reduced, False
-        values = (n, den, final, modulus, lattice, translated, canonical, None, None)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Semilattice is immutable")
+        return self._fill(n, den, final, modulus, lattice, translated, canonical, None, None)
 
     @property
     def cosets(self) -> frozenset[Vector]:
@@ -228,12 +213,8 @@ class Semilattice:
             object.__setattr__(self, "_cosets", frozenset(Vector._of(c, self.den) for c in self.ints))
         return self._cosets
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Semilattice) and (self.modulus, self.den, self.ints) == (
-            other.modulus, other.den, other.ints)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.ints))
+    def _identity(self):
+        return self.modulus, self.den, self.ints
 
     def __repr__(self) -> str:
         kind = "translated semilattice" if self.translated else "semilattice"
@@ -353,10 +334,11 @@ def verify_semilattice(s: Semilattice) -> SemilatticeReport:
     # S + 2S <= S: a shift that maps S's finitely many cosets into
     # themselves permutes them, and so does its inverse
     closed = s.canonical
-    if not closed:
-        cosets = sorted_vectors(s.cosets)
-        a, b = next((a, b) for a in cosets for b in cosets if not s.contains(a + b * 2))
-        problems.append(f"not closed under x + 2y: {a} + 2*{b} escapes")
+    if not closed:  # on the reduced cosets, in coords order: no table is built
+        cosets = sorted(s.ints)
+        a, b = next((a, b) for a in cosets for b in cosets
+                    if s.modulus.reduce_at([x + 2 * y for x, y in zip(a, b)], s.den) not in s.ints)
+        problems.append(f"not closed under x + 2y: {Vector._of(a, s.den)} + 2*{Vector._of(b, s.den)} escapes")
     return SemilatticeReport(spans, contains_zero, closed, tuple(problems))
 
 

@@ -73,6 +73,7 @@ from .linalg import (
     AmbientSpace,
     DimensionMismatch,
     Matrix,
+    Value,
     Vector,
     line_key,
     reflection_matrix,
@@ -113,24 +114,16 @@ def word_element(space: AmbientSpace, letters) -> GroupElement:
     return GroupElement(m, letters)
 
 
-class OrbitDescriptor:
+class OrbitDescriptor(Value):
     """Closed-form orbit of a vector under the extended affine Weyl group."""
 
     __slots__ = ("space", "base", "dot_part", "finite_orbit", "translation_lattice",
                  "base_offset", "_key")
 
     def __init__(self, space, base, dot_part, finite_orbit, translation_lattice):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dot_part", dot_part)
-        object.__setattr__(self, "finite_orbit", frozenset(finite_orbit))
-        object.__setattr__(self, "translation_lattice", translation_lattice)
-        # the isotropic part shared by every orbit member, reduced mod T
-        object.__setattr__(self, "base_offset", translation_lattice.reduce(space.blocks(base)[0]))
-        object.__setattr__(self, "_key", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitDescriptor is immutable")
+        # base_offset: the isotropic part shared by every orbit member, reduced mod T
+        self._fill(space, base, dot_part, frozenset(finite_orbit), translation_lattice,
+                   translation_lattice.reduce(space.blocks(base)[0]), None)
 
     def key(self):
         """Sort key of the orbit, in Fractions; built on first use, since
@@ -146,14 +139,6 @@ class OrbitDescriptor:
 
     def _identity(self):
         return self.base_offset, self.translation_lattice, self.finite_orbit
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrbitDescriptor):
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     def __repr__(self) -> str:
         return f"<orbit of {self.base} ({len(self.finite_orbit)} directions)>"
@@ -865,7 +850,9 @@ def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) 
         orbit, certificate = verdict.orbit, verdict.certificate
         fams = _remaining_translations(current, orbit)
         short = fams.get("short")
-        if short is not None and short.translated:
+        # the cosets are reduced, so 0 is a member iff the zero coset is; the
+        # translated flag is no test, since a caller may set it on a set with 0
+        if short is not None and (0,) * short.ambient not in short.ints:
             if current.finite_part.rank == 1:
                 fams = _recenter(current, fams)
             else:

@@ -358,6 +358,21 @@ def test_residue_tables_are_built_on_first_use(monkeypatch):
     assert built == [z, R.isotropic]
 
 
+def test_a_refused_set_builds_no_table(monkeypatch):
+    # verify_semilattice names the escaping pair on the reduced cosets, so
+    # a construct refused for a set that is not closed builds no table
+    import ears.semilattice
+
+    built = []
+    monkeypatch.setattr(ears.semilattice, "residue_table", lambda s: built.append(s))
+    s = Semilattice.from_cosets([[0], [1]], Lattice(1, [[4]]))
+    with pytest.raises(ConstraintViolation, match="^short translation set is not closed under x"):
+        construct_ears("A1", s)
+    assert verify_semilattice(s).problems == (
+        "not closed under x + 2y: Vector((0)) + 2*Vector((1)) escapes",)
+    assert built == []
+
+
 def test_extra_disjoint_from_doubled_short():
     with pytest.raises(ConstraintViolation, match="extra"):
         construct_ears("BC1", Z1, extra=Semilattice([[2]], [[2]], translated=True))

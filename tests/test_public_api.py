@@ -4,7 +4,13 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import ears
+from ears.examples import nullity2_system
+from ears.linalg import sorted_vectors
+from ears.presentation import parity
+from ears.weyl import orbit_closed_form
 
 PUBLIC = [
     "AmbientSpace", "AxiomReport", "CharacterizeReport", "ConstraintViolation",
@@ -102,3 +108,49 @@ def test_set_layout_stays_behind_semilattice():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in hidden]
     assert found == []
+
+
+def test_values_share_one_contract():
+    """Only linalg.Value defines __setattr__, and no subclass of Value but
+    Vector (whose hash must equal hash(coords)) defines __eq__ or __hash__:
+    each names what it compares in _identity, and Value compares and
+    hashes that."""
+    found = []
+    for path in sorted(Path(ears.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defined = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+            banned = {"__setattr__"} if cls.name != "Value" else set()
+            if cls.name != "Vector" and any(isinstance(b, ast.Name) and b.id == "Value" for b in cls.bases):
+                banned |= {"__eq__", "__hash__"}
+            found += [f"{path.name}:{cls.lineno} {cls.name}.{name}" for name in sorted(defined & banned)]
+    assert found == []
+
+
+def _root(R):
+    return sorted_vectors(R.anisotropic_window(1))[0]
+
+
+# one value of each Value subclass, read off a suite system
+VALUES = {
+    "Vector": _root,
+    "Matrix": lambda R: R.space.form.gram,
+    "BilinearForm": lambda R: R.space.form,
+    "AmbientSpace": lambda R: R.space,
+    "Lattice": lambda R: R.class_lattice("short"),
+    "Semilattice": lambda R: R.translations["short"],
+    "EarsDescriptor": lambda R: R,
+    "OrbitDescriptor": lambda R: orbit_closed_form(R, _root(R)),
+    "ParityVector": lambda R: parity((_root(R),), R),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_values_are_immutable_and_compare_by_content(name):
+    a, b = (VALUES[name](nullity2_system()) for _ in range(2))
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b)
+    slot = type(a).__slots__[0]
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(a, slot, getattr(b, slot))

@@ -682,6 +682,28 @@ def test_extract_minimal_relabels_bc1_as_a1():
     assert word_element(R.space, word).matrix == reflection_matrix(R.space, Vector(base))
 
 
+def test_extract_minimal_reads_zero_off_the_short_cosets(z1, monkeypatch):
+    # a caller may flag a short class that holds 0 as translated; that flag
+    # does not mean a removal took 0 out, so both variants of B2 over Z
+    # extract alike after the same long orbit is removed
+    flagged = Semilattice.from_cosets(z1.cosets, z1.modulus, translated=True)
+    got = []
+    for short in (z1, flagged):
+        R = construct_ears("B2", short, z1)
+        orbit = next(ob for ob in _removal_candidates(R) if R.class_of_dot(ob.dot_part) == "long")
+        calls = []
+
+        def once(R, depth=8, budget=1_000_000):
+            calls.append(R)
+            return NotMinimal(orbit, ()) if len(calls) == 1 else minimality(R, depth, budget)
+
+        with monkeypatch.context() as m:
+            m.setattr(ears.weyl, "minimality", once)
+            got.append(extract_minimal(R))
+    assert got[0] == got[1] and got[0].removal_chain == got[1].removal_chain
+    assert got[0].translations["long"] != z1 and len(got[0].removal_chain) == 1
+
+
 @pytest.mark.parametrize("name", ["A1 nu2 full", "A1 nu3 full", "BC1 nu2 shifted"])
 def test_recenter_after_zero_coset_removal(name):
     """Removing the short orbit through zero leaves a translated short
