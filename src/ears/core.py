@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from types import MappingProxyType
 
 from .finite import (
     FiniteRootSystem,
@@ -108,8 +109,9 @@ class EarsDescriptor(Value):
         if isotropic is None:
             isotropic = translations["short"].sum_set(translations["short"])
         tag_of = {d: t for t, roots in dot_classes.items() for d in roots}
-        self._fill(finite_part, nullity, dict(translations), space, dot_classes,
-                   tag_of, {}, isotropic, tuple(removal_chain))
+        # read-only views: the hash is taken over translations
+        self._fill(finite_part, nullity, MappingProxyType(dict(translations)), space,
+                   MappingProxyType(dot_classes), tag_of, {}, isotropic, tuple(removal_chain))
 
     def _identity(self):
         return self.finite_part.label, self.nullity, tuple(sorted(self.translations.items()))

@@ -5,7 +5,7 @@ no floating point anywhere in this package's numeric core.  The package's
 value classes derive from Value: slots filled once by _fill, one guard
 against assignment, and equality (same type) and hash on _identity().
 Vector keeps its own equality and a hash cached once, equal to
-hash(coords), since it is built far more often than any other.
+hash(coords); a Matrix caches Value's hash, as searches hash each one.
 
 A Vector holds integers over one denominator, and so does a Matrix, row
 by row; other modules read a Vector as ints at a scale (Vector.at,
@@ -55,9 +55,10 @@ class DimensionMismatch(ValueError):
 class Value:
     """Base of the package's immutable values: slotted, filled once by
     _fill (in slot order), equal exactly when of the same type with equal
-    _identity(), and hashed by that identity."""
+    _identity(), and hashed by that identity (kept in a _hash slot if any)."""
 
     __slots__ = ()
+    _hash = None  # read through a subclass's _hash slot where it has one
 
     def _fill(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -71,7 +72,11 @@ class Value:
         return type(other) is type(self) and self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        if (h := self._hash) is None:
+            h = hash(self._identity())
+            if "_hash" in self.__slots__:
+                _setattr(self, "_hash", h)
+        return h
 
 
 class Vector(Value):
@@ -176,9 +181,9 @@ class Matrix(Value):
     """Immutable square matrix with exact rational entries: integer rows
     ints over one positive denominator den with no common factor (as in
     Lattice), so equal entries give equal matrices; rows is the Fraction
-    view, built when first read."""
+    view, built when first read, and the hash is computed once."""
 
-    __slots__ = ("ints", "den", "_rows")
+    __slots__ = ("ints", "den", "_rows", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[Rational]]):
         rs = [[_frac(x) for x in row] for row in rows]
@@ -194,7 +199,7 @@ class Matrix(Value):
     def _set(self, den: int, ints) -> "Matrix":
         g = math.gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
         ints = tuple(tuple(x // g for x in row) for row in ints) if g > 1 else tuple(map(tuple, ints))
-        return self._fill(ints, den // g, None)
+        return self._fill(ints, den // g, None, None)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -497,12 +502,22 @@ def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
 
 
 def times_reflector(m: Matrix, refl: tuple) -> Matrix:
-    """m @ r_alpha as the rank-one update m - (m a) p^T / st, in O(d^2)."""
+    """m @ r_alpha as the rank-one update m - (m a) p^T / st, in O(d^2).
+    Only the nonzero entries of a and of p are read: an EARS root is zero
+    on the dual block, so p = 2 G a is zero on the radical block."""
     a, p, st = refl
+    sa = [(j, x) for j, x in enumerate(a) if x]
+    sp = [(j, y) for j, y in enumerate(p) if y]
     out = []
     for row in m.ints:
-        c = sum(map(mul, row, a))
-        out.append([st * x - c * y for x, y in zip(row, p)] if c or st > 1 else row)
+        c = 0
+        for j, x in sa:
+            c += row[j] * x
+        if c or st > 1:
+            row = [st * x for x in row] if st > 1 else list(row)
+            for j, y in sp:
+                row[j] -= c * y
+        out.append(row)
     return Matrix._of(out, m.den * st)
 
 

@@ -14,16 +14,17 @@ dot(alpha), so each class has one lattice T, built once per descriptor
 Generation after removing an orbit is decided exactly when the finite
 part has rank one.  With the finite form normalized to [1], each group
 element then has a normal form (sign, shear vector b, isotropic block B)
-with B + B^T = -b b^T, so it is stored on integers as (sign, b, B - B^T)
-at one scale per decider; the even-word subgroup is nilpotent of class
-two, and membership reduces to Hermite-style integer reduction carried
-out on group elements, with one division when a pivot divides.  Its
-generators are integer tuples at one scale, one Vector per letter, and
-the wedge's index pairs are computed once per nullity.  Words are
-straight-line-program nodes, plain tuples tagged by a str ("*", "~",
-"^") over leaves of letters, expanded once per Generates (RuntimeError
-above _WORD_CAP letters, before any is built) and re-checked by flat
-re-multiplication.  For higher ranks the verdict
+with B + B^T = -b b^T.  The decider keeps even elements only, each one
+flat int list b||(B - B^T) at one scale with its word; they form a group
+nilpotent of class two (Azam 1999), where membership reduces to
+Hermite-style integer reduction whose rows are slices of those lists,
+with one division when a pivot divides.  Words are straight-line-program nodes,
+plain tuples tagged by a str ("*", "~", "^") over leaves of letters,
+expanded once per Generates (RuntimeError above _WORD_CAP letters,
+before any is built) and re-checked by flat re-multiplication.  One
+minimality call works out what depends on the system alone once for all
+its orbits (_Setup): the finite Weyl order, the finite closure per set of
+remaining classes and the search's reflectors.  For higher ranks the verdict
 is three-valued: sound negatives come from the finite quotient, from the
 remaining set failing to be a root system, or from a class lattice that
 shrinks under the remaining roots; sound positives come from a bounded
@@ -266,12 +267,13 @@ def orbit_bfs(R: EarsDescriptor, alpha: Vector, bound) -> frozenset[Vector]:
 #
 # With a single finite direction e, normalized to (e, e) = 1, every group
 # element acts as sigma' = sigma + b x + B delta, x' = eps x + c.delta,
-# delta' = delta with c = -eps b and B + B^T = -b b^T.  Only the sign, the
-# shear vector b and w = B - B^T (upper-triangle pairs) are stored, as ints
-# at scales D and D^2 for one D per decider; then the product is
-# (e1,b1,w1)(e2,b2,w2) = (e1 e2, b2 + e2 b1, w1 + w2 - e2 b1^b2), with
-# (b1^b2)_ij = b1_i b2_j - b1_j b2_i, and a reflection in x e + sigma is
-# (-1, -2 sigma D / x, 0).
+# delta' = delta with c = -eps b and B + B^T = -b b^T; a reflection in
+# x e + sigma has eps = -1 and b = -2 sigma D / x at a shear scale D.  The
+# decider holds even elements (eps = 1) only, each a pair (ints b||w, word
+# node), w = B - B^T (upper-triangle pairs) at scale D^2: the product is
+# (b1 + b2, w1 + w2 - b1^b2), (b1^b2)_ij = b1_i b2_j - b1_j b2_i, the n-th
+# power is (n b, n w), a pair of reflections r_1 r_2 is (b_2 - b_1,
+# b_1^b_2) and a commutator [a, b] is (0, -2 b_a^b_b).
 
 
 @lru_cache(maxsize=64)
@@ -335,66 +337,39 @@ def _expand(node) -> tuple:
     return tuple(out)
 
 
-class _AffineElement:
-    __slots__ = ("eps", "b", "w", "node")
+def _shear(nu: int, root: Vector, scale: int):
+    """The shear vector -2 sigma D / x of the reflection in root = (sigma,
+    x, 0) at scale D, as ints; None when one is not an integer."""
+    x, b = root.ints[nu], [-2 * scale * s for s in root.ints[:nu]]
+    return None if any(v % x for v in b) else [v // x for v in b]
 
-    def __init__(self, eps, b, w, node):
-        self.eps = eps
-        self.b = b
-        self.w = w
-        self.node = node
 
-    @property
-    def word(self) -> tuple:
-        return _expand(self.node)
+def _pair(r: Vector, br, s: Vector, bs):
+    """The even element r_r r_s of two reflections, given their shears."""
+    return [*(y - x for x, y in zip(br, bs)), *_wedge(br, bs)], ("*", (r,), (s,))
 
-    @classmethod
-    def reflection(cls, space: AmbientSpace, root: Vector, scale: int):
-        """The reflection at shear scale `scale`; None when its shear
-        vector is not integral at that scale."""
-        nu = space.nu
-        x, b = root.ints[nu], [-2 * scale * s for s in root.ints[:nu]]
-        if any(v % x for v in b):
-            return None
-        return cls(-1, tuple(v // x for v in b), (0,) * (nu * (nu - 1) // 2), (root,))
 
-    def __matmul__(self, other: "_AffineElement") -> "_AffineElement":
-        wedge = _wedge(self.b, other.b)
-        if other.eps == 1:
-            b = tuple([x + y for x, y in zip(self.b, other.b)])
-            w = tuple([x + y - z for x, y, z in zip(self.w, other.w, wedge)])
-        else:
-            b = tuple([y - x for x, y in zip(self.b, other.b)])
-            w = tuple([x + y + z for x, y, z in zip(self.w, other.w, wedge)])
-        return _AffineElement(self.eps * other.eps, b, w, ("*", self.node, other.node))
+def _power(el, n: int):
+    """el^n: (n b, n w), the word u^n, or u reversed |n| times for n < 0."""
+    e, u = el
+    return [n * x for x in e], ("^", u if n >= 0 else ("~", u), abs(n))
 
-    def inverse(self) -> "_AffineElement":
-        b = self.b if self.eps == -1 else tuple([-x for x in self.b])
-        return _AffineElement(self.eps, b, tuple([-x for x in self.w]), ("~", self.node))
 
-    def power(self, n: int) -> "_AffineElement":
-        """(1, b, w)^n = (1, n b, n w); eps = -1 squares first."""
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        if base.eps == -1:
-            half = (base @ base).power(n // 2)
-            return half @ base if n % 2 else half
-        return _AffineElement(
-            1, tuple([n * x for x in base.b]), tuple([n * x for x in base.w]), ("^", base.node, n)
-        )
+def _times_power(el, r, n: int, nu: int):
+    """el r^n for even elements whose flat lists start with a shear of nu
+    entries: (b + n b_r, w + n (w_r - b^b_r)).  nu = 0 for elements kept
+    as w alone, since b = 0: then no wedge is formed."""
+    (e, u), (f, v) = el, _power(r, n)
+    out = [x + y for x, y in zip(e, f)]
+    for k, (i, j) in enumerate(_pairs(nu), nu):
+        out[k] -= e[i] * f[j] - e[j] * f[i]
+    return out, ("*", u, v)
 
-    def times_power(self, r: "_AffineElement", n: int) -> "_AffineElement":
-        """self @ r.power(n), in closed form when r.eps == 1:
-        (eps, b + n b_r, w + n (w_r - b^b_r)), with the same word node."""
-        if r.eps == -1:
-            return self @ r.power(n)
-        b = tuple([x + n * y for x, y in zip(self.b, r.b)])
-        w = tuple([x + n * (y - z) for x, y, z in zip(self.w, r.w, _wedge(self.b, r.b))])
-        base = r.node if n >= 0 else ("~", r.node)
-        return _AffineElement(self.eps, b, w, ("*", self.node, ("^", base, abs(n))))
 
-    def is_identity(self) -> bool:
-        return self.eps == 1 and not any(self.b) and not any(self.w)
+def _commutator(a, b, nu: int):
+    """a b a^-1 b^-1 of even elements, kept as w alone: (0, -2 b_a^b_b)."""
+    (e, u), (f, v) = a, b
+    return [-2 * x for x in _wedge(e[:nu], f[:nu])], ("*", ("*", ("*", u, v), ("~", u)), ("~", v))
 
 
 def _xgcd(a: int, b: int):
@@ -412,72 +387,63 @@ def _xgcd(a: int, b: int):
 
 
 class _CarrierReducer:
-    """Hermite-style row reduction where each row carries a group element.
+    """Hermite-style row reduction on even elements: an element's row is
+    the first dim entries of its flat list, b in the shear reducer (nu =
+    dim), w in the central one, whose elements have b = 0 and keep w alone
+    (nu = 0).  Row operations are group products, so a row stays its
+    element's slice; fully reduced elements but the identity are residuals."""
 
-    Rows are integer vectors; row operations are mirrored by group
-    multiplication, so the carried element always maps to its row under
-    the relevant abelianization.  Fully reduced carriers (row zero) are
-    collected as residuals.
-    """
+    def __init__(self, dim: int, nu: int):
+        self.dim, self.nu = dim, nu
+        self.rows: dict[int, tuple[list[int], tuple]] = {}
+        self.residuals: list[tuple[list[int], tuple]] = []
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: dict[int, tuple[list[int], _AffineElement]] = {}
-        self.residuals: list[_AffineElement] = []
-
-    @staticmethod
-    def _pivot(v):
-        for i, x in enumerate(v):
-            if x:
+    def _pivot(self, e):
+        for i in range(self.dim):
+            if e[i]:
                 return i
         return None
 
-    def insert(self, v, element):
-        queue = [(list(v), element)]
+    def insert(self, el):
+        nu, queue = self.nu, [el]
         while queue:
-            v, el = queue.pop()
-            p = self._pivot(v)
+            el = queue.pop()
+            e = el[0]
+            p = self._pivot(e)
             if p is None:
-                if not el.is_identity():
+                if any(e):
                     self.residuals.append(el)
                 continue
-            if p not in self.rows:
-                if v[p] < 0:
-                    v = [-x for x in v]
-                    el = el.inverse()
-                self.rows[p] = (v, el)
+            if p not in self.rows:  # an inverse keeps the pivot positive
+                self.rows[p] = ([-x for x in e], ("~", el[1])) if e[p] < 0 else el
                 continue
-            rv, rel = self.rows[p]
-            g, x, y = _xgcd(rv[p], v[p])
-            if y == 0:  # the pivot divides v[p]: one division, the row stays
-                q = v[p] // g
-                queue.append(([a - q * b for a, b in zip(v, rv)], el.times_power(rel, -q)))
+            row = self.rows[p]
+            g, x, y = _xgcd(row[0][p], e[p])
+            if y == 0:  # the pivot divides e[p]: one division, the row stays
+                queue.append(_times_power(el, row, -(e[p] // g), nu))
                 continue
-            # x == 0 when v[p] divides the pivot: v's row takes its place,
-            # and what is left of v, an identity, is not queued
-            nv = [x * a + y * b for a, b in zip(rv, v)]
-            nel = rel.power(x) @ el.power(y) if x else el.power(y)
-            q1, q2 = rv[p] // g, v[p] // g
-            self.rows[p] = (nv, nel)
-            queue.append(([a - q1 * b for a, b in zip(rv, nv)], rel.times_power(nel, -q1)))
+            # x == 0 when e[p] divides the pivot: el's power takes the row's
+            # place, and what is left of el, an identity, is not queued
+            new = _times_power(_power(row, x), el, y, nu) if x else _power(el, y)
+            q1, q2 = row[0][p] // g, e[p] // g
+            self.rows[p] = new
+            queue.append(_times_power(row, new, -q1, nu))
             if x:
-                queue.append(([a - q2 * b for a, b in zip(v, nv)], el.times_power(nel, -q2)))
+                queue.append(_times_power(el, new, -q2, nu))
 
-    def reduce(self, v, element):
-        """Right-divide by basis rows; None when v is outside the row lattice."""
-        v = list(v)
+    def reduce(self, el):
+        """Right-divide by the rows; None when el's row is outside their lattice."""
         for p in range(self.dim):
-            if not v[p]:
+            if not (v := el[0][p]):
                 continue
             if p not in self.rows:
                 return None
-            rv, rel = self.rows[p]
-            q, rem = divmod(v[p], rv[p])
+            row = self.rows[p]
+            q, rem = divmod(v, row[0][p])
             if rem:
                 return None
-            v = [a - q * b for a, b in zip(v, rv)]
-            element = element.times_power(rel, -q)
-        return element
+            el = _times_power(el, row, -q, self.nu)
+        return el
 
 
 def _offsets(nu: int, rows):
@@ -496,7 +462,6 @@ class _Rank1Decider:
     def __init__(self, space: AmbientSpace, families):
         # any finite form [g] is decided as [1]: (tau, y, delta) -> (tau, y, delta / g)
         # scales the form by 1/g and fixes the roots, so it conjugates the two groups
-        self.space = space
         self.nu = nu = space.nu
         # the roots (sigma, x, 0) as ints at one scale, in Vector order; one Vector each
         fams = [(x, sl) for x, sl in families if sl is not None]
@@ -506,32 +471,31 @@ class _Rank1Decider:
             for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.cosets)
         # the least scale at which every shear 2 sigma / x is integral
         self.scale = math.lcm(*(abs(r[nu]) // math.gcd(2 * s, r[nu]) for r in ints for s in r[:nu]))
-        self._base, *rest = [_AffineElement.reflection(space, Vector._of(r, top), self.scale) for r in ints]
-        self._rows = _CarrierReducer(nu)
+        base, *rest = [Vector._of(r, top) for r in ints]
+        self._base = base, _shear(nu, base, self.scale)
+        self._rows = _CarrierReducer(nu, nu)
         for r in rest:
-            g = r @ self._base
-            self._rows.insert(g.b, g)
-        pivots = [self._rows.rows[p][1] for p in sorted(self._rows.rows)]
-        # the commutators have b = 0, and an identity among them is dropped by insert
-        kappa_gens = [*self._rows.residuals,
-                      *(a @ b @ a.inverse() @ b.inverse() for a, b in combinations(pivots, 2))]
-        self._kappa = _CarrierReducer(nu * (nu - 1) // 2)
-        for g in kappa_gens:
-            self._kappa.insert(g.w, g)
+            self._rows.insert(_pair(r, _shear(nu, r, self.scale), *self._base))
+        self._kappa = _CarrierReducer(nu * (nu - 1) // 2, 0)
+        for e, u in self._rows.residuals:
+            self._kappa.insert((e[nu:], u))
+        # an identity among the commutators of the rows is dropped by insert
+        pivots = [self._rows.rows[p] for p in sorted(self._rows.rows)]
+        for a, b in combinations(pivots, 2):
+            self._kappa.insert(_commutator(a, b, nu))
 
     def reduce_reflection(self, root: Vector):
-        """r_root multiplied to the identity by the generators, or None when
-        r_root is outside; its word, less r_root and read backwards, is a
-        certificate for r_root."""
-        el = _AffineElement.reflection(self.space, root, self.scale)
+        """The word node of r_root r_base multiplied to the identity by the
+        generators, or None when r_root is outside; its word, less r_root
+        and read backwards, is a certificate for r_root."""
+        b = _shear(self.nu, root, self.scale)
+        if b is None:
+            return None
+        el = self._rows.reduce(_pair(root, b, *self._base))
         if el is None:
             return None
-        el = el @ self._base  # a reflection has eps = -1
-        el = self._rows.reduce(el.b, el)
-        if el is None:
-            return None
-        el = self._kappa.reduce(el.w, el)
-        return el if el is not None and el.is_identity() else None
+        el = self._kappa.reduce((el[0][self.nu:], el[1]))
+        return el[1] if el is not None and not any(el[0]) else None
 
 
 # -- generation verdicts -----------------------------------------------------
@@ -626,6 +590,31 @@ def _finite_closure(R: EarsDescriptor, fams):
     return reflection_closure(R.finite_part, dots)
 
 
+class _Setup:
+    """What generation_check needs of R alone, worked out once for all the
+    orbits of one minimality call and dropped with it: the finite Weyl
+    order, whether the directions of a set of remaining classes generate
+    that group, and the certificate search's (root, reflector) per root."""
+
+    def __init__(self, R: EarsDescriptor):
+        self.R, self.order = R, finite_weyl(R.finite_part).order
+        self._generates, self._letters = {}, {}
+
+    def finite_generates(self, fams) -> bool:
+        key = tuple(tag for tag, sl in fams.items() if sl is not None)
+        if key not in self._generates:
+            letters, tree = _finite_closure(self.R, fams)
+            self._generates[key] = bool(letters) and len(tree) == self.order
+        return self._generates[key]
+
+    def letter(self, r: tuple, top: int):
+        """(root, reflector) of the root r / top."""
+        if (r, top) not in self._letters:
+            root = Vector._of(r, top)
+            self._letters[r, top] = root, reflector(self.R.space, root)
+        return self._letters[r, top]
+
+
 def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
     """Complete generation decision when the finite part has rank one.
 
@@ -643,15 +632,15 @@ def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
     decider = _Rank1Decider(space, families)
     for off in _offsets(space.nu, orbit.translation_lattice.hnf):
         root = space.assemble(sigma0 + Vector._of(off, orbit.translation_lattice.den), dot)
-        el = decider.reduce_reflection(root)
-        if el is None:
+        node = decider.reduce_reflection(root)
+        if node is None:
             return NotGenerates(
                 f"the reflection in {root} is outside the subgroup generated "
                 "by the remaining roots (rank-one membership is decided exactly)"
             )
         if not any(off):
-            zero = el
-    word = zero.word  # the only word a decision expands
+            zero = node
+    word = _expand(zero)  # the only word a decision expands
     assert word[0] == space.assemble(sigma0, dot)
     certificate = word[:0:-1]
     _check_certificate(space, orbit.base, certificate)
@@ -664,7 +653,7 @@ def _check_certificate(space, base, word):
         raise AssertionError("certificate failed re-verification")
 
 
-def _certificate_search(R, fams, target_root, depth, budget):
+def _certificate_search(setup: _Setup, fams, target_root, depth, budget):
     """Breadth-first word search over remaining-root reflections.
 
     Deterministic: generators sorted by root, frontier in insertion
@@ -672,7 +661,7 @@ def _certificate_search(R, fams, target_root, depth, budget):
     shortest certificates.  Not linalg.closure: the search is bounded by
     depth and stops at the first hit.
     """
-    space = R.space
+    R, space = setup.R, setup.R.space
     bound = max(2, int(target_root.max_norm()) + 2)
     # the window roots as ints at one scale, sorted as tuples (Vector order)
     pairs = [(sl, d) for tag, sl in fams.items() if sl is not None for d in R.dot_classes.get(tag, ())]
@@ -683,7 +672,7 @@ def _certificate_search(R, fams, target_root, depth, budget):
     lines = {}  # r, -r and a BC double 2r give one reflection: keep the first
     for r in sorted(ints):
         lines.setdefault(line_key(r), r)
-    gens = [(root, reflector(space, root)) for root in (Vector._of(r, top) for r in lines.values())]
+    gens = [setup.letter(r, top) for r in lines.values()]
     ident = Matrix.identity(space.dim)
     target = times_reflector(ident, reflector(space, target_root))
     seen = {ident}
@@ -708,15 +697,16 @@ def _certificate_search(R, fams, target_root, depth, budget):
 
 def generation_check(
     R: EarsDescriptor, removed_orbit: OrbitDescriptor, depth: int = 8,
-    budget: int = 1_000_000,
+    budget: int = 1_000_000, *, _setup: _Setup | None = None,
 ):
     """Do the reflections of the roots outside the orbit still generate?
-    R's translation sets must pass construct_ears's rules; its finite part may be any."""
+    R's translation sets must pass construct_ears's rules; its finite part may be any.
+    minimality passes one _Setup of R for all its orbits; without it the call builds its own."""
     _validate_orbit(R, removed_orbit)
+    setup = _Setup(R) if _setup is None else _setup
     fams = _remaining_translations(R, removed_orbit)
     finite = R.finite_part
-    letters, tree = _finite_closure(R, fams)
-    if not letters or len(tree) != finite_weyl(finite).order:
+    if not setup.finite_generates(fams):
         return NotGenerates(
             "the remaining directions do not generate the finite Weyl group"
         )
@@ -734,7 +724,7 @@ def generation_check(
     shrunk = _orbit_shrink(R, sub, removed_orbit)
     if shrunk is not None:
         return NotGenerates(shrunk)
-    word = _certificate_search(R, fams, removed_orbit.base, depth, budget)
+    word = _certificate_search(setup, fams, removed_orbit.base, depth, budget)
     if word is not None:
         _check_certificate(R.space, removed_orbit.base, word)
         return Generates(word)
@@ -787,8 +777,9 @@ def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
     R's translation sets must pass construct_ears's rules; its finite part may be any."""
     orbits = _removal_candidates(R)
     unresolved = []
+    setup = _Setup(R)
     for orbit in orbits:
-        verdict = generation_check(R, orbit, depth, budget)
+        verdict = generation_check(R, orbit, depth, budget, _setup=setup)
         if isinstance(verdict, Generates):
             return NotMinimal(orbit, verdict.certificate)
         if isinstance(verdict, Inconclusive):

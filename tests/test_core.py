@@ -28,7 +28,7 @@ from ears.core import (
     trim,
     verify_axioms,
 )
-from ears.examples import doubled_lattice, integer_lattice, odd_translated, product_even_semilattice
+from ears.examples import doubled_lattice, integer_lattice, nullity2_system, odd_translated, product_even_semilattice
 from ears.finite import InvalidRank, build_finite, length_classes
 from ears.linalg import (
     AmbientSpace,
@@ -974,3 +974,16 @@ def test_trim_matches_the_reference(suite, bc1_shifted):
     for r in (suite["BC1 nu1"], bc1_shifted, suite["BC2 nu1"], bc3):
         want, got = _reference_trim(r), trim(r)
         assert got == want and got.finite_part == want.finite_part, r
+
+
+def test_descriptor_maps_are_read_only():
+    # the hash is taken over translations, so neither map may change
+    R = nullity2_system()
+    h = hash(R)
+    with pytest.raises(TypeError):
+        R.translations["short"] = integer_lattice(2)
+    with pytest.raises(TypeError):
+        R.dot_classes["short"] = frozenset()
+    assert hash(R) == h
+    assert construct_ears(R.finite_part, **R.translations) == R
+    assert dict(R.translations.items()) == dict(R.translations)

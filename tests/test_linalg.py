@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -16,6 +17,7 @@ from ears.linalg import (
     reflect,
     reflection_matrix,
     reflector,
+    sorted_vectors,
     span_rank,
     times_reflector,
     vec,
@@ -256,6 +258,39 @@ def test_reflector_kernel_reduces_g2_denominators(suite):
     assert once.den > 1
     assert times_reflector(once, r) == Matrix.identity(space.dim)
     assert once == reflection_matrix(space, thirds[0])
+
+
+def dense_times_reflector(m, refl):
+    """The rank-one update m - (m a) p^T / st over every entry."""
+    a, p, st = refl
+    rows = [[st * x - sum(map(mul, row, a)) * y for x, y in zip(row, p)] for row in m.ints]
+    return Matrix._of(rows, m.den * st)
+
+
+def test_reflector_update_matches_the_dense_formula(suite):
+    """times_reflector reads only the nonzero entries of a and p; on random
+    words over every suite type it gives the dense formula's matrix."""
+    rng = random.Random(20064)
+    for name, R in sorted(suite.items()):
+        space = R.space
+        refls = [reflector(space, r) for r in sorted_vectors(R.anisotropic_window(2))]
+        assert any(0 in a for a, _, _ in refls), name
+        for _ in range(6):
+            m = Matrix.identity(space.dim)
+            for refl in rng.choices(refls, k=rng.randint(1, 8)):
+                want = dense_times_reflector(m, refl)
+                m = times_reflector(m, refl)
+                assert (m.den, m.ints) == (want.den, want.ints), name
+
+
+def test_matrix_hash_is_computed_once(monkeypatch):
+    m = Matrix([[1, Fraction(1, 2)], [0, 2]])
+    calls = []
+    identity = Matrix._identity
+    monkeypatch.setattr(Matrix, "_identity", lambda self: calls.append(self) or identity(self))
+    hashes = {hash(m) for _ in range(5)}
+    assert hashes == {hash((m.den, m.ints))}
+    assert len(calls) <= 1
 
 
 def test_matrix_keeps_lowest_terms():

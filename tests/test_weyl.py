@@ -53,11 +53,12 @@ from ears.weyl import (
     orbit_bfs,
     orbit_closed_form,
     word_element,
-    _AffineElement,
     _CarrierReducer,
     _Rank1Decider,
+    _Setup,
     _certificate_search,
     _check_certificate,
+    _commutator,
     _expand,
     _finite_closure,
     _orbit_shrink,
@@ -65,6 +66,10 @@ from ears.weyl import (
     _remaining_translations,
     _removal_candidates,
     _removal_label,
+    _pair,
+    _power,
+    _shear,
+    _times_power,
     _xgcd,
 )
 
@@ -774,9 +779,10 @@ def test_certificate_search_keeps_one_generator_per_line(suite):
         orbits = anisotropic_orbits(R)
         cases = [(_remaining_translations(R, ob), ob.base) for ob in orbits]
         cases += [(R.translations, ob.base) for ob in orbits]
+        setup = _Setup(R)  # one for all the cases, as in minimality
         for fams, target in cases:
             want = reference_certificate_search(R, fams, target, 8, 200)
-            assert _certificate_search(R, fams, target, 8, 200) == want, (name, target)
+            assert _certificate_search(setup, fams, target, 8, 200) == want, (name, target)
             found += want is not None
     assert found
 
@@ -806,47 +812,70 @@ def test_word_element_composes(nullity2):
     ).matrix
 
 
+def _letters(space, shifts):
+    # (root, shear) of the reflections in (s, 1, 0): every shear -2 s is
+    # integral, so the scale is 1
+    roots = [space.assemble(s, [1]) for s in shifts]
+    return [(r, _shear(space.nu, r, 1)) for r in roots]
+
+
 def _identity(nu):
-    return _AffineElement(1, (0,) * nu, (0,) * (nu * (nu - 1) // 2), ())
+    return [0] * (nu + nu * (nu - 1) // 2), ()
 
 
-def _repeated_power(el, n):
-    base = el if n >= 0 else el.inverse()
-    out = _identity(len(el.b))
+def _product(a, b, nu):
+    """The reference product of even flat elements, (b1 + b2, w1 + w2 -
+    b1^b2) over every entry, words concatenated; nu = 0 for w alone."""
+    (e, u), (f, v) = a, b
+    out = [x + y for x, y in zip(e, f)]
+    for k, (i, j) in enumerate(combinations(range(nu), 2), nu):
+        out[k] -= e[i] * f[j] - e[j] * f[i]
+    return out, ("*", u, v)
+
+
+def _inverse(el):
+    return [-x for x in el[0]], ("~", el[1])
+
+
+def _repeated_power(el, n, nu):
+    base = el if n >= 0 else _inverse(el)
+    out = [0] * len(el[0]), ()
     for _ in range(abs(n)):
-        out = out @ base
+        out = _product(out, base, nu)
     return out
 
 
+def _state(el):
+    return el[0], _expand(el[1])
+
+
+def _even_elements(space):
+    # r1 r2 is a shear and r1 r2 r1 r3 has a nonzero antisymmetric block
+    r1, r2, r3 = _letters(space, ([0, 0, 0], [2, 0, 0], [1, 1, 1]))
+    a, b = _pair(*r1, *r2), _pair(*r1, *r3)
+    elements = [a, b, _product(a, b, 3), _product(_product(a, b, 3), _inverse(a), 3)]
+    assert any(elements[2][0][3:])
+    return elements
+
+
 def test_affine_power_closed_form_matches_repeated_products(nullity3):
-    space = nullity3.space
-    # every shear -2 sigma / x below is integral, so the scale is 1
-    r1, r2, r3 = (
-        _AffineElement.reflection(space, space.assemble(s, [1]), 1)
-        for s in ([0, 0, 0], [2, 0, 0], [1, 1, 1])
-    )
-    # r1 and r1 r2 r3 have eps = -1; r1 r2 is a shear and r1 r2 r1 r3 has
-    # a nonzero antisymmetric block
-    elements = [r1, r1 @ r2 @ r3, r1 @ r2, r1 @ r2 @ r1 @ r3]
-    assert [el.eps for el in elements] == [-1, -1, 1, 1]
-    assert any(elements[3].w)
-    for el in elements:
+    for el in _even_elements(nullity3.space):
         for n in range(-6, 7):
-            want = _repeated_power(el, n)
-            got = el.power(n)
-            assert (got.eps, got.b, got.w) == (want.eps, want.b, want.w), n
-            assert got.word == want.word, n
+            assert _state(_power(el, n)) == _state(_repeated_power(el, n, 3)), n
 
 
 def test_times_power_matches_the_product(nullity3):
-    # the closed form needs r.eps == 1; r.eps == -1 falls back to the product
-    r1, r2, r3 = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1]))
-    elements = [r1, r1 @ r2 @ r3, r1 @ r2, r1 @ r2 @ r1 @ r3]
-    assert [el.eps for el in elements] == [-1, -1, 1, 1]
-    for a in elements:
-        for r in elements:
-            for n in range(-6, 7):
-                assert _state(a.times_power(r, n)) == _state(a @ r.power(n)), (n,)
+    # the closed form of a r^n against the reference product, on b||w and,
+    # for the commutators (b = 0), on w alone
+    elements = _even_elements(nullity3.space)
+    central = [c for c in (_commutator(a, b, 3) for a, b in combinations(elements, 2)) if any(c[0])]
+    assert len(central) >= 2
+    for pool, nu in ((elements, 3), (central, 0)):
+        for a in pool:
+            for r in pool:
+                for n in range(-6, 7):
+                    want = _product(a, _repeated_power(r, n, nu), nu)
+                    assert _state(_times_power(a, r, n, nu)) == _state(want), (nu, n)
 
 
 RANK_ONE = [
@@ -857,46 +886,49 @@ RANK_ONE = [
 
 @pytest.mark.parametrize("name", RANK_ONE)
 def test_affine_normal_form_matches_matrices(suite, name):
-    # (eps, b, w) against the blocks of the word's matrix: eps is the
-    # finite diagonal entry, b the finite column of the radical rows and
-    # w = B - B^T from the radical-by-dual block, rescaled by D and D^2
+    # flat b||w against the blocks of the product of the word's reflection
+    # matrices: the finite diagonal entry is 1, b is the finite column of
+    # the radical rows and w = B - B^T the radical-by-dual block, rescaled
+    # by D and D^2; a commutator keeps w alone
     space = suite[name].space
     nu = space.nu
-    roots = suite[name].anisotropic_window(2)
+    roots = sorted_vectors(suite[name].anisotropic_window(2))
     scale = math.lcm(*(
         (2 * s / space.blocks(r)[1].coords[0]).denominator
         for r in roots for s in space.blocks(r)[0].coords
     ))
-    letters = {r: _AffineElement.reflection(space, r, scale) for r in roots}
+    matrices = {r: reflection_matrix(space, r) for r in roots}
+    shears = {r: _shear(nu, r, scale) for r in roots}
     ident = Matrix.identity(space.dim)
     central = 0
 
     def check(el):
         nonlocal central
-        m = word_element(space, el.word).matrix
-        b = tuple(m[i, nu] * scale for i in range(nu))
-        w = tuple(
-            (m[i, nu + 1 + j] - m[j, nu + 1 + i]) * scale ** 2
-            for i, j in combinations(range(nu), 2)
-        )
-        assert (el.eps, el.b, el.w) == (m[nu, nu], b, w), el.word
-        assert el.is_identity() == (m == ident), el.word
-        central += not any(el.b) and any(el.w)
-
-    def product(word):
-        out = _identity(nu)
+        word = _expand(el[1])
+        e = el[0] if len(el[0]) == nu + nu * (nu - 1) // 2 else [0] * nu + el[0]
+        m = ident
         for r in word:
-            out = out @ letters[r]
+            m = m @ matrices[r]
+        b = [m[i, nu] * scale for i in range(nu)]
+        w = [(m[i, nu + 1 + j] - m[j, nu + 1 + i]) * scale ** 2 for i, j in combinations(range(nu), 2)]
+        assert m[nu, nu] == 1 and e == b + w, word
+        assert (not any(e)) == (m == ident), word
+        central += not any(e[:nu]) and any(e[nu:])
+
+    def even_word(k):
+        out = _identity(nu)
+        for _ in range(k):
+            r, s = rng.choice(roots), rng.choice(roots)
+            out = _times_power(out, _pair(r, shears[r], s, shears[s]), 1, nu)
         return out
 
     rng = random.Random(name)
     for _ in range(30):
-        u = product(rng.choices(roots, k=rng.randint(0, 7)))
-        v = product(rng.choices(roots, k=rng.randint(1, 4)))
-        for el in (u, u.inverse(), u @ u.inverse(), u @ v @ u.inverse() @ v.inverse()):
+        u, v = even_word(rng.randint(0, 4)), even_word(rng.randint(1, 2))
+        for el in (u, _power(u, -1), _times_power(u, u, -1, nu), _commutator(u, v, nu)):
             check(el)
         for n in range(-6, 7):
-            check(u.power(n))
+            check(_power(u, n))
     # the commutators reach the centre, where only w tells them apart
     assert central if nu >= 2 else not central
 
@@ -935,7 +967,7 @@ def test_search_found_certificates_are_rechecked(suite, monkeypatch):
     # word and refuses the empty one, and generation_check returns it
     R = suite["B2 nu1 matched"]
     for ob in anisotropic_orbits(R):
-        word = _certificate_search(R, R.translations, ob.base, 8, 200)
+        word = _certificate_search(_Setup(R), R.translations, ob.base, 8, 200)
         assert word, ob.base
         _check_certificate(R.space, ob.base, word)
         with pytest.raises(AssertionError, match="re-verification"):
@@ -958,41 +990,33 @@ def test_extract_minimal_over_rank_one_forms_other_than_one(nullity3):
         assert got.removal_chain == want.removal_chain, g
 
 
-def reference_insert(self, v, element):
+def reference_insert(self, el):
     """_CarrierReducer.insert with the full extended-gcd combination on
-    every step, also where a pivot divides and one row is an identity."""
-    queue = [(list(v), element)]
+    every step, also where a pivot divides and one row is an identity,
+    and the reference product in place of the closed-form step."""
+    nu, queue = self.nu, [el]
     while queue:
-        v, el = queue.pop()
-        p = self._pivot(v)
+        el = queue.pop()
+        e = el[0]
+        p = self._pivot(e)
         if p is None:
-            if not el.is_identity():
+            if any(e):
                 self.residuals.append(el)
             continue
         if p not in self.rows:
-            if v[p] < 0:
-                v = [-x for x in v]
-                el = el.inverse()
-            self.rows[p] = (v, el)
+            self.rows[p] = _inverse(el) if e[p] < 0 else el
             continue
-        rv, rel = self.rows[p]
-        g, x, y = _xgcd(rv[p], v[p])
-        nv = [x * a + y * b for a, b in zip(rv, v)]
-        nel = rel.power(x) @ el.power(y)
-        q1, q2 = rv[p] // g, v[p] // g
-        r1 = [a - q1 * b for a, b in zip(rv, nv)]
-        r2 = [a - q2 * b for a, b in zip(v, nv)]
-        self.rows[p] = (nv, nel)
-        queue.append((r1, rel @ nel.power(-q1)))
-        queue.append((r2, el @ nel.power(-q2)))
-
-
-def _state(el):
-    return el.eps, el.b, el.w, el.word
+        row = self.rows[p]
+        g, x, y = _xgcd(row[0][p], e[p])
+        new = _product(_power(row, x), _power(el, y), nu)
+        q1, q2 = row[0][p] // g, e[p] // g
+        self.rows[p] = new
+        queue.append(_product(row, _power(new, -q1), nu))
+        queue.append(_product(el, _power(new, -q2), nu))
 
 
 def _reducer_state(reducer):
-    return ({p: (v, _state(el)) for p, (v, el) in reducer.rows.items()},
+    return ({p: _state(el) for p, el in reducer.rows.items()},
             [_state(el) for el in reducer.residuals])
 
 
@@ -1018,20 +1042,16 @@ def test_insert_matches_reference_on_minimality_deciders(suite, monkeypatch):
             assert _reducer_state(getattr(got, attr)) == _reducer_state(getattr(want, attr))
 
 
-def _letters(space, shifts):
-    # every shear -2 sigma / x is integral for these shifts, so the scale is 1
-    return [_AffineElement.reflection(space, space.assemble(s, [1]), 1) for s in shifts]
-
-
-def _random_element(rng, letters, nu):
+def _random_element(rng, pairs, nu):
     out = _identity(nu)
-    for el in rng.choices(letters, k=rng.randint(1, 5)):
-        out = out @ el
+    for el in rng.choices(pairs, k=rng.randint(1, 5)):
+        out = _product(out, el, nu)
     return out
 
 
 def test_insert_matches_reference_in_every_branch(nullity3, monkeypatch):
     letters = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1], [0, 2, 1]))
+    pairs = [_pair(*a, *b) for a, b in combinations(letters, 2)]
     branches = Counter()
 
     def spy(a, b):
@@ -1041,104 +1061,107 @@ def test_insert_matches_reference_in_every_branch(nullity3, monkeypatch):
 
     rng = random.Random(2021)
     for _ in range(60):
-        # rows unrelated to their elements take long gcd chains, whose words
-        # grow as powers of one another: up to 3 rows keep them under 7,500
-        dim = rng.randint(1, 3)
-        rows = [([rng.randint(-6, 6) for _ in range(dim)], _random_element(rng, letters, 3))
-                for _ in range(rng.randint(1, 3))]
-        got, want = _CarrierReducer(dim), _CarrierReducer(dim)
+        # long gcd chains make words grow as powers of one another: up to 3
+        # elements keep them short; the central reducer takes commutators
+        els = [_random_element(rng, pairs, 3) for _ in range(rng.randint(1, 3))]
+        nu = 3 if rng.randrange(2) else 0
+        if nu == 0:
+            els = [_commutator(a, b, 3) for a, b in combinations(els, 2)]
+        got, want = _CarrierReducer(3, nu), _CarrierReducer(3, nu)
         with monkeypatch.context() as m:
             m.setattr(ears.weyl, "_xgcd", spy)
-            for v, el in rows:
-                got.insert(v, el)
-        for v, el in rows:
-            reference_insert(want, v, el)
+            for el in els:
+                got.insert(el)
+        for el in els:
+            reference_insert(want, el)
         assert _reducer_state(got) == _reducer_state(want)
     assert min(branches.values()) >= 1 and len(branches) == 3, branches
 
 
-# _AffineElement products, closed-form steps (times_power) and word
-# expansions in one minimality call at depth 8, budget 200.  On A1 nu3
-# product-even the reducer ran the full extended-gcd combination on every
-# step: 3,948 products, with every word a flat tuple rebuilt on every
-# product.  With one division when a pivot divides it takes 1,656 steps,
-# 1,255 of them closed-form steps, and since the verdict is Minimal no
-# word is expanded.  On A1 nu3 full the one Generates expands its
-# certificate.
+# Closed-form steps (_times_power) and word expansions in one minimality
+# call at depth 8, budget 200.  On A1 nu3 product-even the reducer ran the
+# full extended-gcd combination on every step: 3,948 products of
+# (sign, b, w) elements, with every word a flat tuple rebuilt on every
+# product.  With one division when a pivot divides it took 401 products
+# and 1,255 closed-form steps.  On flat even rows a pair of reflections
+# and a commutator are closed forms too, so only steps are left, and
+# since the verdict is Minimal no word is expanded.  On A1 nu3 full the
+# one Generates expands its certificate.
 def test_rank_one_minimality_work(suite, monkeypatch):
     counts = Counter()
-    product, step, expand = _AffineElement.__matmul__, _AffineElement.times_power, ears.weyl._expand
+    step, expand = ears.weyl._times_power, ears.weyl._expand
 
-    def counted_product(self, other):
-        counts["products"] += 1
-        return product(self, other)
-
-    def counted_step(self, r, n):
+    def counted_step(el, r, n, nu):
         counts["steps"] += 1
-        return step(self, r, n)
+        return step(el, r, n, nu)
 
     def counted_expand(node):
         counts["expansions"] += 1
         return expand(node)
 
-    monkeypatch.setattr(_AffineElement, "__matmul__", counted_product)
-    monkeypatch.setattr(_AffineElement, "times_power", counted_step)
+    monkeypatch.setattr(ears.weyl, "_times_power", counted_step)
     monkeypatch.setattr(ears.weyl, "_expand", counted_expand)
     assert isinstance(minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
-    assert counts == {"products": 401, "steps": 1_255}, counts
+    assert counts == {"steps": 1_299}, counts
+    assert counts["steps"] <= 401 + 1_255
     counts.clear()
     assert isinstance(minimality(suite["A1 nu3 full"], 8, 200), NotMinimal)
     assert counts["expansions"] == 1, counts
 
 
-def _flat_power(eps, word, n):
-    """The flat word of power(n): a negative n reverses, eps = -1 squares first."""
-    word, n = (word, n) if n >= 0 else (word[::-1], -n)
-    return (word + word) * (n // 2) + word * (n % 2) if eps == -1 else word * n
+def _flat_power(word, n):
+    """The flat word of a power: a negative n reverses."""
+    return (word if n >= 0 else word[::-1]) * abs(n)
 
 
 def test_word_nodes_expand_to_flat_words(nullity3):
     letters = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1]))
-    pool = [(el, el.word) for el in letters] + [(_identity(3), ())]
+    pool = [(el, _expand(el[1])) for el in (_pair(*a, *b) for a, b in combinations(letters, 2))]
+    pool.append((_identity(3), ()))
     rng = random.Random(12)
     for _ in range(400):
         (a, wa), (b, wb) = rng.choice(pool), rng.choice(pool)
-        op = rng.randrange(3)
+        op, n = rng.randrange(3), rng.randint(-6, 6)
         if op == 0:
-            el, want = a @ b, wa + wb
+            el, want = _times_power(a, b, n, 3), wa + _flat_power(wb, n)
         elif op == 1:
-            el, want = a.inverse(), wa[::-1]
+            el, want = _commutator(a, b, 3), wa + wb + wa[::-1] + wb[::-1]
         else:
-            n = rng.randint(-6, 6)
-            el, want = a.power(n), _flat_power(a.eps, wa, n)
-        assert el.word == want
-        assert ears.weyl._length(el.node) == len(want)
-        if len(want) <= 500:  # shared nodes, met in both orientations
+            el, want = _power(a, n), _flat_power(wa, n)
+        assert _expand(el[1]) == want
+        assert ears.weyl._length(el[1]) == len(want)
+        if len(want) <= 500 and op != 1:  # shared nodes, met in both orientations
             pool.append((el, want))
 
 
 def test_long_chains_expand_without_recursion(nullity3):
     # the longest suite certificate has 11,471 letters
-    r, s = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0]))
+    a, b, c = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0], [1, 1, 1]))
+    r, s = _pair(*a, *b), _pair(*a, *c)
     left, right, mixed = _identity(3), _identity(3), _identity(3)
     for _ in range(12_000):
-        left, right, mixed = left @ r, s @ right, (mixed @ r).inverse()
-    assert left.word == r.word * 12_000
-    assert right.word == s.word * 12_000
-    assert mixed.word == r.word * 12_000
+        left = _times_power(left, r, 1, 3)
+        right = _times_power(s, right, 1, 3)
+        mixed = _power(_times_power(mixed, r, 1, 3), -1)
+    wr, ws = _expand(r[1]), _expand(s[1])
+    assert _expand(left[1]) == wr * 12_000
+    assert _expand(right[1]) == ws * 12_000
+    # (m r)^-1 twice is r^-1 m r
+    assert _expand(mixed[1]) == wr[::-1] * 6_000 + wr * 6_000
 
 
 def test_overlong_words_are_refused_before_expansion(nullity3):
-    # the length is read off the node DAG: a billion letters are never built
-    (r,) = _letters(nullity3.space, ([0, 0, 0],))
-    with pytest.raises(RuntimeError, match="a word of 1000000000 letters exceeds the cap"):
-        _expand(("^", r.node, 10**9))
+    # the length is read off the node DAG: two billion letters are never built
+    a, b = _letters(nullity3.space, ([0, 0, 0], [2, 0, 0]))
+    r = _pair(*a, *b)
+    with pytest.raises(RuntimeError, match="a word of 2000000000 letters exceeds the cap"):
+        _expand(("^", r[1], 10**9))
     doubled = r
-    for _ in range(20):  # shared nodes count once per use: 2**20 letters
-        doubled = doubled @ doubled
-    assert ears.weyl._length(doubled.node) == 2**20 > ears.weyl._WORD_CAP
+    for _ in range(20):  # shared nodes count once per use: 2 * 2**20 letters
+        doubled = _times_power(doubled, doubled, 1, 3)
+    assert ears.weyl._length(doubled[1]) == 2**21 > ears.weyl._WORD_CAP
     with pytest.raises(RuntimeError, match="exceeds the cap"):
-        doubled.word
+        _expand(doubled[1])
 
 
 def reference_decider_roots(space, families):
@@ -1173,16 +1196,15 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
     # nullity3_system(): the same letters in the same order, and the
     # decider's integer tuples assemble no Vector
     deciders, searches = [], []
-    init, search = _Rank1Decider.__init__, _certificate_search
-    reflection = _AffineElement.reflection.__func__
+    init, search, shear = _Rank1Decider.__init__, _certificate_search, _shear
 
     def spy_init(self, space, families):
         deciders.append((space, families))
         init(self, space, families)
 
-    def spy_search(R, fams, target_root, depth, budget):
-        searches.append((R, fams, target_root))
-        return search(R, fams, target_root, depth, budget)
+    def spy_search(setup, fams, target_root, depth, budget):
+        searches.append((setup.R, fams, target_root))
+        return search(setup, fams, target_root, depth, budget)
 
     with monkeypatch.context() as m:
         m.setattr(_Rank1Decider, "__init__", spy_init)
@@ -1193,9 +1215,9 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
 
     letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
 
-    def spy_reflection(cls, space, root, scale):
+    def spy_shear(nu, root, scale):
         letters.append(root)
-        return reflection(cls, space, root, scale)
+        return shear(nu, root, scale)
 
     def spy_reflector(space, root):
         letters.append(root)
@@ -1208,7 +1230,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
     for space, families in deciders:
         letters.clear()
         with monkeypatch.context() as m:
-            m.setattr(_AffineElement, "reflection", classmethod(spy_reflection))
+            m.setattr(ears.weyl, "_shear", spy_shear)
             m.setattr(AmbientSpace, "assemble", no_assemble)
             _Rank1Decider(space, families)
         assert letters == reference_decider_roots(space, families)
@@ -1217,7 +1239,35 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
         letters.clear()
         with monkeypatch.context() as m:
             m.setattr(ears.weyl, "reflector", spy_reflector)
-            search(R, fams, target_root, 8, 200)
+            search(_Setup(R), fams, target_root, 8, 200)
         # the generators, then the target
         assert letters[-1] == target_root
         assert letters[:-1] == reference_search_generators(R, fams, target_root)
+
+
+def test_minimality_sets_up_once_per_call(suite, monkeypatch):
+    # one finite Weyl group per minimality call, shared by its orbits and
+    # dropped with it: a second call on the same descriptor builds its own
+    calls = Counter()
+    weyl_group, check = ears.weyl.finite_weyl, ears.weyl.minimality
+
+    def counted_weyl_group(system):
+        calls["finite_weyl"] += 1
+        return weyl_group(system)
+
+    def counted_check(R, depth, budget):
+        calls["minimality"] += 1
+        return check(R, depth, budget)
+
+    monkeypatch.setattr(ears.weyl, "finite_weyl", counted_weyl_group)
+    monkeypatch.setattr(ears.weyl, "minimality", counted_check)
+    R = suite["B2 nu2 matched"]
+    assert len(anisotropic_orbits(R)) > 1
+    minimality(R, 8, 200)
+    assert calls["finite_weyl"] == 1
+    minimality(R, 8, 200)
+    assert calls["finite_weyl"] == 2
+    calls.clear()
+    for _ in range(2):
+        extract_minimal(nullity3_system())
+    assert calls["finite_weyl"] == calls["minimality"] >= 4, calls
