@@ -24,11 +24,16 @@ expanded once per Generates (RuntimeError above _WORD_CAP letters,
 before any is built) and re-checked by flat re-multiplication.  One
 minimality call works out what depends on the system alone once for all
 its orbits (_Setup): the finite Weyl order, the finite closure per set of
-remaining classes and the search's reflectors.  For higher ranks the verdict
-is three-valued: sound negatives come from the finite quotient, from the
-remaining set failing to be a root system, or from a class lattice that
-shrinks under the remaining roots; sound positives come from a bounded
-certificate search; otherwise Inconclusive is reported honestly.
+remaining classes, the search's reflectors and each reflection's image mod
+k.  For higher ranks the verdict is three-valued: sound negatives come
+from the finite quotient, from the remaining set failing to be a root
+system, from a class lattice that shrinks under the remaining roots, or
+from a congruence quotient (Mal'cev 1958): radical coordinates in the
+short lattice's basis, conjugated by diag(D^2, D, 1) with D the least
+scale making every reflection integral (1 on B2 nu2 matched, 2 on BC2
+nu1), reduced mod k = 4, 8, ..., 64 and split over W_fin (Schreier).  Only
+when it does not exclude r_base does a bounded certificate search look for
+a positive; otherwise Inconclusive is reported honestly.
 
 Words and the certificate search multiply a Matrix by reflections as
 rank-one integer updates (linalg.times_reflector); the search keys its
@@ -53,8 +58,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 from .core import (
     _CLASS_TAGS,
@@ -76,6 +82,7 @@ from .linalg import (
     Matrix,
     Value,
     Vector,
+    closure,
     line_key,
     reflection_matrix,
     reflector,
@@ -594,11 +601,12 @@ class _Setup:
     """What generation_check needs of R alone, worked out once for all the
     orbits of one minimality call and dropped with it: the finite Weyl
     order, whether the directions of a set of remaining classes generate
-    that group, and the certificate search's (root, reflector) per root."""
+    that group, the certificate search's (root, reflector) per root, and
+    the congruence quotient's scaling D and each reflection's image mod k."""
 
     def __init__(self, R: EarsDescriptor):
         self.R, self.order = R, finite_weyl(R.finite_part).order
-        self._generates, self._letters = {}, {}
+        self._generates, self._letters, self._images, self._scale = {}, {}, {}, None
 
     def finite_generates(self, fams) -> bool:
         key = tuple(tag for tag, sl in fams.items() if sl is not None)
@@ -613,6 +621,50 @@ class _Setup:
             root = Vector._of(r, top)
             self._letters[r, top] = root, reflector(self.R.space, root)
         return self._letters[r, top]
+
+    def lines(self, tag) -> list[Vector]:
+        """One direction per line of the class: r_(s + d) = r_(-s - d)."""
+        return [d for d in self.R.dot_classes[tag] if d.ints > (-d).ints]
+
+    def _image(self, x, scale, d, D, mod: _ModK):
+        """Image mod k of the reflection in (x / scale, d), radical part in
+        the short lattice's basis h (t = x / scale h^-1, dual block by h^T),
+        conjugated by diag(D^2, D, 1): the reflection in (D^2 t, D d), the
+        form being the old one over D^2.  None when an entry is not integral."""
+        (cols, e), n = self._basis, self.R.space.dim
+        root = [D * D * d.den * sum(map(int.__mul__, x, c)) for c in cols] + [D * scale * e * y for y in d.ints]
+        a, p, st = reflector(self.R.space, Vector._of(root + [0] * len(cols)))
+        out = mod.one
+        for i, j in ((i, j) for i, x in enumerate(a) if x for j, y in enumerate(p) if y):
+            q, r = divmod(-a[i] * p[j], st)
+            if r:
+                return None
+            out += q % mod.k << (i * n + j) * mod.w
+        return out & mod.mask
+
+    def scale(self) -> int:
+        """D: the least scale making every reflection of R integral, tried on
+        each class lattice's rows and their pairwise sums, which suffices as
+        the entries are of degree at most 2 in t."""
+        if self._scale is None:
+            R, nu, lat = self.R, self.R.space.nu, self.R.translations["short"].lattice
+            inv = [[Fraction(i == j) for j in range(nu)] for i in range(nu)]
+            for j, row in enumerate(lat.hnf):  # inv h = I; h is upper triangular, as the set spans
+                for t in inv:
+                    t[j] = (t[j] - sum(t[m] * lat.hnf[m][j] for m in range(j))) / row[j]
+            e = math.lcm(1, *(x.denominator for t in inv for x in t))
+            self._basis, mod = ([[int(lat.den * e * t[j]) for t in inv] for j in range(nu)], e), _ModK(R.space.dim, 4)
+            self._scale = next(D for D in count(1) if all(
+                self._image(x, sl.lattice.den, d, D, mod) is not None for tag, sl in R.translations.items()
+                for x in _offsets(nu, sl.lattice.hnf)[1:] for d in self.lines(tag)))
+        return self._scale
+
+    def image(self, x, scale, d, mod: _ModK):
+        """(finite permutation, image mod k) of the reflection in (x / scale, d)."""
+        if (key := (x, scale, d, mod.k)) not in self._images:
+            finite = self.R.finite_part  # scale() sets the basis _image reads
+            self._images[key] = finite.perms[finite.index[d]], self._image(x, scale, d, self.scale(), mod)
+        return self._images[key]
 
 
 def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
@@ -695,17 +747,83 @@ def _certificate_search(setup: _Setup, fams, target_root, depth, budget):
     return None
 
 
+class _ModK:
+    """n x n integer matrices mod k = 2^m, packed into one int, entry (i, j)
+    in the w-bit field i n + j, where a sum of n products of entries fits:
+    A B sums A's column j (a mask, a shift) times B's row j; one & reduces."""
+
+    def __init__(self, n: int, k: int):
+        self.k, self.w = k, (n * (k - 1) ** 2).bit_length()
+        self.step, self.row = n * self.w, (1 << n * self.w) - 1
+        self.cols = [(sum(k - 1 << (i * n + j) * self.w for i in range(n)), j * self.w) for j in range(n)]
+        self.mask, self.one = sum(m for m, _ in self.cols), sum(1 << i * (n + 1) * self.w for i in range(n))
+
+    def mul(self, a: int, b: int) -> int:
+        out = 0
+        for m, s in self.cols:
+            out += ((a & m) >> s) * (b & self.row)
+            b >>= self.step
+        return out & self.mask
+
+
+_KERNEL_CAP = 4096  # kernel states per modulus; past it the quotient gives up
+
+
+def _in_image(gens, base, mod: _ModK) -> bool:
+    """Whether base, a (perm, image) pair, is in the group the involutions
+    gens generate.  Schreier split over W_fin: a transversal rep(s) with
+    inverses along the closure on permutations; the kernel is generated by
+    rep(p s)^-1 g rep(s) over s and (p, g), and closed again (RuntimeError
+    past _KERNEL_CAP) whenever one of them falls outside it."""
+    mul, one = mod.mul, mod.one
+    tree = closure([tuple(range(len(base[0])))], range(len(gens)), lambda s, i: tuple(map(gens[i][0].__getitem__, s)))
+    reps = {}
+    for s, link in tree.items():
+        (r, v), g = (reps[link[0]], gens[link[1]][1]) if link else ((one, one), one)
+        reps[s] = mul(g, r), mul(v, g)
+    kernel, used = {one: None}, []
+    for s, (r, _) in reps.items():
+        for p, g in gens:
+            if (h := mul(reps[tuple(map(p.__getitem__, s))][1], mul(g, r))) not in kernel:
+                used.append(h)
+                kernel = closure(kernel, used, lambda x, h: mul(h, x), _KERNEL_CAP)
+    return base[0] in reps and mul(reps[base[0]][1], base[1]) in kernel
+
+
+def _quotient_negative(setup: _Setup, orbit: OrbitDescriptor, fams):
+    """NotGenerates when a congruence quotient excludes r_base, else None.
+    An image mod k depends on the translation only mod k times its class's
+    lattice, so one per period class of each remaining set (_residues), not
+    a window, gives every generator.  k doubles while the kernel fits."""
+    R, (iso, dot, _) = setup.R, setup.R.space.blocks(orbit.base)
+    for k in (4, 8, 16, 32, 64):
+        mod, gens = _ModK(R.space.dim, k), {}
+        for tag, sl in ((tag, sl) for tag, sl in fams.items() if sl is not None):
+            finer = sl.modulus.intersect(R.translations[tag].lattice.scaled(k))
+            scale, lines = math.lcm(sl.den, finer.den), setup.lines(tag)
+            gens.update((setup.image(x, scale, d, mod), 0) for x in sl._residues(finer, scale) for d in lines)
+        try:
+            if not _in_image(list(gens), setup.image(iso.ints, iso.den, dot, mod), mod):
+                return NotGenerates(
+                    f"the image of the reflection in {orbit.base} modulo {k}, after scaling by D = "
+                    f"{setup.scale()}, is outside the image of the remaining reflections (congruence quotient)")
+        except RuntimeError:
+            return None
+    return None
+
+
 def generation_check(
     R: EarsDescriptor, removed_orbit: OrbitDescriptor, depth: int = 8,
     budget: int = 1_000_000, *, _setup: _Setup | None = None,
 ):
     """Do the reflections of the roots outside the orbit still generate?
     R's translation sets must pass construct_ears's rules; its finite part may be any.
-    minimality passes one _Setup of R for all its orbits; without it the call builds its own."""
-    _validate_orbit(R, removed_orbit)
-    setup = _Setup(R) if _setup is None else _setup
-    fams = _remaining_translations(R, removed_orbit)
-    finite = R.finite_part
+    minimality passes one _Setup of R for all its orbits, each built by
+    itself; without one the call validates the orbit and builds its own."""
+    if (setup := _setup) is None:
+        _validate_orbit(R, removed_orbit)
+        setup = _Setup(R)
+    fams, finite = _remaining_translations(R, removed_orbit), R.finite_part
     if not setup.finite_generates(fams):
         return NotGenerates(
             "the remaining directions do not generate the finite Weyl group"
@@ -713,7 +831,7 @@ def generation_check(
     if finite.rank == 1:
         return _rank1_decision(R, removed_orbit, fams)
     if any(sl is None for sl in fams.values()):
-        return Inconclusive(depth)
+        return _quotient_negative(setup, removed_orbit, fams) or Inconclusive(depth)
     try:  # every class is left, so the remaining roots keep R's class pattern
         sub = construct_ears(finite, fams["short"], long=fams.get("long"), extra=fams.get("extra"))
     except ConstraintViolation as exc:
@@ -724,6 +842,8 @@ def generation_check(
     shrunk = _orbit_shrink(R, sub, removed_orbit)
     if shrunk is not None:
         return NotGenerates(shrunk)
+    if negative := _quotient_negative(setup, removed_orbit, fams):
+        return negative
     word = _certificate_search(setup, fams, removed_orbit.base, depth, budget)
     if word is not None:
         _check_certificate(R.space, removed_orbit.base, word)

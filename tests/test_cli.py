@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import ears.weyl
 from ears.cli import EXIT_CONSTRAINT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from ears.core import descriptor_to_config
 from ears.examples import (
@@ -277,14 +278,31 @@ def test_presentation_conjugation_obstruction(capsys):
     assert len(rep["conjugation"]["odd_orbits"]) == 8
 
 
-def test_undecided_orbits_are_reported_unknown(capsys):
+def test_undecided_orbits_are_reported_unknown(capsys, monkeypatch):
     path = bench_config("B2_nu2_matched")
+    code, rep = run(capsys, "minimality", "--in", path, "--budget", "200")
+    assert (code, rep["verdict"], rep["orbit_count"]) == (EXIT_OK, "Minimal", 5)
+    code, rep = run(capsys, "presentation", "--in", path, "--budget", "200")
+    assert rep["conjugation"] == {"status": "none_found", "orbits_checked": 5}
+    # the congruence quotient decides three of its orbits; when it gives up,
+    # as past its kernel cap, they are reported unresolved
+    monkeypatch.setattr(ears.weyl, "_quotient_negative", lambda *args: None)
     code, rep = run(capsys, "minimality", "--in", path, "--budget", "200")
     assert code == EXIT_OK
     assert (rep["verdict"], rep["unresolved"]) == ("Unknown", 3)
     code, rep = run(capsys, "presentation", "--in", path, "--budget", "200")
     assert code == EXIT_OK
     assert rep["conjugation"] == {"status": "unknown", "unresolved": 3}
+
+
+def test_quotient_decides_at_default_flags(capsys, monkeypatch):
+    calls = []
+    search = ears.weyl._certificate_search
+    monkeypatch.setattr(ears.weyl, "_certificate_search", lambda *args: calls.append(args) or search(*args))
+    for name in ("B2_nu2_matched", "BC2_nu1"):
+        code, rep = run(capsys, "minimality", "--in", bench_config(name))
+        assert (code, rep["verdict"]) == (EXIT_OK, "Minimal"), name
+    assert calls == []
 
 
 def test_trim(capsys, bc1_config):

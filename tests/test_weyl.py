@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -62,6 +63,7 @@ from ears.weyl import (
     _expand,
     _finite_closure,
     _orbit_shrink,
+    _quotient_negative,
     _recenter,
     _remaining_translations,
     _removal_candidates,
@@ -547,23 +549,24 @@ SUITE_VERDICTS = {
     "A1 nu1 doubled": "OO", "A1 nu1 full": "OO", "A1 nu2 full": "OOOO",
     "A1 nu2 product-even": "OOO", "A1 nu3 full": "GGGGGGGG",
     "A1 nu3 product-even": "OOOOOOO", "A2 nu0": "W", "A2 nu1": "W",
-    "B2 nu1 doubled": "RSW", "B2 nu1 matched": "WRS", "B2 nu2 matched": "RIIIW",
+    "B2 nu1 doubled": "RSW", "B2 nu1 matched": "WRS", "B2 nu2 matched": "RQQQW",
     "B2 nu2 product-even": "RSSW", "BC1 nu1": "OO", "BC1 nu2 shifted": "OOOO",
-    "BC2 nu1": "IWI", "G2 nu1": "WW",
+    "BC2 nu1": "QWQ", "G2 nu1": "WW",
 }
 REASONS = {
     "O": "is outside the subgroup generated by the remaining roots",
     "W": "the remaining directions do not generate the finite Weyl group",
     "R": "the remaining roots are not a root system",
     "S": "shrinks under the remaining roots, so they generate a proper subgroup",
+    "Q": "is outside the image of the remaining reflections (congruence quotient)",
 }
 
 
-def test_generation_verdicts_on_the_suite(suite):
+def check_suite_verdicts(suite, codes):
     for name, R in suite.items():
         orbits = anisotropic_orbits(R)
-        assert len(orbits) == len(SUITE_VERDICTS[name]), name
-        for ob, code in zip(orbits, SUITE_VERDICTS[name]):
+        assert len(orbits) == len(codes[name]), name
+        for ob, code in zip(orbits, codes[name]):
             verdict = generation_check(R, ob, 8, 200)
             if code == "G":
                 assert isinstance(verdict, Generates), (name, ob.base)
@@ -575,10 +578,162 @@ def test_generation_verdicts_on_the_suite(suite):
                 assert REASONS[code] in verdict.reason, (name, ob.base, verdict.reason)
 
 
-def test_extract_minimal_stuck_on_undecided_orbits(suite):
+def test_generation_verdicts_on_the_suite(suite):
+    check_suite_verdicts(suite, SUITE_VERDICTS)
+
+
+def give_up_quotient(monkeypatch):
+    """Make the congruence quotient give up, as past its kernel cap."""
+    monkeypatch.setattr(ears.weyl, "_quotient_negative", lambda *args: None)
+
+
+def test_generation_verdicts_without_the_quotient(suite, monkeypatch):
+    # the orbits the quotient decides fall back to the certificate search,
+    # which finds nothing at depth 8 and budget 200
+    give_up_quotient(monkeypatch)
+    check_suite_verdicts(suite, {name: codes.replace("Q", "I") for name, codes in SUITE_VERDICTS.items()})
+
+
+def test_extract_minimal_stuck_on_undecided_orbits(suite, monkeypatch):
+    for name in ("B2 nu2 matched", "BC2 nu1"):
+        assert extract_minimal(suite[name], 8, 200) == suite[name]
+    give_up_quotient(monkeypatch)
     for name, count in (("B2 nu2 matched", 3), ("BC2 nu1", 2)):
         with pytest.raises(Stuck, match=rf"^{count} orbit\(s\) undecided at depth 8$"):
             extract_minimal(suite[name], 8, 200)
+
+
+QUOTIENT = re.compile(r"modulo (\d+), after scaling by D = (\d+),")
+
+
+def rational_inverse(rows) -> list:
+    """Inverse of a square matrix of Fractions by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def block_diagonal(*blocks) -> Matrix:
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(row)] = row
+        at += len(b)
+    return Matrix(rows)
+
+
+def quotient_images(R, k, D):
+    """root -> (finite permutation, its reflection_matrix conjugated by
+    diag(D^2 H^-T, D I, H) mod k), H the short class's lattice rows: the
+    radical basis normalized to that lattice, then scaled; independent of
+    weyl's packed integers and Schreier split."""
+    nu, ell = R.space.nu, R.space.rank
+    h = [list(r.coords) for r in R.translations["short"].lattice.rows]
+    hinv_t = [list(col) for col in zip(*rational_inverse(h))]
+    conj = block_diagonal([[D * D * x for x in r] for r in hinv_t],
+                          [[D * (i == j) for j in range(ell)] for i in range(ell)], h)
+    back = block_diagonal(*(rational_inverse(b) for b in (
+        [[D * D * x for x in r] for r in hinv_t], [[D * (i == j) for j in range(ell)] for i in range(ell)], h)))
+    finite, cache = R.finite_part, {}
+
+    def image(root):
+        if root not in cache:
+            m = conj @ reflection_matrix(R.space, root) @ back
+            assert m.den == 1, root
+            dot = R.space.blocks(root)[1]
+            cache[root] = finite.perms[finite.index[dot]], tuple(tuple(x % k for x in r) for r in m.ints)
+        return cache[root]
+    return image
+
+
+def plain_group(gens, k) -> set:
+    """Every (permutation, matrix mod k) product of the generators, by BFS."""
+    n = len(gens[0][1])
+    one = (tuple(range(len(gens[0][0]))), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    seen, frontier = {one}, [one]
+    while frontier:
+        nxt = []
+        for p, m in frontier:
+            for q, g in gens:
+                prod = (tuple(p[i] for i in q),
+                        tuple(tuple(sum(a * b for a, b in zip(row, col)) % k for col in zip(*g)) for row in m))
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
+def quotient_generators(R, fams, k, image) -> list:
+    """The images of the remaining reflections over a closed box that holds
+    a whole period, k times each class's lattice, in every coordinate; the
+    box's far faces add no image that the half-open box lacks."""
+    gens, inner = {}, {}
+    for tag, sl in fams.items():
+        if sl is None:
+            continue
+        lat = R.translations[tag].lattice
+        scale = math.lcm(sl.den, lat.den)
+        hi = [k * r[i] * scale // lat.den for i, r in enumerate(lat.hnf)]
+        for x in sl.points(scale, [0] * R.space.nu, hi):
+            for d in R.dot_classes[tag]:
+                g = image(R.space.assemble(Vector._of(x, scale), d))
+                gens[g] = None
+                if all(a < b for a, b in zip(x, hi)):
+                    inner[g] = None
+    assert set(gens) == set(inner)
+    return list(gens)
+
+
+def test_quotient_negatives_rechecked_by_plain_bfs(suite):
+    checked = 0
+    for name, R in suite.items():
+        for ob in anisotropic_orbits(R):
+            verdict = generation_check(R, ob, 8, 200)
+            found = QUOTIENT.search(getattr(verdict, "reason", ""))
+            if found is None:
+                continue
+            k, D = map(int, found.groups())
+            image = quotient_images(R, k, D)
+            gens = quotient_generators(R, _remaining_translations(R, ob), k, image)
+            assert image(ob.base) not in plain_group(gens, k), (name, ob.base)
+            checked += 1
+    assert checked == 5
+
+
+def test_quotient_agrees_with_the_rank_one_decider(suite):
+    # it never excludes a reflection the decider generates, and excludes
+    # every one the decider rejects
+    systems = {name: R for name, R in suite.items() if R.finite_part.rank == 1}
+    assert len(systems) == 8
+    for name, R in systems.items():
+        setup = _Setup(R)
+        for ob in anisotropic_orbits(R):
+            exact = generation_check(R, ob, 8, 200, _setup=setup)
+            negative = _quotient_negative(setup, ob, _remaining_translations(R, ob))
+            assert (negative is None) == isinstance(exact, Generates), (name, ob.base)
+
+
+def test_quotient_normalizes_the_radical_basis(suite, z2):
+    # B2 over S = 2Z^2, L = 4Z^2 is B2 nu2 matched with its radical
+    # coordinates doubled: read in the short lattice's basis, it gets the
+    # matched system's verdicts at the same k and D
+    def reasons(R):
+        return sorted(re.sub(r"Vector\(\(.*?\)\)", "v", generation_check(R, ob, 8, 200).reason)
+                      for ob in anisotropic_orbits(R))
+    doubled = construct_ears("B2", z2.scaled(2), z2.scaled(4))
+    matched = suite["B2 nu2 matched"]
+    assert reasons(doubled) == reasons(matched)
+    assert [QUOTIENT.search(r).groups() for r in reasons(matched) if "quotient" in r] == [("4", "1")] * 3
+    assert minimality(doubled) == minimality(matched) == Minimal(5)
 
 
 def bc1_nu3():
@@ -1194,7 +1349,8 @@ def reference_search_generators(R, fams, target_root):
 def test_generators_match_the_vector_reference(suite, monkeypatch):
     # every decider and search minimality builds on the suite and on
     # nullity3_system(): the same letters in the same order, and the
-    # decider's integer tuples assemble no Vector
+    # decider's integer tuples assemble no Vector; the congruence quotient
+    # gives up, so the search runs on the three orbits it decides otherwise
     deciders, searches = [], []
     init, search, shear = _Rank1Decider.__init__, _certificate_search, _shear
 
@@ -1209,6 +1365,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_Rank1Decider, "__init__", spy_init)
         m.setattr(ears.weyl, "_certificate_search", spy_search)
+        give_up_quotient(m)
         for R in [*suite.values(), nullity3_system()]:
             minimality(R, 8, 200)
     assert (len(deciders), len(searches)) == (26, 3)
