@@ -78,7 +78,7 @@ def _as_finite(x) -> FiniteRootSystem:
 class EarsDescriptor(Value):
     """Finite presentation of an extended affine root system.
 
-    The isotropic root set defaults to short + short; irc passes its closure.
+    The isotropic root set is short + short, built on first read, or irc's closure.
     """
 
     __slots__ = (
@@ -89,7 +89,7 @@ class EarsDescriptor(Value):
         "dot_classes",
         "_tag_of",
         "_lattices",
-        "isotropic",
+        "_isotropic",
         "removal_chain",
     )
 
@@ -106,8 +106,6 @@ class EarsDescriptor(Value):
                 f"{sorted(translations)}"
             )
         space = AmbientSpace(nullity, finite_part.form.gram)
-        if isotropic is None:
-            isotropic = translations["short"].sum_set(translations["short"])
         tag_of = {d: t for t, roots in dot_classes.items() for d in roots}
         # read-only views: the hash is taken over translations
         self._fill(finite_part, nullity, MappingProxyType(dict(translations)), space,
@@ -123,26 +121,36 @@ class EarsDescriptor(Value):
     def label(self) -> str:
         return f"{self.finite_part.label} nullity {self.nullity}"
 
+    @property
+    def isotropic(self) -> Semilattice:
+        if self._isotropic is None:
+            short = self.translations["short"]
+            object.__setattr__(self, "_isotropic", short.sum_set(short))
+        return self._isotropic
+
     # -- membership ---------------------------------------------------------
 
     def class_of_dot(self, dot: Vector) -> str | None:
         return self._tag_of.get(dot)
 
     def class_lattice(self, tag: str) -> Lattice:
-        """T of every root whose dot part lies in the class tag, built on
-        first use: the sum of g_b <S_b> over the classes b, one HNF at the
-        lattices' common scale.  The gcds g_b come from one Cartan-table
-        row; any member of the class gives the same ones."""
+        """T of every root whose dot part lies in the class tag, built on first use."""
         if tag not in self._lattices:
-            finite = self.finite_part
-            row = finite.cartan[finite.index[next(iter(self.dot_classes[tag]))]]
-            scale = math.lcm(*(sl.lattice.den for sl in self.translations.values()))
-            ints = []
-            for b, sl in self.translations.items():
-                g = math.gcd(*(row[finite.index[d]] for d in self.dot_classes[b]))
-                ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
-            self._lattices[tag] = Lattice._of(self.space.nu, scale, ints)
+            self._lattices[tag] = self.lattice_over(self.translations, tag)
         return self._lattices[tag]
+
+    def lattice_over(self, translations, tag: str) -> Lattice:
+        """The sum of g_b <S_b> over the classes b with a set S_b (not None)
+        in translations, one HNF at the sets' common scale.  The gcds g_b
+        come from one Cartan-table row; any member of the class gives the same ones."""
+        finite, sets = self.finite_part, {b: sl for b, sl in translations.items() if sl is not None}
+        row = finite.cartan[finite.index[next(iter(self.dot_classes[tag]))]]
+        scale = math.lcm(*(sl.lattice.den for sl in sets.values()))
+        ints = []
+        for b, sl in sets.items():
+            g = math.gcd(*(row[finite.index[d]] for d in self.dot_classes[b]))
+            ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
+        return Lattice._of(self.space.nu, scale, ints)
 
     def classify(self, v: Vector) -> str:
         """One of "anisotropic", "isotropic", "not_root"."""

@@ -203,8 +203,10 @@ def _connected(nodes, adjacent) -> bool:
     return len(reached) == len(nodes)
 
 
+@lru_cache(maxsize=64)
 def length_classes(system: FiniteRootSystem) -> tuple[frozenset[Vector], frozenset[Vector], frozenset[Vector]]:
-    """Partition the nonzero roots as (short, long, extra-long).
+    """Partition the nonzero roots as (short, long, extra-long), once per
+    system (equal systems share it, as build_finite's do).
 
     Extra-long roots are the ones whose half is again a root; among the rest,
     short is the smaller length, long the other (empty when simply laced).

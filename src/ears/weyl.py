@@ -26,14 +26,14 @@ minimality call works out what depends on the system alone once for all
 its orbits (_Setup): the finite Weyl order, the finite closure per set of
 remaining classes, the search's reflectors and each reflection's image mod
 k.  For higher ranks the verdict is three-valued: sound negatives come
-from the finite quotient, from the remaining set failing to be a root
-system, from a class lattice that shrinks under the remaining roots, or
-from a congruence quotient (Mal'cev 1958): radical coordinates in the
-short lattice's basis, conjugated by diag(D^2, D, 1) with D the least
-scale making every reflection integral (1 on B2 nu2 matched, 2 on BC2
-nu1), reduced mod k = 4, 8, ..., 64 and split over W_fin (Schreier).  Only
-when it does not exclude r_base does a bounded certificate search look for
-a positive; otherwise Inconclusive is reported honestly.
+from the finite quotient, from a class lattice of the remaining sets that
+shrinks (no descriptor is built for them), or from a congruence quotient
+(Mal'cev 1958): radical coordinates in the short lattice's basis,
+conjugated by diag(D^2, D, 1) with D the least scale making every
+reflection integral (1 on B2 nu2 matched, 2 on BC2 nu1), reduced mod
+k = 4, 8, ..., 64 and split over W_fin (Schreier).  Only when it does not
+exclude r_base does a bounded certificate search look for a positive;
+otherwise Inconclusive is reported honestly.
 
 Words and the certificate search multiply a Matrix by reflections as
 rank-one integer updates (linalg.times_reflector); the search keys its
@@ -819,28 +819,17 @@ def generation_check(
     """Do the reflections of the roots outside the orbit still generate?
     R's translation sets must pass construct_ears's rules; its finite part may be any.
     minimality passes one _Setup of R for all its orbits, each built by
-    itself; without one the call validates the orbit and builds its own."""
+    itself; without one the call validates the orbit and builds its own.
+    In turn: finite quotient, rank one, orbit shrink, congruence quotient, search."""
     if (setup := _setup) is None:
         _validate_orbit(R, removed_orbit)
         setup = _Setup(R)
-    fams, finite = _remaining_translations(R, removed_orbit), R.finite_part
+    fams = _remaining_translations(R, removed_orbit)
     if not setup.finite_generates(fams):
-        return NotGenerates(
-            "the remaining directions do not generate the finite Weyl group"
-        )
-    if finite.rank == 1:
+        return NotGenerates("the remaining directions do not generate the finite Weyl group")
+    if R.finite_part.rank == 1:
         return _rank1_decision(R, removed_orbit, fams)
-    if any(sl is None for sl in fams.values()):
-        return _quotient_negative(setup, removed_orbit, fams) or Inconclusive(depth)
-    try:  # every class is left, so the remaining roots keep R's class pattern
-        sub = construct_ears(finite, fams["short"], long=fams.get("long"), extra=fams.get("extra"))
-    except ConstraintViolation as exc:
-        return NotGenerates(
-            f"the remaining roots are not a root system ({exc}), so the "
-            "removed orbit cannot be generated back"
-        )
-    shrunk = _orbit_shrink(R, sub, removed_orbit)
-    if shrunk is not None:
+    if shrunk := _orbit_shrink(R, fams, removed_orbit):
         return NotGenerates(shrunk)
     if negative := _quotient_negative(setup, removed_orbit, fams):
         return negative
@@ -851,26 +840,23 @@ def generation_check(
     return Inconclusive(depth)
 
 
-def _orbit_shrink(R, sub, removed_orbit):
-    """Reason string when some orbit of the remaining system is strictly
+def _orbit_shrink(R, fams, removed_orbit):
+    """Reason string when some orbit under the remaining roots is strictly
     smaller than under the full group; None when all compared orbits agree.
 
-    A strictly smaller orbit proves the subgroup proper.  sub keeps R's
-    finite part, so the finite orbits agree and only the class lattices
-    can shrink.  Compared: the removed base's class, named by the base,
-    then each class of sub, named by its least root.
+    A strictly smaller orbit proves the subgroup proper.  A reflection in
+    sigma + d moves a root's isotropic part by a Cartan integer times sigma,
+    so the remaining reflections keep a root of class tag in its base plus
+    R.lattice_over(fams, tag), for any remaining sets.  Compared: the removed
+    base's class, named by the base, then each class left, by its least root.
     """
     own = R.class_of_dot(removed_orbit.dot_part)
-    for tag in dict.fromkeys((own, *sub.translations)):
-        ft, pt = R.class_lattice(tag), sub.class_lattice(tag)
+    for tag in dict.fromkeys((own, *(t for t, sl in fams.items() if sl is not None))):
+        ft, pt = R.class_lattice(tag), R.lattice_over(fams, tag)
         if pt != ft and pt.is_sublattice_of(ft):
-            alpha = removed_orbit.base if tag == own else sub.space.assemble(
-                sorted_vectors(sub.translations[tag].cosets)[0],
-                sorted_vectors(sub.dot_classes[tag])[0])
-            return (
-                f"the orbit of {alpha} shrinks under the remaining roots, "
-                "so they generate a proper subgroup"
-            )
+            alpha = removed_orbit.base if tag == own else R.space.assemble(
+                sorted_vectors(fams[tag].cosets)[0], sorted_vectors(R.dot_classes[tag])[0])
+            return f"the orbit of {alpha} shrinks under the remaining roots, so they generate a proper subgroup"
     return None
 
 

@@ -284,15 +284,15 @@ def test_undecided_orbits_are_reported_unknown(capsys, monkeypatch):
     assert (code, rep["verdict"], rep["orbit_count"]) == (EXIT_OK, "Minimal", 5)
     code, rep = run(capsys, "presentation", "--in", path, "--budget", "200")
     assert rep["conjugation"] == {"status": "none_found", "orbits_checked": 5}
-    # the congruence quotient decides three of its orbits; when it gives up,
+    # the congruence quotient decides four of its orbits; when it gives up,
     # as past its kernel cap, they are reported unresolved
     monkeypatch.setattr(ears.weyl, "_quotient_negative", lambda *args: None)
     code, rep = run(capsys, "minimality", "--in", path, "--budget", "200")
     assert code == EXIT_OK
-    assert (rep["verdict"], rep["unresolved"]) == ("Unknown", 3)
+    assert (rep["verdict"], rep["unresolved"]) == ("Unknown", 4)
     code, rep = run(capsys, "presentation", "--in", path, "--budget", "200")
     assert code == EXIT_OK
-    assert rep["conjugation"] == {"status": "unknown", "unresolved": 3}
+    assert rep["conjugation"] == {"status": "unknown", "unresolved": 4}
 
 
 def test_quotient_decides_at_default_flags(capsys, monkeypatch):

@@ -987,3 +987,58 @@ def test_descriptor_maps_are_read_only():
     assert hash(R) == h
     assert construct_ears(R.finite_part, **R.translations) == R
     assert dict(R.translations.items()) == dict(R.translations)
+
+
+def test_construct_forms_no_sum_set(suite, monkeypatch):
+    # the isotropic set short + short is built on first read, not by construct
+    calls = []
+    sum_set = Semilattice.sum_set
+    monkeypatch.setattr(Semilattice, "sum_set", lambda s, t: calls.append(s) or sum_set(s, t))
+    built = [construct_ears(R.finite_part, **R.translations) for R in suite.values()]
+    assert built == list(suite.values())
+    assert calls == []
+    first = built[0].isotropic
+    assert len(calls) == 1
+    assert built[0].isotropic is first
+    assert len(calls) == 1
+
+
+def test_isotropic_on_first_read_is_short_plus_short(suite):
+    for name, R in suite.items():
+        fresh = construct_ears(R.finite_part, **R.translations)
+        short = R.translations["short"]
+        eager = short.sum_set(short)
+        assert fresh.isotropic == eager, name
+        assert (repr(fresh.isotropic), fresh.isotropic.translated) == (repr(eager), eager.translated), name
+
+
+def test_irc_keeps_the_closure_it_passes(suite, monkeypatch):
+    sum_set = Semilattice.sum_set
+    for name, R in suite.items():
+        closed = irc(R)
+        want = None
+        for trans in R.translations.values():
+            diff = sum_set(trans, trans.scaled(-1))
+            want = diff if want is None else want.union(diff)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(Semilattice, "sum_set", lambda s, t: calls.append(s) or sum_set(s, t))
+            got = closed.isotropic
+        assert calls == [], name
+        assert got == want and repr(got) == repr(want), name
+
+
+def test_length_classes_run_once_per_finite_system(suite):
+    # equal finite systems share one partition, so descriptors built again
+    # and again over one finite part partition its roots once
+    length_classes.cache_clear()
+    for _ in range(3):
+        for R in suite.values():
+            again = descriptor_from_config(descriptor_to_config(R))
+            assert irc(again) == again
+            if "extra" in again.dot_classes:
+                trim(again)
+    finite = {R.finite_part for R in suite.values()}
+    finite |= {trim(R).finite_part for R in suite.values() if "extra" in R.dot_classes}
+    info = length_classes.cache_info()
+    assert info.misses == len(finite) and info.hits > 0, info

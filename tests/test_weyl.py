@@ -47,6 +47,7 @@ from ears.weyl import (
     NotOverFinitePart,
     OrbitDescriptor,
     Stuck,
+    Unknown,
     anisotropic_orbits,
     extract_minimal,
     generation_check,
@@ -258,6 +259,8 @@ def reference_orbit_shrink(R, sub, removed_orbit):
 
 
 def test_orbit_shrink_matches_per_sample_reference():
+    # the reference needs the remaining roots as a descriptor of their own;
+    # _orbit_shrink reads the remaining sets alone
     reasons = set()
     for name, R in removal_label_systems().items():
         if R.finite_part.rank == 1 or R.nullity == 0:
@@ -270,7 +273,7 @@ def test_orbit_shrink_matches_per_sample_reference():
                 sub = construct_ears(R.finite_part, fams["short"], fams.get("long"), fams.get("extra"))
             except ConstraintViolation:
                 continue
-            got = _orbit_shrink(R, sub, orbit)
+            got = _orbit_shrink(R, fams, orbit)
             assert got == reference_orbit_shrink(R, sub, orbit), (name, orbit)
             reasons.add(got if got is None else got.startswith(f"the orbit of {orbit.base} "))
     # both outcomes occur; every shrink found here is named by the least
@@ -523,8 +526,8 @@ def test_extra_meeting_twice_short_is_refused_and_never_misjudged(z1):
                          ("BC1", {"short": z1, "extra": z1})]:
         with pytest.raises(ConstraintViolation, match=r"^extra ∩ 2\*short ≠ ∅$"):
             construct_ears(finite, **sets)
-    # built directly anyway: a Generates was re-checked, a short or extra
-    # orbit never gets NotGenerates, and the long class is still needed
+    # built directly anyway: a short or extra orbit gets a re-checked
+    # Generates, and the long class is still needed
     for rank, sets in nu0.items():
         R = EarsDescriptor(build_finite("BC", rank), 0, sets)
         for orbit in anisotropic_orbits(R):
@@ -532,7 +535,8 @@ def test_extra_meeting_twice_short_is_refused_and_never_misjudged(z1):
             if R.class_of_dot(orbit.dot_part) == "long":
                 assert isinstance(verdict, NotGenerates), (rank, orbit)
             else:
-                assert not isinstance(verdict, NotGenerates), (rank, orbit, verdict)
+                assert isinstance(verdict, Generates), (rank, orbit, verdict)
+                assert word_element(R.space, verdict.certificate).matrix == reflection_matrix(R.space, orbit.base)
 
 
 def test_bc1_nothing_removable(bc1_shifted):
@@ -549,14 +553,13 @@ SUITE_VERDICTS = {
     "A1 nu1 doubled": "OO", "A1 nu1 full": "OO", "A1 nu2 full": "OOOO",
     "A1 nu2 product-even": "OOO", "A1 nu3 full": "GGGGGGGG",
     "A1 nu3 product-even": "OOOOOOO", "A2 nu0": "W", "A2 nu1": "W",
-    "B2 nu1 doubled": "RSW", "B2 nu1 matched": "WRS", "B2 nu2 matched": "RQQQW",
-    "B2 nu2 product-even": "RSSW", "BC1 nu1": "OO", "BC1 nu2 shifted": "OOOO",
-    "BC2 nu1": "QWQ", "G2 nu1": "WW",
+    "B2 nu1 doubled": "QSW", "B2 nu1 matched": "WQS", "B2 nu2 matched": "QQQQW",
+    "B2 nu2 product-even": "QSSW", "BC1 nu1": "OO", "BC1 nu2 shifted": "OOOO",
+    "BC2 nu1": "QWS", "G2 nu1": "WW",
 }
 REASONS = {
     "O": "is outside the subgroup generated by the remaining roots",
     "W": "the remaining directions do not generate the finite Weyl group",
-    "R": "the remaining roots are not a root system",
     "S": "shrinks under the remaining roots, so they generate a proper subgroup",
     "Q": "is outside the image of the remaining reflections (congruence quotient)",
 }
@@ -598,7 +601,7 @@ def test_extract_minimal_stuck_on_undecided_orbits(suite, monkeypatch):
     for name in ("B2 nu2 matched", "BC2 nu1"):
         assert extract_minimal(suite[name], 8, 200) == suite[name]
     give_up_quotient(monkeypatch)
-    for name, count in (("B2 nu2 matched", 3), ("BC2 nu1", 2)):
+    for name, count in (("B2 nu2 matched", 4), ("BC2 nu1", 1)):
         with pytest.raises(Stuck, match=rf"^{count} orbit\(s\) undecided at depth 8$"):
             extract_minimal(suite[name], 8, 200)
 
@@ -706,7 +709,7 @@ def test_quotient_negatives_rechecked_by_plain_bfs(suite):
             gens = quotient_generators(R, _remaining_translations(R, ob), k, image)
             assert image(ob.base) not in plain_group(gens, k), (name, ob.base)
             checked += 1
-    assert checked == 5
+    assert checked == 8
 
 
 def test_quotient_agrees_with_the_rank_one_decider(suite):
@@ -732,8 +735,62 @@ def test_quotient_normalizes_the_radical_basis(suite, z2):
     doubled = construct_ears("B2", z2.scaled(2), z2.scaled(4))
     matched = suite["B2 nu2 matched"]
     assert reasons(doubled) == reasons(matched)
-    assert [QUOTIENT.search(r).groups() for r in reasons(matched) if "quotient" in r] == [("4", "1")] * 3
+    assert [QUOTIENT.search(r).groups() for r in reasons(matched) if "quotient" in r] == [("4", "1")] * 4
     assert minimality(doubled) == minimality(matched) == Minimal(5)
+
+
+ROOT_SYSTEM_RULE = "the remaining roots are not a root system"
+
+
+def test_a1_nu3_full_refutes_the_root_system_rule(nullity3):
+    # removing the zero-coset orbit leaves a short set without 0, which
+    # construct_ears refuses, and yet the exact decider generates r_base:
+    # a remaining set that is no root system proves no negative
+    orbit = anisotropic_orbits(nullity3)[0]
+    assert nullity3.space.blocks(orbit.base)[0].is_zero()
+    fams = _remaining_translations(nullity3, orbit)
+    with pytest.raises(ConstraintViolation, match="^0 is missing from the short translation set$"):
+        construct_ears(nullity3.finite_part, fams["short"])
+    verdict = generation_check(nullity3, orbit)
+    assert isinstance(verdict, Generates) and len(verdict.certificate) == 389
+    _check_certificate(nullity3.space, orbit.base, verdict.certificate)
+
+
+def test_no_verdict_cites_the_root_system_rule(suite, z2):
+    # above rank one every negative is the finite check's, the orbit
+    # shrink's or the congruence quotient's
+    systems = {**suite, "C3 nu2": construct_ears("C3", z2, z2)}
+    for name, R in systems.items():
+        for ob in anisotropic_orbits(R):
+            verdict = generation_check(R, ob, 8, 200)
+            reason = getattr(verdict, "reason", "")
+            assert ROOT_SYSTEM_RULE not in reason, (name, ob.base)
+            if R.finite_part.rank > 1 and reason:
+                assert any(REASONS[code] in reason for code in "WSQ"), (name, ob.base, reason)
+
+
+def test_b2_nu3_leaves_eight_orbits_undecided():
+    # short Z^3, long 2Z^3: on the first orbit the quotient mod 4 keeps
+    # r_base in the image and mod 8 passes the kernel cap, and the search
+    # finds no certificate within budget 200
+    R = construct_ears("B2", integer_lattice(3), integer_lattice(3).scaled(2))
+    orbits = anisotropic_orbits(R)
+    assert generation_check(R, orbits[0], 8, 200) == Inconclusive(8)
+    verdict = minimality(R, 8, 200)
+    assert isinstance(verdict, Unknown) and len(verdict.unresolved) == 8
+    assert orbits[0] in verdict.unresolved
+    for ob in orbits:
+        if ob not in verdict.unresolved:
+            assert generation_check(R, ob, 8, 200) == NotGenerates(REASONS["W"]), ob.base
+
+
+def test_minimality_builds_no_descriptor(suite, monkeypatch):
+    built = []
+    init = EarsDescriptor.__init__
+    monkeypatch.setattr(EarsDescriptor, "__init__", lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    verdicts = [minimality(R, 8, 200) for R in suite.values()]
+    assert built == []
+    assert sum(isinstance(v, Minimal) for v in verdicts) == 15
 
 
 def bc1_nu3():
@@ -1350,7 +1407,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
     # every decider and search minimality builds on the suite and on
     # nullity3_system(): the same letters in the same order, and the
     # decider's integer tuples assemble no Vector; the congruence quotient
-    # gives up, so the search runs on the three orbits it decides otherwise
+    # gives up, so the search runs on the eight orbits it decides otherwise
     deciders, searches = [], []
     init, search, shear = _Rank1Decider.__init__, _certificate_search, _shear
 
@@ -1368,7 +1425,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
         give_up_quotient(m)
         for R in [*suite.values(), nullity3_system()]:
             minimality(R, 8, 200)
-    assert (len(deciders), len(searches)) == (26, 3)
+    assert (len(deciders), len(searches)) == (26, 8)
 
     letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
 
