@@ -134,23 +134,20 @@ class EarsDescriptor(Value):
         return self._tag_of.get(dot)
 
     def class_lattice(self, tag: str) -> Lattice:
-        """T of every root whose dot part lies in the class tag, built on first use."""
+        """T of every root whose dot part lies in the class tag, built on
+        first use: the sum of g_b <S_b> over the classes b, one HNF at the
+        sets' common scale.  The gcds g_b come from one Cartan-table row;
+        any member of the class gives the same ones."""
         if tag not in self._lattices:
-            self._lattices[tag] = self.lattice_over(self.translations, tag)
+            finite = self.finite_part
+            row = finite.cartan[finite.index[next(iter(self.dot_classes[tag]))]]
+            scale = math.lcm(*(sl.lattice.den for sl in self.translations.values()))
+            ints = []
+            for b, sl in self.translations.items():
+                g = math.gcd(*(row[finite.index[d]] for d in self.dot_classes[b]))
+                ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
+            self._lattices[tag] = Lattice._of(self.space.nu, scale, ints)
         return self._lattices[tag]
-
-    def lattice_over(self, translations, tag: str) -> Lattice:
-        """The sum of g_b <S_b> over the classes b with a set S_b (not None)
-        in translations, one HNF at the sets' common scale.  The gcds g_b
-        come from one Cartan-table row; any member of the class gives the same ones."""
-        finite, sets = self.finite_part, {b: sl for b, sl in translations.items() if sl is not None}
-        row = finite.cartan[finite.index[next(iter(self.dot_classes[tag]))]]
-        scale = math.lcm(*(sl.lattice.den for sl in sets.values()))
-        ints = []
-        for b, sl in sets.items():
-            g = math.gcd(*(row[finite.index[d]] for d in self.dot_classes[b]))
-            ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
-        return Lattice._of(self.space.nu, scale, ints)
 
     def classify(self, v: Vector) -> str:
         """One of "anisotropic", "isotropic", "not_root"."""

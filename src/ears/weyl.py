@@ -26,14 +26,13 @@ minimality call works out what depends on the system alone once for all
 its orbits (_Setup): the finite Weyl order, the finite closure per set of
 remaining classes, the search's reflectors and each reflection's image mod
 k.  For higher ranks the verdict is three-valued: sound negatives come
-from the finite quotient, from a class lattice of the remaining sets that
-shrinks (no descriptor is built for them), or from a congruence quotient
-(Mal'cev 1958): radical coordinates in the short lattice's basis,
-conjugated by diag(D^2, D, 1) with D the least scale making every
-reflection integral (1 on B2 nu2 matched, 2 on BC2 nu1), reduced mod
-k = 4, 8, ..., 64 and split over W_fin (Schreier).  Only when it does not
-exclude r_base does a bounded certificate search look for a positive;
-otherwise Inconclusive is reported honestly.
+from the finite quotient or from a congruence quotient (Mal'cev 1958),
+and no descriptor is built for the remaining roots.  The quotient reads
+radical coordinates in the short lattice's basis, conjugates by
+diag(D^2, D, 1) with D the least scale making every reflection integral
+(1 on B2 nu2 matched, 2 on BC2 nu1), reads each image off the root in
+closed form, reduces mod k = 4, 8, ..., 64 and splits over W_fin
+(Schreier).  Past it a bounded certificate search, then Inconclusive.
 
 Words and the certificate search multiply a Matrix by reflections as
 rank-one integer updates (linalg.times_reflector); the search keys its
@@ -602,11 +601,11 @@ class _Setup:
     orbits of one minimality call and dropped with it: the finite Weyl
     order, whether the directions of a set of remaining classes generate
     that group, the certificate search's (root, reflector) per root, and
-    the congruence quotient's scaling D and each reflection's image mod k."""
+    the congruence quotient's scaling D, Gram data and images."""
 
     def __init__(self, R: EarsDescriptor):
         self.R, self.order = R, finite_weyl(R.finite_part).order
-        self._generates, self._letters, self._images, self._scale = {}, {}, {}, None
+        self._generates, self._letters, self._classes, self._scale = {}, {}, {}, None
 
     def finite_generates(self, fams) -> bool:
         key = tuple(tag for tag, sl in fams.items() if sl is not None)
@@ -624,47 +623,64 @@ class _Setup:
 
     def lines(self, tag) -> list[Vector]:
         """One direction per line of the class: r_(s + d) = r_(-s - d)."""
-        return [d for d in self.R.dot_classes[tag] if d.ints > (-d).ints]
-
-    def _image(self, x, scale, d, D, mod: _ModK):
-        """Image mod k of the reflection in (x / scale, d), radical part in
-        the short lattice's basis h (t = x / scale h^-1, dual block by h^T),
-        conjugated by diag(D^2, D, 1): the reflection in (D^2 t, D d), the
-        form being the old one over D^2.  None when an entry is not integral."""
-        (cols, e), n = self._basis, self.R.space.dim
-        root = [D * D * d.den * sum(map(int.__mul__, x, c)) for c in cols] + [D * scale * e * y for y in d.ints]
-        a, p, st = reflector(self.R.space, Vector._of(root + [0] * len(cols)))
-        out = mod.one
-        for i, j in ((i, j) for i, x in enumerate(a) if x for j, y in enumerate(p) if y):
-            q, r = divmod(-a[i] * p[j], st)
-            if r:
-                return None
-            out += q % mod.k << (i * n + j) * mod.w
-        return out & mod.mask
+        return [d for d in self.R.dot_classes[tag] if next(filter(None, d.ints)) > 0]
 
     def scale(self) -> int:
         """D: the least scale making every reflection of R integral, tried on
         each class lattice's rows and their pairwise sums, which suffices as
-        the entries are of degree at most 2 in t."""
+        the entries are of degree at most 2 in t.  First it sets what image
+        reads: the short lattice's basis, g, and per finite root d its
+        permutation, F d and d^T F d, worked out once."""
         if self._scale is None:
             R, nu, lat = self.R, self.R.space.nu, self.R.translations["short"].lattice
             inv = [[Fraction(i == j) for j in range(nu)] for i in range(nu)]
             for j, row in enumerate(lat.hnf):  # inv h = I; h is upper triangular, as the set spans
                 for t in inv:
                     t[j] = (t[j] - sum(t[m] * lat.hnf[m][j] for m in range(j))) / row[j]
-            e = math.lcm(1, *(x.denominator for t in inv for x in t))
-            self._basis, mod = ([[int(lat.den * e * t[j]) for t in inv] for j in range(nu)], e), _ModK(R.space.dim, 4)
+            e, rank, gram = math.lcm(1, *(x.denominator for t in inv for x in t)), R.space.rank, R.space.form.gram
+            self._basis = [[int(lat.den * e * t[j]) for t in inv] for j in range(nu)], e, gram.den
+            self._dots = {}
+            for d, perm in zip(R.finite_part.ordered, R.finite_part.perms):
+                fd = [sum(map(int.__mul__, row[nu:nu + rank], d.ints)) for row in gram.ints[nu:nu + rank]]
+                self._dots[d] = perm, fd, sum(map(int.__mul__, fd, d.ints))
+            mod = _mod_k(nu, rank, 4)
             self._scale = next(D for D in count(1) if all(
-                self._image(x, sl.lattice.den, d, D, mod) is not None for tag, sl in R.translations.items()
+                self.image(x, sl.lattice.den, d, mod, D)[1] is not None for tag, sl in R.translations.items()
                 for x in _offsets(nu, sl.lattice.hnf)[1:] for d in self.lines(tag)))
         return self._scale
 
-    def image(self, x, scale, d, mod: _ModK):
-        """(finite permutation, image mod k) of the reflection in (x / scale, d)."""
-        if (key := (x, scale, d, mod.k)) not in self._images:
-            finite = self.R.finite_part  # scale() sets the basis _image reads
-            self._images[key] = finite.perms[finite.index[d]], self._image(x, scale, d, self.scale(), mod)
-        return self._images[key]
+    def images(self, tag, sl, mod: _ModK) -> list:
+        """image() of every reflection of a remaining set sl of the class tag:
+        one per line and period class (_residues), since an image mod k
+        depends on the translation only mod k times the class's lattice.
+        Kept per set: R's own recurs for every orbit of another class."""
+        if (key := (tag, mod.k, sl)) not in self._classes:
+            finer = sl.modulus.intersect(self.R.translations[tag].lattice.scaled(mod.k))
+            scale = math.lcm(sl.den, finer.den)
+            self._classes[key] = [self.image(x, scale, d, mod) for x in sl._residues(finer, scale) for d in self.lines(tag)]
+        return self._classes[key]
+
+    def image(self, x, scale, d, mod: _ModK, D=None):
+        """(finite permutation, image mod k) of the reflection in (x / scale,
+        d), radical part in the short lattice's basis h (t = x / scale h^-1,
+        dual block by h^T), conjugated by diag(D^2, D, 1): the reflection in
+        (D^2 t, D d), the form being the old one over D^2.  In closed form,
+        with the integer Gram rows [[0, 0, g I], [0, F, 0], [g I, 0, 0]], it
+        is I - a p^T / st for a = (tau, delta, 0), p = 2 (0, F delta, g tau)
+        and st = delta^T F delta.  The image is None when an entry is not integral."""
+        D, (cols, e, g), n = D or self.scale(), self._basis, self.R.space.dim
+        (perm, fd, dfd), c = self._dots[d], D * scale * e  # delta = c d, at the scale of tau
+        tau = [D * D * d.den * sum(map(int.__mul__, x, col)) for col in cols]
+        a, p = tau + [c * y for y in d.ints], [2 * c * y for y in fd] + [2 * g * y for y in tau]
+        st, out = c * c * dfd, mod.one
+        for i, u in enumerate(a):
+            for j, v in enumerate(p if u else (), len(tau)):  # p is zero on the radical block
+                if v:
+                    q, r = divmod(-u * v, st)
+                    if r:
+                        return perm, None
+                    out += q % mod.k << (i * n + j) * mod.w
+        return perm, out & mod.mask
 
 
 def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
@@ -749,23 +765,29 @@ def _certificate_search(setup: _Setup, fams, target_root, depth, budget):
 
 class _ModK:
     """n x n integer matrices mod k = 2^m, packed into one int, entry (i, j)
-    in the w-bit field i n + j, where a sum of n products of entries fits:
-    A B sums A's column j (a mask, a shift) times B's row j; one & reduces."""
+    in the w-bit field i n + j, where a sum of n products of entries fits.
+    A reflection I - a p^T / st is the identity on the radical columns and
+    the dual rows (a is zero on the dual block, p on the radical one), and
+    so is every product of them.  So A B sums B's radical rows and A's dual
+    columns (masks) and, over the finite block's columns j, A's column j (a
+    mask, a shift) times B's row j; one & reduces."""
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, nu: int, rank: int, k: int):
+        n, top = nu + rank + nu, nu + rank
         self.k, self.w = k, (n * (k - 1) ** 2).bit_length()
-        self.step, self.row = n * self.w, (1 << n * self.w) - 1
-        self.cols = [(sum(k - 1 << (i * n + j) * self.w for i in range(n)), j * self.w) for j in range(n)]
-        self.mask, self.one = sum(m for m, _ in self.cols), sum(1 << i * (n + 1) * self.w for i in range(n))
+        self.row, field = (1 << n * self.w) - 1, [[k - 1 << (i * n + j) * self.w for j in range(n)] for i in range(n)]
+        self.cols = [(sum(r[j] for r in field), j * self.w, j * n * self.w) for j in range(nu, top)]
+        self.mask, self.one = sum(map(sum, field)), sum(1 << i * (n + 1) * self.w for i in range(n))
+        self.lead, self.tail = sum(map(sum, field[:nu])), sum(sum(r[top:]) for r in field)
 
     def mul(self, a: int, b: int) -> int:
-        out = 0
-        for m, s in self.cols:
-            out += ((a & m) >> s) * (b & self.row)
-            b >>= self.step
+        out = (b & self.lead) + (a & self.tail)
+        for m, s, t in self.cols:
+            out += ((a & m) >> s) * (b >> t & self.row)
         return out & self.mask
 
 
+_mod_k = lru_cache(maxsize=64)(_ModK)  # one _ModK per (nu, rank, k)
 _KERNEL_CAP = 4096  # kernel states per modulus; past it the quotient gives up
 
 
@@ -773,35 +795,28 @@ def _in_image(gens, base, mod: _ModK) -> bool:
     """Whether base, a (perm, image) pair, is in the group the involutions
     gens generate.  Schreier split over W_fin: a transversal rep(s) with
     inverses along the closure on permutations; the kernel is generated by
-    rep(p s)^-1 g rep(s) over s and (p, g), and closed again (RuntimeError
-    past _KERNEL_CAP) whenever one of them falls outside it."""
+    rep(p s)^-1 g rep(s) over s and (p, g), and the distinct ones are closed
+    once (RuntimeError past _KERNEL_CAP)."""
     mul, one = mod.mul, mod.one
     tree = closure([tuple(range(len(base[0])))], range(len(gens)), lambda s, i: tuple(map(gens[i][0].__getitem__, s)))
     reps = {}
     for s, link in tree.items():
         (r, v), g = (reps[link[0]], gens[link[1]][1]) if link else ((one, one), one)
         reps[s] = mul(g, r), mul(v, g)
-    kernel, used = {one: None}, []
-    for s, (r, _) in reps.items():
-        for p, g in gens:
-            if (h := mul(reps[tuple(map(p.__getitem__, s))][1], mul(g, r))) not in kernel:
-                used.append(h)
-                kernel = closure(kernel, used, lambda x, h: mul(h, x), _KERNEL_CAP)
+    schreier = dict.fromkeys(mul(reps[tuple(map(p.__getitem__, s))][1], mul(g, r))
+                             for s, (r, _) in reps.items() for p, g in gens)
+    kernel = closure([one], schreier, lambda x, h: mul(h, x), _KERNEL_CAP)
     return base[0] in reps and mul(reps[base[0]][1], base[1]) in kernel
 
 
 def _quotient_negative(setup: _Setup, orbit: OrbitDescriptor, fams):
     """NotGenerates when a congruence quotient excludes r_base, else None.
-    An image mod k depends on the translation only mod k times its class's
-    lattice, so one per period class of each remaining set (_residues), not
-    a window, gives every generator.  k doubles while the kernel fits."""
+    The generators are _Setup.images, never a window; k doubles while the
+    kernel fits."""
     R, (iso, dot, _) = setup.R, setup.R.space.blocks(orbit.base)
     for k in (4, 8, 16, 32, 64):
-        mod, gens = _ModK(R.space.dim, k), {}
-        for tag, sl in ((tag, sl) for tag, sl in fams.items() if sl is not None):
-            finer = sl.modulus.intersect(R.translations[tag].lattice.scaled(k))
-            scale, lines = math.lcm(sl.den, finer.den), setup.lines(tag)
-            gens.update((setup.image(x, scale, d, mod), 0) for x in sl._residues(finer, scale) for d in lines)
+        mod = _mod_k(R.space.nu, R.space.rank, k)
+        gens = dict.fromkeys(g for tag, sl in fams.items() if sl is not None for g in setup.images(tag, sl, mod))
         try:
             if not _in_image(list(gens), setup.image(iso.ints, iso.den, dot, mod), mod):
                 return NotGenerates(
@@ -820,7 +835,7 @@ def generation_check(
     R's translation sets must pass construct_ears's rules; its finite part may be any.
     minimality passes one _Setup of R for all its orbits, each built by
     itself; without one the call validates the orbit and builds its own.
-    In turn: finite quotient, rank one, orbit shrink, congruence quotient, search."""
+    In turn: finite quotient, rank one, congruence quotient, search, Inconclusive."""
     if (setup := _setup) is None:
         _validate_orbit(R, removed_orbit)
         setup = _Setup(R)
@@ -829,8 +844,6 @@ def generation_check(
         return NotGenerates("the remaining directions do not generate the finite Weyl group")
     if R.finite_part.rank == 1:
         return _rank1_decision(R, removed_orbit, fams)
-    if shrunk := _orbit_shrink(R, fams, removed_orbit):
-        return NotGenerates(shrunk)
     if negative := _quotient_negative(setup, removed_orbit, fams):
         return negative
     word = _certificate_search(setup, fams, removed_orbit.base, depth, budget)
@@ -838,26 +851,6 @@ def generation_check(
         _check_certificate(R.space, removed_orbit.base, word)
         return Generates(word)
     return Inconclusive(depth)
-
-
-def _orbit_shrink(R, fams, removed_orbit):
-    """Reason string when some orbit under the remaining roots is strictly
-    smaller than under the full group; None when all compared orbits agree.
-
-    A strictly smaller orbit proves the subgroup proper.  A reflection in
-    sigma + d moves a root's isotropic part by a Cartan integer times sigma,
-    so the remaining reflections keep a root of class tag in its base plus
-    R.lattice_over(fams, tag), for any remaining sets.  Compared: the removed
-    base's class, named by the base, then each class left, by its least root.
-    """
-    own = R.class_of_dot(removed_orbit.dot_part)
-    for tag in dict.fromkeys((own, *(t for t, sl in fams.items() if sl is not None))):
-        ft, pt = R.class_lattice(tag), R.lattice_over(fams, tag)
-        if pt != ft and pt.is_sublattice_of(ft):
-            alpha = removed_orbit.base if tag == own else R.space.assemble(
-                sorted_vectors(fams[tag].cosets)[0], sorted_vectors(R.dot_classes[tag])[0])
-            return f"the orbit of {alpha} shrinks under the remaining roots, so they generate a proper subgroup"
-    return None
 
 
 def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:

@@ -63,7 +63,6 @@ from ears.weyl import (
     _commutator,
     _expand,
     _finite_closure,
-    _orbit_shrink,
     _quotient_negative,
     _recenter,
     _remaining_translations,
@@ -258,11 +257,15 @@ def reference_orbit_shrink(R, sub, removed_orbit):
     return None
 
 
-def test_orbit_shrink_matches_per_sample_reference():
-    # the reference needs the remaining roots as a descriptor of their own;
-    # _orbit_shrink reads the remaining sets alone
-    reasons = set()
-    for name, R in removal_label_systems().items():
+def test_orbit_shrink_matches_per_sample_reference(z2):
+    # a strictly smaller orbit under the remaining roots proves them a
+    # proper subgroup; the reference needs those roots as a descriptor of
+    # their own.  Wherever it finds a shrink, the congruence quotient must
+    # give the negative
+    systems = {**removal_label_systems(), "C3 nu2": construct_ears("C3", z2, z2),
+               "B2 2Z^2 4Z^2": construct_ears("B2", z2.scaled(2), z2.scaled(4))}
+    shrinks, compared = [], 0
+    for name, R in systems.items():
         if R.finite_part.rank == 1 or R.nullity == 0:
             continue
         for orbit in anisotropic_orbits(R):
@@ -273,12 +276,14 @@ def test_orbit_shrink_matches_per_sample_reference():
                 sub = construct_ears(R.finite_part, fams["short"], fams.get("long"), fams.get("extra"))
             except ConstraintViolation:
                 continue
-            got = _orbit_shrink(R, fams, orbit)
-            assert got == reference_orbit_shrink(R, sub, orbit), (name, orbit)
-            reasons.add(got if got is None else got.startswith(f"the orbit of {orbit.base} "))
-    # both outcomes occur; every shrink found here is named by the least
-    # root of a remaining class, none by the removed base
-    assert reasons == {None, False}
+            compared += 1
+            if reference_orbit_shrink(R, sub, orbit) is not None:
+                verdict = generation_check(R, orbit, 8, 200)
+                assert isinstance(verdict, NotGenerates) and REASONS["Q"] in verdict.reason, (name, orbit.base)
+                shrinks.append(name)
+    # every shrink is on the suite; C3 nu2 and B2 2Z^2 4Z^2 have none
+    assert compared == 14
+    assert shrinks == ["B2 nu1 matched", "B2 nu1 doubled", "B2 nu2 product-even", "B2 nu2 product-even"]
 
 
 def test_orbit_equality_is_key_equality(suite):
@@ -553,14 +558,13 @@ SUITE_VERDICTS = {
     "A1 nu1 doubled": "OO", "A1 nu1 full": "OO", "A1 nu2 full": "OOOO",
     "A1 nu2 product-even": "OOO", "A1 nu3 full": "GGGGGGGG",
     "A1 nu3 product-even": "OOOOOOO", "A2 nu0": "W", "A2 nu1": "W",
-    "B2 nu1 doubled": "QSW", "B2 nu1 matched": "WQS", "B2 nu2 matched": "QQQQW",
-    "B2 nu2 product-even": "QSSW", "BC1 nu1": "OO", "BC1 nu2 shifted": "OOOO",
-    "BC2 nu1": "QWS", "G2 nu1": "WW",
+    "B2 nu1 doubled": "QQW", "B2 nu1 matched": "WQQ", "B2 nu2 matched": "QQQQW",
+    "B2 nu2 product-even": "QQQW", "BC1 nu1": "OO", "BC1 nu2 shifted": "OOOO",
+    "BC2 nu1": "QWQ", "G2 nu1": "WW",
 }
 REASONS = {
     "O": "is outside the subgroup generated by the remaining roots",
     "W": "the remaining directions do not generate the finite Weyl group",
-    "S": "shrinks under the remaining roots, so they generate a proper subgroup",
     "Q": "is outside the image of the remaining reflections (congruence quotient)",
 }
 
@@ -601,7 +605,7 @@ def test_extract_minimal_stuck_on_undecided_orbits(suite, monkeypatch):
     for name in ("B2 nu2 matched", "BC2 nu1"):
         assert extract_minimal(suite[name], 8, 200) == suite[name]
     give_up_quotient(monkeypatch)
-    for name, count in (("B2 nu2 matched", 4), ("BC2 nu1", 1)):
+    for name, count in (("B2 nu2 matched", 4), ("BC2 nu1", 2)):
         with pytest.raises(Stuck, match=rf"^{count} orbit\(s\) undecided at depth 8$"):
             extract_minimal(suite[name], 8, 200)
 
@@ -633,11 +637,11 @@ def block_diagonal(*blocks) -> Matrix:
     return Matrix(rows)
 
 
-def quotient_images(R, k, D):
-    """root -> (finite permutation, its reflection_matrix conjugated by
-    diag(D^2 H^-T, D I, H) mod k), H the short class's lattice rows: the
-    radical basis normalized to that lattice, then scaled; independent of
-    weyl's packed integers and Schreier split."""
+def quotient_matrices(R, D):
+    """root -> (finite permutation, the integer rows of its reflection_matrix
+    conjugated by diag(D^2 H^-T, D I, H)), H the short class's lattice rows:
+    the radical basis normalized to that lattice, then scaled; independent
+    of weyl's closed form, packed integers and Schreier split."""
     nu, ell = R.space.nu, R.space.rank
     h = [list(r.coords) for r in R.translations["short"].lattice.rows]
     hinv_t = [list(col) for col in zip(*rational_inverse(h))]
@@ -647,13 +651,22 @@ def quotient_images(R, k, D):
         [[D * D * x for x in r] for r in hinv_t], [[D * (i == j) for j in range(ell)] for i in range(ell)], h)))
     finite, cache = R.finite_part, {}
 
-    def image(root):
+    def matrix(root):
         if root not in cache:
             m = conj @ reflection_matrix(R.space, root) @ back
             assert m.den == 1, root
-            dot = R.space.blocks(root)[1]
-            cache[root] = finite.perms[finite.index[dot]], tuple(tuple(x % k for x in r) for r in m.ints)
+            cache[root] = finite.perms[finite.index[R.space.blocks(root)[1]]], m.ints
         return cache[root]
+    return matrix
+
+
+def quotient_images(R, k, D):
+    """root -> (finite permutation, quotient_matrices's matrix mod k)."""
+    matrix = quotient_matrices(R, D)
+
+    def image(root):
+        perm, m = matrix(root)
+        return perm, tuple(tuple(x % k for x in r) for r in m)
     return image
 
 
@@ -709,7 +722,73 @@ def test_quotient_negatives_rechecked_by_plain_bfs(suite):
             gens = quotient_generators(R, _remaining_translations(R, ob), k, image)
             assert image(ob.base) not in plain_group(gens, k), (name, ob.base)
             checked += 1
-    assert checked == 8
+    assert checked == 13
+
+
+def test_closed_form_images_match_the_matrix_product(suite):
+    # every period class and line of every class, at every modulus the
+    # quotient tries (up to 16 at nullity two, where 64 has 4,096 period
+    # classes per coset): _Setup.image, read off the root in closed form,
+    # packs the conjugated reflection_matrix mod k; G2 nu1 needs D = 3 and
+    # BC2 nu1 D = 2
+    scales = {}
+    for name, R in suite.items():
+        if R.finite_part.rank < 2:
+            continue
+        setup, n = _Setup(R), R.space.dim
+        scales[name] = D = setup.scale()
+        matrix = quotient_matrices(R, D)
+        for k in (4, 8, 16, 32, 64)[:3 if R.nullity > 1 else 5]:
+            mod = ears.weyl._mod_k(R.space.nu, R.space.rank, k)
+            for tag, sl in R.translations.items():
+                finer = sl.modulus.intersect(sl.lattice.scaled(k))
+                scale = math.lcm(sl.den, finer.den)
+                for x in sl._residues(finer, scale):
+                    for d in setup.lines(tag):
+                        perm, m = matrix(R.space.assemble(Vector._of(x, scale), d))
+                        packed = sum(v % k << (i * n + j) * mod.w for i, r in enumerate(m) for j, v in enumerate(r))
+                        assert setup.image(x, scale, d, mod) == (perm, packed), (name, k, x, d)
+    assert scales == {"A2 nu0": 1, "A2 nu1": 1, "B2 nu1 matched": 1, "B2 nu1 doubled": 1, "B2 nu2 matched": 1,
+                      "B2 nu2 product-even": 1, "G2 nu1": 3, "BC2 nu1": 2}
+
+
+def test_quotient_images_build_no_reflector_or_vector(suite, monkeypatch):
+    # over the suite, _quotient_negative calls reflector zero times, and
+    # _Setup.image builds no Vector once the setup has its scale
+    calls, reflect_with, set_vector = Counter(), ears.weyl.reflector, Vector._set
+    monkeypatch.setattr(ears.weyl, "reflector", lambda *args: calls.update(["reflector"]) or reflect_with(*args))
+    negatives = 0
+    for R in suite.values():
+        if R.finite_part.rank < 2:
+            continue
+        setup = _Setup(R)
+        for ob in anisotropic_orbits(R):
+            if setup.finite_generates(fams := _remaining_translations(R, ob)):
+                negatives += _quotient_negative(setup, ob, fams) is not None
+        inputs = []
+        for tag, sl in R.translations.items():
+            finer = sl.modulus.intersect(sl.lattice.scaled(8))
+            scale = math.lcm(sl.den, finer.den)
+            inputs += [(x, scale, d) for x in sl._residues(finer, scale) for d in setup.lines(tag)]
+        mod = ears.weyl._mod_k(R.space.nu, R.space.rank, 8)
+        setup.scale()
+        with monkeypatch.context() as m:
+            m.setattr(Vector, "_set", lambda *args: calls.update(["Vector"]) or set_vector(*args))
+            for x, scale, d in inputs:
+                setup.image(x, scale, d, mod)
+    assert calls == Counter() and negatives == 13
+
+
+def test_quotient_gives_up_past_the_kernel_cap(suite, monkeypatch):
+    # with room for one kernel state the quotient proves nothing: it gives
+    # up, and the search finds no certificate, so the orbit is
+    # Inconclusive and never a false NotGenerates
+    R = suite["B2 nu2 matched"]
+    orbit = anisotropic_orbits(R)[0]
+    assert QUOTIENT.search(generation_check(R, orbit, 8, 200).reason).groups() == ("4", "1")
+    monkeypatch.setattr(ears.weyl, "_KERNEL_CAP", 1)
+    assert _quotient_negative(_Setup(R), orbit, _remaining_translations(R, orbit)) is None
+    assert generation_check(R, orbit, 8, 200) == Inconclusive(8)
 
 
 def test_quotient_agrees_with_the_rank_one_decider(suite):
@@ -739,6 +818,53 @@ def test_quotient_normalizes_the_radical_basis(suite, z2):
     assert minimality(doubled) == minimality(matched) == Minimal(5)
 
 
+def change_radical_basis(R, g):
+    """R with the radical coordinates of every translation set multiplied
+    on the right by g in GL_nu(Z): cosets and modulus rows times g.  With
+    the dual block moved by g^-T it is an isometry of the ambient space."""
+    def times(v):
+        return Vector([sum(v[i] * g[i][j] for i in range(len(g))) for j in range(len(g))])
+    sets = {tag: Semilattice.from_cosets([times(c) for c in sl.cosets],
+                                         Lattice(sl.ambient, [times(r) for r in sl.modulus.rows]), sl.translated)
+            for tag, sl in R.translations.items()}
+    return construct_ears(R.finite_part, sets["short"], sets.get("long"), sets.get("extra")), times
+
+
+def verdict_kind(verdict):
+    """The verdict's type, with the rule and, for the quotient, k and D
+    that a negative cites."""
+    reason = getattr(verdict, "reason", "")
+    found = QUOTIENT.search(reason)
+    return type(verdict).__name__, [code for code in "WQ" if REASONS[code] in reason], found and found.groups()
+
+
+def test_verdicts_survive_a_change_of_radical_basis(suite, z2):
+    # the quotient reads the radical part in the short lattice's basis, so
+    # an isomorphic image of a system must decide each orbit alike; on
+    # Z x 2Z the shear moves that basis off the coordinate axes
+    bases = {1: [[[-1]]], 2: [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]]}
+    uneven = Semilattice.from_cosets([[0, 0]], Lattice(2, [[1, 0], [0, 2]]))
+    systems = {**suite, "B2 2Z^2 4Z^2": construct_ears("B2", z2.scaled(2), z2.scaled(4)),
+               "B2 Z x 2Z": construct_ears("B2", uneven, uneven.scaled(2))}
+    images = 0
+    for name, R in systems.items():
+        if R.finite_part.rank < 2 or R.nullity == 0:
+            continue
+        want = {ob.base: verdict_kind(generation_check(R, ob, 8, 200)) for ob in anisotropic_orbits(R)}
+        for g in bases[R.nullity]:
+            image, times = change_radical_basis(R, g)
+            seen = set()
+            for base, kind in want.items():
+                iso, dot, _ = R.space.blocks(base)
+                orbit = orbit_closed_form(image, image.space.assemble(times(iso), dot))
+                seen.add(orbit)
+                assert verdict_kind(generation_check(image, orbit, 8, 200)) == kind, (name, g, base)
+            # the orbits map one to one
+            assert seen == set(anisotropic_orbits(image)), (name, g)
+            images += 1
+    assert images == 17
+
+
 ROOT_SYSTEM_RULE = "the remaining roots are not a root system"
 
 
@@ -757,8 +883,8 @@ def test_a1_nu3_full_refutes_the_root_system_rule(nullity3):
 
 
 def test_no_verdict_cites_the_root_system_rule(suite, z2):
-    # above rank one every negative is the finite check's, the orbit
-    # shrink's or the congruence quotient's
+    # above rank one every negative is the finite check's or the
+    # congruence quotient's
     systems = {**suite, "C3 nu2": construct_ears("C3", z2, z2)}
     for name, R in systems.items():
         for ob in anisotropic_orbits(R):
@@ -766,7 +892,7 @@ def test_no_verdict_cites_the_root_system_rule(suite, z2):
             reason = getattr(verdict, "reason", "")
             assert ROOT_SYSTEM_RULE not in reason, (name, ob.base)
             if R.finite_part.rank > 1 and reason:
-                assert any(REASONS[code] in reason for code in "WSQ"), (name, ob.base, reason)
+                assert any(REASONS[code] in reason for code in "WQ"), (name, ob.base, reason)
 
 
 def test_b2_nu3_leaves_eight_orbits_undecided():
@@ -1407,7 +1533,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
     # every decider and search minimality builds on the suite and on
     # nullity3_system(): the same letters in the same order, and the
     # decider's integer tuples assemble no Vector; the congruence quotient
-    # gives up, so the search runs on the eight orbits it decides otherwise
+    # gives up, so the search runs on the thirteen orbits it decides otherwise
     deciders, searches = [], []
     init, search, shear = _Rank1Decider.__init__, _certificate_search, _shear
 
@@ -1425,7 +1551,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
         give_up_quotient(m)
         for R in [*suite.values(), nullity3_system()]:
             minimality(R, 8, 200)
-    assert (len(deciders), len(searches)) == (26, 8)
+    assert (len(deciders), len(searches)) == (26, 13)
 
     letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
 
