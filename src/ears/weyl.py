@@ -24,8 +24,11 @@ expanded once per Generates (RuntimeError above _WORD_CAP letters,
 before any is built) and re-checked by flat re-multiplication.  One
 minimality call works out what depends on the system alone once for all
 its orbits (_Setup): the finite Weyl order, the finite closure per set of
-remaining classes, the search's reflectors and each reflection's image mod
-k.  For higher ranks the verdict is three-valued: sound negatives come
+remaining classes, the search's reflectors, each reflection's image mod k
+and R's symmetries (sign flips, transpositions and shears of the radical
+coordinates keeping every class set).  Each maps R onto R and W onto W, so
+a NotGenerates carries over to the orbit's images, which are not checked
+again.  For higher ranks the verdict is three-valued: sound negatives come
 from the finite quotient or from a congruence quotient (Mal'cev 1958),
 and no descriptor is built for the remaining roots.  The quotient reads
 radical coordinates in the short lattice's basis, conjugates by
@@ -59,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 from .core import (
     _CLASS_TAGS,
@@ -365,11 +368,11 @@ def _times_power(el, r, n: int, nu: int):
     """el r^n for even elements whose flat lists start with a shear of nu
     entries: (b + n b_r, w + n (w_r - b^b_r)).  nu = 0 for elements kept
     as w alone, since b = 0: then no wedge is formed."""
-    (e, u), (f, v) = el, _power(r, n)
-    out = [x + y for x, y in zip(e, f)]
+    (e, u), (f, v) = el, r
+    out = [x + n * y for x, y in zip(e, f)]
     for k, (i, j) in enumerate(_pairs(nu), nu):
-        out[k] -= e[i] * f[j] - e[j] * f[i]
-    return out, ("*", u, v)
+        out[k] -= n * (e[i] * f[j] - e[j] * f[i])
+    return out, ("*", u, ("^", v if n >= 0 else ("~", v), abs(n)))
 
 
 def _commutator(a, b, nu: int):
@@ -601,11 +604,29 @@ class _Setup:
     orbits of one minimality call and dropped with it: the finite Weyl
     order, whether the directions of a set of remaining classes generate
     that group, the certificate search's (root, reflector) per root, and
-    the congruence quotient's scaling D, Gram data and images."""
+    the congruence quotient's scaling D, Gram data and images, and the symmetries."""
 
     def __init__(self, R: EarsDescriptor):
         self.R, self.order = R, finite_weyl(R.finite_part).order
-        self._generates, self._letters, self._classes, self._scale = {}, {}, {}, None
+        self._generates, self._letters, self._classes, self._scale, self._maps = {}, {}, {}, None, None
+
+    def symmetries(self) -> list[Matrix]:
+        """The sign flips, shears x_i -> x_i + x_j and transpositions g of the
+        radical coordinates (v -> g * v) mapping each class set into itself,
+        modulus rows and cosets alike.  With g^-T on the dual block, each is an
+        isometry mapping R onto R (g is unimodular, the modulus of full rank)
+        that fixes the finite part and each class's T."""
+        if self._maps is None:
+            eye, maps = [tuple(int(i == j) for j in range(self.R.space.nu)) for i in range(self.R.space.nu)], []
+            for i, j in product(range(len(eye)), repeat=2):
+                g, swap = eye[:], eye[:]
+                g[i] = tuple(-x for x in eye[i]) if i == j else tuple(map(int.__add__, eye[i], eye[j]))
+                swap[i], swap[j] = eye[j], eye[i]
+                maps += [g, swap] if i < j else [g]
+            self._maps = [g for g in (Matrix._of(m, 1) for m in maps) if all(
+                all(sl.modulus.contains(g * r) for r in sl.modulus.rows)
+                and all(sl.modulus.reduce(g * c) in sl.cosets for c in sl.cosets) for sl in self.R.translations.values())]
+        return self._maps
 
     def finite_generates(self, fams) -> bool:
         key = tuple(tag for tag, sl in fams.items() if sl is not None)
@@ -794,18 +815,21 @@ _KERNEL_CAP = 4096  # kernel states per modulus; past it the quotient gives up
 def _in_image(gens, base, mod: _ModK) -> bool:
     """Whether base, a (perm, image) pair, is in the group the involutions
     gens generate.  Schreier split over W_fin: a transversal rep(s) with
-    inverses along the closure on permutations; the kernel is generated by
-    rep(p s)^-1 g rep(s) over s and (p, g), and the distinct ones are closed
-    once (RuntimeError past _KERNEL_CAP)."""
-    mul, one = mod.mul, mod.one
-    tree = closure([tuple(range(len(base[0])))], range(len(gens)), lambda s, i: tuple(map(gens[i][0].__getitem__, s)))
+    inverses along the closure over the distinct permutations p, each with
+    its first image first[p]; off the tree's edges (where it is 1) each
+    rep(p s)^-1 g rep(s) outside the kernel extends it (RuntimeError past _KERNEL_CAP)."""
+    mul, one, first = mod.mul, mod.one, dict(reversed(gens))
+    tree = closure([tuple(range(len(base[0])))], first, lambda s, p: tuple(map(p.__getitem__, s)))
     reps = {}
     for s, link in tree.items():
-        (r, v), g = (reps[link[0]], gens[link[1]][1]) if link else ((one, one), one)
+        (r, v), g = (reps[link[0]], first[link[1]]) if link else ((one, one), one)
         reps[s] = mul(g, r), mul(v, g)
-    schreier = dict.fromkeys(mul(reps[tuple(map(p.__getitem__, s))][1], mul(g, r))
-                             for s, (r, _) in reps.items() for p, g in gens)
-    kernel = closure([one], schreier, lambda x, h: mul(h, x), _KERNEL_CAP)
+    kernel, used = {one}, []
+    for (s, (r, _)), (p, g) in product(reps.items(), gens):
+        t = tuple(map(p.__getitem__, s))
+        if (tree[t] != (s, p) or g != first[p]) and (h := mul(reps[t][1], mul(g, r))) not in kernel:
+            used.append(h)
+            kernel = closure(kernel, used, lambda x, h: mul(h, x), _KERNEL_CAP)
     return base[0] in reps and mul(reps[base[0]][1], base[1]) in kernel
 
 
@@ -875,14 +899,20 @@ def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
     """Minimal / NotMinimal(orbit, certificate) / Unknown(unresolved).
     R's translation sets must pass construct_ears's rules; its finite part may be any."""
     orbits = _removal_candidates(R)
-    unresolved = []
+    unresolved, negatives = [], set()
     setup = _Setup(R)
     for orbit in orbits:
+        # skipped when a symmetry of R maps an orbit that does not generate onto it
+        if (key := (R.class_of_dot(orbit.dot_part), orbit.base_offset)) in negatives:
+            continue
         verdict = generation_check(R, orbit, depth, budget, _setup=setup)
         if isinstance(verdict, Generates):
             return NotMinimal(orbit, verdict.certificate)
         if isinstance(verdict, Inconclusive):
             unresolved.append(orbit)
+        else:  # the keys of the orbit's images under the symmetries
+            negatives.update(closure([key], setup.symmetries(),
+                                     lambda k, g: (k[0], R.class_lattice(k[0]).reduce(g * k[1]))))
     if unresolved:
         return Unknown(tuple(unresolved))
     return Minimal(len(orbits))

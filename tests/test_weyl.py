@@ -79,6 +79,7 @@ from ears.examples import (
     acceptance_suite,
     even_system,
     integer_lattice,
+    nullity2_system,
     nullity3_system,
     odd_translated,
     orbit_oracle_cases,
@@ -835,20 +836,23 @@ def verdict_kind(verdict):
     that a negative cites."""
     reason = getattr(verdict, "reason", "")
     found = QUOTIENT.search(reason)
-    return type(verdict).__name__, [code for code in "WQ" if REASONS[code] in reason], found and found.groups()
+    return type(verdict).__name__, [code for code in "OWQ" if REASONS[code] in reason], found and found.groups()
 
 
 def test_verdicts_survive_a_change_of_radical_basis(suite, z2):
     # the quotient reads the radical part in the short lattice's basis, so
     # an isomorphic image of a system must decide each orbit alike; on
-    # Z x 2Z the shear moves that basis off the coordinate axes
-    bases = {1: [[[-1]]], 2: [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]]}
+    # Z x 2Z the shear moves that basis off the coordinate axes.  The rank-one
+    # decider gets the same g at nullity 1 and 2, and at nullity 3 a signed
+    # permutation and a shear; the suite's "A1 nu3 full" is nullity3_system()
+    bases = {1: [[[-1]]], 2: [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]],
+             3: [[[0, 1, 0], [0, 0, -1], [1, 0, 0]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]]]}
     uneven = Semilattice.from_cosets([[0, 0]], Lattice(2, [[1, 0], [0, 2]]))
     systems = {**suite, "B2 2Z^2 4Z^2": construct_ears("B2", z2.scaled(2), z2.scaled(4)),
                "B2 Z x 2Z": construct_ears("B2", uneven, uneven.scaled(2))}
     images = 0
     for name, R in systems.items():
-        if R.finite_part.rank < 2 or R.nullity == 0:
+        if R.nullity == 0:
             continue
         want = {ob.base: verdict_kind(generation_check(R, ob, 8, 200)) for ob in anisotropic_orbits(R)}
         for g in bases[R.nullity]:
@@ -862,7 +866,100 @@ def test_verdicts_survive_a_change_of_radical_basis(suite, z2):
             # the orbits map one to one
             assert seen == set(anisotropic_orbits(image)), (name, g)
             images += 1
-    assert images == 17
+    assert images == 33
+
+
+def elementary_maps(nu) -> list:
+    """The sign flips, shears x_i -> x_i + x_j and transpositions of Z^nu as
+    matrices on column vectors, built apart from _Setup.symmetries."""
+    def eye():
+        return [[int(a == b) for b in range(nu)] for a in range(nu)]
+
+    out = []
+    for i in range(nu):
+        for j in range(nu):
+            out.append(eye())
+            out[-1][i][j] = -1 if i == j else 1
+    for i, j in combinations(range(nu), 2):
+        out.append(eye())
+        out[-1][i], out[-1][j] = out[-1][j], out[-1][i]
+    return [Matrix(m) for m in out]
+
+
+def symmetry_systems() -> dict:
+    """removal_label_systems() and three nullity-two systems of rank two and three."""
+    z2 = integer_lattice(2)
+    return {**removal_label_systems(), "B2 Z^2 2Z^2": construct_ears("B2", z2, z2.scaled(2)),
+            "C3 Z^2 Z^2": construct_ears("C3", z2, z2), "G2 Z^2 3Z^2": construct_ears("G2", z2, z2.scaled(3))}
+
+
+def test_symmetries_are_the_elementary_maps_that_keep_every_class_set(suite):
+    # a candidate is kept exactly when it maps every point of every class
+    # set's window 2 into the set; with g^-T on the dual block a kept one
+    # keeps the form and maps the window's anisotropic roots to roots
+    for name, R in symmetry_systems().items():
+        kept, nu, rank = _Setup(R).symmetries(), R.space.nu, R.space.rank
+        for g in elementary_maps(nu):
+            keeps = all(sl.contains(g * p) for sl in R.translations.values() for p in sl.window(2))
+            assert keeps == (g in kept), (name, g)
+        for g in kept:
+            inverse = rational_inverse(g.rows)
+            m = block_diagonal(g.rows, [[int(i == j) for j in range(rank)] for i in range(rank)],
+                               [list(col) for col in zip(*inverse)])
+            assert m.transpose() @ R.space.form.gram @ m == R.space.form.gram, (name, g)
+            assert all(R.classify(m * r) == "anisotropic" for r in R.anisotropic_window(2)), (name, g)
+    assert {name: len(_Setup(R).symmetries()) for name, R in suite.items()} == {
+        "A2 nu0": 0, "A1 nu1 full": 1, "A1 nu1 doubled": 1, "A1 nu2 full": 5, "A1 nu2 product-even": 3,
+        "A1 nu3 full": 12, "A1 nu3 product-even": 6, "A2 nu1": 1, "B2 nu1 matched": 1, "B2 nu1 doubled": 1,
+        "B2 nu2 matched": 5, "B2 nu2 product-even": 3, "G2 nu1": 1, "BC1 nu1": 1, "BC1 nu2 shifted": 3,
+        "BC2 nu1": 1}
+
+
+def test_symmetries_map_orbits_onto_orbits_with_the_same_verdict():
+    # no skipping: generation_check on every orbit, then each kept map sends
+    # each orbit onto an orbit of R with the same verdict type.  BC1 nu3 is
+    # left out: its eight checks take about 10 s, and one passes the word cap
+    systems = {**removal_label_systems(), "A1 Z^3": nullity3_system()}
+    del systems["BC1 nu3"]
+    pairs = 0
+    for name, R in systems.items():
+        kind = {ob: type(generation_check(R, ob, 8, 200)) for ob in anisotropic_orbits(R)}
+        for g in _Setup(R).symmetries():
+            for ob, want in kind.items():
+                iso, dot, _ = R.space.blocks(ob.base)
+                assert kind[orbit_closed_form(R, R.space.assemble(g * iso, dot))] is want, (name, g, ob.base)
+                pairs += 1
+    assert pairs == 342
+
+
+def test_minimality_matches_the_unskipped_loop():
+    # the skip changes no verdict, certificate or unresolved list
+    systems = {**symmetry_systems(), "A1 nu2 product-even": nullity2_system(), "A1 Z^3": nullity3_system()}
+    for name, R in systems.items():
+        assert minimality(R, 8, 200) == unskipped_minimality(R, 8, 200), name
+
+
+def test_minimality_checks_one_orbit_per_symmetry_class(suite, monkeypatch):
+    # generation_check calls per minimality call: 36 on the suite, where
+    # every orbit up to the first Generates takes 47
+    calls, check = Counter(), ears.weyl.generation_check
+
+    def counted(R, orbit, *args, **kw):
+        calls[R] += 1
+        return check(R, orbit, *args, **kw)
+
+    monkeypatch.setattr(ears.weyl, "generation_check", counted)
+    for R in suite.values():
+        minimality(R, 8, 200)
+    assert {name: calls[R] for name, R in suite.items()} == {
+        "A2 nu0": 1, "A1 nu1 full": 2, "A1 nu1 doubled": 2, "A1 nu2 full": 2, "A1 nu2 product-even": 2,
+        "A1 nu3 full": 1, "A1 nu3 product-even": 3, "A2 nu1": 1, "B2 nu1 matched": 3, "B2 nu1 doubled": 3,
+        "B2 nu2 matched": 3, "B2 nu2 product-even": 3, "G2 nu1": 2, "BC1 nu1": 2, "BC1 nu2 shifted": 3,
+        "BC2 nu1": 3}
+    calls.clear()
+    for R in suite.values():
+        unskipped_minimality(R, 8, 200)
+    assert sum(calls.values()) == 47
 
 
 ROOT_SYSTEM_RULE = "the remaining roots are not a root system"
@@ -1358,6 +1455,19 @@ def _reducer_state(reducer):
             [_state(el) for el in reducer.residuals])
 
 
+def unskipped_minimality(R, depth, budget):
+    """minimality without the symmetry skip: generation_check on every orbit
+    in removal order, with one _Setup, up to the first Generates."""
+    orbits, unresolved, setup = _removal_candidates(R), [], _Setup(R)
+    for orbit in orbits:
+        verdict = ears.weyl.generation_check(R, orbit, depth, budget, _setup=setup)
+        if isinstance(verdict, Generates):
+            return NotMinimal(orbit, verdict.certificate)
+        if isinstance(verdict, Inconclusive):
+            unresolved.append(orbit)
+    return Unknown(tuple(unresolved)) if unresolved else Minimal(len(orbits))
+
+
 def test_insert_matches_reference_on_minimality_deciders(suite, monkeypatch):
     built = []
     init = _Rank1Decider.__init__
@@ -1369,8 +1479,8 @@ def test_insert_matches_reference_on_minimality_deciders(suite, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_Rank1Decider, "__init__", spy)
         for R in [suite[name] for name in RANK_ONE] + [nullity3_system()]:
-            minimality(R, 8, 200)
-    assert len(built) == 26  # minimality stops at the first removable orbit
+            unskipped_minimality(R, 8, 200)
+    assert len(built) == 26  # the loop stops at the first removable orbit
     for space, families in built:
         got = _Rank1Decider(space, families)
         with monkeypatch.context() as m:
@@ -1424,7 +1534,9 @@ def test_insert_matches_reference_in_every_branch(nullity3, monkeypatch):
 # and 1,255 closed-form steps.  On flat even rows a pair of reflections
 # and a commutator are closed forms too, so only steps are left, and
 # since the verdict is Minimal no word is expanded.  On A1 nu3 full the
-# one Generates expands its certificate.
+# one Generates expands its certificate.  Of the 7 orbits of A1 nu3
+# product-even, minimality checks 3: the signed permutations of Z^3 carry
+# the negatives to the other 4, and the steps fall from 1,299 to 551.
 def test_rank_one_minimality_work(suite, monkeypatch):
     counts = Counter()
     step, expand = ears.weyl._times_power, ears.weyl._expand
@@ -1439,8 +1551,11 @@ def test_rank_one_minimality_work(suite, monkeypatch):
 
     monkeypatch.setattr(ears.weyl, "_times_power", counted_step)
     monkeypatch.setattr(ears.weyl, "_expand", counted_expand)
-    assert isinstance(minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
+    assert isinstance(unskipped_minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
     assert counts == {"steps": 1_299}, counts
+    counts.clear()
+    assert isinstance(minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
+    assert counts == {"steps": 551}, counts
     assert counts["steps"] <= 401 + 1_255
     counts.clear()
     assert isinstance(minimality(suite["A1 nu3 full"], 8, 200), NotMinimal)
@@ -1530,10 +1645,11 @@ def reference_search_generators(R, fams, target_root):
 
 
 def test_generators_match_the_vector_reference(suite, monkeypatch):
-    # every decider and search minimality builds on the suite and on
-    # nullity3_system(): the same letters in the same order, and the
-    # decider's integer tuples assemble no Vector; the congruence quotient
-    # gives up, so the search runs on the thirteen orbits it decides otherwise
+    # every decider and search that minimality, less its symmetry skip,
+    # builds on the suite and on nullity3_system(): the same letters in the
+    # same order, and the decider's integer tuples assemble no Vector; the
+    # congruence quotient gives up, so the search runs on the thirteen
+    # orbits it decides otherwise
     deciders, searches = [], []
     init, search, shear = _Rank1Decider.__init__, _certificate_search, _shear
 
@@ -1550,7 +1666,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
         m.setattr(ears.weyl, "_certificate_search", spy_search)
         give_up_quotient(m)
         for R in [*suite.values(), nullity3_system()]:
-            minimality(R, 8, 200)
+            unskipped_minimality(R, 8, 200)
     assert (len(deciders), len(searches)) == (26, 13)
 
     letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
