@@ -296,9 +296,9 @@ _PARSER.add_argument("command", choices=sorted(_COMMANDS))
 _PARSER.add_argument("--window", type=int, default=4, metavar="N",
                      help="max-norm bound for windowed checks (default 4)")
 _PARSER.add_argument("--depth", type=int, default=8, metavar="N",
-                     help="word-search depth (default 8)")
+                     help="depth an Inconclusive verdict names; echoed in meta (default 8)")
 _PARSER.add_argument("--budget", type=int, default=1_000_000, metavar="N",
-                     help="group-element budget for searches (default 1e6)")
+                     help="echoed in meta; bounds no decision (default 1e6)")
 _PARSER.add_argument("--in", dest="input_path", metavar="PATH",
                      help="input JSON config")
 _PARSER.add_argument("--out", dest="output_path", metavar="PATH",

@@ -19,8 +19,8 @@ integer Hermite normal form (_hnf_int, unimodular row operations): Lattice
 keeps its rows, span_rank feeds it vectors one at a time until the pivots
 cover every coordinate in use, and kernel solves the pivot entries upward
 through its rows.  The search is closure, for orbits, cosets and
-generated groups; weyl.orbit_bfs and the certificate search keep their
-own loops, each for a reason given at the loop.
+generated groups; weyl.orbit_bfs keeps its own loop, for a reason
+given at the loop.
 """
 
 from __future__ import annotations

@@ -24,26 +24,26 @@ expanded once per Generates (RuntimeError above _WORD_CAP letters,
 before any is built) and re-checked by flat re-multiplication.  One
 minimality call works out what depends on the system alone once for all
 its orbits (_Setup): the finite Weyl order, the finite closure per set of
-remaining classes, the search's reflectors, each reflection's image mod k
-and R's symmetries (sign flips, transpositions and shears of the radical
-coordinates keeping every class set).  Each maps R onto R and W onto W, so
-a NotGenerates carries over to the orbit's images, which are not checked
-again.  For higher ranks the verdict is three-valued: sound negatives come
-from the finite quotient or from a congruence quotient (Mal'cev 1958),
-and no descriptor is built for the remaining roots.  The quotient reads
-radical coordinates in the short lattice's basis, conjugates by
-diag(D^2, D, 1) with D the least scale making every reflection integral
-(1 on B2 nu2 matched, 2 on BC2 nu1), reads each image off the root in
-closed form, reduces mod k = 4, 8, ..., 64 and splits over W_fin
-(Schreier).  Past it a bounded certificate search, then Inconclusive.
+remaining classes, each reflection's image mod k and R's symmetries (sign
+flips, transpositions and shears of the radical coordinates keeping every
+class set).  Each maps R onto R and W onto W, so a NotGenerates carries
+over to the orbit's images, which are not checked again.  For higher
+ranks the verdict is three-valued.  Sound negatives come from the finite
+quotient or from a congruence quotient (Mal'cev 1958), and no descriptor
+is built for the remaining roots.  The quotient reads radical coordinates
+in the short lattice's basis, conjugates by diag(D^2, D, 1) with D the
+least scale making every reflection integral (1 on B2 nu2 matched, 2 on
+BC2 nu1), reads each image off the root in closed form, reduces mod k =
+4, 8, ..., 64 and splits over W_fin (Schreier).  Positives come from the
+slice: the rank-one decider on the remaining roots of the base's line,
+which form a rank-one system (W = W_fin x| H, Azam 1999), its word mapped
+back into R.  What neither decides is Inconclusive; nothing searches.
 
-Words and the certificate search multiply a Matrix by reflections as
-rank-one integer updates (linalg.times_reflector); the search keys its
-window roots' lines on integer tuples at one scale and builds a Vector
-per kept line only; the windowed orbit
-search forms only the reflected members that stay in its box, on integers
-at one scale (Vector.at); certificates are re-checked against
-reflection_matrix, built from linalg.reflect and not from those updates.
+Words multiply a Matrix by reflections as rank-one integer updates
+(linalg.times_reflector); the windowed orbit search forms only the
+reflected members that stay in its box, on integers at one scale
+(Vector.at); certificates are re-checked against reflection_matrix,
+built from linalg.reflect and not from those updates.
 Finite generation runs on root permutations
 (finite.reflection_closure).
 Rank-one powers are closed form, and so is a reduction step (times_power:
@@ -462,16 +462,18 @@ def _offsets(nu: int, rows):
 
 
 class _Rank1Decider:
-    """Exact subgroup membership for reflections of a rank-one system.
+    """Exact subgroup membership for reflections of a rank-one system of
+    nullity nu, which is all it reads of a space.
 
     families: per length class, the finite-direction coefficient together
-    with the translation semilattice of the remaining roots.
+    with the translation semilattice of the remaining roots (None when
+    none remain).
     """
 
-    def __init__(self, space: AmbientSpace, families):
+    def __init__(self, nu: int, families):
         # any finite form [g] is decided as [1]: (tau, y, delta) -> (tau, y, delta / g)
         # scales the form by 1/g and fixes the roots, so it conjugates the two groups
-        self.nu = nu = space.nu
+        self.nu = nu
         # the roots (sigma, x, 0) as ints at one scale, in Vector order; one Vector each
         fams = [(x, sl) for x, sl in families if sl is not None]
         top = math.lcm(1, *(n for x, sl in fams for n in (x.denominator, sl.den)))
@@ -603,12 +605,12 @@ class _Setup:
     """What generation_check needs of R alone, worked out once for all the
     orbits of one minimality call and dropped with it: the finite Weyl
     order, whether the directions of a set of remaining classes generate
-    that group, the certificate search's (root, reflector) per root, and
-    the congruence quotient's scaling D, Gram data and images, and the symmetries."""
+    that group, the congruence quotient's scaling D, Gram data and images,
+    and the symmetries."""
 
     def __init__(self, R: EarsDescriptor):
         self.R, self.order = R, finite_weyl(R.finite_part).order
-        self._generates, self._letters, self._classes, self._scale, self._maps = {}, {}, {}, None, None
+        self._generates, self._classes, self._scale, self._maps = {}, {}, None, None
 
     def symmetries(self) -> list[Matrix]:
         """The sign flips, shears x_i -> x_i + x_j and transpositions g of the
@@ -634,13 +636,6 @@ class _Setup:
             letters, tree = _finite_closure(self.R, fams)
             self._generates[key] = bool(letters) and len(tree) == self.order
         return self._generates[key]
-
-    def letter(self, r: tuple, top: int):
-        """(root, reflector) of the root r / top."""
-        if (r, top) not in self._letters:
-            root = Vector._of(r, top)
-            self._letters[r, top] = root, reflector(self.R.space, root)
-        return self._letters[r, top]
 
     def lines(self, tag) -> list[Vector]:
         """One direction per line of the class: r_(s + d) = r_(-s - d)."""
@@ -704,34 +699,40 @@ class _Setup:
         return perm, out & mod.mask
 
 
-def _rank1_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
-    """Complete generation decision when the finite part has rank one.
+def _slice_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
+    """Whether r_base lies in the group of the remaining roots on its line.
 
-    The removed reflections are r_{x e + sigma0 + tau} for tau in T.  It
-    suffices to test tau over 0, the basis of T, and basis pairs: every
-    other removed reflection is a product of tested ones with central
-    corrections that are themselves products of tested ones.
+    With d the base's direction (the positive member of its line) and e
+    the least positive finite root on that line, those roots sigma + x e
+    form a rank-one system (A1, or BC1 where a BC class doubles the line)
+    whose reflections act on radical + <e> + dual as on its own space, so
+    _Rank1Decider decides membership in their group.  Its word, each
+    letter (sigma, x) mapped back to sigma + x e, is re-checked in R's
+    space.  Only r_base is reduced: the remaining roots are W-invariant,
+    so their group is normal in W and holds the whole orbit once it holds
+    r_base.  At rank one the slice is R, and a failure is an exact
+    NotGenerates; above it the slice's group may be smaller: None.
     """
-    space = R.space
+    space, nu = R.space, R.space.nu
     dot, sigma0 = orbit.dot_part, space.blocks(orbit.base)[0]
-    if dot.ints[0] < 0:
+    if next(filter(None, dot.ints)) < 0:
         # reflections are attached to lines; use the positive-dot member
         dot, sigma0 = -dot, -sigma0
-    families = [(abs(next(iter(R.dot_classes[tag]))[0]), sl) for tag, sl in fams.items()]
-    decider = _Rank1Decider(space, families)
-    for off in _offsets(space.nu, orbit.translation_lattice.hnf):
-        root = space.assemble(sigma0 + Vector._of(off, orbit.translation_lattice.den), dot)
-        node = decider.reduce_reflection(root)
-        if node is None:
-            return NotGenerates(
-                f"the reflection in {root} is outside the subgroup generated "
-                "by the remaining roots (rank-one membership is decided exactly)"
-            )
-        if not any(off):
-            zero = node
-    word = _expand(zero)  # the only word a decision expands
-    assert word[0] == space.assemble(sigma0, dot)
-    certificate = word[:0:-1]
+    line = [(c, tag) for c in (Fraction(1, 2), Fraction(1), Fraction(2)) if (tag := R.class_of_dot(dot * c))]
+    least = line[0][0]
+    e = dot * least
+    decider = _Rank1Decider(nu, [(c / least, fams.get(tag)) for c, tag in line])
+    # the base in the slice's own space: (sigma0, 1 / least, 0)
+    node = decider.reduce_reflection(Vector._of((*sigma0.ints, int(sigma0.den / least), *(0,) * nu), sigma0.den))
+    root = space.assemble(sigma0, dot)
+    if node is None:
+        return None if R.finite_part.rank > 1 else NotGenerates(
+            f"the reflection in {root} is outside the subgroup generated "
+            "by the remaining roots (rank-one membership is decided exactly)")
+    word = _expand(node)  # the only word a decision expands
+    back = {r: space.assemble(Vector._of(r.ints[:nu], r.den), e * Fraction(r.ints[nu], r.den)) for r in set(word)}
+    assert back[word[0]] == root
+    certificate = tuple(back[r] for r in word[:0:-1])
     _check_certificate(space, orbit.base, certificate)
     return Generates(certificate)
 
@@ -740,48 +741,6 @@ def _check_certificate(space, base, word):
     target = reflection_matrix(space, base)
     if word_element(space, word).matrix != target:
         raise AssertionError("certificate failed re-verification")
-
-
-def _certificate_search(setup: _Setup, fams, target_root, depth, budget):
-    """Breadth-first word search over remaining-root reflections.
-
-    Deterministic: generators sorted by root, frontier in insertion
-    order, so the first hit is the lexicographically least among the
-    shortest certificates.  Not linalg.closure: the search is bounded by
-    depth and stops at the first hit.
-    """
-    R, space = setup.R, setup.R.space
-    bound = max(2, int(target_root.max_norm()) + 2)
-    # the window roots as ints at one scale, sorted as tuples (Vector order)
-    pairs = [(sl, d) for tag, sl in fams.items() if sl is not None for d in R.dot_classes.get(tag, ())]
-    top = math.lcm(1, *(n for sl, d in pairs for n in (sl.den, d.den)))
-    lim, zero = bound * top, (0,) * space.nu
-    ints = {(*p, *d.at(top), *zero) for sl, d in pairs
-            for p in sl.points(top, [-lim] * space.nu, [lim] * space.nu)}
-    lines = {}  # r, -r and a BC double 2r give one reflection: keep the first
-    for r in sorted(ints):
-        lines.setdefault(line_key(r), r)
-    gens = [setup.letter(r, top) for r in lines.values()]
-    ident = Matrix.identity(space.dim)
-    target = times_reflector(ident, reflector(space, target_root))
-    seen = {ident}
-    frontier = [(ident, ())]
-    for _ in range(depth):
-        nxt = []
-        for m, w in frontier:
-            for root, g in gens:
-                p = times_reflector(m, g)
-                if p in seen:
-                    continue
-                word = w + (root,)
-                if p == target:
-                    return word
-                seen.add(p)
-                if len(seen) > budget:
-                    return None
-                nxt.append((p, word))
-        frontier = nxt
-    return None
 
 
 class _ModK:
@@ -859,22 +818,19 @@ def generation_check(
     R's translation sets must pass construct_ears's rules; its finite part may be any.
     minimality passes one _Setup of R for all its orbits, each built by
     itself; without one the call validates the orbit and builds its own.
-    In turn: finite quotient, rank one, congruence quotient, search, Inconclusive."""
+    In turn: the finite quotient, the congruence quotient (above rank
+    one), the slice of the base's line, which decides rank one exactly,
+    then Inconclusive(depth).  Nothing searches: depth is only named by
+    Inconclusive, and budget bounds nothing."""
     if (setup := _setup) is None:
         _validate_orbit(R, removed_orbit)
         setup = _Setup(R)
     fams = _remaining_translations(R, removed_orbit)
     if not setup.finite_generates(fams):
         return NotGenerates("the remaining directions do not generate the finite Weyl group")
-    if R.finite_part.rank == 1:
-        return _rank1_decision(R, removed_orbit, fams)
-    if negative := _quotient_negative(setup, removed_orbit, fams):
+    if R.finite_part.rank > 1 and (negative := _quotient_negative(setup, removed_orbit, fams)):
         return negative
-    word = _certificate_search(setup, fams, removed_orbit.base, depth, budget)
-    if word is not None:
-        _check_certificate(R.space, removed_orbit.base, word)
-        return Generates(word)
-    return Inconclusive(depth)
+    return _slice_decision(R, removed_orbit, fams) or Inconclusive(depth)
 
 
 def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
@@ -883,16 +839,20 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
     Outermost material first: extra class, then long, then short, and
     within a class the representative farthest from zero first.  That way
     a successful removal usually keeps the zero coset, so the remainder
-    is already in descriptor normal form.
+    is already in descriptor normal form.  Offsets are compared as ints
+    at their class's common scale, which keeps their order.
     """
-    order = {"extra": 0, "long": 1, "short": 2}
+    order, scale = {"extra": 0, "long": 1, "short": 2}, {}
+    tagged = [(R.class_of_dot(ob.dot_part), ob) for ob in anisotropic_orbits(R)]
+    for tag, ob in tagged:
+        scale[tag] = math.lcm(scale.get(tag, 1), ob.base_offset.den)
 
-    def key(ob):
-        off = ob.base_offset.coords
-        tag = R.class_of_dot(ob.dot_part)
-        return (order[tag], -sum(c * c for c in off), tuple(-c for c in off))
+    def key(item):
+        tag, ob = item
+        off = ob.base_offset.at(scale[tag])
+        return order[tag], -sum(c * c for c in off), tuple(-c for c in off)
 
-    return sorted(anisotropic_orbits(R), key=key)
+    return [ob for _, ob in sorted(tagged, key=key)]
 
 
 def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):

@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ears.weyl
 from ears.cli import EXIT_CONSTRAINT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
-from ears.core import descriptor_to_config
+from ears.core import construct_ears, descriptor_to_config
 from ears.examples import (
     bc1_double_fixture,
+    integer_lattice,
     nullity2_system,
     nullity3_system,
 )
@@ -296,13 +298,30 @@ def test_undecided_orbits_are_reported_unknown(capsys, monkeypatch):
 
 
 def test_quotient_decides_at_default_flags(capsys, monkeypatch):
+    # every orbit is decided by the finite check or the quotient: no slice is tried
     calls = []
-    search = ears.weyl._certificate_search
-    monkeypatch.setattr(ears.weyl, "_certificate_search", lambda *args: calls.append(args) or search(*args))
+    decide = ears.weyl._slice_decision
+    monkeypatch.setattr(ears.weyl, "_slice_decision", lambda *args: calls.append(args) or decide(*args))
     for name in ("B2_nu2_matched", "BC2_nu1"):
         code, rep = run(capsys, "minimality", "--in", bench_config(name))
         assert (code, rep["verdict"]) == (EXIT_OK, "Minimal"), name
     assert calls == []
+
+
+def test_nullity3_b2_is_decided_at_default_flags(capsys, tmp_path):
+    # B2 over short Z^3, long 2Z^3: the slice of an orbit's line generates
+    z3 = integer_lattice(3)
+    path = write_config(tmp_path / "b2.json", descriptor_to_config(construct_ears("B2", z3, z3.scaled(2))))
+    for command, want in (("minimality", "NotMinimal"), ("presentation", "obstruction")):
+        outs = []
+        for _ in range(2):
+            start = time.process_time()
+            assert main([command, "--in", path]) == EXIT_OK
+            assert time.process_time() - start < 1, command
+            outs.append(capsys.readouterr().out)
+        rep = json.loads(outs[0])
+        assert (rep["verdict"] if command == "minimality" else rep["conjugation"]["status"]) == want
+        assert outs[0] == outs[1], command
 
 
 def test_trim(capsys, bc1_config):
