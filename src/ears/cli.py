@@ -168,7 +168,7 @@ def cmd_orbits(R: EarsDescriptor, args) -> tuple[dict, int]:
 
 
 def cmd_minimality(R: EarsDescriptor, args) -> tuple[dict, int]:
-    verdict = minimality(R, depth=args.depth, budget=args.budget)
+    verdict = minimality(R)
     if isinstance(verdict, Minimal):
         body = {"verdict": "Minimal", "orbit_count": verdict.orbit_count}
     elif isinstance(verdict, NotMinimal):
@@ -196,7 +196,7 @@ def cmd_presentation(R: EarsDescriptor, args) -> tuple[dict, int]:
             "evaluates_to_identity":
                 evaluate(cox.word, R.space).matrix.is_identity(),
         }
-    conj = conjugation_obstruction(R, depth=args.depth, budget=args.budget)
+    conj = conjugation_obstruction(R)
     if isinstance(conj, Obstruction):
         conj_body = {
             "status": "obstruction",
@@ -296,7 +296,7 @@ _PARSER.add_argument("command", choices=sorted(_COMMANDS))
 _PARSER.add_argument("--window", type=int, default=4, metavar="N",
                      help="max-norm bound for windowed checks (default 4)")
 _PARSER.add_argument("--depth", type=int, default=8, metavar="N",
-                     help="depth an Inconclusive verdict names; echoed in meta (default 8)")
+                     help="echoed in meta; bounds no decision (default 8)")
 _PARSER.add_argument("--budget", type=int, default=1_000_000, metavar="N",
                      help="echoed in meta; bounds no decision (default 1e6)")
 _PARSER.add_argument("--in", dest="input_path", metavar="PATH",

@@ -271,19 +271,18 @@ class NoneFound:
     orbits_checked: int
 
 
-def conjugation_obstruction(R: EarsDescriptor, depth: int = 8,
-                            budget: int = 1_000_000):
+def conjugation_obstruction(R: EarsDescriptor):
     """Identity word with odd letter count on some orbit, if one exists.
 
-    Runs the minimality decision.  A removable orbit yields the word
-    r_base r_dk ... r_d1 where r_base = r_d1 ... r_dk is the generation
-    certificate: it evaluates to the identity but uses the base's orbit an
-    odd number of times, so equality classes of words cannot be told apart
-    by orbit counts alone.  A Minimal verdict reports NoneFound; an
-    Unknown verdict is returned as-is.  R's translation sets must pass
+    Runs the minimality decision, which takes no search bound.  A removable
+    orbit yields the word r_base r_dk ... r_d1 where r_base = r_d1 ... r_dk is
+    the generation certificate: it evaluates to the identity but uses the
+    base's orbit an odd number of times, so equality classes of words cannot
+    be told apart by orbit counts alone.  A Minimal verdict reports NoneFound;
+    an Unknown verdict is returned as-is.  R's translation sets must pass
     construct_ears's rules; its finite part may be any.
     """
-    verdict = minimality(R, depth, budget)
+    verdict = minimality(R)
     if isinstance(verdict, Minimal):
         return NoneFound(verdict.orbit_count)
     if isinstance(verdict, Unknown):

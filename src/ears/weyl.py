@@ -23,9 +23,10 @@ plain tuples tagged by a str ("*", "~", "^") over leaves of letters,
 expanded once per Generates (RuntimeError above _WORD_CAP letters,
 before any is built) and re-checked by flat re-multiplication.  One
 minimality call works out what depends on the system alone once for all
-its orbits (_Setup): the finite Weyl order, the finite closure per set of
-remaining classes, each reflection's image mod k and R's symmetries (sign
-flips, transpositions and shears of the radical coordinates keeping every
+its orbits (_Setup): the finite Weyl order (closed only once a removal
+leaves directions), the finite closure per set of remaining classes,
+each reflection's image mod k and R's symmetries (sign flips,
+transpositions and shears of the radical coordinates keeping every
 class set).  Each maps R onto R and W onto W, so a NotGenerates carries
 over to the orbit's images, which are not checked again.  For higher
 ranks the verdict is three-valued.  Sound negatives come from the finite
@@ -37,7 +38,8 @@ BC2 nu1), reads each image off the root in closed form, reduces mod k =
 4, 8, ..., 64 and splits over W_fin (Schreier).  Positives come from the
 slice: the rank-one decider on the remaining roots of the base's line,
 which form a rank-one system (W = W_fin x| H, Azam 1999), its word mapped
-back into R.  What neither decides is Inconclusive; nothing searches.
+back into R.  What neither decides is Inconclusive.  Nothing searches,
+so no call takes a search depth or budget.
 
 Words multiply a Matrix by reflections as rank-one integer updates
 (linalg.times_reflector); the windowed orbit search forms only the
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, count, product
 
 from .core import (
@@ -524,7 +526,7 @@ class NotGenerates:
 
 @dataclass(frozen=True)
 class Inconclusive:
-    depth: int
+    """No decision path decided the orbit; nothing searched."""
 
 
 @dataclass(frozen=True)
@@ -604,13 +606,13 @@ def _finite_closure(R: EarsDescriptor, fams):
 class _Setup:
     """What generation_check needs of R alone, worked out once for all the
     orbits of one minimality call and dropped with it: the finite Weyl
-    order, whether the directions of a set of remaining classes generate
-    that group, the congruence quotient's scaling D, Gram data and images,
-    and the symmetries."""
+    order, closed only once a removal leaves directions, whether the
+    directions of a set of remaining classes generate that group, the
+    congruence quotient's scaling D, Gram data and images, and the
+    symmetries."""
 
     def __init__(self, R: EarsDescriptor):
-        self.R, self.order = R, finite_weyl(R.finite_part).order
-        self._generates, self._classes, self._scale, self._maps = {}, {}, None, None
+        self.R, self._generates, self._classes, self._scale, self._maps = R, {}, {}, None, None
 
     def symmetries(self) -> list[Matrix]:
         """The sign flips, shears x_i -> x_i + x_j and transpositions g of the
@@ -636,6 +638,10 @@ class _Setup:
             letters, tree = _finite_closure(self.R, fams)
             self._generates[key] = bool(letters) and len(tree) == self.order
         return self._generates[key]
+
+    @cached_property
+    def order(self) -> int:
+        return finite_weyl(self.R.finite_part).order
 
     def lines(self, tag) -> list[Vector]:
         """One direction per line of the class: r_(s + d) = r_(-s - d)."""
@@ -810,18 +816,14 @@ def _quotient_negative(setup: _Setup, orbit: OrbitDescriptor, fams):
     return None
 
 
-def generation_check(
-    R: EarsDescriptor, removed_orbit: OrbitDescriptor, depth: int = 8,
-    budget: int = 1_000_000, *, _setup: _Setup | None = None,
-):
+def generation_check(R: EarsDescriptor, removed_orbit: OrbitDescriptor, *, _setup: _Setup | None = None):
     """Do the reflections of the roots outside the orbit still generate?
     R's translation sets must pass construct_ears's rules; its finite part may be any.
     minimality passes one _Setup of R for all its orbits, each built by
     itself; without one the call validates the orbit and builds its own.
     In turn: the finite quotient, the congruence quotient (above rank
     one), the slice of the base's line, which decides rank one exactly,
-    then Inconclusive(depth).  Nothing searches: depth is only named by
-    Inconclusive, and budget bounds nothing."""
+    then Inconclusive.  Nothing searches, so nothing takes a search bound."""
     if (setup := _setup) is None:
         _validate_orbit(R, removed_orbit)
         setup = _Setup(R)
@@ -830,7 +832,7 @@ def generation_check(
         return NotGenerates("the remaining directions do not generate the finite Weyl group")
     if R.finite_part.rank > 1 and (negative := _quotient_negative(setup, removed_orbit, fams)):
         return negative
-    return _slice_decision(R, removed_orbit, fams) or Inconclusive(depth)
+    return _slice_decision(R, removed_orbit, fams) or Inconclusive()
 
 
 def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
@@ -855,7 +857,7 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
     return [ob for _, ob in sorted(tagged, key=key)]
 
 
-def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
+def minimality(R: EarsDescriptor):
     """Minimal / NotMinimal(orbit, certificate) / Unknown(unresolved).
     R's translation sets must pass construct_ears's rules; its finite part may be any."""
     orbits = _removal_candidates(R)
@@ -865,7 +867,7 @@ def minimality(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000):
         # skipped when a symmetry of R maps an orbit that does not generate onto it
         if (key := (R.class_of_dot(orbit.dot_part), orbit.base_offset)) in negatives:
             continue
-        verdict = generation_check(R, orbit, depth, budget, _setup=setup)
+        verdict = generation_check(R, orbit, _setup=setup)
         if isinstance(verdict, Generates):
             return NotMinimal(orbit, verdict.certificate)
         if isinstance(verdict, Inconclusive):
@@ -910,7 +912,7 @@ def _removal_label(R: EarsDescriptor, fams) -> tuple[str, dict]:
     return new.label, {tag: fams[left[c]] if c else None for tag, c in zip(_CLASS_TAGS, classes)}
 
 
-def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) -> EarsDescriptor:
+def extract_minimal(R: EarsDescriptor) -> EarsDescriptor:
     """Remove generating orbits until the system is minimal.
 
     Each step re-validates the smaller system and records the removal in
@@ -920,13 +922,11 @@ def extract_minimal(R: EarsDescriptor, depth: int = 8, budget: int = 1_000_000) 
     """
     current = R
     while True:
-        verdict = minimality(current, depth, budget)
+        verdict = minimality(current)
         if isinstance(verdict, Minimal):
             return current
         if isinstance(verdict, Unknown):
-            raise Stuck(
-                f"{len(verdict.unresolved)} orbit(s) undecided at depth {depth}"
-            )
+            raise Stuck(f"{len(verdict.unresolved)} orbit(s) undecided")
         orbit, certificate = verdict.orbit, verdict.certificate
         fams = _remaining_translations(current, orbit)
         short = fams.get("short")

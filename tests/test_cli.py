@@ -308,6 +308,18 @@ def test_quotient_decides_at_default_flags(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", sorted(f[:-len(".json")] for f in os.listdir(BENCH_CONFIGS)))
+def test_depth_and_budget_bound_nothing(capsys, name):
+    # both flags are still accepted and echoed in meta, and nothing else in
+    # a report reads them: the least values give the default flags' report
+    for command in ("minimality", "presentation"):
+        least = run(capsys, command, "--in", bench_config(name), "--depth", "1", "--budget", "1")
+        default = run(capsys, command, "--in", bench_config(name))
+        assert [least[1]["meta"].pop(k) for k in ("search_depth", "budget")] == [1, 1]
+        assert [default[1]["meta"].pop(k) for k in ("search_depth", "budget")] == [8, 1_000_000]
+        assert least == default, (name, command)
+
+
 def test_nullity3_b2_is_decided_at_default_flags(capsys, tmp_path):
     # B2 over short Z^3, long 2Z^3: the slice of an orbit's line generates
     z3 = integer_lattice(3)

@@ -157,7 +157,7 @@ def test_orbit_id_matches_two_classify_reference():
 def test_parity_matches_per_letter_count(suite, nullity2):
     words = []
     for name, R in suite.items():
-        ob = conjugation_obstruction(R, 8, 200)
+        ob = conjugation_obstruction(R)
         if isinstance(ob, Obstruction):
             words.append((name, R, ob.word.letters))
     assert [name for name, _, _ in words] == ["A1 nu3 full"]

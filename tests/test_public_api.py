@@ -68,6 +68,26 @@ def test_modules_use_every_import():
     assert unused == []
 
 
+def test_functions_read_every_parameter():
+    """Each parameter of a package function or method is read (as a loaded
+    Name) in its body, so no call takes a value that bounds nothing.
+    Dunders and lambdas are exempt, as are cli's cmd_* report builders,
+    which share one signature through _COMMANDS."""
+    unread = []
+    for path in sorted(Path(ears.__file__).parent.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("__") and f.name.endswith("__"):
+                continue
+            if path.name == "cli.py" and f.name.startswith("cmd_"):
+                continue
+            a = f.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{f.lineno} {f.name}({p})" for p in params if p not in read]
+    assert unread == []
+
+
 def test_every_member_has_a_caller():
     """Each function and method of the package is named in it (as a Name or an
     Attribute), is public, is a dunder, or is named in bench/*.py after a

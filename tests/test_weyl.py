@@ -281,7 +281,7 @@ def test_orbit_shrink_matches_per_sample_reference(z2):
                 continue
             compared += 1
             if reference_orbit_shrink(R, sub, orbit) is not None:
-                verdict = generation_check(R, orbit, 8, 200)
+                verdict = generation_check(R, orbit)
                 assert isinstance(verdict, NotGenerates) and REASONS["Q"] in verdict.reason, (name, orbit.base)
                 shrinks.append(name)
     # every shrink is on the suite; C3 nu2 and B2 2Z^2 4Z^2 have none
@@ -554,7 +554,7 @@ def test_bc1_nothing_removable(bc1_shifted):
     assert extract_minimal(bc1_shifted) == bc1_shifted
 
 
-# generation_check at depth 8 and budget 200 on each orbit of each suite
+# generation_check on each orbit of each suite
 # system, in anisotropic_orbits order: G generates, I inconclusive, and the
 # other letters are NotGenerates with the reason REASONS names
 SUITE_VERDICTS = {
@@ -577,12 +577,12 @@ def check_suite_verdicts(suite, codes):
         orbits = anisotropic_orbits(R)
         assert len(orbits) == len(codes[name]), name
         for ob, code in zip(orbits, codes[name]):
-            verdict = generation_check(R, ob, 8, 200)
+            verdict = generation_check(R, ob)
             if code == "G":
                 assert isinstance(verdict, Generates), (name, ob.base)
                 assert word_element(R.space, verdict.certificate).matrix == reflection_matrix(R.space, ob.base)
             elif code == "I":
-                assert verdict == Inconclusive(8), (name, ob.base)
+                assert verdict == Inconclusive(), (name, ob.base)
             else:
                 assert isinstance(verdict, NotGenerates), (name, ob.base, verdict)
                 assert REASONS[code] in verdict.reason, (name, ob.base, verdict.reason)
@@ -606,11 +606,11 @@ def test_generation_verdicts_without_the_quotient(suite, monkeypatch):
 
 def test_extract_minimal_stuck_on_undecided_orbits(suite, monkeypatch):
     for name in ("B2 nu2 matched", "BC2 nu1"):
-        assert extract_minimal(suite[name], 8, 200) == suite[name]
+        assert extract_minimal(suite[name]) == suite[name]
     give_up_quotient(monkeypatch)
     for name, count in (("B2 nu2 matched", 4), ("BC2 nu1", 2)):
-        with pytest.raises(Stuck, match=rf"^{count} orbit\(s\) undecided at depth 8$"):
-            extract_minimal(suite[name], 8, 200)
+        with pytest.raises(Stuck, match=rf"^{count} orbit\(s\) undecided$"):
+            extract_minimal(suite[name])
 
 
 QUOTIENT = re.compile(r"modulo (\d+), after scaling by D = (\d+),")
@@ -716,7 +716,7 @@ def test_quotient_negatives_rechecked_by_plain_bfs(suite):
     checked = 0
     for name, R in suite.items():
         for ob in anisotropic_orbits(R):
-            verdict = generation_check(R, ob, 8, 200)
+            verdict = generation_check(R, ob)
             found = QUOTIENT.search(getattr(verdict, "reason", ""))
             if found is None:
                 continue
@@ -788,10 +788,10 @@ def test_quotient_gives_up_past_the_kernel_cap(suite, monkeypatch):
     # and never a false NotGenerates
     R = suite["B2 nu2 matched"]
     orbit = anisotropic_orbits(R)[0]
-    assert QUOTIENT.search(generation_check(R, orbit, 8, 200).reason).groups() == ("4", "1")
+    assert QUOTIENT.search(generation_check(R, orbit).reason).groups() == ("4", "1")
     monkeypatch.setattr(ears.weyl, "_KERNEL_CAP", 1)
     assert _quotient_negative(_Setup(R), orbit, _remaining_translations(R, orbit)) is None
-    assert generation_check(R, orbit, 8, 200) == Inconclusive(8)
+    assert generation_check(R, orbit) == Inconclusive()
 
 
 def test_quotient_agrees_with_the_rank_one_decider(suite):
@@ -802,7 +802,7 @@ def test_quotient_agrees_with_the_rank_one_decider(suite):
     for name, R in systems.items():
         setup = _Setup(R)
         for ob in anisotropic_orbits(R):
-            exact = generation_check(R, ob, 8, 200, _setup=setup)
+            exact = generation_check(R, ob, _setup=setup)
             negative = _quotient_negative(setup, ob, _remaining_translations(R, ob))
             assert (negative is None) == isinstance(exact, Generates), (name, ob.base)
 
@@ -812,7 +812,7 @@ def test_quotient_normalizes_the_radical_basis(suite, z2):
     # coordinates doubled: read in the short lattice's basis, it gets the
     # matched system's verdicts at the same k and D
     def reasons(R):
-        return sorted(re.sub(r"Vector\(\(.*?\)\)", "v", generation_check(R, ob, 8, 200).reason)
+        return sorted(re.sub(r"Vector\(\(.*?\)\)", "v", generation_check(R, ob).reason)
                       for ob in anisotropic_orbits(R))
     doubled = construct_ears("B2", z2.scaled(2), z2.scaled(4))
     matched = suite["B2 nu2 matched"]
@@ -856,7 +856,7 @@ def test_verdicts_survive_a_change_of_radical_basis(suite, z2):
     for name, R in systems.items():
         if R.nullity == 0:
             continue
-        want = {ob.base: verdict_kind(generation_check(R, ob, 8, 200)) for ob in anisotropic_orbits(R)}
+        want = {ob.base: verdict_kind(generation_check(R, ob)) for ob in anisotropic_orbits(R)}
         for g in bases[R.nullity]:
             image, times = change_radical_basis(R, g)
             seen = set()
@@ -864,7 +864,7 @@ def test_verdicts_survive_a_change_of_radical_basis(suite, z2):
                 iso, dot, _ = R.space.blocks(base)
                 orbit = orbit_closed_form(image, image.space.assemble(times(iso), dot))
                 seen.add(orbit)
-                assert verdict_kind(generation_check(image, orbit, 8, 200)) == kind, (name, g, base)
+                assert verdict_kind(generation_check(image, orbit)) == kind, (name, g, base)
             # the orbits map one to one
             assert seen == set(anisotropic_orbits(image)), (name, g)
             images += 1
@@ -925,7 +925,7 @@ def test_symmetries_map_orbits_onto_orbits_with_the_same_verdict():
     del systems["BC1 nu3"]
     pairs = 0
     for name, R in systems.items():
-        kind = {ob: type(generation_check(R, ob, 8, 200)) for ob in anisotropic_orbits(R)}
+        kind = {ob: type(generation_check(R, ob)) for ob in anisotropic_orbits(R)}
         for g in _Setup(R).symmetries():
             for ob, want in kind.items():
                 iso, dot, _ = R.space.blocks(ob.base)
@@ -938,7 +938,7 @@ def test_minimality_matches_the_unskipped_loop():
     # the skip changes no verdict, certificate or unresolved list
     systems = {**symmetry_systems(), "A1 nu2 product-even": nullity2_system(), "A1 Z^3": nullity3_system()}
     for name, R in systems.items():
-        assert minimality(R, 8, 200) == unskipped_minimality(R, 8, 200), name
+        assert minimality(R) == unskipped_minimality(R), name
 
 
 def test_minimality_checks_one_orbit_per_symmetry_class(suite, monkeypatch):
@@ -952,7 +952,7 @@ def test_minimality_checks_one_orbit_per_symmetry_class(suite, monkeypatch):
 
     monkeypatch.setattr(ears.weyl, "generation_check", counted)
     for R in suite.values():
-        minimality(R, 8, 200)
+        minimality(R)
     assert {name: calls[R] for name, R in suite.items()} == {
         "A2 nu0": 1, "A1 nu1 full": 2, "A1 nu1 doubled": 2, "A1 nu2 full": 2, "A1 nu2 product-even": 2,
         "A1 nu3 full": 1, "A1 nu3 product-even": 3, "A2 nu1": 1, "B2 nu1 matched": 3, "B2 nu1 doubled": 3,
@@ -960,7 +960,7 @@ def test_minimality_checks_one_orbit_per_symmetry_class(suite, monkeypatch):
         "BC2 nu1": 3}
     calls.clear()
     for R in suite.values():
-        unskipped_minimality(R, 8, 200)
+        unskipped_minimality(R)
     assert sum(calls.values()) == 47
 
 
@@ -987,7 +987,7 @@ def test_no_verdict_cites_the_root_system_rule(suite, z2):
     systems = {**suite, "C3 nu2": construct_ears("C3", z2, z2)}
     for name, R in systems.items():
         for ob in anisotropic_orbits(R):
-            verdict = generation_check(R, ob, 8, 200)
+            verdict = generation_check(R, ob)
             reason = getattr(verdict, "reason", "")
             assert ROOT_SYSTEM_RULE not in reason, (name, ob.base)
             if R.finite_part.rank > 1 and reason:
@@ -1003,10 +1003,10 @@ def test_b2_nu3_slices_generate_eight_orbits():
     R = construct_ears("B2", integer_lattice(3), integer_lattice(3).scaled(2))
     orbits = anisotropic_orbits(R)
     assert _quotient_negative(_Setup(R), orbits[0], _remaining_translations(R, orbits[0])) is None
-    verdicts = [generation_check(R, ob, 8, 200) for ob in orbits]
+    verdicts = [generation_check(R, ob) for ob in orbits]
     assert verdicts[8:] == [NotGenerates(REASONS["W"])]
     assert [len(v.certificate) for v in verdicts[:8]] == [389, 121, 1697, 11471, 2133, 773, 3293, 317]
-    verdict = minimality(R, 8, 200)
+    verdict = minimality(R)
     assert isinstance(verdict, NotMinimal) and verdict.orbit == _removal_candidates(R)[1]
     assert verdict.certificate == verdicts[orbits.index(verdict.orbit)].certificate
 
@@ -1030,16 +1030,46 @@ def test_nullity3_systems_above_rank_one_are_not_minimal():
     assert len(ext.removal_chain) == 1 and minimality(ext) == Minimal(8)
     assert conjugation_obstruction(ext) == NoneFound(orbits_checked=8)
     start = time.process_time()
-    with pytest.raises(Stuck, match=r"^7 orbit\(s\) undecided at depth 8$"):
+    with pytest.raises(Stuck, match=r"^7 orbit\(s\) undecided$"):
         extract_minimal(systems["B2 Z^3 Z^3"])
     assert time.process_time() - start < 5
+
+
+def test_verdicts_and_certificates_survive_a_shear_above_rank_one():
+    # item 20 on B2 at nullity 3: the shear g (x_1 -> x_1 + x_2 on row
+    # vectors) maps each orbit onto an orbit of the image with the same
+    # verdict type, and each Generates certificate, mapped letter by letter
+    # by the isometry m (g on the radical block, g^-T on the dual one),
+    # re-multiplies to the reflection in the image of its base
+    g = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    gt = [list(col) for col in zip(*g)]  # g on column vectors
+    m = block_diagonal(gt, [[1, 0], [0, 1]], [list(col) for col in zip(*rational_inverse(gt))])
+    systems = nullity3_systems()
+    del systems["C3 Z^3 Z^3"]
+    certificates = 0
+    for name, R in systems.items():
+        image, times = change_radical_basis(R, g)
+        assert m.transpose() @ image.space.form.gram @ m == R.space.form.gram
+        seen = set()
+        for ob in anisotropic_orbits(R):
+            verdict = generation_check(R, ob)
+            orbit = orbit_closed_form(image, m * ob.base)
+            assert image.space.blocks(orbit.base)[0] == times(R.space.blocks(ob.base)[0])
+            seen.add(orbit)
+            assert verdict_kind(generation_check(image, orbit)) == verdict_kind(verdict), (name, ob.base)
+            if isinstance(verdict, Generates):
+                mapped = word_element(image.space, [m * r for r in verdict.certificate])
+                assert mapped.matrix == reflection_matrix(image.space, orbit.base), (name, ob.base)
+                certificates += 1
+        assert seen == set(anisotropic_orbits(image)), name
+    assert certificates == 16
 
 
 def test_minimality_builds_no_descriptor(suite, monkeypatch):
     built = []
     init = EarsDescriptor.__init__
     monkeypatch.setattr(EarsDescriptor, "__init__", lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
-    verdicts = [minimality(R, 8, 200) for R in suite.values()]
+    verdicts = [minimality(R) for R in suite.values()]
     assert built == []
     assert sum(isinstance(v, Minimal) for v in verdicts) == 15
 
@@ -1161,9 +1191,9 @@ def test_extract_minimal_reads_zero_off_the_short_cosets(z1, monkeypatch):
         orbit = next(ob for ob in _removal_candidates(R) if R.class_of_dot(ob.dot_part) == "long")
         calls = []
 
-        def once(R, depth=8, budget=1_000_000):
+        def once(R):
             calls.append(R)
-            return NotMinimal(orbit, ()) if len(calls) == 1 else minimality(R, depth, budget)
+            return NotMinimal(orbit, ()) if len(calls) == 1 else minimality(R)
 
         with monkeypatch.context() as m:
             m.setattr(ears.weyl, "minimality", once)
@@ -1262,7 +1292,7 @@ def test_slice_generates_wherever_the_search_finds_a_word(monkeypatch):
             for removed, fams in (("orbit", _remaining_translations(R, ob)), ("nothing", dict(R.translations))):
                 with monkeypatch.context() as m:
                     m.setattr(ears.weyl, "_remaining_translations", lambda R, orbit: fams)
-                    verdict = generation_check(R, ob, 8, 2_000)
+                    verdict = generation_check(R, ob)
                 if removed == "orbit" and isinstance(verdict, Generates):
                     found[removed, "Generates"] += 1
                     continue
@@ -1286,7 +1316,7 @@ def test_slice_never_contradicts_a_negative():
             continue
         setup = _Setup(R)
         for ob in anisotropic_orbits(R):
-            verdict = generation_check(R, ob, 8, 200, _setup=setup)
+            verdict = generation_check(R, ob, _setup=setup)
             fams = _remaining_translations(R, ob)
             kept = [fams[tag] for c in (H, 1, 2) if (tag := R.class_of_dot(ob.dot_part * c))]
             if isinstance(verdict, NotGenerates) and any(sl is not None for sl in kept):
@@ -1525,7 +1555,7 @@ def test_search_found_certificates_are_rechecked(suite, monkeypatch):
             _check_certificate(R.space, ob.base, ())
         with monkeypatch.context() as m:
             m.setattr(ears.weyl, "_remaining_translations", lambda R, orbit: dict(R.translations))
-            assert generation_check(R, ob, 8, 200) == verdict, ob.base
+            assert generation_check(R, ob) == verdict, ob.base
 
 
 def test_extract_minimal_over_rank_one_forms_other_than_one(nullity3):
@@ -1571,12 +1601,12 @@ def _reducer_state(reducer):
             [_state(el) for el in reducer.residuals])
 
 
-def unskipped_minimality(R, depth, budget):
+def unskipped_minimality(R):
     """minimality without the symmetry skip: generation_check on every orbit
     in removal order, with one _Setup, up to the first Generates."""
     orbits, unresolved, setup = _removal_candidates(R), [], _Setup(R)
     for orbit in orbits:
-        verdict = ears.weyl.generation_check(R, orbit, depth, budget, _setup=setup)
+        verdict = ears.weyl.generation_check(R, orbit, _setup=setup)
         if isinstance(verdict, Generates):
             return NotMinimal(orbit, verdict.certificate)
         if isinstance(verdict, Inconclusive):
@@ -1595,7 +1625,7 @@ def test_insert_matches_reference_on_minimality_deciders(suite, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_Rank1Decider, "__init__", spy)
         for R in [suite[name] for name in RANK_ONE] + [nullity3_system()]:
-            unskipped_minimality(R, 8, 200)
+            unskipped_minimality(R)
     assert len(built) == 26  # the loop stops at the first removable orbit
     for nu, families in built:
         got = _Rank1Decider(nu, families)
@@ -1643,8 +1673,8 @@ def test_insert_matches_reference_in_every_branch(nullity3, monkeypatch):
 
 
 # Closed-form steps (_times_power) and word expansions in one minimality
-# call at depth 8, budget 200.  On A1 nu3 product-even the reducer ran the
-# full extended-gcd combination on every step: 3,948 products of
+# call.  On A1 nu3 product-even the reducer ran the full extended-gcd
+# combination on every step: 3,948 products of
 # (sign, b, w) elements, with every word a flat tuple rebuilt on every
 # product.  With one division when a pivot divides it took 401 products
 # and 1,255 closed-form steps.  On flat even rows a pair of reflections
@@ -1667,14 +1697,14 @@ def test_rank_one_minimality_work(suite, monkeypatch):
 
     monkeypatch.setattr(ears.weyl, "_times_power", counted_step)
     monkeypatch.setattr(ears.weyl, "_expand", counted_expand)
-    assert isinstance(unskipped_minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
+    assert isinstance(unskipped_minimality(suite["A1 nu3 product-even"]), Minimal)
     assert counts == {"steps": 1_299}, counts
     counts.clear()
-    assert isinstance(minimality(suite["A1 nu3 product-even"], 8, 200), Minimal)
+    assert isinstance(minimality(suite["A1 nu3 product-even"]), Minimal)
     assert counts == {"steps": 551}, counts
     assert counts["steps"] <= 401 + 1_255
     counts.clear()
-    assert isinstance(minimality(suite["A1 nu3 full"], 8, 200), NotMinimal)
+    assert isinstance(minimality(suite["A1 nu3 full"]), NotMinimal)
     assert counts["expansions"] == 1, counts
 
 
@@ -1763,7 +1793,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
         m.setattr(_Rank1Decider, "__init__", spy_init)
         give_up_quotient(m)
         for R in [*suite.values(), nullity3_system()]:
-            unskipped_minimality(R, 8, 200)
+            unskipped_minimality(R)
     assert len(deciders) == 26 + 13
 
     letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
@@ -1796,19 +1826,36 @@ def test_minimality_sets_up_once_per_call(suite, monkeypatch):
         calls["finite_weyl"] += 1
         return weyl_group(system)
 
-    def counted_check(R, depth, budget):
+    def counted_check(R):
         calls["minimality"] += 1
-        return check(R, depth, budget)
+        return check(R)
 
     monkeypatch.setattr(ears.weyl, "finite_weyl", counted_weyl_group)
     monkeypatch.setattr(ears.weyl, "minimality", counted_check)
     R = suite["B2 nu2 matched"]
     assert len(anisotropic_orbits(R)) > 1
-    minimality(R, 8, 200)
+    minimality(R)
     assert calls["finite_weyl"] == 1
-    minimality(R, 8, 200)
+    minimality(R)
     assert calls["finite_weyl"] == 2
     calls.clear()
     for _ in range(2):
         extract_minimal(nullity3_system())
     assert calls["finite_weyl"] == calls["minimality"] >= 4, calls
+
+
+def test_finite_order_is_built_only_when_directions_are_left(suite, monkeypatch):
+    # a simply-laced system over Z has one orbit, and its removal leaves no
+    # direction, so its finite check needs no group order: E7's matrix
+    # closure alone passes 2M states.  B2 nu1 matched closes W_fin once
+    def refuse(system):
+        raise AssertionError(f"finite_weyl({system.label})")
+
+    with monkeypatch.context() as m:
+        m.setattr(ears.weyl, "finite_weyl", refuse)
+        for label in ("E6", "E7"):
+            assert minimality(construct_ears(label, integer_lattice(1))) == Minimal(1), label
+    calls, weyl_group = [], ears.weyl.finite_weyl
+    monkeypatch.setattr(ears.weyl, "finite_weyl", lambda system: calls.append(system) or weyl_group(system))
+    assert isinstance(minimality(suite["B2 nu1 matched"]), Minimal)
+    assert calls == [suite["B2 nu1 matched"].finite_part]
