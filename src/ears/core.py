@@ -89,6 +89,7 @@ class EarsDescriptor(Value):
         "dot_classes",
         "_tag_of",
         "_lattices",
+        "_residues",
         "_isotropic",
         "removal_chain",
     )
@@ -109,7 +110,7 @@ class EarsDescriptor(Value):
         tag_of = {d: t for t, roots in dot_classes.items() for d in roots}
         # read-only views: the hash is taken over translations
         self._fill(finite_part, nullity, MappingProxyType(dict(translations)), space,
-                   MappingProxyType(dot_classes), tag_of, {}, isotropic, tuple(removal_chain))
+                   MappingProxyType(dot_classes), tag_of, {}, {}, isotropic, tuple(removal_chain))
 
     def _identity(self):
         return self.finite_part.label, self.nullity, tuple(sorted(self.translations.items()))
@@ -148,6 +149,16 @@ class EarsDescriptor(Value):
                 ints += [[g * x for x in r] for r in sl.lattice.rows_at(scale)]
             self._lattices[tag] = Lattice._of(self.space.nu, scale, ints)
         return self._lattices[tag]
+
+    def class_residues(self, tag: str):
+        """(fine, scale, table) of the class tag, built on first use: fine =
+        modulus meet T, and per coset c of its set modulo fine (ints at
+        scale) the pair (c, c reduced modulo T), whose key names c's orbit."""
+        if tag not in self._residues:
+            sl, t = self.translations[tag], self.class_lattice(tag)
+            fine, scale = sl.modulus.intersect(t), math.lcm(sl.den, t.den)
+            self._residues[tag] = fine, scale, [(c, t.reduce_at(c, scale)) for c in sl._residues(fine, scale)]
+        return self._residues[tag]
 
     def classify(self, v: Vector) -> str:
         """One of "anisotropic", "isotropic", "not_root"."""

@@ -10,8 +10,9 @@ hash(coords); a Matrix caches Value's hash, as searches hash each one.
 A Vector holds integers over one denominator, and so does a Matrix, row
 by row; other modules read a Vector as ints at a scale (Vector.at,
 common_ints) and build one back with Vector._of, and its Fractions
-(coords) are only a view.  Products of reflections are rank-one integer
-updates (times_reflector).
+(coords) are only a view.  A product of reflections is a run of rank-one
+integer updates on one mutable accumulator (times_reflector), which
+builds one Matrix per product.
 
 The package's one elimination routine and its shared breadth-first search
 live here, so every other module can use them.  The elimination is the
@@ -501,24 +502,35 @@ def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
     return a, tuple(x // g for x in p), st // g
 
 
-def times_reflector(m: Matrix, refl: tuple) -> Matrix:
-    """m @ r_alpha as the rank-one update m - (m a) p^T / st, in O(d^2).
-    Only the nonzero entries of a and of p are read: an EARS root is zero
-    on the dual block, so p = 2 G a is zero on the radical block."""
-    a, p, st = refl
-    sa = [(j, x) for j, x in enumerate(a) if x]
-    sp = [(j, y) for j, y in enumerate(p) if y]
-    out = []
-    for row in m.ints:
-        c = 0
-        for j, x in sa:
-            c += row[j] * x
-        if c or st > 1:
-            row = [st * x for x in row] if st > 1 else list(row)
-            for j, y in sp:
-                row[j] -= c * y
-        out.append(row)
-    return Matrix._of(out, m.den * st)
+_DEN_BOUND = 1 << 64  # past it the accumulator is divided by its common factor
+
+
+def times_reflector(m: Matrix, *refls) -> Matrix:
+    """m @ r_1 @ ... @ r_n, each factor the rank-one update m - (m a) p^T /
+    st, on one accumulator of integer rows over one denominator, divided by
+    their common factor only past _DEN_BOUND; the one Matrix built takes the
+    last gcd.  Only the nonzero entries of a and of p are read: an EARS root
+    is zero on the dual block, so p = 2 G a is zero on the radical block."""
+    rows, den, sparse = [list(r) for r in m.ints], m.den, {}
+    for refl in refls:
+        # keyed by id: refls holds every reflector until the call returns
+        if (s := sparse.get(id(refl))) is None:
+            a, p, st = refl
+            s = sparse[id(refl)] = [(j, x) for j, x in enumerate(a) if x], [(j, y) for j, y in enumerate(p) if y], st
+        sa, sp, st = s
+        for row in rows:
+            c = 0
+            for j, x in sa:
+                c += row[j] * x
+            if st > 1:
+                row[:] = [st * x for x in row]
+            if c:
+                for j, y in sp:
+                    row[j] -= c * y
+        if st > 1 and (den := den * st) > _DEN_BOUND:
+            g = math.gcd(den, *(x for row in rows for x in row))
+            den, rows = den // g, [[x // g for x in row] for row in rows]
+    return Matrix._of(rows, den)
 
 
 def preserves_form(space: AmbientSpace, m: Matrix) -> bool:

@@ -9,7 +9,9 @@ class of dot(alpha), on which W_fin is transitive: Humphreys, 10.4, Lemma
 C) + T, where T sums g_b <S_b> over the classes b, g_b the gcd of the
 Cartan integers <dot(alpha), b^vee> over b.  That gcd is W-invariant in
 dot(alpha), so each class has one lattice T, built once per descriptor
-(EarsDescriptor.class_lattice).
+(EarsDescriptor.class_lattice), as are its set's cosets modulo modulus
+meet T, each keyed by the coset of T that names its orbit
+(EarsDescriptor.class_residues).
 
 Generation after removing an orbit is decided exactly when the finite
 part has rank one.  With the finite form normalized to [1], each group
@@ -21,15 +23,18 @@ Hermite-style integer reduction whose rows are slices of those lists,
 with one division when a pivot divides.  Words are straight-line-program nodes,
 plain tuples tagged by a str ("*", "~", "^") over leaves of letters,
 expanded once per Generates (RuntimeError above _WORD_CAP letters,
-before any is built) and re-checked by flat re-multiplication.  One
-minimality call works out what depends on the system alone once for all
-its orbits (_Setup): the finite Weyl order (closed only once a removal
-leaves directions), the finite closure per set of remaining classes,
-each reflection's image mod k and R's symmetries (sign flips,
-transpositions and shears of the radical coordinates keeping every
-class set).  Each maps R onto R and W onto W, so a NotGenerates carries
-over to the orbit's images, which are not checked again.  For higher
-ranks the verdict is three-valued.  Sound negatives come from the finite
+before any is built) and re-checked by flat re-multiplication; the
+decider's letters are int tuples, with one Vector per distinct letter of
+a returned word.  One minimality call works out what depends on the
+system alone once for all its orbits (_Setup): the finite Weyl order
+(closed only once a removal leaves directions), the finite closure per
+set of remaining classes, per class and k the images mod k of R's own
+reflections keyed by T-coset, so a removal drops one key (the class, not
+the orbit, carries the structure), and R's symmetries (sign flips,
+transpositions and shears of the radical coordinates keeping every class
+set, on integer rows).  Each maps R onto R and W onto W, so a
+NotGenerates carries over to the orbit's images, which are not checked
+again.  For higher ranks the verdict is three-valued.  Sound negatives come from the finite
 quotient or from a congruence quotient (Mal'cev 1958), and no descriptor
 is built for the remaining roots.  The quotient reads radical coordinates
 in the short lattice's basis, conjugates by diag(D^2, D, 1) with D the
@@ -41,11 +46,11 @@ which form a rank-one system (W = W_fin x| H, Azam 1999), its word mapped
 back into R.  What neither decides is Inconclusive.  Nothing searches,
 so no call takes a search depth or budget.
 
-Words multiply a Matrix by reflections as rank-one integer updates
-(linalg.times_reflector); the windowed orbit search forms only the
-reflected members that stay in its box, on integers at one scale
-(Vector.at); certificates are re-checked against reflection_matrix,
-built from linalg.reflect and not from those updates.
+A word is multiplied out as rank-one integer updates on one mutable
+accumulator, one Matrix per word (linalg.times_reflector); the windowed
+orbit search forms only the reflected members that stay in its box, on
+integers at one scale (Vector.at); certificates are re-checked against
+reflection_matrix, built from linalg.reflect and not from those updates.
 Finite generation runs on root permutations
 (finite.reflection_closure).
 Rank-one powers are closed form, and so is a reduction step (times_power:
@@ -117,13 +122,11 @@ class GroupElement:
 
 
 def word_element(space: AmbientSpace, letters) -> GroupElement:
-    """Ordered product of the reflections in the given anisotropic roots."""
+    """Ordered product of the reflections in the given anisotropic roots,
+    one reflector per distinct root, multiplied out on one accumulator."""
     letters = tuple(letters)
     kernel = {r: reflector(space, r) for r in dict.fromkeys(letters)}
-    m = Matrix.identity(space.dim)
-    for root in letters:
-        m = times_reflector(m, kernel[root])
-    return GroupElement(m, letters)
+    return GroupElement(times_reflector(Matrix.identity(space.dim), *map(kernel.__getitem__, letters)), letters)
 
 
 class OrbitDescriptor(Value):
@@ -348,14 +351,15 @@ def _expand(node) -> tuple:
     return tuple(out)
 
 
-def _shear(nu: int, root: Vector, scale: int):
+def _shear(nu: int, root, scale: int):
     """The shear vector -2 sigma D / x of the reflection in root = (sigma,
-    x, 0) at scale D, as ints; None when one is not an integer."""
-    x, b = root.ints[nu], [-2 * scale * s for s in root.ints[:nu]]
+    x, 0), ints at any one scale, at shear scale D, as ints; None when one
+    is not an integer."""
+    x, b = root[nu], [-2 * scale * s for s in root[:nu]]
     return None if any(v % x for v in b) else [v // x for v in b]
 
 
-def _pair(r: Vector, br, s: Vector, bs):
+def _pair(r, br, s, bs):
     """The even element r_r r_s of two reflections, given their shears."""
     return [*(y - x for x, y in zip(br, bs)), *_wedge(br, bs)], ("*", (r,), (s,))
 
@@ -476,15 +480,16 @@ class _Rank1Decider:
         # any finite form [g] is decided as [1]: (tau, y, delta) -> (tau, y, delta / g)
         # scales the form by 1/g and fixes the roots, so it conjugates the two groups
         self.nu = nu
-        # the roots (sigma, x, 0) as ints at one scale, in Vector order; one Vector each
+        # the roots (sigma, x, 0) as ints at one scale top, in Vector order; they
+        # are the letters of the words, and no Vector is built for them
         fams = [(x, sl) for x, sl in families if sl is not None]
-        top = math.lcm(1, *(n for x, sl in fams for n in (x.denominator, sl.den)))
+        self.top = top = math.lcm(1, *(n for x, sl in fams for n in (x.denominator, sl.den)))
         ints = sorted(
-            (*(a + b for a, b in zip(c.at(top), off)), int(x * top), *(0,) * nu)
-            for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.cosets)
+            (*(top // sl.den * a + b for a, b in zip(c, off)), int(x * top), *(0,) * nu)
+            for x, sl in fams for off in _offsets(nu, sl.modulus.rows_at(top)) for c in sl.ints)
         # the least scale at which every shear 2 sigma / x is integral
         self.scale = math.lcm(*(abs(r[nu]) // math.gcd(2 * s, r[nu]) for r in ints for s in r[:nu]))
-        base, *rest = [Vector._of(r, top) for r in ints]
+        base, *rest = ints
         self._base = base, _shear(nu, base, self.scale)
         self._rows = _CarrierReducer(nu, nu)
         for r in rest:
@@ -499,12 +504,13 @@ class _Rank1Decider:
 
     def reduce_reflection(self, root: Vector):
         """The word node of r_root r_base multiplied to the identity by the
-        generators, or None when r_root is outside; its word, less r_root
-        and read backwards, is a certificate for r_root."""
-        b = _shear(self.nu, root, self.scale)
+        generators, or None when r_root is outside.  Its letters are the
+        generators' int tuples at top, but the first, None, which stands for
+        r_root; the word less it, read backwards, is a certificate for r_root."""
+        b = _shear(self.nu, root.ints, self.scale)
         if b is None:
             return None
-        el = self._rows.reduce(_pair(root, b, *self._base))
+        el = self._rows.reduce(_pair(None, b, *self._base))
         if el is None:
             return None
         el = self._kappa.reduce((el[0][self.nu:], el[1]))
@@ -550,36 +556,32 @@ def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
     per class, one per coset of its lattice T that the translation set
     meets, based at that coset's reduced representative."""
     out = []
-    for tag in _CLASS_TAGS:
-        sl = R.translations.get(tag)
-        if sl is None:
-            continue
+    for tag in filter(R.translations.__contains__, _CLASS_TAGS):
         # the positive member of its line, so certificate words stay short
         dot = sorted_vectors(R.dot_classes[tag])[-1]
-        t = R.class_lattice(tag)
-        scale = math.lcm(sl.den, t.den)
-        reps = {t.reduce_at(c, scale) for c in sl._residues(sl.modulus.intersect(t), scale)}
-        for rep in sorted(reps):
+        t, (_, scale, table) = R.class_lattice(tag), R.class_residues(tag)
+        for rep in sorted({key for _, key in table}):
             base = R.space.assemble(Vector._of(rep, scale), dot)
             out.append(OrbitDescriptor(R.space, base, dot, R.dot_classes[tag], t))
     return out
 
 
+def _coset_key(R: EarsDescriptor, orbit: OrbitDescriptor):
+    """(class, key): the orbit's T-coset as its class's tables key it, the
+    base offset as ints at the scale of EarsDescriptor.class_residues."""
+    tag = R.class_of_dot(orbit.dot_part)
+    return tag, orbit.base_offset.at(R.class_residues(tag)[1])
+
+
 def _remaining_translations(R: EarsDescriptor, orbit: OrbitDescriptor):
     """Per-class translation sets of the roots kept after removing the orbit.
 
-    Only the orbit's own class changes.  Its cosets c modulo fine = modulus
-    meet T are kept when c - sigma0 lies outside T, sigma0 the base's
-    isotropic part; if none is kept, the class maps to None.
+    Only the orbit's own class changes: it keeps its cosets modulo fine
+    (EarsDescriptor.class_residues) not keyed by the orbit, or maps to None.
     """
-    own = R.class_of_dot(orbit.dot_part)
-    sl, t = R.translations[own], orbit.translation_lattice
-    sigma0 = R.space.blocks(orbit.base)[0]
-    scale = math.lcm(sl.den, t.den, sigma0.den)
-    s0 = sigma0.at(scale)
-    fine = sl.modulus.intersect(t)
-    keep = [c for c in sl._residues(fine, scale)
-            if any(t.reduce_at([a - b for a, b in zip(c, s0)], scale))]
+    own, drop = _coset_key(R, orbit)
+    fine, scale, table = R.class_residues(own)
+    keep = [c for c, key in table if key != drop]
     out = dict(R.translations)
     # the cosets are reduced modulo fine, so only the zero one lies in it
     out[own] = Semilattice._of(fine, scale, keep, all(map(any, keep))) if keep else None
@@ -593,6 +595,11 @@ def _validate_orbit(R: EarsDescriptor, orbit: OrbitDescriptor):
         raise NotAnOrbit(f"{orbit.base} is not an anisotropic root")
     if orbit_closed_form(R, orbit.base) != orbit:
         raise NotAnOrbit("descriptor does not match the orbit of its base")
+
+
+def _apply(g, x) -> list[int]:
+    """The integer matrix g (rows) times the int vector x."""
+    return [sum(map(int.__mul__, row, x)) for row in g]
 
 
 def _finite_closure(R: EarsDescriptor, fams):
@@ -617,9 +624,10 @@ class _Setup:
     def symmetries(self) -> list[Matrix]:
         """The sign flips, shears x_i -> x_i + x_j and transpositions g of the
         radical coordinates (v -> g * v) mapping each class set into itself,
-        modulus rows and cosets alike.  With g^-T on the dual block, each is an
-        isometry mapping R onto R (g is unimodular, the modulus of full rank)
-        that fixes the finite part and each class's T."""
+        modulus rows and cosets alike, tested on the sets' ints.  With g^-T
+        on the dual block, each is an isometry mapping R onto R (g is
+        unimodular, the modulus of full rank) that fixes the finite part and
+        each class's T."""
         if self._maps is None:
             eye, maps = [tuple(int(i == j) for j in range(self.R.space.nu)) for i in range(self.R.space.nu)], []
             for i, j in product(range(len(eye)), repeat=2):
@@ -627,9 +635,10 @@ class _Setup:
                 g[i] = tuple(-x for x in eye[i]) if i == j else tuple(map(int.__add__, eye[i], eye[j]))
                 swap[i], swap[j] = eye[j], eye[i]
                 maps += [g, swap] if i < j else [g]
-            self._maps = [g for g in (Matrix._of(m, 1) for m in maps) if all(
-                all(sl.modulus.contains(g * r) for r in sl.modulus.rows)
-                and all(sl.modulus.reduce(g * c) in sl.cosets for c in sl.cosets) for sl in self.R.translations.values())]
+            sets = [(sl.modulus, sl.den, sl.ints) for sl in self.R.translations.values()]
+            self._maps = [Matrix._of(g, 1) for g in maps if all(
+                not any(m.reduce_at(_apply(g, r), den)) for m, den, _ in sets for r in m.rows_at(den))
+                and all(m.reduce_at(_apply(g, c), den) in cosets for m, den, cosets in sets for c in cosets)]
         return self._maps
 
     def finite_generates(self, fams) -> bool:
@@ -671,15 +680,21 @@ class _Setup:
                 for x in _offsets(nu, sl.lattice.hnf)[1:] for d in self.lines(tag)))
         return self._scale
 
-    def images(self, tag, sl, mod: _ModK) -> list:
-        """image() of every reflection of a remaining set sl of the class tag:
-        one per line and period class (_residues), since an image mod k
-        depends on the translation only mod k times the class's lattice.
-        Kept per set: R's own recurs for every orbit of another class."""
-        if (key := (tag, mod.k, sl)) not in self._classes:
-            finer = sl.modulus.intersect(self.R.translations[tag].lattice.scaled(mod.k))
-            scale = math.lcm(sl.den, finer.den)
-            self._classes[key] = [self.image(x, scale, d, mod) for x in sl._residues(finer, scale) for d in self.lines(tag)]
+    def images(self, tag, mod: _ModK) -> list:
+        """(key, image()) of every reflection of R's set S of the class tag,
+        once per class and k: one per line and period class (_residues
+        modulo finer = modulus meet k<S>), as an image mod k depends on the
+        translation only mod k<S>, keyed as in EarsDescriptor.class_residues.
+        A remaining set's images are those not keyed by the removed orbit:
+        g_own divides <d, d^vee> = 2, so for even k finer lies in k<S>, in
+        2<S> and in g_own<S>, hence in T, and a translation has its period
+        class's image and key."""
+        if (key := (tag, mod.k)) not in self._classes:
+            R = self.R
+            sl, t, (_, scale, _) = R.translations[tag], R.class_lattice(tag), R.class_residues(tag)
+            finer, lines = sl.modulus.intersect(sl.lattice.scaled(mod.k)), self.lines(tag)
+            self._classes[key] = [(c, self.image(x, scale, d, mod))
+                                  for x in sl._residues(finer, scale) for c in [t.reduce_at(x, scale)] for d in lines]
         return self._classes[key]
 
     def image(self, x, scale, d, mod: _ModK, D=None):
@@ -736,8 +751,9 @@ def _slice_decision(R: EarsDescriptor, orbit: OrbitDescriptor, fams):
             f"the reflection in {root} is outside the subgroup generated "
             "by the remaining roots (rank-one membership is decided exactly)")
     word = _expand(node)  # the only word a decision expands
-    back = {r: space.assemble(Vector._of(r.ints[:nu], r.den), e * Fraction(r.ints[nu], r.den)) for r in set(word)}
-    assert back[word[0]] == root
+    # one Vector per distinct letter (sigma, x) at top: sigma + x e in R's space
+    back = {r: Vector._of((*(e.den * s for s in r[:nu]), *(r[nu] * y for y in e.ints), *(0,) * nu), decider.top * e.den)
+            for r in set(word[1:])}
     certificate = tuple(back[r] for r in word[:0:-1])
     _check_certificate(space, orbit.base, certificate)
     return Generates(certificate)
@@ -800,12 +816,16 @@ def _in_image(gens, base, mod: _ModK) -> bool:
 
 def _quotient_negative(setup: _Setup, orbit: OrbitDescriptor, fams):
     """NotGenerates when a congruence quotient excludes r_base, else None.
-    The generators are _Setup.images, never a window; k doubles while the
-    kernel fits."""
+    The generators are _Setup.images, never a window, less the orbit's
+    T-coset where fams lacks it (fams holds R's sets, at most that coset
+    removed); k doubles while the kernel fits."""
     R, (iso, dot, _) = setup.R, setup.R.space.blocks(orbit.base)
+    own, drop = _coset_key(R, orbit)
+    drop = (own, drop) if fams[own] != R.translations[own] else None
     for k in (4, 8, 16, 32, 64):
         mod = _mod_k(R.space.nu, R.space.rank, k)
-        gens = dict.fromkeys(g for tag, sl in fams.items() if sl is not None for g in setup.images(tag, sl, mod))
+        gens = dict.fromkeys(g for tag, sl in fams.items() if sl is not None
+                             for key, g in setup.images(tag, mod) if (tag, key) != drop)
         try:
             if not _in_image(list(gens), setup.image(iso.ints, iso.den, dot, mod), mod):
                 return NotGenerates(
@@ -841,20 +861,16 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
     Outermost material first: extra class, then long, then short, and
     within a class the representative farthest from zero first.  That way
     a successful removal usually keeps the zero coset, so the remainder
-    is already in descriptor normal form.  Offsets are compared as ints
-    at their class's common scale, which keeps their order.
+    is already in descriptor normal form.  Offsets are compared as their
+    keys (_coset_key), ints at one scale per class, which keeps their order.
     """
-    order, scale = {"extra": 0, "long": 1, "short": 2}, {}
-    tagged = [(R.class_of_dot(ob.dot_part), ob) for ob in anisotropic_orbits(R)]
-    for tag, ob in tagged:
-        scale[tag] = math.lcm(scale.get(tag, 1), ob.base_offset.den)
+    order = {"extra": 0, "long": 1, "short": 2}
 
     def key(item):
-        tag, ob = item
-        off = ob.base_offset.at(scale[tag])
+        (tag, off), _ = item
         return order[tag], -sum(c * c for c in off), tuple(-c for c in off)
 
-    return [ob for _, ob in sorted(tagged, key=key)]
+    return [ob for _, ob in sorted(((_coset_key(R, ob), ob) for ob in anisotropic_orbits(R)), key=key)]
 
 
 def minimality(R: EarsDescriptor):
@@ -865,16 +881,17 @@ def minimality(R: EarsDescriptor):
     setup = _Setup(R)
     for orbit in orbits:
         # skipped when a symmetry of R maps an orbit that does not generate onto it
-        if (key := (R.class_of_dot(orbit.dot_part), orbit.base_offset)) in negatives:
+        if (key := _coset_key(R, orbit)) in negatives:
             continue
         verdict = generation_check(R, orbit, _setup=setup)
         if isinstance(verdict, Generates):
             return NotMinimal(orbit, verdict.certificate)
         if isinstance(verdict, Inconclusive):
             unresolved.append(orbit)
-        else:  # the keys of the orbit's images under the symmetries
-            negatives.update(closure([key], setup.symmetries(),
-                                     lambda k, g: (k[0], R.class_lattice(k[0]).reduce(g * k[1]))))
+        else:  # the keys of the orbit's images under the symmetries, on ints at the key's scale
+            t, scale = R.class_lattice(key[0]), R.class_residues(key[0])[1]
+            negatives.update(closure([key], [g.ints for g in setup.symmetries()],
+                                     lambda k, g: (k[0], t.reduce_at(_apply(g, k[1]), scale))))
     if unresolved:
         return Unknown(tuple(unresolved))
     return Minimal(len(orbits))

@@ -148,3 +148,39 @@ def test_oracle_relations_name_orbits_by_lookup():
     assert (result["ops"], result["fresh"]) == (300, 0), result
     assert result["hnfs"] == [result["classes"], 0], result
     assert result["fractions"] <= 504, result
+
+
+# Lattice.intersect and Vector._of calls over one minimality call per freshly
+# loaded suite descriptor: 76 and 1,944 when every orbit intersected and
+# reduced its class set anew, built its quotient images per remaining set and
+# its decider's roots as Vectors; 36 and 572 with one residue table per class
+# on the descriptor and one image table per class and k in each call
+_COUNT_MINIMALITY_WORK = """
+import json, sys
+sys.path[:0] = ["src", "bench"]
+import fixtures
+from ears import linalg, semilattice, weyl
+systems = fixtures.load_suite()[0]
+counts = {"intersect": 0, "Vector._of": 0}
+intersect, of = semilattice.Lattice.intersect, linalg.Vector._of.__func__
+def counted_intersect(*args):
+    counts["intersect"] += 1
+    return intersect(*args)
+def counted_of(cls, *args):
+    counts["Vector._of"] += 1
+    return of(cls, *args)
+semilattice.Lattice.intersect = counted_intersect
+linalg.Vector._of = classmethod(counted_of)
+for R in systems.values():
+    weyl.minimality(R)
+print(json.dumps({"systems": len(systems), **counts}))
+"""
+
+
+def test_minimality_works_once_per_class():
+    done = subprocess.run([sys.executable, "-c", _COUNT_MINIMALITY_WORK], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["systems"] == 16
+    assert result["intersect"] <= 36 and result["Vector._of"] <= 572, result

@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from ears.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, main
-from ears.core import _vec_to_json, characterize, descriptor_to_config
+from ears.core import _vec_to_json, characterize, construct_ears, descriptor_to_config
 from ears.examples import (
     acceptance_suite,
     integer_lattice,
@@ -26,7 +26,17 @@ from ears.examples import (
     product_even_semilattice,
 )
 from ears.finite import build_finite
-from ears.linalg import AmbientSpace, Matrix, Vector, line_key, preserves_form, reflect, reflection_matrix
+from ears.linalg import (
+    _DEN_BOUND,
+    AmbientSpace,
+    Matrix,
+    Vector,
+    line_key,
+    preserves_form,
+    reflect,
+    reflection_matrix,
+    reflector,
+)
 from ears.presentation import (
     Infinite,
     Undetermined,
@@ -40,7 +50,7 @@ from ears.presentation import (
     square_relation,
 )
 from ears.semilattice import Lattice, Semilattice, residue_table, sum_condition, verify_semilattice
-from ears.weyl import orbit_bfs, orbit_closed_form
+from ears.weyl import orbit_bfs, orbit_closed_form, word_element
 from test_core import _reference_characterize
 from test_linalg import RefVector, fraction_product, ref_at, ref_line_key, ref_vec_to_json
 from test_semilattice import assert_matches, assert_pair_matches, both, reference_residue_table
@@ -394,3 +404,46 @@ def test_characterize_matches_the_pair_loop_on_random_edits(system, data):
         if i not in dropped:
             edited.append(v)
     assert repr(characterize(edited, space)) == repr(_reference_characterize(edited, space))
+
+
+# every suite type's window 2, with C3 over (Z, Z), whose long roots of odd
+# translation have st = 2, as G2's long roots (3) and BC's extra roots (2)
+# do; B2's long roots, of squared length 2 against the short roots' 1, never do
+_WORD_SYSTEMS = [
+    (name, sorted(R.anisotropic_window(2), key=lambda v: v.coords), R.space)
+    for name, R in sorted({**acceptance_suite(),
+                           "C3 Z Z": construct_ears("C3", integer_lattice(1), integer_lattice(1))}.items())
+]
+
+
+def _matmul_product(space, word):
+    """The left-to-right Matrix @ product of the words' reflection matrices."""
+    m = Matrix.identity(space.dim)
+    for r in word:
+        m = m @ reflection_matrix(space, r)
+    return m
+
+
+def test_word_systems_have_letters_that_scale_the_denominator():
+    scaled = {name for name, roots, space in _WORD_SYSTEMS if any(reflector(space, r)[2] > 1 for r in roots)}
+    assert scaled == {"BC1 nu1", "BC2 nu1", "C3 Z Z", "G2 nu1"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_WORD_SYSTEMS), st.data())
+def test_word_element_matches_the_matrix_product(system, data):
+    """One accumulator over the whole word gives the Matrix @ product."""
+    name, roots, space = system
+    word = data.draw(st.lists(st.sampled_from(roots), max_size=14))
+    assert word_element(space, word).matrix == _matmul_product(space, word), name
+
+
+@pytest.mark.parametrize("name", ["C3 Z Z", "G2 nu1"])
+def test_long_word_crosses_the_reduction_bound(name):
+    # the letters' st multiply the accumulator's denominator past _DEN_BOUND,
+    # where it is divided by its common factor and goes on
+    _, roots, space = next(s for s in _WORD_SYSTEMS if s[0] == name)
+    scaled = [r for r in roots if reflector(space, r)[2] > 1]
+    word = [scaled[(i * 7) % len(scaled)] for i in range(90)] + roots[:5]
+    assert math.prod(reflector(space, r)[2] for r in word) > _DEN_BOUND
+    assert word_element(space, word).matrix == _matmul_product(space, word), name

@@ -755,6 +755,37 @@ def test_closed_form_images_match_the_matrix_product(suite):
                       "B2 nu2 product-even": 1, "G2 nu1": 3, "BC2 nu1": 2}
 
 
+def test_class_image_table_less_the_removed_coset_is_the_remaining_images(suite, z2):
+    # per orbit and k, the own class's images read off R's table with the
+    # orbit's T-coset dropped are, as a set, those of the remaining set
+    # worked out by itself: its period classes modulo its modulus meet
+    # k<S> (_residues), each line's image.  k = 4, ..., 64 up to nullity
+    # two and 4, 8, 16 at three, in about 2 s; B2 (Z^3, 2Z^3) agrees at
+    # k = 32 and 64 as well, in 6.6 and 56 s (64^3 period classes a coset)
+    z3 = integer_lattice(3)
+    systems = {**{name: R for name, R in suite.items() if R.finite_part.rank > 1},
+               "B2 2Z^2 4Z^2": construct_ears("B2", z2.scaled(2), z2.scaled(4)),
+               "B2 Z^3 2Z^3": construct_ears("B2", z3, z3.scaled(2))}
+    compared = Counter()
+    for name, R in systems.items():
+        setup = _Setup(R)
+        for ob in anisotropic_orbits(R):
+            tag, key = ears.weyl._coset_key(R, ob)
+            sl = _remaining_translations(R, ob)[tag]
+            for k in (4, 8, 16, 32, 64)[:5 if R.nullity < 3 else 3]:
+                mod = ears.weyl._mod_k(R.space.nu, R.space.rank, k)
+                table = {g for got, g in setup.images(tag, mod) if got != key}
+                if sl is None:
+                    assert not table, (name, ob.base, k)
+                    continue
+                finer = sl.modulus.intersect(R.translations[tag].lattice.scaled(k))
+                scale = math.lcm(sl.den, finer.den)
+                want = {setup.image(x, scale, d, mod) for x in sl._residues(finer, scale) for d in setup.lines(tag)}
+                assert table == want, (name, ob.base, k)
+                compared[R.nullity] += 1
+    assert compared == {1: 20, 2: 55, 3: 24}, compared
+
+
 def test_quotient_images_build_no_reflector_or_vector(suite, monkeypatch):
     # over the suite, _quotient_negative calls reflector zero times, and
     # _Setup.image builds no Vector once the setup has its scale
@@ -1381,6 +1412,21 @@ def test_bc1_lattice_case_minimal():
     assert isinstance(minimality(bc1), Minimal)
 
 
+def test_word_element_builds_one_matrix_per_word(suite, monkeypatch):
+    # the 317-letter certificate of A1 nu3 full is multiplied out on one
+    # accumulator: the identity it starts from and the product are the only
+    # Matrix objects built, where a Matrix per letter made 318
+    R = suite["A1 nu3 full"]
+    verdict = minimality(R)
+    assert isinstance(verdict, NotMinimal) and len(verdict.certificate) == 317
+    built, set_matrix = Counter(), Matrix._set
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "_set", lambda *args: built.update(["Matrix"]) or set_matrix(*args))
+        product = word_element(R.space, verdict.certificate).matrix
+    assert built["Matrix"] <= 2, built
+    assert product == reflection_matrix(R.space, verdict.orbit.base)
+
+
 def test_word_element_composes(nullity2):
     a = vec(0, 0, 1, 0, 0)
     b = vec(1, 0, 1, 0, 0)
@@ -1397,7 +1443,7 @@ def _letters(space, shifts):
     # (root, shear) of the reflections in (s, 1, 0): every shear -2 s is
     # integral, so the scale is 1
     roots = [space.assemble(s, [1]) for s in shifts]
-    return [(r, _shear(space.nu, r, 1)) for r in roots]
+    return [(r, _shear(space.nu, r.ints, 1)) for r in roots]
 
 
 def _identity(nu):
@@ -1479,7 +1525,7 @@ def test_affine_normal_form_matches_matrices(suite, name):
         for r in roots for s in space.blocks(r)[0].coords
     ))
     matrices = {r: reflection_matrix(space, r) for r in roots}
-    shears = {r: _shear(nu, r, scale) for r in roots}
+    shears = {r: _shear(nu, r.ints, scale) for r in roots}
     ident = Matrix.identity(space.dim)
     central = 0
 
@@ -1779,7 +1825,8 @@ def reference_decider_roots(nu, families):
 def test_generators_match_the_vector_reference(suite, monkeypatch):
     # every decider that minimality, less its symmetry skip, builds on the
     # suite and on nullity3_system(): the same letters in the same order,
-    # and the decider's integer tuples assemble no Vector.  The congruence
+    # as int tuples at the decider's scale top, and the decider builds no
+    # Vector, so it assembles none.  The congruence
     # quotient gives up, so a slice is tried on the thirteen orbits it
     # decides otherwise, on top of the 26 rank-one decisions
     deciders = []
@@ -1796,7 +1843,7 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
             unskipped_minimality(R)
     assert len(deciders) == 26 + 13
 
-    letters, assembled, assemble = [], Counter(), AmbientSpace.assemble
+    letters, assembled, assemble, set_vector = [], Counter(), AmbientSpace.assemble, Vector._set
 
     def spy_shear(nu, root, scale):
         letters.append(root)
@@ -1811,8 +1858,9 @@ def test_generators_match_the_vector_reference(suite, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ears.weyl, "_shear", spy_shear)
             m.setattr(AmbientSpace, "assemble", no_assemble)
-            _Rank1Decider(nu, families)
-        assert letters == reference_decider_roots(nu, families)
+            m.setattr(Vector, "_set", lambda *args: assembled.update(["Vector"]) or set_vector(*args))
+            got = _Rank1Decider(nu, families)
+        assert [Vector._of(r, got.top) for r in letters] == reference_decider_roots(nu, families)
     assert not assembled, assembled
 
 
