@@ -490,28 +490,33 @@ def scaled_ints(vectors):
 def reflector(space: AmbientSpace, alpha: Vector) -> tuple:
     """Rank-one data of the reflection in alpha, from the integer Gram rows
     G: with a = alpha.ints, p = 2 G a and st = a^T G a (the scales of
-    alpha and G cancel), then divided by their common factor."""
+    alpha and G cancel), then divided by their common factor.  G is [[0, 0,
+    cI], [0, F, 0], [cI, 0, 0]], so p is read off c and F's rows alone."""
     if alpha.dim != space.dim:
         raise DimensionMismatch(f"dim {space.dim} vs {alpha.dim}")
-    a = alpha.ints
-    p = [2 * sum(g * x for g, x in zip(row, a) if g) for row in space.form.gram.ints]
-    st = sum(x * y for x, y in zip(a, p)) // 2
+    a, nu, top, gram = alpha.ints, space.nu, space.nu + space.rank, space.form.gram.ints
+    c2 = 2 * gram[0][top] if nu else 0
+    p = ([c2 * x for x in a[top:]] + [2 * sum(map(mul, row[nu:top], a[nu:top])) for row in gram[nu:top]]
+         + [c2 * x for x in a[:nu]])
+    st = sum(map(mul, a, p)) // 2
     if st == 0:
         raise IsotropicRoot(f"reflection in isotropic vector {alpha!r}")
     g = math.gcd(st, *p) * (1 if st > 0 else -1)
-    return a, tuple(x // g for x in p), st // g
+    return a, tuple(x // g for x in p) if g != 1 else tuple(p), st // g
 
 
 _DEN_BOUND = 1 << 64  # past it the accumulator is divided by its common factor
 
 
-def times_reflector(m: Matrix, *refls) -> Matrix:
+def times_reflector(m: Matrix | int, *refls) -> Matrix:
     """m @ r_1 @ ... @ r_n, each factor the rank-one update m - (m a) p^T /
-    st, on one accumulator of integer rows over one denominator, divided by
-    their common factor only past _DEN_BOUND; the one Matrix built takes the
-    last gcd.  Only the nonzero entries of a and of p are read: an EARS root
-    is zero on the dual block, so p = 2 G a is zero on the radical block."""
-    rows, den, sparse = [list(r) for r in m.ints], m.den, {}
+    st, on one accumulator of integer rows over one denominator (identity
+    rows for an int m, the size), divided by their common factor only past
+    _DEN_BOUND; the one Matrix built takes the last gcd.  Only the nonzero
+    entries of a and of p are read: an EARS root is zero on the dual block,
+    so p = 2 G a is zero on the radical block."""
+    rows, den, sparse = ([list(r) for r in m.ints], m.den, {}) if isinstance(m, Matrix) else (
+        [[int(i == j) for j in range(m)] for i in range(m)], 1, {})
     for refl in refls:
         # keyed by id: refls holds every reflector until the call returns
         if (s := sparse.get(id(refl))) is None:

@@ -3,7 +3,9 @@
 A word is a finite sequence of anisotropic roots standing for the ordered
 product of their reflections.  This module evaluates words exactly, tracks
 letter counts per orbit modulo two (reflections of linearly dependent roots
-coincide, so the counts live on lines through the origin), reads the
+coincide, so the counts live on lines through the origin; each distinct
+letter is classified once and counted on an integer orbit key, and only an
+orbit of odd count gets an OrbitDescriptor), reads the
 order of a product of two reflections off the Gram matrix of their plane,
 with a sound infinite-order certificate (its null spaces from
 linalg.kernel, on the integer HNF), decides whether the reflection
@@ -32,6 +34,7 @@ from .weyl import (
     NotMinimal,
     OrbitDescriptor,
     Unknown,
+    _coset_key,
     orbit_closed_form,
     minimality,
     word_element,
@@ -127,12 +130,18 @@ class ParityVector(Value):
 
 def parity(word, R: EarsDescriptor) -> ParityVector:
     """Per-orbit letter counts mod 2; raises UnknownRoot on a non-root.
-    R's translation sets must pass construct_ears's rules; its finite part may be any."""
-    counts = {}
-    for letter, n in Counter(_letters(word)).items():  # one orbit_id per distinct letter
-        oid = orbit_id(R, letter)
-        counts[oid] = counts.get(oid, 0) + n
-    return ParityVector(counts)
+    Each distinct letter is classified once, then counted under its orbit's
+    integer key (weyl._coset_key): its class tag and its radical block mod
+    the class lattice T, as ints at lcm(T.den, the class set's den).  Only
+    an orbit of odd count gets an OrbitDescriptor, orbit_id's of its first
+    letter.  R's translation sets must pass construct_ears's rules; its
+    finite part may be any."""
+    counts, first = Counter(), {}  # count per orbit's first letter, first letter per key
+    for letter, n in Counter(_letters(word)).items():
+        if R.classify(letter) != "anisotropic":
+            raise UnknownRoot(f"{letter} is not an anisotropic root of {R.label}")
+        counts[first.setdefault(_coset_key(R, *R.space.blocks(letter)[:2]), letter)] += n
+    return ParityVector({orbit_closed_form(R, v): 1 for v, n in counts.items() if n % 2})
 
 
 # -- order of a product of two reflections -----------------------------------

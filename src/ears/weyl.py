@@ -126,7 +126,7 @@ def word_element(space: AmbientSpace, letters) -> GroupElement:
     one reflector per distinct root, multiplied out on one accumulator."""
     letters = tuple(letters)
     kernel = {r: reflector(space, r) for r in dict.fromkeys(letters)}
-    return GroupElement(times_reflector(Matrix.identity(space.dim), *map(kernel.__getitem__, letters)), letters)
+    return GroupElement(times_reflector(space.dim, *map(kernel.__getitem__, letters)), letters)
 
 
 class OrbitDescriptor(Value):
@@ -566,11 +566,15 @@ def anisotropic_orbits(R: EarsDescriptor) -> list[OrbitDescriptor]:
     return out
 
 
-def _coset_key(R: EarsDescriptor, orbit: OrbitDescriptor):
-    """(class, key): the orbit's T-coset as its class's tables key it, the
-    base offset as ints at the scale of EarsDescriptor.class_residues."""
-    tag = R.class_of_dot(orbit.dot_part)
-    return tag, orbit.base_offset.at(R.class_residues(tag)[1])
+def _coset_key(R: EarsDescriptor, iso: Vector, dot: Vector):
+    """(class, key) of a root of R with radical block iso and dot part dot:
+    iso mod the class lattice T as ints at lcm(T.den, the class set's den),
+    as EarsDescriptor.class_residues keys its table, but without building
+    it.  Two roots share it exactly when they share an orbit."""
+    tag = R.class_of_dot(dot)
+    t = R.class_lattice(tag)
+    scale = math.lcm(t.den, R.translations[tag].den)
+    return tag, t.reduce_at(iso.at(scale), scale)
 
 
 def _remaining_translations(R: EarsDescriptor, orbit: OrbitDescriptor):
@@ -579,7 +583,7 @@ def _remaining_translations(R: EarsDescriptor, orbit: OrbitDescriptor):
     Only the orbit's own class changes: it keeps its cosets modulo fine
     (EarsDescriptor.class_residues) not keyed by the orbit, or maps to None.
     """
-    own, drop = _coset_key(R, orbit)
+    own, drop = _coset_key(R, orbit.base_offset, orbit.dot_part)
     fine, scale, table = R.class_residues(own)
     keep = [c for c, key in table if key != drop]
     out = dict(R.translations)
@@ -820,7 +824,7 @@ def _quotient_negative(setup: _Setup, orbit: OrbitDescriptor, fams):
     T-coset where fams lacks it (fams holds R's sets, at most that coset
     removed); k doubles while the kernel fits."""
     R, (iso, dot, _) = setup.R, setup.R.space.blocks(orbit.base)
-    own, drop = _coset_key(R, orbit)
+    own, drop = _coset_key(R, orbit.base_offset, orbit.dot_part)
     drop = (own, drop) if fams[own] != R.translations[own] else None
     for k in (4, 8, 16, 32, 64):
         mod = _mod_k(R.space.nu, R.space.rank, k)
@@ -870,7 +874,8 @@ def _removal_candidates(R: EarsDescriptor) -> list[OrbitDescriptor]:
         (tag, off), _ = item
         return order[tag], -sum(c * c for c in off), tuple(-c for c in off)
 
-    return [ob for _, ob in sorted(((_coset_key(R, ob), ob) for ob in anisotropic_orbits(R)), key=key)]
+    keyed = ((_coset_key(R, ob.base_offset, ob.dot_part), ob) for ob in anisotropic_orbits(R))
+    return [ob for _, ob in sorted(keyed, key=key)]
 
 
 def minimality(R: EarsDescriptor):
@@ -881,7 +886,7 @@ def minimality(R: EarsDescriptor):
     setup = _Setup(R)
     for orbit in orbits:
         # skipped when a symmetry of R maps an orbit that does not generate onto it
-        if (key := _coset_key(R, orbit)) in negatives:
+        if (key := _coset_key(R, orbit.base_offset, orbit.dot_part)) in negatives:
             continue
         verdict = generation_check(R, orbit, _setup=setup)
         if isinstance(verdict, Generates):

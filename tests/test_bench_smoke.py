@@ -107,11 +107,14 @@ def test_axioms_pass_builds_few_fractions():
 # a Fraction key for its orbit; 376 with orbits named on integers, all from
 # reflect.  The bound is a tenth of the first.  A descriptor loaded from a
 # config has built no class lattice, so loading one per operation costs none.
+# Every relation is even on every orbit, so parity, which counts on integer
+# keys, builds no OrbitDescriptor (it built one per distinct letter), and
+# evaluate builds one Matrix per relation, the product.
 _COUNT_RELATION_WORK = """
 import fractions, json, random, sys
 sys.path[:0] = ["src", "bench"]
 import fixtures, workloads
-from ears import semilattice
+from ears import linalg, semilattice, weyl
 fresh = sum(len(R._lattices) for R in fixtures.load_suite()[0].values())
 workload = workloads.build("oracle", random.Random(1))
 ops = [op for op in workload.ops if op.command == "relations"]
@@ -132,11 +135,20 @@ def counted(cls, *args, **kwargs):
     calls += 1
     return new(cls, *args, **kwargs)
 fractions.Fraction.__new__ = counted
+built = {"OrbitDescriptor": 0, "Matrix": 0}
+orbit_init, matrix_set = weyl.OrbitDescriptor.__init__, linalg.Matrix._set
+def counted_orbit(*args):
+    built["OrbitDescriptor"] += 1
+    return orbit_init(*args)
+def counted_matrix(*args):
+    built["Matrix"] += 1
+    return matrix_set(*args)
+weyl.OrbitDescriptor.__init__, linalg.Matrix._set = counted_orbit, counted_matrix
 for op in ops:
     op.call()
 classes = len(workload.systems["A1 nu2 product-even"].dot_classes)
 print(json.dumps({"ops": len(ops), "fresh": fresh, "classes": classes,
-                  "hnfs": [first, hnfs], "fractions": calls}))
+                  "hnfs": [first, hnfs], "fractions": calls, "built": built}))
 """
 
 
@@ -148,6 +160,7 @@ def test_oracle_relations_name_orbits_by_lookup():
     assert (result["ops"], result["fresh"]) == (300, 0), result
     assert result["hnfs"] == [result["classes"], 0], result
     assert result["fractions"] <= 504, result
+    assert result["built"] == {"OrbitDescriptor": 0, "Matrix": 300}, result
 
 
 # Lattice.intersect and Vector._of calls over one minimality call per freshly

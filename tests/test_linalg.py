@@ -24,6 +24,7 @@ from ears.linalg import (
 )
 from ears.presentation import evaluate
 from ears.semilattice import Lattice
+from test_weyl import removal_label_systems
 
 
 def test_vector_arithmetic_is_exact():
@@ -281,6 +282,35 @@ def test_reflector_update_matches_the_dense_formula(suite):
                 want = dense_times_reflector(m, refl)
                 m = times_reflector(m, refl)
                 assert (m.den, m.ints) == (want.den, want.ints), name
+
+
+def dense_reflector(space, alpha):
+    """reflector with p = 2 G a read off every entry of the Gram matrix."""
+    a = alpha.ints
+    p = [2 * sum(map(mul, row, a)) for row in space.form.gram.ints]
+    st = sum(map(mul, a, p)) // 2
+    g = math.gcd(st, *p) * (1 if st > 0 else -1)
+    return a, tuple(x // g for x in p), st // g
+
+
+def test_reflector_reads_the_block_form_of_the_gram_matrix():
+    # every window-2 root of removal_label_systems(), A2 nu0 (no radical
+    # block) among them, and seeded non-isotropic vectors with a dual part,
+    # which no root has; an int m starts the product from identity rows
+    systems = removal_label_systems()
+    assert systems["A2 nu0"].nullity == 0
+    rng = random.Random(3608)
+    for name, R in systems.items():
+        space = R.space
+        roots = sorted_vectors(R.anisotropic_window(2))
+        for alpha in roots:
+            assert reflector(space, alpha) == dense_reflector(space, alpha), (name, alpha)
+        for _ in range(20):
+            v = Vector([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(space.dim)])
+            if space.pair(v, v):
+                assert reflector(space, v) == dense_reflector(space, v), (name, v)
+        word = [reflector(space, r) for r in rng.choices(roots, k=6)]
+        assert times_reflector(space.dim, *word) == times_reflector(Matrix.identity(space.dim), *word), name
 
 
 def test_matrix_hash_is_computed_once(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ears.core import construct_ears
-from ears.linalg import Vector, reflect, vec
+from ears.linalg import DimensionMismatch, Vector, reflect, sorted_vectors, vec
 from ears.presentation import (
     GeneratorWord,
     Infinite,
@@ -30,10 +30,10 @@ from ears.presentation import (
     square_relation,
     witness_word,
 )
-from ears.semilattice import Semilattice
-from ears.weyl import orbit_closed_form
+from ears.semilattice import Lattice, Semilattice
+from ears.weyl import anisotropic_orbits, orbit_closed_form
 from ears.examples import certificate_word, removable_root
-from test_weyl import removal_label_systems
+from test_weyl import RADICAL_BASES, change_radical_basis, radical_basis_systems, removal_label_systems
 
 A1 = vec(0, 0, 1, 0, 0)
 A2 = vec(1, 0, 1, 0, 0)
@@ -154,6 +154,49 @@ def test_orbit_id_matches_two_classify_reference():
             assert R.classify(v * Fraction(1, 2)) != "anisotropic", (name, v)
 
 
+def signed_words(R, rng, count):
+    """Seeded words of window-2 roots of R, each letter v often joined by -v."""
+    roots = R.anisotropic_window(2)
+    words = []
+    for _ in range(count):
+        letters = rng.choices(roots, k=rng.randint(1, 10))
+        letters += [-v for v in letters if rng.random() < 0.5]
+        rng.shuffle(letters)
+        words.append(tuple(letters))
+    return words
+
+
+def bad_letters(R) -> dict:
+    """One letter parity must refuse per kind, with the error it raises."""
+    space, nu = R.space, R.nullity
+    iso, dot, _ = space.blocks(sorted_vectors(R.anisotropic_window(2))[-1])
+    bad = {"zero": (Vector([0] * space.dim), UnknownRoot),
+           "dot not a finite root": (space.assemble(iso, dot * 3), UnknownRoot),
+           "wrong dimension": (Vector([0] * (space.dim + 1)), DimensionMismatch)}
+    if nu:  # no translation set has a den of 7
+        offset = Vector([Fraction(1, 7)] + [0] * (nu - 1))
+        bad["dual part"] = (space.assemble(iso, dot, offset), UnknownRoot)
+        bad["iso outside the class set"] = (space.assemble(iso + offset, dot), UnknownRoot)
+    return bad
+
+
+def raised(f, *args):
+    try:
+        f(*args)
+    except (UnknownRoot, DimensionMismatch) as e:
+        return type(e), str(e)
+    return None
+
+
+def parity_systems() -> dict:
+    """removal_label_systems(), BC1 nu3 among them, and two systems over
+    Z/2, whose letters have den 2: A1 has two orbits there, told apart only
+    at the scale of the halves."""
+    half = Semilattice.from_cosets([[0]], Lattice(1, [[Fraction(1, 2)]]))
+    return {**removal_label_systems(), "A1 half": construct_ears("A1", half),
+            "G2 half": construct_ears("G2", half, half.scaled(3))}
+
+
 def test_parity_matches_per_letter_count(suite, nullity2):
     words = []
     for name, R in suite.items():
@@ -182,14 +225,48 @@ def test_parity_matches_per_letter_count(suite, nullity2):
         else:
             rel = conjugation_relation(space, a, b)
         words += [(i, nullity2, rel.letters), (i, nullity2, rel.letters[:rng.randint(1, len(rel))])]
-    assert sum(not parity(word, R).is_zero() for _, R, word in words) > 200
+    # parity counts on integer orbit keys and builds an OrbitDescriptor for
+    # an odd orbit only, the reference one per letter: seeded words with v
+    # and -v, on systems whose letters can have a larger den than 1
+    systems = parity_systems()
+    assert {v.den for v in systems["G2 half"].anisotropic_window(2)} == {1, 2}
+    assert len(anisotropic_orbits(systems["A1 half"])) == 2
+    for name, R in systems.items():
+        words += [(name, R, word) for word in signed_words(R, rng, 8)]
+    assert sum(not parity(word, R).is_zero() for _, R, word in words) > 300
     for name, R, word in words:
         got, want = parity(word, R), per_letter_parity(word, R)
         assert got == want and hash(got) == hash(want), name
         assert [o.key() for o in got.support()] == sorted(o.key() for o in want.bits), name
+        assert [o.base for o in got.support()] == [o.base for o in want.support()], name
         assert [o.base_offset.coords for o in got.support()] == \
             [o.base_offset.coords for o in want.support()], name
         assert repr(got) == repr(want), name
+
+
+def test_parity_odd_orbits_follow_a_change_of_radical_basis(suite, z2):
+    # map seeded words letter by letter through an isometry g of the radical
+    # block: the odd orbits of each word's parity map one to one onto those
+    # of the image word's parity in the image system
+    rng = random.Random(3607)
+    checked = 0
+    for name, R in radical_basis_systems(suite, z2).items():
+        if R.nullity == 0:
+            continue
+        for g in RADICAL_BASES[R.nullity]:
+            image, times = change_radical_basis(R, g)
+
+            def mapped(v):
+                iso, dot, _ = R.space.blocks(v)
+                return image.space.assemble(times(iso), dot)
+
+            for word in signed_words(R, rng, 3):
+                odd = parity(word, R).support()
+                moved = {orbit_closed_form(image, mapped(ob.base)) for ob in odd}
+                assert len(moved) == len(odd), (name, g)
+                assert moved == set(parity(tuple(map(mapped, word)), image).bits), (name, g)
+                checked += bool(odd)
+    assert checked > 50
 
 
 def test_parity_rejects_non_roots(nullity2):
@@ -197,6 +274,15 @@ def test_parity_rejects_non_roots(nullity2):
         parity((vec(0, 0, 0, 0, 0),), nullity2)
     with pytest.raises(UnknownRoot):
         parity((vec(1, 0, 0, 0, 0),), nullity2)
+    # each kind of bad letter, alone and inside a word, raises what the
+    # per-letter reference raises
+    rng = random.Random(3606)
+    for name, R in parity_systems().items():
+        good = signed_words(R, rng, 1)[0]
+        for kind, (letter, error) in bad_letters(R).items():
+            for word in ((letter,), good + (letter,) + good):
+                assert raised(parity, word, R) == raised(per_letter_parity, word, R), (name, kind)
+                assert raised(parity, word, R)[0] is error, (name, kind)
 
 
 def test_orbit_id_constant_on_lines(nullity2):
